@@ -66,7 +66,7 @@ from .training import FeatureSpace, TrainConfig, build_instances, train
 __version__ = "0.1.0"
 
 FORMAT_VERSIONS = {
-    "profile_store": 1,
+    "profile_store": 2,
     "checkpoint": 1,
 }
 

@@ -409,16 +409,17 @@ def _handle_train(opts: Options) -> dict:
     labeled = read_labeled_log(labeled_path)
     if not labeled:
         raise CliError("empty-input:labeled", "no labeled events", exit_code=2)
+    default = TrainConfig()
     cfg = TrainConfig(
-        objective=opts.get("objective", str, "vr_ndt"),
-        neg_mode=opts.get("neg-mode", str, "unit"),
-        batch_size=opts.get("batch-size", int, 512),
-        learning_rate=opts.get("learning-rate", float, 1e-3),
-        epochs=opts.get("epochs", int, 3),
-        seed=opts.get("seed", int, 0),
-        embedding_dim=opts.get("embedding-dim", int, 16),
-        bottom_dim=opts.get("bottom-dim", int, 64),
-        tower_dims=tuple(opts.get("tower-dims", _parse_ints, (64, 32))),
+        objective=opts.get("objective", str, default.objective),
+        neg_mode=opts.get("neg-mode", str, default.neg_mode),
+        batch_size=opts.get("batch-size", int, default.batch_size),
+        learning_rate=opts.get("learning-rate", float, default.learning_rate),
+        epochs=opts.get("epochs", int, default.epochs),
+        seed=opts.get("seed", int, default.seed),
+        embedding_dim=opts.get("embedding-dim", int, default.embedding_dim),
+        bottom_dim=opts.get("bottom-dim", int, default.bottom_dim),
+        tower_dims=tuple(opts.get("tower-dims", _parse_ints, default.tower_dims)),
     )
     instances, space = build_instances(labeled, params, cfg)
     result = train(cfg, instances, space)
@@ -470,13 +471,11 @@ def _handle_eval(opts: Options) -> dict:
 
 
 def _handle_migrate_report(opts: Options) -> dict:
-    base_path = _require_input(opts.get("baseline", str, None), "baseline")
-    treat_path = _require_input(opts.get("treatment", str, None), "treatment")
     out = opts.get("out", str, None)
     if not out:
         raise CliError("missing-flag:out", "--out is required")
-    baseline, _ = read_log(base_path)
-    treatment, _ = read_log(treat_path)
+    baseline, _ = _read_log_checked(opts, "baseline")
+    treatment, _ = _read_log_checked(opts, "treatment")
     boundaries = opts.get("boundaries", _parse_ints, None)
     try:
         cells = migration_report(baseline, treatment, boundaries)
@@ -600,6 +599,8 @@ _COMMAND_FLAGS: dict[str, list[tuple[str, dict]]] = {
         ("--treatment", {}),
         ("--out", {}),
         ("--boundaries", {"type": _parse_ints}),
+        ("--header", {"choices": ["auto", "present", "absent"]}),
+        ("--bad-line-budget", {"type": int}),
     ],
 }
 

@@ -9,11 +9,16 @@ a per-instance-weighted binary cross entropy:
     L_w = -sum_pos w log P' - sum_neg w log(1 - P')
     L   = L_v + L_w
 
-Parameters live as float32 (the checkpoint stores raw float32 tensors, so
-save/load is bit-exact); all arithmetic upcasts to float64, which keeps
-finite-difference gradient checks meaningful.  Losses and gradients
+Parameters are initialised and checkpointed as float32 (the checkpoint
+stores raw float32 tensors, so save/load is bit-exact); training keeps a
+float64 copy (see ``training``).  All arithmetic runs in float64, which
+keeps finite-difference gradient checks meaningful.  Losses and gradients
 accumulate in batch order; permutation invariance is up to a canonical
 re-sort of the batch (see ``canonical_order``).
+
+``backward`` returns each embedding table's gradient row-sparse, as the
+batch's distinct rows and their gradient rows, so its cost follows the
+batch, not the vocabulary.
 
 Checkpoint format (magic ``VRMT``): version u32, u32 JSON config length +
 config JSON (dims, slots with vocabularies, seed), u32 tensor count, then
@@ -128,6 +133,10 @@ def _relu(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
+def _f64(a: np.ndarray) -> np.ndarray:
+    return a.astype(np.float64, copy=False)
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
@@ -202,25 +211,23 @@ class MtlNetwork:
         self._check_indices(batch.idx)
         p = self.params
         pieces = [
-            p[f"emb.{slot.name}"][batch.idx[:, col]].astype(np.float64)
+            _f64(p[f"emb.{slot.name}"][batch.idx[:, col]])
             for col, slot in enumerate(self.config.slots)
         ]
         if self.config.dense_dim:
             pieces.append(batch.dense)
         x0 = np.concatenate(pieces, axis=1) if pieces else batch.dense
-        zb = x0 @ p["bottom.W"].astype(np.float64) + p["bottom.b"].astype(np.float64)
+        zb = x0 @ _f64(p["bottom.W"]) + _f64(p["bottom.b"])
         hb = _relu(zb)
         cache: dict[str, np.ndarray] = {"x0": x0, "zb": zb, "hb": hb}
         for tower in ("tower_v", "tower_w"):
             h = hb
             for layer in (1, 2):
-                z = h @ p[f"{tower}.{layer}.W"].astype(np.float64) + p[
-                    f"{tower}.{layer}.b"
-                ].astype(np.float64)
+                z = h @ _f64(p[f"{tower}.{layer}.W"]) + _f64(p[f"{tower}.{layer}.b"])
                 cache[f"{tower}.z{layer}"] = z
                 h = _relu(z)
                 cache[f"{tower}.h{layer}"] = h
-            z3 = h @ p[f"{tower}.3.W"].astype(np.float64) + p[f"{tower}.3.b"].astype(np.float64)
+            z3 = h @ _f64(p[f"{tower}.3.W"]) + _f64(p[f"{tower}.3.b"])
             cache[f"{tower}.z3"] = z3[:, 0]
             cache[f"{tower}.prob"] = _sigmoid(z3[:, 0])
         return cache
@@ -261,18 +268,20 @@ class MtlNetwork:
         l_w = -float(np.sum(w * (y * np.log(pw) + (1.0 - y) * np.log(1.0 - pw))))
         return l_v, l_w
 
-    def backward(
-        self, batch: PackedBatch
-    ) -> tuple[tuple[float, float, float], dict[str, np.ndarray]]:
+    def backward(self, batch: PackedBatch) -> tuple[tuple[float, float, float], dict]:
         """Analytic gradient of L over every parameter.
 
-        Returns ((L_v, L_w, L), grads).  The shared-bottom and embedding
-        gradients accumulate both towers' contributions.
+        Returns ((L_v, L_w, L), grads).  Dense parameters get a float64
+        array of their own shape.  An embedding table gets a row-sparse pair
+        ``(rows, values)``: the distinct rows the batch reads, ascending, and
+        their ``(len(rows), embedding_dim)`` gradient; every other row's
+        gradient is zero.  The shared-bottom and embedding gradients
+        accumulate both towers' contributions.
         """
         cache = self._forward_arrays(batch)
         l_v, l_w = self._losses_from_cache(batch, cache)
         p = self.params
-        grads = {name: np.zeros_like(arr, dtype=np.float64) for name, arr in p.items()}
+        grads: dict = {}
 
         d_hb = np.zeros_like(cache["hb"])
         for tower, scale in (("tower_v", None), ("tower_w", batch.w)):
@@ -280,27 +289,29 @@ class MtlNetwork:
             if scale is not None:
                 dz3 = dz3 * scale
             h2 = cache[f"{tower}.h2"]
-            grads[f"{tower}.3.W"] += h2.T @ dz3[:, None]
-            grads[f"{tower}.3.b"] += np.array([dz3.sum()])
-            dh2 = dz3[:, None] @ p[f"{tower}.3.W"].astype(np.float64).T
+            grads[f"{tower}.3.W"] = h2.T @ dz3[:, None]
+            grads[f"{tower}.3.b"] = np.array([dz3.sum()])
+            dh2 = dz3[:, None] @ _f64(p[f"{tower}.3.W"]).T
             dz2 = dh2 * (cache[f"{tower}.z2"] > 0)
             h1 = cache[f"{tower}.h1"]
-            grads[f"{tower}.2.W"] += h1.T @ dz2
-            grads[f"{tower}.2.b"] += dz2.sum(axis=0)
-            dh1 = dz2 @ p[f"{tower}.2.W"].astype(np.float64).T
+            grads[f"{tower}.2.W"] = h1.T @ dz2
+            grads[f"{tower}.2.b"] = dz2.sum(axis=0)
+            dh1 = dz2 @ _f64(p[f"{tower}.2.W"]).T
             dz1 = dh1 * (cache[f"{tower}.z1"] > 0)
-            grads[f"{tower}.1.W"] += cache["hb"].T @ dz1
-            grads[f"{tower}.1.b"] += dz1.sum(axis=0)
-            d_hb += dz1 @ p[f"{tower}.1.W"].astype(np.float64).T
+            grads[f"{tower}.1.W"] = cache["hb"].T @ dz1
+            grads[f"{tower}.1.b"] = dz1.sum(axis=0)
+            d_hb += dz1 @ _f64(p[f"{tower}.1.W"]).T
 
         dzb = d_hb * (cache["zb"] > 0)
-        grads["bottom.W"] += cache["x0"].T @ dzb
-        grads["bottom.b"] += dzb.sum(axis=0)
-        dx0 = dzb @ p["bottom.W"].astype(np.float64).T
+        grads["bottom.W"] = cache["x0"].T @ dzb
+        grads["bottom.b"] = dzb.sum(axis=0)
+        dx0 = dzb @ _f64(p["bottom.W"]).T
         d_emb = self.config.embedding_dim
         for col, slot in enumerate(self.config.slots):
-            chunk = dx0[:, col * d_emb : (col + 1) * d_emb]
-            np.add.at(grads[f"emb.{slot.name}"], batch.idx[:, col], chunk)
+            rows, inverse = np.unique(batch.idx[:, col], return_inverse=True)
+            values = np.zeros((rows.size, d_emb))
+            np.add.at(values, inverse, dx0[:, col * d_emb : (col + 1) * d_emb])
+            grads[f"emb.{slot.name}"] = (rows, values)
         return (l_v, l_w, l_v + l_w), grads
 
     # -- checkpoint io ----------------------------------------------------

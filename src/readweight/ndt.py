@@ -174,16 +174,25 @@ def solve_tau(
     return lo
 
 
+def tower_weights(positive, transformed, neg_mode: str) -> np.ndarray:
+    """Weighted-tower weights from each row's dwell transform.
+
+    Positives weigh their transform.  Negatives weigh 1.0 in unit mode and
+    their transform in literal mode.  Arrays (or scalars) in, float64 out.
+    """
+    if neg_mode not in NEG_MODES:
+        raise ValueError(f"neg_mode must be one of {NEG_MODES}, got {neg_mode!r}")
+    transformed = np.asarray(transformed, dtype=np.float64)
+    if neg_mode == "literal":
+        return transformed
+    return np.where(positive, transformed, 1.0)
+
+
 def instance_weight(label: ValidReadLabel, p: NdtParams, neg_mode: str = "unit") -> float:
     """Training weight of one labeled event for the weighted tower.
 
     Valid reads weigh ndt(T).  Negatives weigh 1.0 in unit mode; literal
     mode weighs them ndt(T) too, which zeroes unclicked rows (ndt(0) = 0).
     """
-    if neg_mode not in NEG_MODES:
-        raise ValueError(f"neg_mode must be one of {NEG_MODES}, got {neg_mode!r}")
-    if label.kind is LabelKind.VALID_READ:
-        return float(ndt(label.dwell_time_s, p))
-    if neg_mode == "unit":
-        return 1.0
-    return float(ndt(label.dwell_time_s, p))
+    positive = label.kind is LabelKind.VALID_READ
+    return float(tower_weights(positive, ndt(label.dwell_time_s, p), neg_mode))

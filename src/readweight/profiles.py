@@ -9,9 +9,11 @@ exclude-self sensitivity variant for exact-mode items.
 Store format (magic ``VRPF``): version u32, then length-prefixed records,
 each ``u32 payload_len`` followed by ``u8 type`` (1 item, 2 user),
 ``u16 token_len + token``, and a type-specific body.  Item bodies carry the
-record count and the serialized estimator (exact estimators are sorted
-little-endian f32 arrays); user bodies carry sorted u64 click timestamps.
-Records are written sorted by (type, token) so equal inputs give equal bytes.
+record count and the serialized estimator (sorted little-endian f64 values
+in exact mode, f64 entry values in sketch mode, so a reloaded store answers
+every query exactly as the saved one did); user bodies carry sorted u64
+click timestamps.  Records are written sorted by (type, token) so equal
+inputs give equal bytes.  Version 2 widened the stored values from f32.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .quantiles import DEFAULT_EPS, DEFAULT_SWITCH_THRESHOLD, QuantileEstimator,
 WEEK_SECONDS = 7 * 86400
 
 STORE_MAGIC = b"VRPF"
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 _RECORD_ITEM = 1
 _RECORD_USER = 2

@@ -170,7 +170,7 @@ class GKSummary:
         self._flush()
         parts = [struct.pack("<dQI", self.eps, self.n, len(self._values))]
         for value, g, delta in zip(self._values, self._g, self._delta):
-            parts.append(struct.pack("<fQQ", value, g, delta))
+            parts.append(struct.pack("<dQQ", value, g, delta))
         return b"".join(parts)
 
     @classmethod
@@ -180,8 +180,8 @@ class GKSummary:
         summary = cls(eps=eps)
         summary.n = n
         for _ in range(count):
-            value, g, delta = struct.unpack_from("<fQQ", data, offset)
-            offset += struct.calcsize("<fQQ")
+            value, g, delta = struct.unpack_from("<dQQ", data, offset)
+            offset += struct.calcsize("<dQQ")
             summary._values.append(value)
             summary._g.append(int(g))
             summary._delta.append(int(delta))
@@ -275,9 +275,9 @@ class QuantileEstimator:
 
     def to_bytes(self) -> bytes:
         if self._exact is not None:
-            values = np.sort(np.asarray(self._exact, dtype=np.float32))
+            values = np.sort(np.asarray(self._exact, dtype="<f8"))
             head = struct.pack("<BdII", _MODE_EXACT, self.eps, self.switch_threshold, len(values))
-            return head + values.astype("<f4").tobytes()
+            return head + values.tobytes()
         assert self._sketch is not None
         return struct.pack("<BdI", _MODE_SKETCH, self.eps, self.switch_threshold) + self._sketch.to_bytes()
 
@@ -287,8 +287,8 @@ class QuantileEstimator:
         if mode == _MODE_EXACT:
             _, eps, switch_threshold, count = struct.unpack_from("<BdII", data, offset)
             offset += struct.calcsize("<BdII")
-            values = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
-            offset += 4 * count
+            values = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
+            offset += 8 * count
             est = cls(eps=eps, switch_threshold=switch_threshold)
             est._exact = [float(v) for v in values]
             return est, offset

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from readweight.cli import main
+from readweight.events import LOG_HEADER
+from readweight.model import MtlNetwork
+from readweight.training import TrainConfig
 
 
 def run_cli(capsys, *argv):
@@ -66,7 +69,7 @@ class TestHappyPath:
         code, doc = run_cli(capsys, "--version")
         assert code == 0
         assert doc["version"] == "0.1.0"
-        assert doc["formats"] == {"checkpoint": 1, "profile_store": 1}
+        assert doc["formats"] == {"checkpoint": 1, "profile_store": 2}
 
     def test_fit_stats_summary(self, workspace, capsys, tmp_path):
         code, doc = run_cli(capsys, "fit-stats", "--log", str(workspace["log"]))
@@ -175,6 +178,49 @@ class TestHappyPath:
         assert code == 0
         assert doc["n_cells"] == 70
         assert cells.read_text().startswith("level,decile,mean_base,mean_treat,delta")
+
+    def test_migrate_report_honours_header_and_bad_line_budget(self, capsys, tmp_path):
+        plain = tmp_path / "plain.csv"
+        assert run_cli(
+            capsys, "simulate", "--mode", "organic", "--out", str(plain),
+            "--seed", "4", "--users", "200", "--items", "40",
+        )[0] == 0
+        lines = plain.read_text().splitlines()
+        log = tmp_path / "headered.csv"
+        log.write_text("\n".join([LOG_HEADER, *lines[:10], "not,a,valid,line", *lines[10:]]) + "\n")
+        cells = tmp_path / "cells.csv"
+        argv = ["migrate-report", "--baseline", str(log), "--treatment", str(log), "--out", str(cells)]
+
+        code, doc = run_cli(capsys, *argv, "--header", "present", "--bad-line-budget", "1")
+        assert code == 0
+        assert doc["n_cells"] == 70
+        code, doc = run_cli(capsys, *argv, "--header", "present")
+        assert (code, doc["error"]) == (2, "bad-line-budget-exceeded")
+        # Read as data, the header is a second bad line.
+        code, doc = run_cli(capsys, *argv, "--header", "absent", "--bad-line-budget", "1")
+        assert (code, doc["error"]) == (2, "bad-line-budget-exceeded")
+
+    def test_train_defaults_come_from_train_config(self, workspace, capsys, tmp_path):
+        ckpt = tmp_path / "model.ckpt"
+        code, _ = run_cli(
+            capsys, "train", "--labeled", str(workspace["labeled"]),
+            "--ndt-params", str(workspace["params"]), "--checkpoint", str(ckpt),
+        )
+        assert code == 0
+        _, doc = MtlNetwork.load(str(ckpt))
+        default = TrainConfig()
+        recorded = {
+            "objective": doc["objective"],
+            "neg_mode": doc["neg_mode"],
+            "batch_size": doc["batch_size"],
+            "learning_rate": doc["learning_rate"],
+            "epochs": doc["epochs"],
+            "seed": doc["train_seed"],
+            "embedding_dim": doc["embedding_dim"],
+            "bottom_dim": doc["bottom_dim"],
+            "tower_dims": tuple(doc["tower_dims"]),
+        }
+        assert recorded == {name: getattr(default, name) for name in recorded}
 
     def test_simulate_sidecar(self, capsys, tmp_path):
         log = tmp_path / "events.csv"

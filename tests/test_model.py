@@ -44,14 +44,20 @@ def fd_gradient_check(net: MtlNetwork, batch, h=1e-4, tol=1e-4) -> float:
     """Central finite differences on a float64 clone of every parameter.
 
     Returns the worst relative mismatch; a floor keeps near-zero entries
-    from inflating the ratio beyond finite-difference noise.
+    from inflating the ratio beyond finite-difference noise.  Row-sparse
+    embedding gradients are scattered into a dense array first.
     """
     net64 = net.astype(np.float64)
     _, grads = net64.backward(batch)
     worst = 0.0
     for name, param in net64.params.items():
         flat = param.reshape(-1)
-        grad_flat = grads[name].reshape(-1)
+        grad = grads[name]
+        if isinstance(grad, tuple):
+            rows, values = grad
+            grad = np.zeros_like(param)
+            grad[rows] = values
+        grad_flat = grad.reshape(-1)
         for idx in range(flat.size):
             keep = flat[idx]
             flat[idx] = keep + h
@@ -211,6 +217,30 @@ class TestBackward:
             for _ in range(6)
         ]
         fd_gradient_check(net, pack_instances(instances, dense_dim=2))
+
+    def test_embedding_gradients_are_row_sparse(self):
+        config = ModelConfig(
+            slots=(SlotSpec("user_id", 50), SlotSpec("item_id", 40)),
+            embedding_dim=3,
+            bottom_dim=4,
+            tower_dims=(4, 4),
+            seed=3,
+        )
+        net = MtlNetwork(config)
+        batch = pack_instances(
+            [
+                TrainingInstance(FeatureVector((7, 3)), 1, 0.5),
+                TrainingInstance(FeatureVector((2, 3)), 0, 1.0),
+                TrainingInstance(FeatureVector((7, 9)), 1, 2.0),
+            ]
+        )
+        _, grads = net.backward(batch)
+        users, user_values = grads["emb.user_id"]
+        items, item_values = grads["emb.item_id"]
+        assert users.tolist() == [2, 7]
+        assert items.tolist() == [3, 9]
+        assert user_values.shape == (2, 3)
+        assert item_values.shape == (2, 3)
 
     def test_zero_weight_batch_leaves_tower_w_still(self):
         net = MtlNetwork(TINY_CONFIG)

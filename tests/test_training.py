@@ -7,8 +7,9 @@ import pytest
 
 from readweight.labeling import LabelKind, ValidReadLabel, ValidReadSource
 from readweight.model import MtlNetwork, TrainingInstance
-from readweight.ndt import paper_default_params
+from readweight.ndt import instance_weight, paper_default_params
 from readweight.training import (
+    Adam,
     FeatureSpace,
     TrainConfig,
     TrainingDivergedError,
@@ -67,6 +68,24 @@ class TestBuildInstances:
     def test_single_ctr_disables_weighted_tower(self):
         inst, _ = build_instances([VALID15, UNCLICKED], PARAMS, TrainConfig(objective="single_ctr"))
         assert all(i.w == 0.0 for i in inst)
+
+    @pytest.mark.parametrize("neg_mode", ["unit", "literal"])
+    def test_weights_match_instance_weight(self, rng, neg_mode):
+        kinds = [
+            (LabelKind.VALID_READ, ValidReadSource.T2, True),
+            (LabelKind.INVALID_CLICK, None, True),
+            (LabelKind.NOISE_CLICK, None, True),
+            (LabelKind.NOT_CLICKED, None, False),
+        ]
+        rows = []
+        for k in range(200):
+            kind, source, clicked = kinds[k % 4]
+            dwell = 5.0 + float(rng.exponential(40.0)) if clicked else 0.0
+            rows.append(labeled(kind, source, clicked, dwell))
+        cfg = TrainConfig(objective="vr_ndt", neg_mode=neg_mode)
+        inst, _ = build_instances(rows, PARAMS, cfg)
+        for (_, label), instance in zip(rows, inst):
+            assert abs(instance.w - instance_weight(label, PARAMS, neg_mode)) <= 1e-12
 
     def test_vocabulary_is_sorted_and_shared(self):
         rows = [
@@ -159,6 +178,94 @@ class TestTrain:
         assert lines[0] == "epoch,L_v,L_w,L"
         assert len(lines) == 3
         assert lines[1].startswith("0,")
+
+
+def dense_adam_reference(params, grads_per_step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Textbook Adam over float64 arrays: every row takes every step."""
+    params = {k: v.copy() for k, v in params.items()}
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(x) for k, x in params.items()}
+    for t, grads in enumerate(grads_per_step, start=1):
+        for name, g in grads.items():
+            m[name] = b1 * m[name] + (1 - b1) * g
+            v[name] = b2 * v[name] + (1 - b2) * g * g
+            m_hat = m[name] / (1 - b1**t)
+            v_hat = v[name] / (1 - b2**t)
+            params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return params
+
+
+class TestRowSparseAdam:
+    STEPS = 800
+
+    def schedule(self, rng, n_rows):
+        """Rows touched per step: never (0-9), often (10-29), rarely
+        (30-49), and a few on gaps longer than the catch-up horizon."""
+        p_touch = np.zeros(n_rows)
+        p_touch[10:30] = 0.5
+        p_touch[30:50] = 0.02
+        pinned = {50: (1, 800), 51: (5, 450), 52: (3,), 53: (2, 399, 798), 54: (600,)}
+        steps = []
+        for t in range(1, self.STEPS + 1):
+            touched = rng.random(n_rows) < p_touch
+            for row, at in pinned.items():
+                touched[row] = t in at
+            steps.append(np.flatnonzero(touched))
+        return steps
+
+    def test_matches_dense_adam(self, rng):
+        n_rows, dim, lr = 60, 4, 0.01
+        start = {"emb": rng.normal(size=(n_rows, dim)), "dense": rng.normal(size=(5, 3))}
+        params = {k: v.copy() for k, v in start.items()}
+        opt = Adam(params, lr=lr, row_sparse=["emb"])
+        assert self.STEPS > opt.horizon + 100
+        dense_grads = []
+        for rows in self.schedule(rng, n_rows):
+            # Gradient scales span three decades, as embedding rows do.
+            values = rng.normal(size=(rows.size, dim)) * np.exp(rng.uniform(-3, 3, (rows.size, 1)))
+            g_dense = rng.normal(size=(5, 3))
+            full = np.zeros((n_rows, dim))
+            full[rows] = values
+            dense_grads.append({"emb": full, "dense": g_dense})
+            opt.catch_up(params, {"emb": rows})
+            opt.step(params, {"emb": (rows, values), "dense": g_dense})
+        opt.catch_up(params)
+        assert (opt.last["emb"] == self.STEPS).all()
+
+        reference = dense_adam_reference(start, dense_grads, lr)
+        np.testing.assert_array_equal(params["emb"][:10], start["emb"][:10])
+        for name in ("emb", "dense"):
+            moved = np.abs(reference[name] - start[name]).max()
+            assert moved > 0.1, name
+            gap = np.abs(params[name] - reference[name]) / np.maximum(np.abs(reference[name]), 1.0)
+            assert gap.max() <= 1e-5, (name, gap.max())
+
+    def test_catch_up_state_matches_dense_mid_run(self, rng):
+        """Rows read by a batch are exactly where dense Adam has them."""
+        n_rows, dim, lr = 60, 4, 0.01
+        start = {"emb": rng.normal(size=(n_rows, dim))}
+        params = {"emb": start["emb"].copy()}
+        opt = Adam(params, lr=lr, row_sparse=["emb"])
+        ref = start["emb"].copy()
+        m = np.zeros_like(ref)
+        v = np.zeros_like(ref)
+        worst = 0.0
+        for t, rows in enumerate(self.schedule(rng, n_rows), start=1):
+            opt.catch_up(params, {"emb": rows})
+            scale = np.maximum(np.abs(ref[rows]), 1.0)
+            worst = max(worst, float((np.abs(params["emb"][rows] - ref[rows]) / scale).max(initial=0.0)))
+            values = rng.normal(size=(rows.size, dim))
+            opt.step(params, {"emb": (rows, values)})
+            g = np.zeros_like(ref)
+            g[rows] = values
+            m = 0.9 * m + 0.1 * g
+            v = 0.999 * v + 0.001 * g * g
+            ref = ref - lr * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
+        assert worst <= 1e-5
+
+    def test_rejects_float32_parameters(self):
+        with pytest.raises(TypeError):
+            Adam({"w": np.zeros(3, dtype=np.float32)}, lr=0.1)
 
 
 class TestConfigValidation:
