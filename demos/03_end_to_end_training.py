@@ -52,8 +52,8 @@ eval_labels = [1 if l.kind is LabelKind.VALID_READ else 0 for _, l in eval_rows]
 results = {}
 for objective in ("single_ctr", "ctr_logdt", "vr_logdt", "vr_ndt"):
     tc = TrainConfig(objective=objective, epochs=3, seed=0)
-    instances, _ = build_instances(train_rows, params, tc, space)
-    model = train(tc, instances, space)
+    batch, _ = build_instances(train_rows, params, tc, space)
+    model = train(tc, batch, space)
     scores = score_events(model.network, space, eval_events)
     results[objective] = auc(scores, eval_labels)
 

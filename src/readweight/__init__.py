@@ -43,7 +43,7 @@ from .labeling import (
     label_event,
     label_log,
 )
-from .model import FeatureVector, ModelConfig, MtlNetwork, SlotSpec, TrainingInstance
+from .model import ModelConfig, MtlNetwork, SlotSpec
 from .ndt import NdtParams, derive_scale, instance_weight, ndt, paper_default_params, solve_tau
 from .profiles import (
     ItemDwellProfile,
@@ -74,7 +74,6 @@ __all__ = [
     "DwellStats",
     "EvalReport",
     "FeatureSpace",
-    "FeatureVector",
     "GKSummary",
     "InsufficientDataError",
     "InteractionEvent",
@@ -93,7 +92,6 @@ __all__ = [
     "SlotSpec",
     "StatsAccumulator",
     "TrainConfig",
-    "TrainingInstance",
     "UndefinedAucError",
     "UserActivityProfile",
     "ValidReadLabel",

@@ -50,9 +50,6 @@ from .ndt import DEFAULT_PRECISION, DEFAULT_T_MAX, NdtParams, paper_default_para
 from .profiles import ProfileStore, build_profiles
 from .quantiles import DEFAULT_EPS, DEFAULT_SWITCH_THRESHOLD
 from .simulate import (
-    DEFAULT_ACTIVENESS_MIX,
-    DEFAULT_CLASSES,
-    DEFAULT_IMPRESSIONS_PER_LEVEL,
     ItemClass,
     RuleMixConfig,
     SimConfig,
@@ -159,6 +156,29 @@ def _parse_classes(text: str) -> tuple[ItemClass, ...]:
 # -- handlers ---------------------------------------------------------------
 
 
+def _sim_config(opts: Options, seed: int) -> SimConfig:
+    """The organic simulator's config; an unset flag keeps SimConfig's default."""
+    default = SimConfig()
+    return SimConfig(
+        n_users=opts.get("users", int, default.n_users),
+        n_items=opts.get("items", int, default.n_items),
+        activeness_mix=opts.get("activeness-mix", _parse_floats, default.activeness_mix),
+        impressions_per_level=opts.get(
+            "impressions-per-level", _parse_ints, default.impressions_per_level
+        ),
+        latent_dim=opts.get("latent-dim", int, default.latent_dim),
+        user_scale=opts.get("user-scale", float, default.user_scale),
+        item_scale=opts.get("item-scale", float, default.item_scale),
+        click_bias=opts.get("click-bias", float, default.click_bias),
+        affinity_dt_coef=opts.get("affinity-dt-coef", float, default.affinity_dt_coef),
+        bait_click_coef=opts.get("bait-click-coef", float, default.bait_click_coef),
+        bait_dt_coef=opts.get("bait-dt-coef", float, default.bait_dt_coef),
+        item_classes=opts.get("classes", _parse_classes, default.item_classes),
+        span_days=opts.get("span-days", int, default.span_days),
+        seed=seed,
+    )
+
+
 def _handle_simulate(opts: Options) -> dict:
     mode = opts.get("mode", str, "organic")
     seed = opts.get("seed", int, 0)
@@ -166,25 +186,7 @@ def _handle_simulate(opts: Options) -> dict:
     if not out:
         raise CliError("missing-flag:out", "--out is required")
     if mode == "organic":
-        cfg = SimConfig(
-            n_users=opts.get("users", int, 1000),
-            n_items=opts.get("items", int, 300),
-            activeness_mix=opts.get("activeness-mix", _parse_floats, DEFAULT_ACTIVENESS_MIX),
-            impressions_per_level=opts.get(
-                "impressions-per-level", _parse_ints, DEFAULT_IMPRESSIONS_PER_LEVEL
-            ),
-            latent_dim=opts.get("latent-dim", int, 4),
-            user_scale=opts.get("user-scale", float, 1.0),
-            item_scale=opts.get("item-scale", float, 0.5),
-            click_bias=opts.get("click-bias", float, -1.5),
-            affinity_dt_coef=opts.get("affinity-dt-coef", float, 0.0),
-            bait_click_coef=opts.get("bait-click-coef", float, 0.0),
-            bait_dt_coef=opts.get("bait-dt-coef", float, 0.0),
-            item_classes=opts.get("classes", _parse_classes, DEFAULT_CLASSES),
-            span_days=opts.get("span-days", int, 14),
-            seed=seed,
-        )
-        events, sidecar = generate(cfg)
+        events, sidecar = generate(_sim_config(opts, seed))
         _write_event_log(out, events)
         sidecar_path = opts.get("sidecar", str, None)
         if sidecar_path:
@@ -226,14 +228,8 @@ def _handle_simulate(opts: Options) -> dict:
         treatment_out = opts.get("treatment-out", str, None)
         if not treatment_out:
             raise CliError("missing-flag:treatment-out", "migration mode writes two logs")
-        cfg = SimConfig(
-            n_users=opts.get("users", int, 1000),
-            n_items=opts.get("items", int, 300),
-            affinity_dt_coef=opts.get("affinity-dt-coef", float, 0.0),
-            seed=seed,
-        )
         pair = generate_migration_pair(
-            cfg,
+            _sim_config(opts, seed),
             shift_s=opts.get("shift", float, 8.0),
             shift_scale_s=opts.get("shift-scale", float, 40.0),
             max_level=opts.get("max-level", int, 3),
@@ -342,11 +338,12 @@ def _handle_label(opts: Options) -> dict:
     with open(stats_path, "r", encoding="utf-8") as handle:
         stats = DwellStats.from_json(handle.read())
     store = ProfileStore.load(profiles_path)
+    default = LabelingConfig()
     cfg = LabelingConfig(
-        noise_floor_s=opts.get("noise-floor", float, 5.0),
-        light_user_max_clicks=opts.get("light-max-clicks", int, 7),
-        min_records_t3=opts.get("min-records-t3", int, 1),
-        t3_exclude_self=opts.get("t3-exclude-self", _parse_bool, False),
+        noise_floor_s=opts.get("noise-floor", float, default.noise_floor_s),
+        light_user_max_clicks=opts.get("light-max-clicks", int, default.light_user_max_clicks),
+        min_records_t3=opts.get("min-records-t3", int, default.min_records_t3),
+        t3_exclude_self=opts.get("t3-exclude-self", _parse_bool, default.t3_exclude_self),
     )
     labeled = list(label_log(events, stats, store, cfg))
     lines = [LABELED_HEADER]
@@ -421,8 +418,8 @@ def _handle_train(opts: Options) -> dict:
         bottom_dim=opts.get("bottom-dim", int, default.bottom_dim),
         tower_dims=tuple(opts.get("tower-dims", _parse_ints, default.tower_dims)),
     )
-    instances, space = build_instances(labeled, params, cfg)
-    result = train(cfg, instances, space)
+    batch, space = build_instances(labeled, params, cfg)
+    result = train(cfg, batch, space)
     result.network.save(checkpoint_path, checkpoint_extra_config(result))
     trace_path = opts.get("trace", str, None)
     if trace_path:
@@ -433,7 +430,7 @@ def _handle_train(opts: Options) -> dict:
         "objective": cfg.objective,
         "neg_mode": cfg.neg_mode,
         "seed": cfg.seed,
-        "n_instances": len(instances),
+        "n_instances": len(batch),
         "final_loss": {"L_v": final.l_v, "L_w": final.l_w, "L": final.l},
         "checkpoint": checkpoint_path,
         "trace": trace_path,

@@ -14,7 +14,6 @@ profiles, so shards can be labeled independently.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
@@ -129,10 +128,6 @@ def composition_report(labels: Iterable[ValidReadLabel]) -> dict:
         "valid_read_source_fractions": fractions,
         "n_events": sum(counts.values()),
     }
-
-
-def composition_report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True)
 
 
 # Labeled-log lines are the event columns plus `label,source`.

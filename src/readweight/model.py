@@ -12,9 +12,7 @@ a per-instance-weighted binary cross entropy:
 Parameters are initialised and checkpointed as float32 (the checkpoint
 stores raw float32 tensors, so save/load is bit-exact); training keeps a
 float64 copy (see ``training``).  All arithmetic runs in float64, which
-keeps finite-difference gradient checks meaningful.  Losses and gradients
-accumulate in batch order; permutation invariance is up to a canonical
-re-sort of the batch (see ``canonical_order``).
+keeps finite-difference gradient checks meaningful.
 
 ``backward`` returns each embedding table's gradient row-sparse, as the
 batch's distinct rows and their gradient rows, so its cost follows the
@@ -23,7 +21,8 @@ batch, not the vocabulary.
 Checkpoint format (magic ``VRMT``): version u32, u32 JSON config length +
 config JSON (dims, slots with vocabularies, seed), u32 tensor count, then
 per tensor: u32 name length + name, u32 rank, u32 dims, row-major
-little-endian float32 data.
+little-endian float32 data.  The config's ``dense_dim`` is always 0 (version
+1 keeps the key); a checkpoint with any other value is rejected.
 """
 
 from __future__ import annotations
@@ -31,9 +30,10 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
+
+from .ndt import logistic
 
 PROB_CLAMP = 1e-7
 
@@ -56,44 +56,17 @@ class SlotSpec:
 @dataclass(frozen=True, slots=True)
 class ModelConfig:
     slots: tuple[SlotSpec, ...]
-    dense_dim: int = 0
     embedding_dim: int = 16
     bottom_dim: int = 64
     tower_dims: tuple[int, int] = (64, 32)
     seed: int = 0
 
-    @property
-    def input_dim(self) -> int:
-        return len(self.slots) * self.embedding_dim + self.dense_dim
-
-
-@dataclass(frozen=True, slots=True)
-class FeatureVector:
-    """Features of one (user, item) instance."""
-
-    categorical_slots: tuple[int, ...]
-    dense: tuple[float, ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
-class TrainingInstance:
-    features: FeatureVector
-    y: int
-    w: float
-
-    def __post_init__(self):
-        if self.y not in (0, 1):
-            raise ValueError(f"y must be 0 or 1, got {self.y}")
-        if self.w < 0:
-            raise ValueError(f"weight must be >= 0, got {self.w}")
-
 
 @dataclass(slots=True)
 class PackedBatch:
-    """Column layout of a batch: token indices, dense features, labels, weights."""
+    """Column layout of a batch: token indices, labels, weights."""
 
     idx: np.ndarray  # (n, n_slots) int32
-    dense: np.ndarray  # (n, dense_dim) float64
     y: np.ndarray  # (n,) float64 in {0, 1}
     w: np.ndarray  # (n,) float64
 
@@ -101,32 +74,7 @@ class PackedBatch:
         return self.idx.shape[0]
 
     def take(self, rows: np.ndarray) -> "PackedBatch":
-        return PackedBatch(self.idx[rows], self.dense[rows], self.y[rows], self.w[rows])
-
-
-def pack_instances(instances: Sequence[TrainingInstance], dense_dim: int = 0) -> PackedBatch:
-    n = len(instances)
-    n_slots = len(instances[0].features.categorical_slots) if n else 0
-    idx = np.zeros((n, n_slots), dtype=np.int32)
-    dense = np.zeros((n, dense_dim), dtype=np.float64)
-    y = np.zeros(n, dtype=np.float64)
-    w = np.zeros(n, dtype=np.float64)
-    for row, inst in enumerate(instances):
-        idx[row] = inst.features.categorical_slots
-        if dense_dim:
-            dense[row] = inst.features.dense
-        y[row] = inst.y
-        w[row] = inst.w
-    return PackedBatch(idx, dense, y, w)
-
-
-def canonical_order(instances: Sequence[TrainingInstance]) -> list[TrainingInstance]:
-    """Deterministic batch ordering; accumulating in this order makes sums
-    independent of how the batch was shuffled."""
-    return sorted(
-        instances,
-        key=lambda i: (i.features.categorical_slots, i.features.dense, i.y, i.w),
-    )
+        return PackedBatch(self.idx[rows], self.y[rows], self.w[rows])
 
 
 def _relu(z: np.ndarray) -> np.ndarray:
@@ -135,15 +83,6 @@ def _relu(z: np.ndarray) -> np.ndarray:
 
 def _f64(a: np.ndarray) -> np.ndarray:
     return a.astype(np.float64, copy=False)
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 class MtlNetwork:
@@ -174,7 +113,7 @@ class MtlNetwork:
             return rng.uniform(-s, s, size=shape).astype(np.float32)
 
         d_emb = config.embedding_dim
-        d_in = config.input_dim
+        d_in = len(config.slots) * d_emb
         d_bot = config.bottom_dim
         d1, d2 = config.tower_dims
         params: dict[str, np.ndarray] = {}
@@ -214,9 +153,7 @@ class MtlNetwork:
             _f64(p[f"emb.{slot.name}"][batch.idx[:, col]])
             for col, slot in enumerate(self.config.slots)
         ]
-        if self.config.dense_dim:
-            pieces.append(batch.dense)
-        x0 = np.concatenate(pieces, axis=1) if pieces else batch.dense
+        x0 = np.concatenate(pieces, axis=1)
         zb = x0 @ _f64(p["bottom.W"]) + _f64(p["bottom.b"])
         hb = _relu(zb)
         cache: dict[str, np.ndarray] = {"x0": x0, "zb": zb, "hb": hb}
@@ -229,23 +166,13 @@ class MtlNetwork:
                 cache[f"{tower}.h{layer}"] = h
             z3 = h @ _f64(p[f"{tower}.3.W"]) + _f64(p[f"{tower}.3.b"])
             cache[f"{tower}.z3"] = z3[:, 0]
-            cache[f"{tower}.prob"] = _sigmoid(z3[:, 0])
+            cache[f"{tower}.prob"] = logistic(z3[:, 0])
         return cache
 
     def forward_batch(self, batch: PackedBatch) -> tuple[np.ndarray, np.ndarray]:
         """Probabilities (P, P') for every row; shared bottom runs once."""
         cache = self._forward_arrays(batch)
         return cache["tower_v.prob"], cache["tower_w.prob"]
-
-    def forward(self, f: FeatureVector) -> tuple[float, float]:
-        batch = pack_instances([TrainingInstance(f, 0, 0.0)], self.config.dense_dim)
-        p, pw = self.forward_batch(batch)
-        return float(p[0]), float(pw[0])
-
-    def score(self, f: FeatureVector) -> float:
-        """Ranking score: sum of the two towers' probabilities."""
-        p, pw = self.forward(f)
-        return p + pw
 
     def score_batch(self, batch: PackedBatch) -> np.ndarray:
         p, pw = self.forward_batch(batch)
@@ -319,7 +246,7 @@ class MtlNetwork:
     def config_doc(self, extra: dict | None = None) -> dict:
         doc = {
             "slots": [{"name": s.name, "cardinality": s.cardinality} for s in self.config.slots],
-            "dense_dim": self.config.dense_dim,
+            "dense_dim": 0,
             "embedding_dim": self.config.embedding_dim,
             "bottom_dim": self.config.bottom_dim,
             "tower_dims": list(self.config.tower_dims),
@@ -360,9 +287,10 @@ class MtlNetwork:
         offset = 12
         doc = json.loads(data[offset : offset + config_len].decode("utf-8"))
         offset += config_len
+        if int(doc["dense_dim"]) != 0:
+            raise ValueError(f"dense features are not supported (dense_dim {doc['dense_dim']})")
         config = ModelConfig(
             slots=tuple(SlotSpec(s["name"], int(s["cardinality"])) for s in doc["slots"]),
-            dense_dim=int(doc["dense_dim"]),
             embedding_dim=int(doc["embedding_dim"]),
             bottom_dim=int(doc["bottom_dim"]),
             tower_dims=tuple(doc["tower_dims"]),

@@ -99,17 +99,6 @@ class UserActivityProfile:
         hi = bisect_right(self.click_timestamps, at)
         return hi - lo
 
-    def is_light_user(self, at: int) -> bool:
-        """True iff the user clicked fewer than 7 items in the trailing week."""
-        return self.window_size(at) < 7
-
-    def prune(self, latest: int) -> None:
-        """Drop timestamps that can never fall in a window ending at or
-        after ``latest``."""
-        cut = bisect_right(self.click_timestamps, latest - WEEK_SECONDS)
-        if cut:
-            del self.click_timestamps[:cut]
-
 
 class ProfileStore:
     """All item and user profiles for one training window."""

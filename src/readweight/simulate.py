@@ -31,6 +31,7 @@ import numpy as np
 from .dwell_stats import DwellStats
 from .events import InteractionEvent
 from .evaluation import activeness_level, equal_frequency_boundaries, weekly_click_counts
+from .ndt import logistic
 from .profiles import WEEK_SECONDS
 
 DAY_SECONDS = 86400
@@ -50,22 +51,12 @@ class ItemClass:
             raise ValueError(f"class {self.name}: ln_dt_std must be >= 0")
 
 
-DEFAULT_CLASSES = (
-    ItemClass("short", 0.3, 3.0, 1.0),
-    ItemClass("medium", 0.5, 4.0, 1.2),
-    ItemClass("long", 0.2, 5.0, 1.0),
-)
-
-DEFAULT_ACTIVENESS_MIX = (0.30, 0.20, 0.15, 0.12, 0.10, 0.08, 0.05)
-DEFAULT_IMPRESSIONS_PER_LEVEL = (4, 8, 14, 24, 40, 70, 120)
-
-
 @dataclass(frozen=True, slots=True)
 class SimConfig:
     n_users: int = 1000
     n_items: int = 300
-    activeness_mix: tuple[float, ...] = DEFAULT_ACTIVENESS_MIX
-    impressions_per_level: tuple[int, ...] = DEFAULT_IMPRESSIONS_PER_LEVEL
+    activeness_mix: tuple[float, ...] = (0.30, 0.20, 0.15, 0.12, 0.10, 0.08, 0.05)
+    impressions_per_level: tuple[int, ...] = (4, 8, 14, 24, 40, 70, 120)
     latent_dim: int = 4
     user_scale: float = 1.0
     item_scale: float = 0.5
@@ -73,7 +64,11 @@ class SimConfig:
     affinity_dt_coef: float = 0.0
     bait_click_coef: float = 0.0
     bait_dt_coef: float = 0.0
-    item_classes: tuple[ItemClass, ...] = DEFAULT_CLASSES
+    item_classes: tuple[ItemClass, ...] = (
+        ItemClass("short", 0.3, 3.0, 1.0),
+        ItemClass("medium", 0.5, 4.0, 1.2),
+        ItemClass("long", 0.2, 5.0, 1.0),
+    )
     start_ts: int = 1_700_000_000
     span_days: int = 14
     valid_read_ref_s: float = 15.0
@@ -117,15 +112,6 @@ def sidecar_csv(rows: Sequence[SidecarRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _norm_cdf(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
 
@@ -154,7 +140,7 @@ def generate(cfg: SimConfig) -> tuple[list[InteractionEvent], list[SidecarRow]]:
     timestamps = cfg.start_ts + rng.integers(0, span_s, size=total)
     affinity = np.einsum("ij,ij->i", user_vecs[user_idx], item_vecs[item_idx])
     logit = cfg.click_bias + affinity + cfg.bait_click_coef * bait[item_idx]
-    clicked = rng.random(total) < _stable_sigmoid(logit)
+    clicked = rng.random(total) < logistic(logit)
 
     class_mean = np.asarray([c.ln_dt_mean for c in cfg.item_classes])[item_class[item_idx]]
     class_std = np.asarray([c.ln_dt_std for c in cfg.item_classes])[item_class[item_idx]]
@@ -259,10 +245,6 @@ def analytic_light_user_fraction(cfg: SimConfig, max_clicks: int = 7) -> float:
         )
         total += mix * prob
     return total
-
-
-def analytic_class_mix(cfg: SimConfig) -> dict[str, float]:
-    return {c.name: c.prob for c in cfg.item_classes}
 
 
 # -- planted rule-mix corpus -------------------------------------------------

@@ -29,19 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .labeling import LabelKind
-from .model import (
-    FeatureVector,
-    ModelConfig,
-    MtlNetwork,
-    SlotSpec,
-    TrainingInstance,
-    pack_instances,
-)
+from .model import ModelConfig, MtlNetwork, PackedBatch, SlotSpec
 from .ndt import NdtParams, ndt, tower_weights
 
 OBJECTIVES = ("single_ctr", "ctr_logdt", "vr_logdt", "vr_ndt")
@@ -94,10 +88,13 @@ class FeatureSpace:
             items.add(item_id)
         return cls(tuple(sorted(users)), tuple(sorted(items)))
 
-    def encode(self, user_id: str, item_id: str) -> FeatureVector:
-        return FeatureVector(
-            (self._user_index.get(user_id, 0), self._item_index.get(item_id, 0))
-        )
+    def encode(self, user_ids: Sequence[str], item_ids: Sequence[str]) -> np.ndarray:
+        """(n, 2) int32 token indices of parallel id sequences; unseen ids map to 0."""
+
+        def codes(index: dict, ids: Sequence[str]) -> np.ndarray:
+            return np.fromiter(map(index.get, ids, repeat(0)), dtype=np.int32, count=len(ids))
+
+        return np.stack([codes(self._user_index, user_ids), codes(self._item_index, item_ids)], axis=1)
 
     def slots(self) -> tuple[SlotSpec, SlotSpec]:
         return (
@@ -106,13 +103,23 @@ class FeatureSpace:
         )
 
 
+def pack_instances(
+    events: Sequence, space: FeatureSpace, y: np.ndarray | None = None, w: np.ndarray | None = None
+) -> PackedBatch:
+    """The batch of ``events`` under ``space``, with labels ``y`` and weights
+    ``w`` (float64, zeros when omitted)."""
+    n = len(events)
+    idx = space.encode([e.user_id for e in events], [e.item_id for e in events])
+    return PackedBatch(idx, np.zeros(n) if y is None else y, np.zeros(n) if w is None else w)
+
+
 def build_instances(
     labeled: Sequence[tuple],
     params: NdtParams,
     cfg: TrainConfig,
     space: FeatureSpace | None = None,
-) -> tuple[list[TrainingInstance], FeatureSpace]:
-    """Map labeled events to training instances under the configured objective.
+) -> tuple[PackedBatch, FeatureSpace]:
+    """Map labeled events to a training batch under the configured objective.
 
     ``labeled`` holds (InteractionEvent, ValidReadLabel) pairs.  Positives
     are clicks (ctr objectives) or valid reads (vr objectives); the weighted
@@ -120,24 +127,21 @@ def build_instances(
     for negatives, 1.0 in unit mode or the same transform in literal mode
     (``ndt.tower_weights``).
     """
+    events = [e for e, _ in labeled]
     if space is None:
-        space = FeatureSpace.from_pairs((e.user_id, e.item_id) for e, _ in labeled)
+        space = FeatureSpace.from_pairs((e.user_id, e.item_id) for e in events)
     n = len(labeled)
     if cfg.objective in ("single_ctr", "ctr_logdt"):
-        y = np.fromiter((e.clicked for e, _ in labeled), dtype=bool, count=n)
+        y = np.fromiter((e.clicked for e in events), dtype=bool, count=n)
     else:
         y = np.fromiter((l.kind is LabelKind.VALID_READ for _, l in labeled), dtype=bool, count=n)
     if cfg.objective == "single_ctr":
         w = np.zeros(n)
     else:
-        dwell = np.fromiter((e.dwell_time_s for e, _ in labeled), dtype=np.float64, count=n)
+        dwell = np.fromiter((e.dwell_time_s for e in events), dtype=np.float64, count=n)
         transformed = np.log1p(dwell) if cfg.objective.endswith("logdt") else ndt(dwell, params)
         w = tower_weights(y, transformed, cfg.neg_mode)
-    instances = [
-        TrainingInstance(space.encode(event.user_id, event.item_id), int(label), weight)
-        for (event, _), label, weight in zip(labeled, y.tolist(), w.tolist())
-    ]
-    return instances, space
+    return pack_instances(events, space, y.astype(np.float64), w), space
 
 
 @dataclass(slots=True)
@@ -263,15 +267,22 @@ def epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     return np.random.default_rng([seed, epoch]).permutation(n)
 
 
-def train(cfg: TrainConfig, instances: Sequence[TrainingInstance], space: FeatureSpace) -> TrainResult:
-    """Run fixed-epoch training; deterministic given cfg.seed.
+def train(cfg: TrainConfig, batch: PackedBatch, space: FeatureSpace) -> TrainResult:
+    """Run fixed-epoch training on ``batch``; deterministic given cfg.seed.
 
-    The loss trace records per-instance mean losses per epoch.  Non-finite
-    loss aborts with TrainingDivergedError.  The returned network is the
-    float32 cast of the float64 master weights.
+    Every row needs y in {0, 1} and w >= 0 (NaN fails).  The loss trace
+    records per-instance mean losses per epoch.  Non-finite loss aborts
+    with TrainingDivergedError.  The returned network is the float32 cast
+    of the float64 master weights.
     """
-    if not instances:
+    if len(batch) == 0:
         raise ValueError("cannot train on an empty instance set")
+    bad = ~((batch.y == 0) | (batch.y == 1)) | ~(batch.w >= 0)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(
+            f"row {row}: y must be 0 or 1 and w >= 0, got y={batch.y[row]}, w={batch.w[row]}"
+        )
     config = ModelConfig(
         slots=space.slots(),
         embedding_dim=cfg.embedding_dim,
@@ -280,23 +291,22 @@ def train(cfg: TrainConfig, instances: Sequence[TrainingInstance], space: Featur
         seed=cfg.seed,
     )
     net = MtlNetwork(config).astype(np.float64)
-    packed = pack_instances(list(instances), config.dense_dim)
     tables = [f"emb.{slot.name}" for slot in config.slots]
     optimizer = Adam(net.params, lr=cfg.learning_rate, row_sparse=tables)
-    n = len(packed)
+    n = len(batch)
     trace: list[EpochLoss] = []
     for epoch in range(cfg.epochs):
         order = epoch_order(cfg.seed, epoch, n)
         epoch_lv = 0.0
         epoch_lw = 0.0
         for start in range(0, n, cfg.batch_size):
-            batch = packed.take(order[start : start + cfg.batch_size])
+            step = batch.take(order[start : start + cfg.batch_size])
             optimizer.catch_up(
-                net.params, {name: np.unique(batch.idx[:, col]) for col, name in enumerate(tables)}
+                net.params, {name: np.unique(step.idx[:, col]) for col, name in enumerate(tables)}
             )
             # Non-finite values surface as the divergence error below.
             with np.errstate(over="ignore", invalid="ignore"):
-                (l_v, l_w, l_total), grads = net.backward(batch)
+                (l_v, l_w, l_total), grads = net.backward(step)
             if not math.isfinite(l_total):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch offset {start}: "
@@ -337,9 +347,4 @@ def space_from_checkpoint(doc: dict) -> FeatureSpace:
 
 def score_events(net: MtlNetwork, space: FeatureSpace, events: Sequence) -> np.ndarray:
     """Ranking scores P + P' for a sequence of events."""
-    instances = [
-        TrainingInstance(space.encode(e.user_id, e.item_id), 0, 0.0) for e in events
-    ]
-    if not instances:
-        return np.zeros(0, dtype=np.float64)
-    return net.score_batch(pack_instances(instances, net.config.dense_dim))
+    return net.score_batch(pack_instances(events, space))

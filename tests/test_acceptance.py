@@ -31,7 +31,7 @@ from readweight.labeling import (
     label_event,
     label_log,
 )
-from readweight.model import ModelConfig, MtlNetwork, pack_instances
+from readweight.model import ModelConfig, MtlNetwork
 from readweight.ndt import NdtParams, derive_scale, ndt, paper_default_params
 from readweight.profiles import ItemDwellProfile, UserActivityProfile, build_profiles
 from readweight.quantiles import QuantileEstimator, nearest_rank
@@ -251,9 +251,9 @@ def test_c06_gradient_check_all_objectives():
     for objective in ("single_ctr", "ctr_logdt", "vr_logdt", "vr_ndt"):
         for neg_mode in ("unit", "literal"):
             cfg = TrainConfig(objective=objective, neg_mode=neg_mode)
-            instances, _ = build_instances(rows, params, cfg, space)
+            batch, _ = build_instances(rows, params, cfg, space)
             net = MtlNetwork(config)
-            worst = max(worst, fd_gradient_check(net, pack_instances(instances), tol=1e-4))
+            worst = max(worst, fd_gradient_check(net, batch, tol=1e-4))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-4 and elapsed < 60.0
     report(
@@ -374,8 +374,8 @@ def test_c09_planted_signal_orders_objectives():
         run_auc = {}
         for objective in ("single_ctr", "vr_ndt"):
             cfg_train = TrainConfig(objective=objective, epochs=3, seed=seed)
-            instances, _ = build_instances(train_rows, params, cfg_train, space)
-            result = train(cfg_train, instances, space)
+            batch, _ = build_instances(train_rows, params, cfg_train, space)
+            result = train(cfg_train, batch, space)
             scores = score_events(result.network, space, [e for e, _ in eval_rows])
             ys = [1 if l.kind is LabelKind.VALID_READ else 0 for _, l in eval_rows]
             run_auc[objective] = auc(scores, ys)

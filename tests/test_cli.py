@@ -5,8 +5,9 @@ import json
 import pytest
 
 from readweight.cli import main
-from readweight.events import LOG_HEADER
+from readweight.events import LOG_HEADER, serialize_event
 from readweight.model import MtlNetwork
+from readweight.simulate import SimConfig, generate_migration_pair
 from readweight.training import TrainConfig
 
 
@@ -178,6 +179,17 @@ class TestHappyPath:
         assert code == 0
         assert doc["n_cells"] == 70
         assert cells.read_text().startswith("level,decile,mean_base,mean_treat,delta")
+
+    def test_migration_mode_honours_simulator_flags(self, capsys, tmp_path):
+        base = tmp_path / "base.csv"
+        code, _ = run_cli(
+            capsys, "simulate", "--mode", "migration", "--out", str(base),
+            "--treatment-out", str(tmp_path / "treat.csv"),
+            "--seed", "9", "--users", "120", "--items", "40", "--click-bias", "-0.5",
+        )
+        assert code == 0
+        pair = generate_migration_pair(SimConfig(n_users=120, n_items=40, click_bias=-0.5, seed=9))
+        assert base.read_text() == "".join(serialize_event(e) + "\n" for e in pair.baseline)
 
     def test_migrate_report_honours_header_and_bad_line_budget(self, capsys, tmp_path):
         plain = tmp_path / "plain.csv"

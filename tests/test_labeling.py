@@ -65,6 +65,11 @@ class TestLabelEvent:
         label = label_event(make_event(dwell_time_s=8.0), STATS15, None, LIGHT3)
         assert label.kind is LabelKind.VALID_READ
         assert label.source is ValidReadSource.T2
+        # Light means fewer than 7 clicks in the trailing week: 6 is, 7 is not.
+        six = label_event(make_event(dwell_time_s=8.0), STATS15, None, user_with_clicks(6))
+        assert six.source is ValidReadSource.T2
+        seven = label_event(make_event(dwell_time_s=8.0), STATS15, None, user_with_clicks(7))
+        assert seven.kind is LabelKind.INVALID_CLICK
 
     def test_t3_item_quantile(self):
         item = item_with_records([6.0] * 10)

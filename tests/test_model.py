@@ -4,15 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from readweight.model import (
-    FeatureVector,
-    ModelConfig,
-    MtlNetwork,
-    SlotSpec,
-    TrainingInstance,
-    canonical_order,
-    pack_instances,
-)
+from readweight.model import ModelConfig, MtlNetwork, PackedBatch, SlotSpec
 
 TINY_CONFIG = ModelConfig(
     slots=(SlotSpec("user_id", 2), SlotSpec("item_id", 2)),
@@ -23,14 +15,28 @@ TINY_CONFIG = ModelConfig(
 )
 
 
+def batch_of(idx, y=None, w=None) -> PackedBatch:
+    """A batch from token-index rows; labels and weights default to zero."""
+    idx = np.asarray(idx, dtype=np.int32).reshape(len(idx), -1)
+    n = idx.shape[0]
+    return PackedBatch(
+        idx,
+        np.zeros(n) if y is None else np.asarray(y, dtype=np.float64),
+        np.zeros(n) if w is None else np.asarray(w, dtype=np.float64),
+    )
+
+
 def tiny_batch():
-    instances = [
-        TrainingInstance(FeatureVector((0, 1)), 1, 0.4155),
-        TrainingInstance(FeatureVector((1, 0)), 0, 1.0),
-        TrainingInstance(FeatureVector((1, 1)), 1, 2.7726),
-        TrainingInstance(FeatureVector((0, 0)), 0, 0.3),
-    ]
-    return pack_instances(instances)
+    return batch_of([(0, 1), (1, 0), (1, 1), (0, 0)], [1, 0, 1, 0], [0.4155, 1.0, 2.7726, 0.3])
+
+
+def forward_one(net: MtlNetwork, slots) -> tuple[float, float]:
+    p, pw = net.forward_batch(batch_of([slots]))
+    return float(p[0]), float(pw[0])
+
+
+def score_one(net: MtlNetwork, slots) -> float:
+    return float(net.score_batch(batch_of([slots]))[0])
 
 
 def zero_net(config=TINY_CONFIG) -> MtlNetwork:
@@ -76,10 +82,10 @@ def fd_gradient_check(net: MtlNetwork, batch, h=1e-4, tol=1e-4) -> float:
 class TestForward:
     def test_zero_net_outputs_half(self):
         net = zero_net()
-        p, pw = net.forward(FeatureVector((0, 1)))
+        p, pw = forward_one(net, (0, 1))
         assert p == 0.5
         assert pw == 0.5
-        assert net.score(FeatureVector((1, 1))) == 1.0
+        assert score_one(net, (1, 1)) == 1.0
 
     def test_fixed_seed_golden(self):
         config = ModelConfig(
@@ -90,24 +96,24 @@ class TestForward:
             seed=123,
         )
         net = MtlNetwork(config)
-        p, pw = net.forward(FeatureVector((2, 3)))
+        p, pw = forward_one(net, (2, 3))
         # First run under seed 123 is the oracle; frozen bit-exact.
         assert p == 0.3224345153177954
         assert pw == 0.3197492066336404
-        assert net.score(FeatureVector((2, 3))) == 0.6421837219514358
-        p2, pw2 = net.forward(FeatureVector((4, 6)))
+        assert score_one(net, (2, 3)) == 0.6421837219514358
+        p2, pw2 = forward_one(net, (4, 6))
         assert p2 == 0.3296983384231679
         assert pw2 == 0.29918584518355
 
     def test_unused_zero_slot_is_inert(self):
         net = MtlNetwork(TINY_CONFIG)
         net.params["emb.item_id"] = np.zeros_like(net.params["emb.item_id"])
-        assert net.forward(FeatureVector((1, 0))) == net.forward(FeatureVector((1, 1)))
+        assert forward_one(net, (1, 0)) == forward_one(net, (1, 1))
 
     def test_index_out_of_range(self):
         net = MtlNetwork(TINY_CONFIG)
         with pytest.raises(IndexError):
-            net.forward(FeatureVector((0, 5)))
+            forward_one(net, (0, 5))
 
     def test_probabilities_in_unit_interval(self):
         net = MtlNetwork(TINY_CONFIG)
@@ -119,12 +125,7 @@ class TestForward:
 class TestLoss:
     def test_hand_arithmetic_example(self):
         net = zero_net()
-        batch = pack_instances(
-            [
-                TrainingInstance(FeatureVector((0, 0)), 1, 0.4155),
-                TrainingInstance(FeatureVector((1, 1)), 0, 1.0),
-            ]
-        )
+        batch = batch_of([(0, 0), (1, 1)], [1, 0], [0.4155, 1.0])
         l_v, l_w, l = net.batch_loss(batch)
         assert l_v == pytest.approx(1.3863, abs=1e-4)
         assert l_w == pytest.approx(0.9811, abs=1e-4)
@@ -134,9 +135,7 @@ class TestLoss:
         net = zero_net()
         net.params["tower_v.3.b"] = np.array([30.0], dtype=np.float32)
         net.params["tower_w.3.b"] = np.array([30.0], dtype=np.float32)
-        batch = pack_instances(
-            [TrainingInstance(FeatureVector((0, 0)), 1, 1.0) for _ in range(4)]
-        )
+        batch = batch_of([(0, 0)] * 4, [1] * 4, [1.0] * 4)
         _, _, l = net.batch_loss(batch)
         assert l < 1e-6
 
@@ -144,13 +143,8 @@ class TestLoss:
         net = MtlNetwork(TINY_CONFIG)
         batch = tiny_batch()
         l_v1, l_w1, _ = net.batch_loss(batch)
-        doubled = pack_instances(
-            [
-                TrainingInstance(FeatureVector((0, 1)), 1, 2 * 0.4155),
-                TrainingInstance(FeatureVector((1, 0)), 0, 2 * 1.0),
-                TrainingInstance(FeatureVector((1, 1)), 1, 2 * 2.7726),
-                TrainingInstance(FeatureVector((0, 0)), 0, 2 * 0.3),
-            ]
+        doubled = batch_of(
+            [(0, 1), (1, 0), (1, 1), (0, 0)], [1, 0, 1, 0], [2 * 0.4155, 2 * 1.0, 2 * 2.7726, 2 * 0.3]
         )
         l_v2, l_w2, _ = net.batch_loss(doubled)
         assert l_v2 == l_v1
@@ -158,10 +152,7 @@ class TestLoss:
 
     def test_weight_one_degenerates_to_bce(self):
         net = MtlNetwork(TINY_CONFIG)
-        instances = [
-            TrainingInstance(FeatureVector((i % 2, (i + 1) % 2)), i % 2, 1.0) for i in range(6)
-        ]
-        batch = pack_instances(instances)
+        batch = batch_of([(i % 2, (i + 1) % 2) for i in range(6)], [i % 2 for i in range(6)], [1.0] * 6)
         _, l_w, _ = net.batch_loss(batch)
         _, pw = net.forward_batch(batch)
         manual = -float(
@@ -169,27 +160,11 @@ class TestLoss:
         )
         assert l_w == pytest.approx(manual, rel=1e-12)
 
-    def test_canonical_order_makes_sums_stable(self, rng):
-        instances = [
-            TrainingInstance(
-                FeatureVector((int(rng.integers(2)), int(rng.integers(2)))),
-                int(rng.integers(2)),
-                float(rng.uniform(0, 2)),
-            )
-            for _ in range(32)
-        ]
-        net = MtlNetwork(TINY_CONFIG)
-        reference = net.batch_loss(pack_instances(canonical_order(instances)))
-        shuffled = list(instances)
-        rng.shuffle(shuffled)
-        again = net.batch_loss(pack_instances(canonical_order(shuffled)))
-        assert again == reference
-
 
 class TestBackward:
     def test_output_bias_gradient_single_positive(self):
         net = zero_net()
-        batch = pack_instances([TrainingInstance(FeatureVector((0, 0)), 1, 1.0)])
+        batch = batch_of([(0, 0)], [1], [1.0])
         _, grads = net.backward(batch)
         assert grads["tower_v.3.b"][0] == pytest.approx(-0.5, abs=1e-12)
 
@@ -198,25 +173,19 @@ class TestBackward:
         worst = fd_gradient_check(net, tiny_batch())
         assert worst <= 1e-4
 
-    def test_gradcheck_with_dense_features(self, rng):
+    def test_gradcheck_single_slot(self, rng):
         config = ModelConfig(
             slots=(SlotSpec("user_id", 3),),
-            dense_dim=2,
             embedding_dim=3,
             bottom_dim=4,
             tower_dims=(4, 3),
             seed=7,
         )
         net = MtlNetwork(config)
-        instances = [
-            TrainingInstance(
-                FeatureVector((int(rng.integers(3)),), (float(rng.normal()), float(rng.normal()))),
-                int(rng.integers(2)),
-                float(rng.uniform(0.1, 2.0)),
-            )
-            for _ in range(6)
-        ]
-        fd_gradient_check(net, pack_instances(instances, dense_dim=2))
+        batch = batch_of(
+            rng.integers(3, size=6), rng.integers(2, size=6), rng.uniform(0.1, 2.0, size=6)
+        )
+        fd_gradient_check(net, batch)
 
     def test_embedding_gradients_are_row_sparse(self):
         config = ModelConfig(
@@ -227,13 +196,7 @@ class TestBackward:
             seed=3,
         )
         net = MtlNetwork(config)
-        batch = pack_instances(
-            [
-                TrainingInstance(FeatureVector((7, 3)), 1, 0.5),
-                TrainingInstance(FeatureVector((2, 3)), 0, 1.0),
-                TrainingInstance(FeatureVector((7, 9)), 1, 2.0),
-            ]
-        )
+        batch = batch_of([(7, 3), (2, 3), (7, 9)], [1, 0, 1], [0.5, 1.0, 2.0])
         _, grads = net.backward(batch)
         users, user_values = grads["emb.user_id"]
         items, item_values = grads["emb.item_id"]
@@ -244,12 +207,7 @@ class TestBackward:
 
     def test_zero_weight_batch_leaves_tower_w_still(self):
         net = MtlNetwork(TINY_CONFIG)
-        batch = pack_instances(
-            [
-                TrainingInstance(FeatureVector((0, 1)), 0, 0.0),
-                TrainingInstance(FeatureVector((1, 0)), 0, 0.0),
-            ]
-        )
+        batch = batch_of([(0, 1), (1, 0)], [0, 0], [0.0, 0.0])
         _, grads = net.backward(batch)
         for name, grad in grads.items():
             if name.startswith("tower_w"):
@@ -271,9 +229,13 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         net.save(str(path))
         loaded, _ = MtlNetwork.load(str(path))
-        for _ in range(100):
-            f = FeatureVector((int(rng.integers(2)), int(rng.integers(2))))
-            assert loaded.score(f) == net.score(f)
+        batch = batch_of(rng.integers(2, size=(100, 2)))
+        assert np.array_equal(loaded.score_batch(batch), net.score_batch(batch))
+
+    def test_nonzero_dense_dim_rejected(self):
+        blob = MtlNetwork(TINY_CONFIG).to_bytes({"dense_dim": 2})
+        with pytest.raises(ValueError, match="dense"):
+            MtlNetwork.from_bytes(blob)
 
     def test_bad_magic(self):
         with pytest.raises(ValueError, match="magic"):

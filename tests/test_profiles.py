@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from readweight.dwell_stats import fit_log_normal
-from readweight.labeling import label_log
+from readweight.labeling import ValidReadSource, label_event, label_log
 from readweight.profiles import (
     FrozenProfileError,
     ItemDwellProfile,
@@ -16,6 +16,7 @@ from readweight.quantiles import DEFAULT_SWITCH_THRESHOLD, QuantileEstimator
 from readweight.simulate import SimConfig, generate
 
 from conftest import make_event
+from test_labeling import STATS15
 
 DAY = 86400
 
@@ -85,17 +86,10 @@ class TestUserProfile:
         user.record_click(day8)
         assert user.window_size(day8) == 1
 
-    def test_light_user_boundary(self):
-        user = UserActivityProfile("u1")
-        base = 1_700_000_000
-        for k in range(6):
-            user.record_click(base + k)
-        assert user.is_light_user(base + 100) is True
-        user.record_click(base + 6)
-        assert user.is_light_user(base + 100) is False
-
     def test_zero_clicks_is_light(self):
-        assert UserActivityProfile("u1").is_light_user(123456) is True
+        event = make_event(timestamp=123456, dwell_time_s=8.0)
+        label = label_event(event, STATS15, None, UserActivityProfile("u1"))
+        assert label.source is ValidReadSource.T2
 
     def test_monotone_in_window_count(self):
         base = 1_700_000_000
@@ -104,7 +98,8 @@ class TestUserProfile:
             user = UserActivityProfile("u1")
             for k in range(n):
                 user.record_click(base + k)
-            light = user.is_light_user(base + 50)
+            event = make_event(timestamp=base + 50, dwell_time_s=8.0)
+            light = label_event(event, STATS15, None, user).source is ValidReadSource.T2
             assert not (light and not previous), "lightness regained as clicks grew"
             previous = light
 
@@ -116,15 +111,6 @@ class TestUserProfile:
         # Late query first, then an earlier one; both see their own windows.
         assert user.window_size(day0 + 9 * DAY) == 1
         assert user.window_size(day0 + DAY) == 1
-
-    def test_prune_keeps_window(self):
-        user = UserActivityProfile("u1")
-        day0 = 1_700_000_000
-        for d in range(10):
-            user.record_click(day0 + d * DAY)
-        user.prune(latest=day0 + 9 * DAY)
-        assert len(user.click_timestamps) == 7
-        assert user.window_size(day0 + 9 * DAY) == 7
 
 
 class TestStore:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from readweight.labeling import LabelKind, ValidReadLabel, ValidReadSource
-from readweight.model import MtlNetwork, TrainingInstance
+from readweight.model import MtlNetwork, PackedBatch
 from readweight.ndt import instance_weight, paper_default_params
 from readweight.training import (
     Adam,
@@ -16,6 +16,7 @@ from readweight.training import (
     build_instances,
     checkpoint_extra_config,
     epoch_order,
+    pack_instances,
     score_events,
     space_from_checkpoint,
     trace_csv,
@@ -40,34 +41,34 @@ UNCLICKED = labeled(LabelKind.NOT_CLICKED, None, False, 0.0)
 
 class TestBuildInstances:
     def test_vr_ndt_positive(self):
-        inst, _ = build_instances([VALID15], PARAMS, TrainConfig(objective="vr_ndt"))
-        assert inst[0].y == 1
-        assert inst[0].w == pytest.approx(0.4155, abs=1e-3)
+        batch, _ = build_instances([VALID15], PARAMS, TrainConfig(objective="vr_ndt"))
+        assert batch.y[0] == 1
+        assert batch.w[0] == pytest.approx(0.4155, abs=1e-3)
 
     def test_vr_ndt_negative_unit(self):
-        inst, _ = build_instances([INVALID8], PARAMS, TrainConfig(objective="vr_ndt"))
-        assert inst[0].y == 0
-        assert inst[0].w == 1.0
+        batch, _ = build_instances([INVALID8], PARAMS, TrainConfig(objective="vr_ndt"))
+        assert batch.y[0] == 0
+        assert batch.w[0] == 1.0
 
     def test_vr_logdt_positive(self):
-        inst, _ = build_instances([VALID15], PARAMS, TrainConfig(objective="vr_logdt"))
-        assert inst[0].w == pytest.approx(math.log(16.0), rel=1e-12)
+        batch, _ = build_instances([VALID15], PARAMS, TrainConfig(objective="vr_logdt"))
+        assert batch.w[0] == pytest.approx(math.log(16.0), rel=1e-12)
 
     def test_literal_mode_zeroes_unclicked(self):
         cfg = TrainConfig(objective="vr_ndt", neg_mode="literal")
-        inst, _ = build_instances([UNCLICKED, NOISE3], PARAMS, cfg)
-        assert inst[0].w == pytest.approx(0.0, abs=1e-12)
-        assert 0 < inst[1].w < 0.1
+        batch, _ = build_instances([UNCLICKED, NOISE3], PARAMS, cfg)
+        assert batch.w[0] == pytest.approx(0.0, abs=1e-12)
+        assert 0 < batch.w[1] < 0.1
 
     def test_ctr_objectives_use_clicks(self):
         for objective in ("single_ctr", "ctr_logdt"):
             cfg = TrainConfig(objective=objective)
-            inst, _ = build_instances([INVALID8, UNCLICKED], PARAMS, cfg)
-            assert [i.y for i in inst] == [1, 0]
+            batch, _ = build_instances([INVALID8, UNCLICKED], PARAMS, cfg)
+            assert batch.y.tolist() == [1, 0]
 
     def test_single_ctr_disables_weighted_tower(self):
-        inst, _ = build_instances([VALID15, UNCLICKED], PARAMS, TrainConfig(objective="single_ctr"))
-        assert all(i.w == 0.0 for i in inst)
+        batch, _ = build_instances([VALID15, UNCLICKED], PARAMS, TrainConfig(objective="single_ctr"))
+        assert batch.w.tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("neg_mode", ["unit", "literal"])
     def test_weights_match_instance_weight(self, rng, neg_mode):
@@ -83,20 +84,40 @@ class TestBuildInstances:
             dwell = 5.0 + float(rng.exponential(40.0)) if clicked else 0.0
             rows.append(labeled(kind, source, clicked, dwell))
         cfg = TrainConfig(objective="vr_ndt", neg_mode=neg_mode)
-        inst, _ = build_instances(rows, PARAMS, cfg)
-        for (_, label), instance in zip(rows, inst):
-            assert abs(instance.w - instance_weight(label, PARAMS, neg_mode)) <= 1e-12
+        batch, _ = build_instances(rows, PARAMS, cfg)
+        for (_, label), w in zip(rows, batch.w, strict=True):
+            assert abs(w - instance_weight(label, PARAMS, neg_mode)) <= 1e-12
 
     def test_vocabulary_is_sorted_and_shared(self):
         rows = [
             labeled(LabelKind.VALID_READ, ValidReadSource.T1, True, 20.0, user="zz", item="b"),
             labeled(LabelKind.NOT_CLICKED, None, False, 0.0, user="aa", item="a"),
         ]
-        _, space = build_instances(rows, PARAMS, TrainConfig())
+        batch, space = build_instances(rows, PARAMS, TrainConfig())
         assert space.user_vocab == ("aa", "zz")
         assert space.item_vocab == ("a", "b")
-        assert space.encode("zz", "a").categorical_slots == (2, 1)
-        assert space.encode("unknown", "a").categorical_slots == (0, 1)
+        assert batch.idx.tolist() == [[2, 2], [1, 1]]
+        assert space.encode(["zz", "unknown"], ["a", "a"]).tolist() == [[2, 1], [0, 1]]
+
+    def test_encode_matches_dict_lookup(self, rng):
+        vocab = ["a", "a\x00", "b", "ab", "\x00", "é", "u000001"]
+        space = FeatureSpace(tuple(sorted(vocab[:5])), tuple(sorted(vocab[2:])))
+        pool = vocab + ["", "a\x00\x00", "zz", "b\x00"]
+        users = [pool[k] for k in rng.integers(len(pool), size=300)]
+        items = [pool[k] for k in rng.integers(len(pool), size=300)]
+        user_index = {u: i + 1 for i, u in enumerate(space.user_vocab)}
+        item_index = {t: i + 1 for i, t in enumerate(space.item_vocab)}
+        idx = space.encode(users, items)
+        assert idx.dtype == np.int32 and idx.shape == (300, 2)
+        assert idx[:, 0].tolist() == [user_index.get(u, 0) for u in users]
+        assert idx[:, 1].tolist() == [item_index.get(t, 0) for t in items]
+        # A trailing NUL makes a different id, never the same token.
+        pair = space.encode(["a", "a\x00"], ["b", "b\x00"])
+        assert pair.tolist() == [[user_index["a"], item_index["b"]], [user_index["a\x00"], 0]]
+        assert user_index["a"] != user_index["a\x00"]
+        empty = FeatureSpace((), ())
+        assert empty.encode(users, items).tolist() == [[0, 0]] * 300
+        assert empty.encode([], []).shape == (0, 2)
 
 
 def toy_rows(n_per_class=40):
@@ -111,23 +132,23 @@ def toy_rows(n_per_class=40):
 class TestTrain:
     def test_loss_shrinks_on_separable_toy(self):
         cfg = TrainConfig(objective="vr_ndt", epochs=40, batch_size=16, learning_rate=0.01, seed=1)
-        instances, space = build_instances(toy_rows(), PARAMS, cfg)
-        result = train(cfg, instances, space)
+        batch, space = build_instances(toy_rows(), PARAMS, cfg)
+        result = train(cfg, batch, space)
         assert result.trace[-1].l_v < 0.1 * result.trace[0].l_v
 
     def test_deterministic_checkpoints(self):
         cfg = TrainConfig(objective="vr_ndt", epochs=2, batch_size=8, seed=9)
-        instances, space = build_instances(toy_rows(10), PARAMS, cfg)
-        a = train(cfg, instances, space)
-        b = train(cfg, instances, space)
+        batch, space = build_instances(toy_rows(10), PARAMS, cfg)
+        a = train(cfg, batch, space)
+        b = train(cfg, batch, space)
         extra_a = checkpoint_extra_config(a)
         extra_b = checkpoint_extra_config(b)
         assert a.network.to_bytes(extra_a) == b.network.to_bytes(extra_b)
 
     def test_single_ctr_keeps_tower_w_at_init(self):
         cfg = TrainConfig(objective="single_ctr", epochs=3, batch_size=8, seed=5)
-        instances, space = build_instances(toy_rows(10), PARAMS, cfg)
-        result = train(cfg, instances, space)
+        batch, space = build_instances(toy_rows(10), PARAMS, cfg)
+        result = train(cfg, batch, space)
         fresh = MtlNetwork(result.network.config)
         for name in fresh.params:
             if name.startswith("tower_w"):
@@ -137,8 +158,8 @@ class TestTrain:
 
     def test_checkpoint_scores_survive_round_trip(self, tmp_path, rng):
         cfg = TrainConfig(epochs=1, batch_size=8, seed=2)
-        instances, space = build_instances(toy_rows(10), PARAMS, cfg)
-        result = train(cfg, instances, space)
+        batch, space = build_instances(toy_rows(10), PARAMS, cfg)
+        result = train(cfg, batch, space)
         path = tmp_path / "model.ckpt"
         result.network.save(str(path), checkpoint_extra_config(result))
         loaded, doc = MtlNetwork.load(str(path))
@@ -160,19 +181,29 @@ class TestTrain:
 
     def test_divergence_aborts(self):
         cfg = TrainConfig(epochs=1, batch_size=4)
-        instances, space = build_instances(toy_rows(4), PARAMS, cfg)
-        bad = [TrainingInstance(i.features, i.y, math.inf) for i in instances]
+        batch, space = build_instances(toy_rows(4), PARAMS, cfg)
+        bad = PackedBatch(batch.idx, batch.y, np.full(len(batch), math.inf))
         with pytest.raises(TrainingDivergedError):
             train(cfg, bad, space)
 
     def test_empty_instances_rejected(self):
+        space = FeatureSpace((), ())
         with pytest.raises(ValueError):
-            train(TrainConfig(), [], FeatureSpace((), ()))
+            train(TrainConfig(), pack_instances([], space), space)
+
+    @pytest.mark.parametrize("y, w", [(2.0, 1.0), (1.0, -1.0), (0.0, math.nan)])
+    def test_bad_rows_rejected(self, y, w):
+        cfg = TrainConfig(epochs=1, batch_size=4)
+        batch, space = build_instances(toy_rows(4), PARAMS, cfg)
+        batch.y[5] = y
+        batch.w[5] = w
+        with pytest.raises(ValueError, match="row 5"):
+            train(cfg, batch, space)
 
     def test_trace_csv(self):
         cfg = TrainConfig(epochs=2, batch_size=8, seed=0)
-        instances, space = build_instances(toy_rows(5), PARAMS, cfg)
-        result = train(cfg, instances, space)
+        batch, space = build_instances(toy_rows(5), PARAMS, cfg)
+        result = train(cfg, batch, space)
         text = trace_csv(result.trace)
         lines = text.strip().split("\n")
         assert lines[0] == "epoch,L_v,L_w,L"
