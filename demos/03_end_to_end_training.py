@@ -9,6 +9,7 @@ The dwell-reweighted objective wins at predicting valid reads.
 import numpy as np
 
 from readweight import (
+    LabeledLog,
     NdtParams,
     SimConfig,
     TrainConfig,
@@ -43,19 +44,17 @@ print("so the 5s noise floor does the filtering and bait clicks miss it.")
 
 order = np.random.default_rng(99).permutation(len(labeled))
 cut = int(0.8 * len(labeled))
-train_rows = [labeled[i] for i in order[:cut]]
-eval_rows = [labeled[i] for i in order[cut:]]
+train_log = LabeledLog.from_pairs(labeled[i] for i in order[:cut])
+eval_log = LabeledLog.from_pairs(labeled[i] for i in order[cut:])
 space = FeatureSpace.from_pairs((e.user_id, e.item_id) for e, _ in labeled)
-eval_events = [e for e, _ in eval_rows]
-eval_labels = [1 if l.kind is LabelKind.VALID_READ else 0 for _, l in eval_rows]
 
 results = {}
 for objective in ("single_ctr", "ctr_logdt", "vr_logdt", "vr_ndt"):
     tc = TrainConfig(objective=objective, epochs=3, seed=0)
-    batch, _ = build_instances(train_rows, params, tc, space)
+    batch, _ = build_instances(train_log, params, tc, space)
     model = train(tc, batch, space)
-    scores = score_events(model.network, space, eval_events)
-    results[objective] = auc(scores, eval_labels)
+    scores = score_events(model.network, space, eval_log)
+    results[objective] = auc(scores, eval_log.valid_read)
 
 base = results["single_ctr"]
 print(f"\n{'objective':>12} {'valid-read AUC':>15} {'RelaImpr':>10}")

@@ -35,6 +35,7 @@ from .evaluation import (
     weekly_click_counts,
 )
 from .labeling import (
+    LabeledLog,
     LabelKind,
     LabelingConfig,
     ValidReadLabel,
@@ -42,6 +43,7 @@ from .labeling import (
     composition_report,
     label_event,
     label_log,
+    read_labeled_log,
 )
 from .model import ModelConfig, MtlNetwork, SlotSpec
 from .ndt import NdtParams, derive_scale, instance_weight, ndt, paper_default_params, solve_tau
@@ -78,6 +80,7 @@ __all__ = [
     "InsufficientDataError",
     "InteractionEvent",
     "ItemDwellProfile",
+    "LabeledLog",
     "LabelKind",
     "LabelingConfig",
     "LogFormatError",
@@ -118,6 +121,7 @@ __all__ = [
     "ndt",
     "parse_event",
     "paper_default_params",
+    "read_labeled_log",
     "read_log",
     "relaimpr",
     "serialize_event",

@@ -1,4 +1,6 @@
-"""Atomic file writes: temp file in the target directory, then rename."""
+"""Durable atomic file writes: temp file in the target directory, fsync,
+rename, then fsync the directory so the rename itself survives a crash
+(Pillai et al., "All File Systems Are Not Created Equal", OSDI 2014)."""
 
 from __future__ import annotations
 
@@ -12,11 +14,18 @@ def atomic_write_bytes(path: str | os.PathLike[str], data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def atomic_write_text(path: str | os.PathLike[str], text: str) -> None:

@@ -38,7 +38,6 @@ from .events import BadLineBudgetExceeded, LogFormatError, read_log, serialize_e
 from .evaluation import EvalReport, migration_csv, migration_report
 from .labeling import (
     LABELED_HEADER,
-    LabelKind,
     LabelingConfig,
     composition_report,
     label_log,
@@ -205,11 +204,12 @@ def _handle_simulate(opts: Options) -> dict:
         stats_out = opts.get("stats-out", str, None)
         if not stats_out:
             raise CliError("missing-flag:stats-out", "rule-mix mode writes planted stats")
+        default = RuleMixConfig()
         cfg = RuleMixConfig(
-            n_valid_reads=opts.get("valid-reads", int, 20000),
-            mix=opts.get("mix", _parse_floats, (0.8, 0.1, 0.1)),
-            noise_frac=opts.get("noise-frac", float, 0.05),
-            unclicked_frac=opts.get("unclicked-frac", float, 1.0),
+            n_valid_reads=opts.get("valid-reads", int, default.n_valid_reads),
+            mix=opts.get("mix", _parse_floats, default.mix),
+            noise_frac=opts.get("noise-frac", float, default.noise_frac),
+            unclicked_frac=opts.get("unclicked-frac", float, default.unclicked_frac),
             seed=seed,
         )
         corpus = generate_rule_mix(cfg)
@@ -228,12 +228,17 @@ def _handle_simulate(opts: Options) -> dict:
         treatment_out = opts.get("treatment-out", str, None)
         if not treatment_out:
             raise CliError("missing-flag:treatment-out", "migration mode writes two logs")
-        pair = generate_migration_pair(
-            _sim_config(opts, seed),
-            shift_s=opts.get("shift", float, 8.0),
-            shift_scale_s=opts.get("shift-scale", float, 40.0),
-            max_level=opts.get("max-level", int, 3),
-        )
+        # An unset flag is left out, so generate_migration_pair's default applies.
+        shift = {
+            key: value
+            for key, value in (
+                ("shift_s", opts.get("shift", float, None)),
+                ("shift_scale_s", opts.get("shift-scale", float, None)),
+                ("max_level", opts.get("max-level", int, None)),
+            )
+            if value is not None
+        }
+        pair = generate_migration_pair(_sim_config(opts, seed), **shift)
         _write_event_log(out, pair.baseline)
         _write_event_log(treatment_out, pair.treatment)
         return {
@@ -396,6 +401,16 @@ def _load_ndt_params(path: str, mode: str) -> NdtParams:
     return NdtParams.from_json(json.dumps(doc))
 
 
+def _read_labeled_checked(path: str):
+    try:
+        log = read_labeled_log(path)
+    except LogFormatError as err:
+        raise CliError("malformed-log", str(err), exit_code=2)
+    if not log:
+        raise CliError("empty-input:labeled", "no labeled events", exit_code=2)
+    return log
+
+
 def _handle_train(opts: Options) -> dict:
     labeled_path = _require_input(opts.get("labeled", str, None), "labeled")
     params_path = _require_input(opts.get("ndt-params", str, None), "ndt-params")
@@ -403,9 +418,7 @@ def _handle_train(opts: Options) -> dict:
     if not checkpoint_path:
         raise CliError("missing-flag:checkpoint", "--checkpoint is required")
     params = _load_ndt_params(params_path, opts.get("params-mode", str, "paper_default"))
-    labeled = read_labeled_log(labeled_path)
-    if not labeled:
-        raise CliError("empty-input:labeled", "no labeled events", exit_code=2)
+    labeled = _read_labeled_checked(labeled_path)
     default = TrainConfig()
     cfg = TrainConfig(
         objective=opts.get("objective", str, default.objective),
@@ -440,14 +453,10 @@ def _handle_train(opts: Options) -> dict:
 def _handle_eval(opts: Options) -> dict:
     labeled_path = _require_input(opts.get("labeled", str, None), "labeled")
     checkpoint_path = _require_input(opts.get("checkpoint", str, None), "checkpoint")
-    labeled = read_labeled_log(labeled_path)
-    if not labeled:
-        raise CliError("empty-input:labeled", "no labeled events", exit_code=2)
+    labeled = _read_labeled_checked(labeled_path)
     net, doc = MtlNetwork.load(checkpoint_path)
-    space = space_from_checkpoint(doc)
-    events = [event for event, _ in labeled]
-    scores = score_events(net, space, events)
-    labels = [1 if label.kind is LabelKind.VALID_READ else 0 for _, label in labeled]
+    scores = score_events(net, space_from_checkpoint(doc), labeled)
+    labels = labeled.valid_read
     base_auc = opts.get("base-auc", float, None)
     try:
         report = EvalReport.build(scores, labels, base_auc)

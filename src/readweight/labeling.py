@@ -7,19 +7,26 @@ order:
   T2  the user clicked fewer than 7 items in the trailing week,
   T3  dwell time strictly longer than the item's historical P10.
 
-Clicks under the 5-second noise floor are wiped before any rule applies.
-Labeling is a pure function of the event, the fitted stats, and the frozen
-profiles, so shards can be labeled independently.
+Clicks under the noise floor (5 seconds unless configured) are wiped before
+any rule applies.  Labeling is a pure function of the event, the fitted
+stats, and the frozen profiles, so shards can be labeled independently.
+
+A labeled log on disk is read back as one ``LabeledLog``: parallel columns,
+not one object per row.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .dwell_stats import DwellStats
-from .events import InteractionEvent, parse_event, serialize_event
+from .events import InteractionEvent, LogFormatError, parse_event, serialize_event
 from .profiles import ItemDwellProfile, NoProfileDataError, ProfileStore, UserActivityProfile
 
 NOISE_FLOOR_S = 5.0
@@ -46,10 +53,10 @@ class ValidReadLabel:
     dwell_time_s: float
 
     def __post_init__(self):
+        # The noise floor is a labeling setting (``LabelingConfig``), so a
+        # label on its own can only check what any labeled file shows.
         if (self.kind is LabelKind.VALID_READ) != (self.source is not None):
             raise ValueError("source must be present exactly when kind is ValidRead")
-        if self.kind is LabelKind.VALID_READ and self.dwell_time_s < NOISE_FLOOR_S:
-            raise ValueError("a valid read cannot sit under the noise floor")
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,9 +76,10 @@ def label_event(
 ) -> ValidReadLabel:
     """Label one event against frozen statistics and profiles.
 
-    A missing item profile makes T3 non-matching; a missing user profile
-    counts as zero clicks (light user).  Both threshold comparisons are
-    strict: dwell equal to x_l or to the item P10 fails the rule.
+    A click under ``cfg.noise_floor_s`` is a NoiseClick whatever the rules
+    say.  A missing item profile makes T3 non-matching; a missing user
+    profile counts as zero clicks (light user).  Both threshold comparisons
+    are strict: dwell equal to x_l or to the item P10 fails the rule.
     """
     if not event.clicked:
         return ValidReadLabel(LabelKind.NOT_CLICKED, None, event.dwell_time_s)
@@ -133,6 +141,77 @@ def composition_report(labels: Iterable[ValidReadLabel]) -> dict:
 # Labeled-log lines are the event columns plus `label,source`.
 LABELED_HEADER = "user_id,item_id,timestamp,clicked,dwell_time_s,label,source"
 
+# Column codes: ``kind`` indexes LABEL_KINDS, ``source`` indexes
+# LABEL_SOURCES (0 is "no source").
+LABEL_KINDS = tuple(LabelKind)
+LABEL_SOURCES = (None, *ValidReadSource)
+_KIND_CODE = {kind.value: code for code, kind in enumerate(LABEL_KINDS)}
+_SOURCE_CODE = {"": 0, **{source.value: code for code, source in enumerate(LABEL_SOURCES) if source}}
+_NOT_CLICKED = _KIND_CODE[LabelKind.NOT_CLICKED.value]
+_VALID_READ = _KIND_CODE[LabelKind.VALID_READ.value]
+_TIMESTAMP_LIMIT = 2**63
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class LabeledLog:
+    """A labeled log as parallel columns, row i across all of them.
+
+    ``user_id``/``item_id`` are id sequences; ``timestamp`` is int64,
+    ``clicked`` bool, ``dwell_time_s`` float64; ``kind`` and ``source`` are
+    int8 codes into LABEL_KINDS and LABEL_SOURCES.  Iterating yields the
+    rows as (InteractionEvent, ValidReadLabel) pairs.
+    """
+
+    user_id: list[str]
+    item_id: list[str]
+    timestamp: np.ndarray
+    clicked: np.ndarray
+    dwell_time_s: np.ndarray
+    kind: np.ndarray
+    source: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.user_id)
+
+    def __iter__(self) -> Iterator[tuple[InteractionEvent, ValidReadLabel]]:
+        rows = zip(
+            self.user_id,
+            self.item_id,
+            self.timestamp.tolist(),
+            self.clicked.tolist(),
+            self.dwell_time_s.tolist(),
+            self.kind.tolist(),
+            self.source.tolist(),
+        )
+        for user_id, item_id, timestamp, clicked, dwell, kind, source in rows:
+            event = InteractionEvent(user_id, item_id, timestamp, clicked, dwell)
+            yield event, ValidReadLabel(LABEL_KINDS[kind], LABEL_SOURCES[source], dwell)
+
+    @property
+    def valid_read(self) -> np.ndarray:
+        return self.kind == _VALID_READ
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[InteractionEvent, ValidReadLabel]]) -> "LabeledLog":
+        """Columns of (event, label) pairs, such as ``label_log`` yields."""
+        pairs = list(pairs)
+        n = len(pairs)
+        events = [event for event, _ in pairs]
+        labels = [label for _, label in pairs]
+        return cls(
+            [e.user_id for e in events],
+            [e.item_id for e in events],
+            np.fromiter((e.timestamp for e in events), dtype=np.int64, count=n),
+            np.fromiter((e.clicked for e in events), dtype=bool, count=n),
+            np.fromiter((e.dwell_time_s for e in events), dtype=np.float64, count=n),
+            np.fromiter((_KIND_CODE[l.kind.value] for l in labels), dtype=np.int8, count=n),
+            np.fromiter(
+                (_SOURCE_CODE[l.source.value if l.source else ""] for l in labels),
+                dtype=np.int8,
+                count=n,
+            ),
+        )
+
 
 def serialize_labeled(event: InteractionEvent, label: ValidReadLabel) -> str:
     source = label.source.value if label.source is not None else ""
@@ -140,16 +219,39 @@ def serialize_labeled(event: InteractionEvent, label: ValidReadLabel) -> str:
 
 
 def parse_labeled(line: str, line_number: int | None = None) -> tuple[InteractionEvent, ValidReadLabel]:
+    """Parse one labeled-log line; every error is a LogFormatError naming
+    ``line_number``.
+
+    On top of ``parse_event``'s checks: the label kind and source must be
+    known, a source must be present exactly on a ValidRead, the kind must be
+    NotClicked exactly on an unclicked row, and the timestamp must fit int64.
+    """
     parts = line.rstrip("\n").rsplit(",", 2)
     if len(parts) != 3:
-        raise ValueError(f"line {line_number}: not a labeled event line")
+        raise LogFormatError("not a labeled event line", line_number)
     event = parse_event(parts[0], line_number)
-    kind = LabelKind(parts[1])
-    source = ValidReadSource(parts[2]) if parts[2] else None
-    return event, ValidReadLabel(kind, source, event.dwell_time_s)
+    if event.timestamp >= _TIMESTAMP_LIMIT:
+        raise LogFormatError(f"timestamp {event.timestamp} does not fit int64", line_number)
+    try:
+        kind = LabelKind(parts[1])
+        source = ValidReadSource(parts[2]) if parts[2] else None
+        label = ValidReadLabel(kind, source, event.dwell_time_s)
+    except ValueError as err:
+        raise LogFormatError(str(err), line_number) from None
+    if (kind is LabelKind.NOT_CLICKED) == event.clicked:
+        raise LogFormatError(
+            f"label {kind.value} contradicts clicked={int(event.clicked)}", line_number
+        )
+    return event, label
 
 
-def read_labeled_log(path: str) -> list[tuple[InteractionEvent, ValidReadLabel]]:
+def read_labeled_lines(path: str | os.PathLike[str]) -> list[tuple[InteractionEvent, ValidReadLabel]]:
+    """The per-line reader: one ``parse_labeled`` call per line.
+
+    Blank lines and header lines are skipped wherever they appear.  This is
+    the reference ``read_labeled_log`` must agree with, and the reader that
+    names the first bad line.
+    """
     rows = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -158,3 +260,65 @@ def read_labeled_log(path: str) -> list[tuple[InteractionEvent, ValidReadLabel]]
                 continue
             rows.append(parse_labeled(line, line_number))
     return rows
+
+
+def _codes(table: dict[str, int], texts: list[str]) -> np.ndarray:
+    return np.fromiter(map(table.get, texts, repeat(-1)), dtype=np.int8, count=len(texts))
+
+
+def columns_from_text(text: str) -> LabeledLog | None:
+    """The columns of a labeled log's text, or None if any line is not a
+    plain data row that ``parse_labeled`` accepts.
+
+    Only an optional exact header first and one trailing newline are
+    allowed around the rows; blank lines, repeated headers and every other
+    oddity return None, and the caller falls back to the per-line reader.
+    Numbers go through the same ``int``/``float`` calls as ``parse_event``,
+    so the values are the same bit for bit.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if lines and lines[0] == LABELED_HEADER:
+        del lines[0]
+    n = len(lines)
+    if n == 0 or set(map(str.count, lines, repeat(","))) != {6}:
+        return None
+    fields = ",".join(lines).split(",")
+    users, items, clicked_text = fields[0::7], fields[1::7], fields[3::7]
+    if not (all(users) and all(items)) or not set(clicked_text) <= {"0", "1"}:
+        return None
+    try:
+        timestamp = np.fromiter(map(int, fields[2::7]), dtype=np.int64, count=n)
+        dwell = np.fromiter(map(float, fields[4::7]), dtype=np.float64, count=n)
+    except (ValueError, OverflowError):
+        return None
+    clicked = np.fromiter(map("1".__eq__, clicked_text), dtype=bool, count=n)
+    kind = _codes(_KIND_CODE, fields[5::7])
+    source = _codes(_SOURCE_CODE, fields[6::7])
+    ok = (
+        (timestamp > 0)
+        & (dwell >= 0.0)
+        & (dwell < np.inf)
+        & (clicked | (dwell == 0.0))
+        & (kind >= 0)
+        & (source >= 0)
+        & ((kind == _VALID_READ) == (source > 0))
+        & ((kind == _NOT_CLICKED) != clicked)
+    )
+    if not ok.all():
+        return None
+    return LabeledLog(users, items, timestamp, clicked, dwell, kind, source)
+
+
+def read_labeled_log(path: str | os.PathLike[str]) -> LabeledLog:
+    """Read a labeled log as columns.
+
+    The whole file is split once and checked column by column; if anything
+    is off, the per-line reader reads it again, so a file is accepted only
+    with the rows ``read_labeled_lines`` gives, and a bad file raises that
+    reader's LogFormatError for its first bad line.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        log = columns_from_text(handle.read())
+    return log if log is not None else LabeledLog.from_pairs(read_labeled_lines(path))

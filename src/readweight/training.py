@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .labeling import LabelKind
+from .labeling import LabeledLog
 from .model import ModelConfig, MtlNetwork, PackedBatch, SlotSpec
 from .ndt import NdtParams, ndt, tower_weights
 
@@ -104,44 +104,39 @@ class FeatureSpace:
 
 
 def pack_instances(
-    events: Sequence, space: FeatureSpace, y: np.ndarray | None = None, w: np.ndarray | None = None
+    log: LabeledLog, space: FeatureSpace, y: np.ndarray | None = None, w: np.ndarray | None = None
 ) -> PackedBatch:
-    """The batch of ``events`` under ``space``, with labels ``y`` and weights
-    ``w`` (float64, zeros when omitted)."""
-    n = len(events)
-    idx = space.encode([e.user_id for e in events], [e.item_id for e in events])
+    """The batch of ``log``'s rows under ``space``, with labels ``y`` and
+    weights ``w`` (float64, zeros when omitted)."""
+    n = len(log)
+    idx = space.encode(log.user_id, log.item_id)
     return PackedBatch(idx, np.zeros(n) if y is None else y, np.zeros(n) if w is None else w)
 
 
 def build_instances(
-    labeled: Sequence[tuple],
+    log: LabeledLog,
     params: NdtParams,
     cfg: TrainConfig,
     space: FeatureSpace | None = None,
 ) -> tuple[PackedBatch, FeatureSpace]:
-    """Map labeled events to a training batch under the configured objective.
+    """Map a labeled log to a training batch under the configured objective.
 
-    ``labeled`` holds (InteractionEvent, ValidReadLabel) pairs.  Positives
-    are clicks (ctr objectives) or valid reads (vr objectives); the weighted
-    tower's weight is the objective's dwell transform for positives and,
-    for negatives, 1.0 in unit mode or the same transform in literal mode
-    (``ndt.tower_weights``).
+    Positives are clicks (ctr objectives) or valid reads (vr objectives);
+    the weighted tower's weight is the objective's dwell transform for
+    positives and, for negatives, 1.0 in unit mode or the same transform in
+    literal mode (``ndt.tower_weights``).  Without ``space`` the vocabulary
+    is the log's own.
     """
-    events = [e for e, _ in labeled]
     if space is None:
-        space = FeatureSpace.from_pairs((e.user_id, e.item_id) for e in events)
-    n = len(labeled)
-    if cfg.objective in ("single_ctr", "ctr_logdt"):
-        y = np.fromiter((e.clicked for e in events), dtype=bool, count=n)
-    else:
-        y = np.fromiter((l.kind is LabelKind.VALID_READ for _, l in labeled), dtype=bool, count=n)
+        space = FeatureSpace.from_pairs(zip(log.user_id, log.item_id))
+    y = log.clicked if cfg.objective in ("single_ctr", "ctr_logdt") else log.valid_read
     if cfg.objective == "single_ctr":
-        w = np.zeros(n)
+        w = np.zeros(len(log))
     else:
-        dwell = np.fromiter((e.dwell_time_s for e in events), dtype=np.float64, count=n)
+        dwell = log.dwell_time_s
         transformed = np.log1p(dwell) if cfg.objective.endswith("logdt") else ndt(dwell, params)
         w = tower_weights(y, transformed, cfg.neg_mode)
-    return pack_instances(events, space, y.astype(np.float64), w), space
+    return pack_instances(log, space, y.astype(np.float64), w), space
 
 
 @dataclass(slots=True)
@@ -345,6 +340,6 @@ def space_from_checkpoint(doc: dict) -> FeatureSpace:
     return FeatureSpace(tuple(doc["user_vocab"]), tuple(doc["item_vocab"]))
 
 
-def score_events(net: MtlNetwork, space: FeatureSpace, events: Sequence) -> np.ndarray:
-    """Ranking scores P + P' for a sequence of events."""
-    return net.score_batch(pack_instances(events, space))
+def score_events(net: MtlNetwork, space: FeatureSpace, log: LabeledLog) -> np.ndarray:
+    """Ranking scores P + P' for every row of ``log``."""
+    return net.score_batch(pack_instances(log, space))

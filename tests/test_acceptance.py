@@ -25,6 +25,7 @@ from readweight.evaluation import (
     weekly_click_counts,
 )
 from readweight.labeling import (
+    LabeledLog,
     LabelKind,
         ValidReadSource,
     composition_report,
@@ -246,12 +247,13 @@ def test_c06_gradient_check_all_objectives():
         rows.append((event, ValidReadLabel(kind, source, dwell)))
 
     space = FeatureSpace.from_pairs((e.user_id, e.item_id) for e, _ in rows)
+    log = LabeledLog.from_pairs(rows)
     config = ModelConfig(slots=space.slots(), embedding_dim=3, bottom_dim=4, tower_dims=(4, 4), seed=402)
     worst = 0.0
     for objective in ("single_ctr", "ctr_logdt", "vr_logdt", "vr_ndt"):
         for neg_mode in ("unit", "literal"):
             cfg = TrainConfig(objective=objective, neg_mode=neg_mode)
-            batch, _ = build_instances(rows, params, cfg, space)
+            batch, _ = build_instances(log, params, cfg, space)
             net = MtlNetwork(config)
             worst = max(worst, fd_gradient_check(net, batch, tol=1e-4))
     elapsed = time.monotonic() - t0
@@ -374,9 +376,9 @@ def test_c09_planted_signal_orders_objectives():
         run_auc = {}
         for objective in ("single_ctr", "vr_ndt"):
             cfg_train = TrainConfig(objective=objective, epochs=3, seed=seed)
-            batch, _ = build_instances(train_rows, params, cfg_train, space)
+            batch, _ = build_instances(LabeledLog.from_pairs(train_rows), params, cfg_train, space)
             result = train(cfg_train, batch, space)
-            scores = score_events(result.network, space, [e for e, _ in eval_rows])
+            scores = score_events(result.network, space, LabeledLog.from_pairs(eval_rows))
             ys = [1 if l.kind is LabelKind.VALID_READ else 0 for _, l in eval_rows]
             run_auc[objective] = auc(scores, ys)
         gaps.append(run_auc["vr_ndt"] - run_auc["single_ctr"])

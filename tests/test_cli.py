@@ -5,9 +5,9 @@ import json
 import pytest
 
 from readweight.cli import main
-from readweight.events import LOG_HEADER, serialize_event
+from readweight.events import LOG_HEADER, serialize_event, write_log
 from readweight.model import MtlNetwork
-from readweight.simulate import SimConfig, generate_migration_pair
+from readweight.simulate import RuleMixConfig, SimConfig, generate_migration_pair, generate_rule_mix
 from readweight.training import TrainConfig
 
 
@@ -282,6 +282,55 @@ class TestHappyPath:
         assert json.loads(stats.read_text())["x_l"] == pytest.approx(15.0, rel=1e-9)
 
 
+    def test_rule_mix_defaults_come_from_rule_mix_config(self, capsys, tmp_path):
+        out = tmp_path / "mix.csv"
+        code, _ = run_cli(
+            capsys, "simulate", "--mode", "rule-mix", "--out", str(out),
+            "--stats-out", str(tmp_path / "planted.json"), "--seed", "6",
+        )
+        assert code == 0
+        library = tmp_path / "library.csv"
+        write_log(library, generate_rule_mix(RuleMixConfig(seed=6)).events)
+        assert out.read_bytes() == library.read_bytes()
+
+    def test_migration_shift_defaults_come_from_the_generator(self, capsys, tmp_path):
+        sim = SimConfig(n_users=120, n_items=40, seed=9)
+        for flags, kwargs in (([], {}), (["--shift", "5", "--max-level", "2"], {"shift_s": 5.0, "max_level": 2})):
+            treat = tmp_path / "treat.csv"
+            code, _ = run_cli(
+                capsys, "simulate", "--mode", "migration", "--out", str(tmp_path / "base.csv"),
+                "--treatment-out", str(treat), "--seed", "9", "--users", "120", "--items", "40", *flags,
+            )
+            assert code == 0
+            pair = generate_migration_pair(sim, **kwargs)
+            assert treat.read_text() == "".join(serialize_event(e) + "\n" for e in pair.treatment)
+
+    def test_noise_floor_below_default(self, workspace, capsys, tmp_path):
+        """A 4 s click by a one-click user is a T2 valid read under a 3 s floor,
+        and train and eval read the file that says so."""
+        log = tmp_path / "light.csv"
+        first_ts = workspace["log"].read_text().split("\n", 1)[0].split(",")[2]
+        log.write_text(workspace["log"].read_text() + f"light_user,i000001,{first_ts},1,4.0\n")
+        stats, profiles, labeled = tmp_path / "s.json", tmp_path / "p.bin", tmp_path / "l.csv"
+        assert run_cli(capsys, "fit-stats", "--log", str(log), "--out", str(stats))[0] == 0
+        assert json.loads(stats.read_text())["x_l"] > 4.0
+        assert run_cli(capsys, "build-profiles", "--log", str(log), "--out", str(profiles))[0] == 0
+        label = ["label", "--log", str(log), "--stats", str(stats), "--profiles", str(profiles), "--out", str(labeled)]
+        code, doc = run_cli(capsys, *label, "--noise-floor", "3")
+        assert code == 0, doc
+        assert labeled.read_text().splitlines()[-1] == f"light_user,i000001,{first_ts},1,4.0,ValidRead,T2"
+        ckpt = tmp_path / "model.ckpt"
+        code, doc = run_cli(
+            capsys, "train", "--labeled", str(labeled), "--ndt-params", str(workspace["params"]),
+            "--checkpoint", str(ckpt), "--epochs", "1",
+        )
+        assert code == 0, doc
+        code, doc = run_cli(capsys, "eval", "--labeled", str(labeled), "--checkpoint", str(ckpt))
+        assert code == 0, doc
+        assert run_cli(capsys, *label)[0] == 0
+        assert labeled.read_text().splitlines()[-1].endswith(",NoiseClick,")
+
+
 class TestDeterminism:
     def test_identical_runs_identical_artifacts(self, capsys, tmp_path):
         outs = []
@@ -341,6 +390,32 @@ class TestErrors:
         code, doc = run_cli(capsys, "fit-stats", "--log", str(log))
         assert code == 2
         assert doc["error"] == "bad-line-budget-exceeded"
+
+    def test_malformed_labeled_log_names_the_line(self, workspace, capsys, tmp_path):
+        ckpt = tmp_path / "model.ckpt"
+        code, _ = run_cli(
+            capsys, "train", "--labeled", str(workspace["labeled"]), "--ndt-params",
+            str(workspace["params"]), "--checkpoint", str(ckpt), "--epochs", "1",
+        )
+        assert code == 0
+        header, first, _, *rest = workspace["labeled"].read_text().splitlines()
+        bad_rows = {
+            "u1,i1,1700000000,1,9.0,Bogus,": "'Bogus' is not a valid LabelKind",
+            "u1,i1,1700000000,1,9.0,NotClicked,": "label NotClicked contradicts clicked=1",
+            "u1,i1,1700000000,0,0.0,InvalidClick,": "label InvalidClick contradicts clicked=0",
+            "u1,i1,1700000000,1,9.0,InvalidClick,T1": "source must be present exactly when kind is ValidRead",
+            "u1,i1,1700000000,1,9.0,ValidRead": "expected 5 comma-separated fields, got 4",
+        }
+        bad = tmp_path / "bad.csv"
+        for row, message in bad_rows.items():
+            bad.write_text("\n".join([header, first, row, *rest]) + "\n")
+            code, doc = run_cli(capsys, "eval", "--labeled", str(bad), "--checkpoint", str(ckpt))
+            assert (code, doc["error"], doc["detail"]) == (2, "malformed-log", f"line 3: {message}")
+        code, doc = run_cli(
+            capsys, "train", "--labeled", str(bad), "--ndt-params", str(workspace["params"]),
+            "--checkpoint", str(ckpt),
+        )
+        assert (code, doc["detail"]) == (2, "line 3: expected 5 comma-separated fields, got 4")
 
     def test_missing_flag(self, capsys, tmp_path):
         code, doc = run_cli(capsys, "simulate", "--mode", "organic", "--seed", "1")

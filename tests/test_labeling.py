@@ -2,19 +2,26 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from readweight.dwell_stats import DwellStats
+from readweight.events import LogFormatError
 from readweight.labeling import (
+    LABELED_HEADER,
+    LabeledLog,
     LabelKind,
     LabelingConfig,
     ValidReadLabel,
     ValidReadSource,
+    columns_from_text,
     composition_report,
     label_event,
     parse_labeled,
+    read_labeled_lines,
+    read_labeled_log,
     serialize_labeled,
 )
 from readweight.profiles import ItemDwellProfile, UserActivityProfile
@@ -160,9 +167,13 @@ class TestLabelType:
         with pytest.raises(ValueError):
             ValidReadLabel(LabelKind.VALID_READ, None, 9.0)
 
-    def test_valid_read_respects_floor(self):
-        with pytest.raises(ValueError):
-            ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T1, 3.0)
+    def test_floor_comes_from_the_config(self):
+        # The label holds no floor of its own: label_event applies cfg's.
+        ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T2, 4.0)
+        event = make_event(dwell_time_s=4.0)
+        low = label_event(event, STATS15, None, None, LabelingConfig(noise_floor_s=3.0))
+        assert (low.kind, low.source) == (LabelKind.VALID_READ, ValidReadSource.T2)
+        assert label_event(event, STATS15, None, None).kind is LabelKind.NOISE_CLICK
 
 
 class TestComposition:
@@ -211,3 +222,145 @@ class TestLabeledFormat:
         line = serialize_labeled(event, label)
         assert line.endswith(",NotClicked,")
         assert parse_labeled(line)[1] == label
+
+
+def assert_same_columns(a: LabeledLog, b: LabeledLog) -> None:
+    assert a.user_id == b.user_id and a.item_id == b.item_id
+    for name in ("timestamp", "clicked", "dwell_time_s", "kind", "source"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    # Same floats bit for bit, signed zeros included.
+    assert a.dwell_time_s.tobytes() == b.dwell_time_s.tobytes()
+
+
+def random_labeled_lines(rng, n: int) -> list[str]:
+    """Valid labeled rows with awkward but legal ids and numbers."""
+    ids = ["u1", "i1", " padded ", "é", "a\x00b", "x y", "\u2028", "1"]
+    lines = []
+    for _ in range(n):
+        clicked = bool(rng.random() < 0.6)
+        if clicked:
+            kind = [LabelKind.NOISE_CLICK, LabelKind.INVALID_CLICK, LabelKind.VALID_READ][rng.integers(3)]
+            dwell = float(rng.choice([0.0, 4.0, 5.0, rng.exponential(30.0), 1e-300]))
+        else:
+            kind, dwell = LabelKind.NOT_CLICKED, float(rng.choice([0.0, -0.0]))
+        source = ValidReadSource(f"T{rng.integers(1, 4)}") if kind is LabelKind.VALID_READ else None
+        event = make_event(
+            user_id=ids[rng.integers(len(ids))] + "u",
+            item_id="i" + ids[rng.integers(len(ids))],
+            timestamp=int(rng.integers(1, 2**62)),
+            clicked=clicked,
+            dwell_time_s=dwell,
+        )
+        lines.append(serialize_labeled(event, ValidReadLabel(kind, source, dwell)))
+    return lines
+
+
+COLUMNS = {"user_id": 0, "timestamp": 2, "clicked": 3, "dwell": 4, "kind": 5, "source": 6}
+
+
+def first_row(**values):
+    """A corruption that sets fields of the first row, by column name."""
+
+    def corrupt(rows):
+        fields = rows[0].split(",")
+        for name, value in values.items():
+            fields[COLUMNS[name]] = value
+        return "\n".join([",".join(fields), *rows[1:]]) + "\n"
+
+    return corrupt
+
+
+# Each corruption maps the rows (header excluded) to a file's text.
+CORRUPTIONS = {
+    "none": lambda rows: LABELED_HEADER + "\n" + "\n".join(rows) + "\n",
+    "no header, no final newline": lambda rows: "\n".join(rows),
+    "crlf": lambda rows: LABELED_HEADER + "\r\n" + "\r\n".join(rows) + "\r\n",
+    "bare cr mid-line": lambda rows: "\n".join([rows[0].replace(",", "\r,", 1), *rows[1:]]) + "\n",
+    "missing field": lambda rows: "\n".join([rows[0], rows[1].rsplit(",", 1)[0], *rows[2:]]) + "\n",
+    "extra field": lambda rows: "\n".join([rows[0] + ",", *rows[1:]]) + "\n",
+    # Eight fields then six: the fields in file order are those of a valid log.
+    "shifted fields": lambda rows: "\n".join(
+        [rows[0] + "," + rows[1].split(",", 1)[0], rows[1].split(",", 1)[1], *rows[2:]]
+    ) + "\n",
+    "blank line": lambda rows: "\n".join([rows[0], "", *rows[1:]]) + "\n",
+    "whitespace line": lambda rows: "\n".join([rows[0], " \t", *rows[1:]]) + "\n",
+    "repeated header": lambda rows: "\n".join([LABELED_HEADER, rows[0], LABELED_HEADER, *rows[1:]]) + "\n",
+    "padded header": lambda rows: " " + LABELED_HEADER + " \n" + "\n".join(rows) + "\n",
+    "two final newlines": lambda rows: "\n".join(rows) + "\n\n",
+    "empty file": lambda rows: "",
+    "header only": lambda rows: LABELED_HEADER + "\n",
+    "empty user id": first_row(user_id=""),
+    "bad kind": first_row(kind="Bogus"),
+    "bad source": first_row(source="T4"),
+    "clicked 2": first_row(clicked="2"),
+    "clicked padded": first_row(clicked=" 1"),
+    "timestamp 0": first_row(timestamp="0"),
+    "timestamp past int64": first_row(timestamp=str(2**63)),
+    "timestamp hex": first_row(timestamp="0x10"),
+    # A kind that contradicts clicked, each way, and a source off a valid read.
+    "NotClicked on a click": first_row(clicked="1", kind="NotClicked", source=""),
+    "NoiseClick unclicked": first_row(clicked="0", dwell="0.0", kind="NoiseClick", source=""),
+    "source on InvalidClick": first_row(clicked="1", kind="InvalidClick", source="T1"),
+    "ValidRead without source": first_row(clicked="1", kind="ValidRead", source=""),
+    "dwell on unclicked row": first_row(clicked="0", dwell="3.0", kind="NotClicked", source=""),
+}
+# Numbers as int() and float() read them, legal or not: both readers must agree.
+for text in (" 12", "1_0", "+5", "12 ", "\u0661\u0662"):
+    CORRUPTIONS[f"timestamp {text!r}"] = first_row(timestamp=text)
+for text in ("nan", "inf", "-inf", "1e400", " 7.5", "1_0.5", "+5", "-1", "-0.0", "0x1p3"):
+    CORRUPTIONS[f"dwell {text!r}"] = first_row(clicked="1", dwell=text, kind="InvalidClick", source="")
+
+
+class TestColumnarReader:
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_fast_path_agrees_with_per_line_reader(self, tmp_path, corruption):
+        rng = np.random.default_rng(sorted(CORRUPTIONS).index(corruption))
+        path = tmp_path / "labeled.csv"
+        for trial in range(20):
+            text = CORRUPTIONS[corruption](random_labeled_lines(rng, int(rng.integers(3, 40))))
+            path.write_text(text, encoding="utf-8", newline="")
+            with open(path, encoding="utf-8") as handle:
+                fast = columns_from_text(handle.read())
+            try:
+                reference = LabeledLog.from_pairs(read_labeled_lines(path))
+            except LogFormatError as err:
+                assert fast is None
+                with pytest.raises(LogFormatError) as raised:
+                    read_labeled_log(path)
+                assert str(raised.value) == str(err) and str(err).startswith("line ")
+                continue
+            if corruption in ("none", "no header, no final newline", "crlf"):
+                assert fast is not None
+            if fast is not None:
+                assert_same_columns(fast, reference)
+            assert_same_columns(read_labeled_log(path), reference)
+
+    def test_round_trips_through_pairs(self, tmp_path, rng):
+        lines = random_labeled_lines(rng, 50)
+        path = tmp_path / "labeled.csv"
+        path.write_text(LABELED_HEADER + "\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        log = read_labeled_log(path)
+        pairs = list(log)
+        assert [serialize_labeled(e, l) for e, l in pairs] == lines
+        assert_same_columns(LabeledLog.from_pairs(pairs), log)
+        assert log.valid_read.tolist() == [l.kind is LabelKind.VALID_READ for _, l in pairs]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("u1,i1,1700000000,1,9.0,Bogus,", "line 3: 'Bogus' is not a valid LabelKind"),
+            ("u1,i1,1700000000,1,9.0,ValidRead,T9", "line 3: 'T9' is not a valid ValidReadSource"),
+            ("u1,i1,1700000000,1,9.0,InvalidClick,T1", "line 3: source must be present"),
+            ("u1,i1,1700000000,1,9.0,NotClicked,", "line 3: label NotClicked contradicts clicked=1"),
+            ("u1,i1,1700000000,0,0.0,InvalidClick,", "line 3: label InvalidClick contradicts clicked=0"),
+            ("u1,i1,1700000000,1,9.0", "line 3: expected 5 comma-separated fields, got 3"),
+            ("u1", "line 3: not a labeled event line"),
+        ],
+    )
+    def test_per_line_errors_name_the_line(self, tmp_path, row, message):
+        good = "u1,i1,1700000000,0,0.0,NotClicked,"
+        path = tmp_path / "labeled.csv"
+        path.write_text("\n".join([LABELED_HEADER, good, row, good]) + "\n", encoding="utf-8")
+        with pytest.raises(LogFormatError, match="^" + message.replace("(", "\\(")):
+            read_labeled_log(path)

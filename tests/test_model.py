@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from readweight.model import ModelConfig, MtlNetwork, PackedBatch, SlotSpec
+from readweight.model import SCORE_CHUNK_ROWS, ModelConfig, MtlNetwork, PackedBatch, SlotSpec
 
 TINY_CONFIG = ModelConfig(
     slots=(SlotSpec("user_id", 2), SlotSpec("item_id", 2)),
@@ -120,6 +121,41 @@ class TestForward:
         p, pw = net.forward_batch(tiny_batch())
         assert ((p > 0) & (p < 1)).all()
         assert ((pw > 0) & (pw < 1)).all()
+
+
+def random_batch(rng, net: MtlNetwork, n: int) -> PackedBatch:
+    columns = [rng.integers(0, slot.cardinality, n) for slot in net.config.slots]
+    return batch_of(np.stack(columns, axis=1))
+
+
+class TestScoring:
+    SCORING_NET = MtlNetwork(ModelConfig(slots=(SlotSpec("user_id", 400), SlotSpec("item_id", 90)), seed=8))
+
+    def test_chunks_match_one_forward_pass(self, rng):
+        n = 5003
+        assert SCORE_CHUNK_ROWS < n and n % SCORE_CHUNK_ROWS != 0  # a boundary and a short last chunk
+        batch = random_batch(rng, self.SCORING_NET, n)
+        p, pw = self.SCORING_NET.forward_batch(batch)
+        scores = self.SCORING_NET.score_batch(batch)
+        assert scores.shape == (n,) and scores.dtype == np.float64
+        assert np.array_equal(scores, p + pw)
+        empty = PackedBatch(np.zeros((0, 2), dtype=np.int32), np.zeros(0), np.zeros(0))
+        assert self.SCORING_NET.score_batch(empty).shape == (0,)
+
+    def test_peak_memory_is_one_chunk(self, rng):
+        """Scoring memory past the 8-byte-per-row output does not grow with the batch."""
+        extra = []
+        for n in (20_000, 80_000):
+            batch = random_batch(rng, self.SCORING_NET, n)
+            tracemalloc.start()
+            try:
+                self.SCORING_NET.score_batch(batch)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - 8 * n)
+        assert abs(extra[1] - extra[0]) < 1e6, extra
+        assert max(extra) < 16e6, extra
 
 
 class TestLoss:

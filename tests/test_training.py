@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from readweight.labeling import LabelKind, ValidReadLabel, ValidReadSource
+from readweight.labeling import LabeledLog, LabelKind, ValidReadLabel, ValidReadSource
 from readweight.model import MtlNetwork, PackedBatch
 from readweight.ndt import instance_weight, paper_default_params
 from readweight.training import (
@@ -39,35 +39,39 @@ NOISE3 = labeled(LabelKind.NOISE_CLICK, None, True, 3.0)
 UNCLICKED = labeled(LabelKind.NOT_CLICKED, None, False, 0.0)
 
 
+def log_of(*rows):
+    return LabeledLog.from_pairs(rows)
+
+
 class TestBuildInstances:
     def test_vr_ndt_positive(self):
-        batch, _ = build_instances([VALID15], PARAMS, TrainConfig(objective="vr_ndt"))
+        batch, _ = build_instances(log_of(VALID15), PARAMS, TrainConfig(objective="vr_ndt"))
         assert batch.y[0] == 1
         assert batch.w[0] == pytest.approx(0.4155, abs=1e-3)
 
     def test_vr_ndt_negative_unit(self):
-        batch, _ = build_instances([INVALID8], PARAMS, TrainConfig(objective="vr_ndt"))
+        batch, _ = build_instances(log_of(INVALID8), PARAMS, TrainConfig(objective="vr_ndt"))
         assert batch.y[0] == 0
         assert batch.w[0] == 1.0
 
     def test_vr_logdt_positive(self):
-        batch, _ = build_instances([VALID15], PARAMS, TrainConfig(objective="vr_logdt"))
+        batch, _ = build_instances(log_of(VALID15), PARAMS, TrainConfig(objective="vr_logdt"))
         assert batch.w[0] == pytest.approx(math.log(16.0), rel=1e-12)
 
     def test_literal_mode_zeroes_unclicked(self):
         cfg = TrainConfig(objective="vr_ndt", neg_mode="literal")
-        batch, _ = build_instances([UNCLICKED, NOISE3], PARAMS, cfg)
+        batch, _ = build_instances(log_of(UNCLICKED, NOISE3), PARAMS, cfg)
         assert batch.w[0] == pytest.approx(0.0, abs=1e-12)
         assert 0 < batch.w[1] < 0.1
 
     def test_ctr_objectives_use_clicks(self):
         for objective in ("single_ctr", "ctr_logdt"):
             cfg = TrainConfig(objective=objective)
-            batch, _ = build_instances([INVALID8, UNCLICKED], PARAMS, cfg)
+            batch, _ = build_instances(log_of(INVALID8, UNCLICKED), PARAMS, cfg)
             assert batch.y.tolist() == [1, 0]
 
     def test_single_ctr_disables_weighted_tower(self):
-        batch, _ = build_instances([VALID15, UNCLICKED], PARAMS, TrainConfig(objective="single_ctr"))
+        batch, _ = build_instances(log_of(VALID15, UNCLICKED), PARAMS, TrainConfig(objective="single_ctr"))
         assert batch.w.tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("neg_mode", ["unit", "literal"])
@@ -84,7 +88,7 @@ class TestBuildInstances:
             dwell = 5.0 + float(rng.exponential(40.0)) if clicked else 0.0
             rows.append(labeled(kind, source, clicked, dwell))
         cfg = TrainConfig(objective="vr_ndt", neg_mode=neg_mode)
-        batch, _ = build_instances(rows, PARAMS, cfg)
+        batch, _ = build_instances(log_of(*rows), PARAMS, cfg)
         for (_, label), w in zip(rows, batch.w, strict=True):
             assert abs(w - instance_weight(label, PARAMS, neg_mode)) <= 1e-12
 
@@ -93,7 +97,7 @@ class TestBuildInstances:
             labeled(LabelKind.VALID_READ, ValidReadSource.T1, True, 20.0, user="zz", item="b"),
             labeled(LabelKind.NOT_CLICKED, None, False, 0.0, user="aa", item="a"),
         ]
-        batch, space = build_instances(rows, PARAMS, TrainConfig())
+        batch, space = build_instances(log_of(*rows), PARAMS, TrainConfig())
         assert space.user_vocab == ("aa", "zz")
         assert space.item_vocab == ("a", "b")
         assert batch.idx.tolist() == [[2, 2], [1, 1]]
@@ -126,7 +130,7 @@ def toy_rows(n_per_class=40):
     for k in range(n_per_class):
         rows.append(labeled(LabelKind.VALID_READ, ValidReadSource.T1, True, 30.0, "A", "x"))
         rows.append(labeled(LabelKind.NOT_CLICKED, None, False, 0.0, "B", "y"))
-    return rows
+    return log_of(*rows)
 
 
 class TestTrain:
@@ -164,12 +168,14 @@ class TestTrain:
         result.network.save(str(path), checkpoint_extra_config(result))
         loaded, doc = MtlNetwork.load(str(path))
         loaded_space = space_from_checkpoint(doc)
-        events = [
-            make_event(user_id=rng.choice(["A", "B", "C"]), item_id=rng.choice(["x", "y"]))
-            for _ in range(100)
-        ]
-        original = score_events(result.network, space, events)
-        reloaded = score_events(loaded, loaded_space, events)
+        log = log_of(
+            *(
+                labeled(LabelKind.INVALID_CLICK, None, True, 20.0, rng.choice(["A", "B", "C"]), rng.choice(["x", "y"]))
+                for _ in range(100)
+            )
+        )
+        original = score_events(result.network, space, log)
+        reloaded = score_events(loaded, loaded_space, log)
         assert np.array_equal(original, reloaded)
 
     def test_shuffle_is_pure_function_of_seed_epoch(self):
@@ -189,7 +195,7 @@ class TestTrain:
     def test_empty_instances_rejected(self):
         space = FeatureSpace((), ())
         with pytest.raises(ValueError):
-            train(TrainConfig(), pack_instances([], space), space)
+            train(TrainConfig(), pack_instances(log_of(), space), space)
 
     @pytest.mark.parametrize("y, w", [(2.0, 1.0), (1.0, -1.0), (0.0, math.nan)])
     def test_bad_rows_rejected(self, y, w):
