@@ -15,6 +15,7 @@ from .dwell_stats import (
     histogram_lnT,
 )
 from .events import (
+    EventTable,
     InteractionEvent,
     LogFormatError,
     iter_log,
@@ -75,6 +76,7 @@ FORMAT_VERSIONS = {
 __all__ = [
     "DwellStats",
     "EvalReport",
+    "EventTable",
     "FeatureSpace",
     "GKSummary",
     "InsufficientDataError",

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .events import InteractionEvent
+from .events import EventTable, InteractionEvent
 
 
 class InsufficientDataError(ValueError):
@@ -104,15 +104,23 @@ class StatsAccumulator:
         return DwellStats.from_moments(mu=mu, sigma=sigma, n=self.n)
 
 
+def _usable_dwell(events: Iterable[InteractionEvent]) -> list[float]:
+    """Dwell times of the clicked rows with positive dwell, in file order."""
+    table = EventTable.of(events)
+    dwell = table.dwell_time_s
+    return dwell[table.clicked & (dwell > 0)].tolist()
+
+
 def fit_log_normal(events: Iterable[InteractionEvent]) -> DwellStats:
     """Fit mu/sigma of ln T over clicked events with positive dwell time.
 
     Unclicked events and zero-dwell clicks are ignored.  Raises
-    InsufficientDataError below 2 usable samples.
+    InsufficientDataError below 2 usable samples.  Takes an EventTable or
+    any iterable of events; the sums run in file order.
     """
     acc = StatsAccumulator()
-    for event in events:
-        acc.observe_event(event)
+    for dwell in _usable_dwell(events):
+        acc.observe(dwell)
     return acc.finalize()
 
 
@@ -126,10 +134,7 @@ def histogram_lnT(
     """
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    values = np.array(
-        [math.log(e.dwell_time_s) for e in events if e.clicked and e.dwell_time_s > 0],
-        dtype=np.float64,
-    )
+    values = np.array(list(map(math.log, _usable_dwell(events))), dtype=np.float64)
     if values.size == 0:
         return []
     counts, edges = np.histogram(values, bins=n_bins)

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .events import InteractionEvent
+from .events import EventTable, InteractionEvent
 from .profiles import WEEK_SECONDS
 
 N_LEVELS = 7
@@ -100,19 +100,25 @@ class EvalReport:
         )
 
 
+def _week_clicks(table: EventTable) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """Users coded in order of first appearance, each row's user code, and
+    each user's clicks in the trailing 7-day window ending at the log's last
+    timestamp.  The table must not be empty."""
+    codes = {user: code for code, user in enumerate(dict.fromkeys(table.user_id))}
+    row_user = np.fromiter(map(codes.__getitem__, table.user_id), dtype=np.intp, count=len(table))
+    horizon = table.timestamp.max()
+    in_week = table.clicked & (table.timestamp > horizon - WEEK_SECONDS) & (table.timestamp <= horizon)
+    return codes, row_user, np.bincount(row_user[in_week], minlength=len(codes))
+
+
 def weekly_click_counts(events: Iterable[InteractionEvent]) -> dict[str, int]:
     """Clicks per user in the trailing 7-day window ending at the log's last
     timestamp.  Users seen only as impressions count 0."""
-    events = list(events)
-    if not events:
+    table = EventTable.of(events)
+    if not len(table):
         return {}
-    horizon = max(e.timestamp for e in events)
-    counts: dict[str, int] = {}
-    for event in events:
-        counts.setdefault(event.user_id, 0)
-        if event.clicked and horizon - WEEK_SECONDS < event.timestamp <= horizon:
-            counts[event.user_id] += 1
-    return counts
+    codes, _, counts = _week_clicks(table)
+    return dict(zip(codes, counts.tolist()))
 
 
 def equal_frequency_boundaries(counts: Iterable[int], n_levels: int = N_LEVELS) -> tuple[int, ...]:
@@ -135,10 +141,15 @@ def equal_frequency_boundaries(counts: Iterable[int], n_levels: int = N_LEVELS) 
 def activeness_level(user_week_clicks: int, boundaries: Sequence[int]) -> int:
     """1 + number of boundaries at or below the click count; level 7 (with
     six boundaries) is the most active band."""
+    bounds = _ascending(boundaries)
+    return 1 + sum(1 for b in bounds if b <= user_week_clicks)
+
+
+def _ascending(boundaries: Sequence[int]) -> list[int]:
     bounds = list(boundaries)
     if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
         raise ValueError("boundaries must be strictly ascending")
-    return 1 + sum(1 for b in bounds if b <= user_week_clicks)
+    return bounds
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,20 +167,20 @@ class MigrationCell:
 
 
 def _level_means(
-    events: Sequence[InteractionEvent],
-    boundaries: Sequence[int],
+    table: EventTable,
+    week_clicks: tuple[dict[str, int], np.ndarray, np.ndarray],
+    bounds: list[int],
     n_deciles: int,
 ) -> dict[int, list[float | None]]:
     """Per activeness level, the per-decile mean dwell time of one arm."""
-    counts = weekly_click_counts(events)
-    levels = {user: activeness_level(c, boundaries) for user, c in counts.items()}
-    by_level: dict[int, list[float]] = {lvl: [] for lvl in range(1, len(boundaries) + 2)}
-    for event in events:
-        if event.clicked:
-            by_level[levels[event.user_id]].append(event.dwell_time_s)
+    _, row_user, counts = week_clicks
+    user_level = 1 + np.searchsorted(np.asarray(bounds), counts, side="right")
+    clicked = table.clicked
+    row_level = user_level[row_user[clicked]]
+    dwell = table.dwell_time_s[clicked]
     means: dict[int, list[float | None]] = {}
-    for level, dwells in by_level.items():
-        dwells.sort()
+    for level in range(1, len(bounds) + 2):
+        dwells = sorted(dwell[row_level == level].tolist())
         m = len(dwells)
         cell_means: list[float | None] = []
         prev = 0
@@ -186,8 +197,8 @@ def _level_means(
 
 
 def migration_report(
-    baseline: Sequence[InteractionEvent],
-    treatment: Sequence[InteractionEvent],
+    baseline: Iterable[InteractionEvent],
+    treatment: Iterable[InteractionEvent],
     boundaries: Sequence[int] | None = None,
     n_deciles: int = N_DECILES,
 ) -> list[MigrationCell]:
@@ -196,18 +207,21 @@ def migration_report(
     Levels come from each arm's own weekly click counts; decile cuts are
     nearest-rank and computed within each arm.  Boundaries default to
     equal-frequency septiles of the baseline arm.  Cells are ordered
-    level-major, decile-minor; empty cells carry missing means.
+    level-major, decile-minor; empty cells carry missing means.  Each arm is
+    an EventTable or any iterable of events.
     """
-    baseline = list(baseline)
-    treatment = list(treatment)
-    if not any(e.clicked for e in baseline) or not any(e.clicked for e in treatment):
+    baseline = EventTable.of(baseline)
+    treatment = EventTable.of(treatment)
+    if not baseline.clicked.any() or not treatment.clicked.any():
         raise ValueError("both logs must contain clicks")
+    base_week = _week_clicks(baseline)
     if boundaries is None:
-        boundaries = equal_frequency_boundaries(weekly_click_counts(baseline).values())
-    base_means = _level_means(baseline, boundaries, n_deciles)
-    treat_means = _level_means(treatment, boundaries, n_deciles)
+        boundaries = equal_frequency_boundaries(base_week[2].tolist())
+    bounds = _ascending(boundaries)
+    base_means = _level_means(baseline, base_week, bounds, n_deciles)
+    treat_means = _level_means(treatment, _week_clicks(treatment), bounds, n_deciles)
     cells = []
-    for level in range(1, len(boundaries) + 2):
+    for level in range(1, len(bounds) + 2):
         for d in range(1, n_deciles + 1):
             cells.append(
                 MigrationCell(

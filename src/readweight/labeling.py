@@ -26,7 +26,14 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .dwell_stats import DwellStats
-from .events import InteractionEvent, LogFormatError, parse_event, serialize_event
+from .events import (
+    EventTable,
+    InteractionEvent,
+    LogFormatError,
+    parse_event,
+    serialize_event,
+    split_columns,
+)
 from .profiles import ItemDwellProfile, NoProfileDataError, ProfileStore, UserActivityProfile
 
 NOISE_FLOOR_S = 5.0
@@ -149,43 +156,27 @@ _KIND_CODE = {kind.value: code for code, kind in enumerate(LABEL_KINDS)}
 _SOURCE_CODE = {"": 0, **{source.value: code for code, source in enumerate(LABEL_SOURCES) if source}}
 _NOT_CLICKED = _KIND_CODE[LabelKind.NOT_CLICKED.value]
 _VALID_READ = _KIND_CODE[LabelKind.VALID_READ.value]
-_TIMESTAMP_LIMIT = 2**63
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class LabeledLog:
     """A labeled log as parallel columns, row i across all of them.
 
-    ``user_id``/``item_id`` are id sequences; ``timestamp`` is int64,
-    ``clicked`` bool, ``dwell_time_s`` float64; ``kind`` and ``source`` are
-    int8 codes into LABEL_KINDS and LABEL_SOURCES.  Iterating yields the
-    rows as (InteractionEvent, ValidReadLabel) pairs.
+    ``events`` holds the event columns; ``kind`` and ``source`` are int8
+    codes into LABEL_KINDS and LABEL_SOURCES.  Iterating yields the rows as
+    (InteractionEvent, ValidReadLabel) pairs.
     """
 
-    user_id: list[str]
-    item_id: list[str]
-    timestamp: np.ndarray
-    clicked: np.ndarray
-    dwell_time_s: np.ndarray
+    events: EventTable
     kind: np.ndarray
     source: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.user_id)
+        return len(self.events)
 
     def __iter__(self) -> Iterator[tuple[InteractionEvent, ValidReadLabel]]:
-        rows = zip(
-            self.user_id,
-            self.item_id,
-            self.timestamp.tolist(),
-            self.clicked.tolist(),
-            self.dwell_time_s.tolist(),
-            self.kind.tolist(),
-            self.source.tolist(),
-        )
-        for user_id, item_id, timestamp, clicked, dwell, kind, source in rows:
-            event = InteractionEvent(user_id, item_id, timestamp, clicked, dwell)
-            yield event, ValidReadLabel(LABEL_KINDS[kind], LABEL_SOURCES[source], dwell)
+        for event, kind, source in zip(self.events, self.kind.tolist(), self.source.tolist()):
+            yield event, ValidReadLabel(LABEL_KINDS[kind], LABEL_SOURCES[source], event.dwell_time_s)
 
     @property
     def valid_read(self) -> np.ndarray:
@@ -196,14 +187,9 @@ class LabeledLog:
         """Columns of (event, label) pairs, such as ``label_log`` yields."""
         pairs = list(pairs)
         n = len(pairs)
-        events = [event for event, _ in pairs]
         labels = [label for _, label in pairs]
         return cls(
-            [e.user_id for e in events],
-            [e.item_id for e in events],
-            np.fromiter((e.timestamp for e in events), dtype=np.int64, count=n),
-            np.fromiter((e.clicked for e in events), dtype=bool, count=n),
-            np.fromiter((e.dwell_time_s for e in events), dtype=np.float64, count=n),
+            EventTable.of(event for event, _ in pairs),
             np.fromiter((_KIND_CODE[l.kind.value] for l in labels), dtype=np.int8, count=n),
             np.fromiter(
                 (_SOURCE_CODE[l.source.value if l.source else ""] for l in labels),
@@ -224,14 +210,12 @@ def parse_labeled(line: str, line_number: int | None = None) -> tuple[Interactio
 
     On top of ``parse_event``'s checks: the label kind and source must be
     known, a source must be present exactly on a ValidRead, the kind must be
-    NotClicked exactly on an unclicked row, and the timestamp must fit int64.
+    NotClicked exactly on an unclicked row.
     """
     parts = line.rstrip("\n").rsplit(",", 2)
     if len(parts) != 3:
         raise LogFormatError("not a labeled event line", line_number)
     event = parse_event(parts[0], line_number)
-    if event.timestamp >= _TIMESTAMP_LIMIT:
-        raise LogFormatError(f"timestamp {event.timestamp} does not fit int64", line_number)
     try:
         kind = LabelKind(parts[1])
         source = ValidReadSource(parts[2]) if parts[2] else None
@@ -273,42 +257,24 @@ def columns_from_text(text: str) -> LabeledLog | None:
     Only an optional exact header first and one trailing newline are
     allowed around the rows; blank lines, repeated headers and every other
     oddity return None, and the caller falls back to the per-line reader.
-    Numbers go through the same ``int``/``float`` calls as ``parse_event``,
-    so the values are the same bit for bit.
+    The event columns come from ``events.split_columns``, as the event log's
+    do, so the values are ``parse_event``'s bit for bit.
     """
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if lines and lines[0] == LABELED_HEADER:
-        del lines[0]
-    n = len(lines)
-    if n == 0 or set(map(str.count, lines, repeat(","))) != {6}:
+    split = split_columns(text, 7, LABELED_HEADER.__eq__)
+    if split is None:
         return None
-    fields = ",".join(lines).split(",")
-    users, items, clicked_text = fields[0::7], fields[1::7], fields[3::7]
-    if not (all(users) and all(items)) or not set(clicked_text) <= {"0", "1"}:
-        return None
-    try:
-        timestamp = np.fromiter(map(int, fields[2::7]), dtype=np.int64, count=n)
-        dwell = np.fromiter(map(float, fields[4::7]), dtype=np.float64, count=n)
-    except (ValueError, OverflowError):
-        return None
-    clicked = np.fromiter(map("1".__eq__, clicked_text), dtype=bool, count=n)
+    events, fields = split
     kind = _codes(_KIND_CODE, fields[5::7])
     source = _codes(_SOURCE_CODE, fields[6::7])
     ok = (
-        (timestamp > 0)
-        & (dwell >= 0.0)
-        & (dwell < np.inf)
-        & (clicked | (dwell == 0.0))
-        & (kind >= 0)
+        (kind >= 0)
         & (source >= 0)
         & ((kind == _VALID_READ) == (source > 0))
-        & ((kind == _NOT_CLICKED) != clicked)
+        & ((kind == _NOT_CLICKED) != events.clicked)
     )
     if not ok.all():
         return None
-    return LabeledLog(users, items, timestamp, clicked, dwell, kind, source)
+    return LabeledLog(events, kind, source)
 
 
 def read_labeled_log(path: str | os.PathLike[str]) -> LabeledLog:

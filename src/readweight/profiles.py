@@ -23,7 +23,9 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .events import InteractionEvent
+import numpy as np
+
+from .events import EventTable, InteractionEvent
 from .quantiles import DEFAULT_EPS, DEFAULT_SWITCH_THRESHOLD, QuantileEstimator, nearest_rank
 
 WEEK_SECONDS = 7 * 86400
@@ -127,21 +129,23 @@ class ProfileStore:
     def observe_event(self, event: InteractionEvent) -> None:
         """Fold one event into the store; only clicks leave a trace."""
         self._check_mutable()
-        if not event.clicked:
-            return
-        profile = self.items.get(event.item_id)
+        if event.clicked:
+            self._observe_click(event.user_id, event.item_id, event.timestamp, event.dwell_time_s)
+
+    def _observe_click(self, user_id: str, item_id: str, timestamp: int, dwell_time_s: float) -> None:
+        profile = self.items.get(item_id)
         if profile is None:
             profile = ItemDwellProfile(
-                event.item_id,
+                item_id,
                 QuantileEstimator(eps=self.eps, switch_threshold=self.switch_threshold),
             )
-            self.items[event.item_id] = profile
-        profile.observe(event.dwell_time_s)
-        user = self.users.get(event.user_id)
+            self.items[item_id] = profile
+        profile.observe(dwell_time_s)
+        user = self.users.get(user_id)
         if user is None:
-            user = UserActivityProfile(event.user_id)
-            self.users[event.user_id] = user
-        user.record_click(event.timestamp)
+            user = UserActivityProfile(user_id)
+            self.users[user_id] = user
+        user.record_click(timestamp)
 
     def freeze(self) -> "ProfileStore":
         self.frozen = True
@@ -228,8 +232,16 @@ def build_profiles(
     eps: float = DEFAULT_EPS,
     switch_threshold: int = DEFAULT_SWITCH_THRESHOLD,
 ) -> ProfileStore:
-    """Single statistics pass over a log; returns a frozen store."""
+    """Single statistics pass over a log; returns a frozen store.
+
+    Takes an EventTable or any iterable of events.  Only clicks leave a
+    trace, and each item's estimator sees its dwell times in file order, so
+    the store equals one fed ``observe_event`` row by row.
+    """
+    table = EventTable.of(events)
     store = ProfileStore(eps=eps, switch_threshold=switch_threshold)
-    for event in events:
-        store.observe_event(event)
+    users, items = table.user_id, table.item_id
+    stamps, dwell = table.timestamp.tolist(), table.dwell_time_s.tolist()
+    for i in np.flatnonzero(table.clicked).tolist():
+        store._observe_click(users[i], items[i], stamps[i], dwell[i])
     return store.freeze()

@@ -109,7 +109,7 @@ def pack_instances(
     """The batch of ``log``'s rows under ``space``, with labels ``y`` and
     weights ``w`` (float64, zeros when omitted)."""
     n = len(log)
-    idx = space.encode(log.user_id, log.item_id)
+    idx = space.encode(log.events.user_id, log.events.item_id)
     return PackedBatch(idx, np.zeros(n) if y is None else y, np.zeros(n) if w is None else w)
 
 
@@ -128,12 +128,12 @@ def build_instances(
     is the log's own.
     """
     if space is None:
-        space = FeatureSpace.from_pairs(zip(log.user_id, log.item_id))
-    y = log.clicked if cfg.objective in ("single_ctr", "ctr_logdt") else log.valid_read
+        space = FeatureSpace.from_pairs(zip(log.events.user_id, log.events.item_id))
+    y = log.events.clicked if cfg.objective in ("single_ctr", "ctr_logdt") else log.valid_read
     if cfg.objective == "single_ctr":
         w = np.zeros(len(log))
     else:
-        dwell = log.dwell_time_s
+        dwell = log.events.dwell_time_s
         transformed = np.log1p(dwell) if cfg.objective.endswith("logdt") else ndt(dwell, params)
         w = tower_weights(y, transformed, cfg.neg_mode)
     return pack_instances(log, space, y.astype(np.float64), w), space

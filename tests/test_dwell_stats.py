@@ -15,7 +15,9 @@ from readweight.dwell_stats import (
     histogram_lnT,
 )
 
-from conftest import make_event
+from readweight.events import EventTable
+
+from conftest import make_event, random_events
 
 
 def lognormal_events(n, mu, sigma, seed):
@@ -152,3 +154,18 @@ class TestHistogram:
         assert histogram_lnT([], n_bins=3) == []
         with pytest.raises(ValueError):
             histogram_lnT([make_event()], n_bins=0)
+
+
+class TestColumnFitEqualsPerEventLoop:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fit_and_histogram(self, seed):
+        events = random_events(np.random.default_rng(seed), 4000)
+        acc = StatsAccumulator()
+        for event in events:
+            acc.observe_event(event)
+        logs = [math.log(e.dwell_time_s) for e in events if e.clicked and e.dwell_time_s > 0]
+        counts, edges = np.histogram(np.array(logs), bins=25)
+        centers = ((edges[:-1] + edges[1:]) / 2.0).tolist()
+        for log in (events, EventTable.of(events)):
+            assert fit_log_normal(log) == acc.finalize()
+            assert histogram_lnT(log, 25) == list(zip(centers, counts.tolist()))

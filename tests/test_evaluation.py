@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from readweight.evaluation import (
     EvalReport,
+    MigrationCell,
     UndefinedAucError,
     activeness_level,
     auc,
@@ -18,7 +20,10 @@ from readweight.evaluation import (
     weekly_click_counts,
 )
 
-from conftest import make_event
+from readweight.events import EventTable
+from readweight.profiles import WEEK_SECONDS
+
+from conftest import make_event, random_events
 
 DAY = 86400
 
@@ -224,3 +229,70 @@ class TestWeeklyClicks:
         ]
         counts = weekly_click_counts(events)
         assert counts == {"u1": 1, "u2": 0}
+
+
+def reference_week_clicks(events) -> dict[str, int]:
+    horizon = max(e.timestamp for e in events)
+    counts: dict[str, int] = {}
+    for event in events:
+        counts.setdefault(event.user_id, 0)
+        if event.clicked and horizon - WEEK_SECONDS < event.timestamp <= horizon:
+            counts[event.user_id] += 1
+    return counts
+
+
+def reference_migration_report(baseline, treatment, boundaries=None, n_deciles=10):
+    """The per-event migration report the column code replaced: the oracle."""
+
+    def level_means(events):
+        levels = {u: activeness_level(c, boundaries) for u, c in reference_week_clicks(events).items()}
+        by_level = {level: [] for level in range(1, len(boundaries) + 2)}
+        for event in events:
+            if event.clicked:
+                by_level[levels[event.user_id]].append(event.dwell_time_s)
+        means = {}
+        for level, dwells in by_level.items():
+            dwells.sort()
+            m, prev, cells = len(dwells), 0, []
+            for d in range(1, n_deciles + 1):
+                hi = min(math.ceil(d * m / n_deciles), m)
+                cells.append(sum(dwells[prev:hi]) / (hi - prev) if hi > prev else None)
+                prev = hi
+            means[level] = cells
+        return means
+
+    if boundaries is None:
+        boundaries = equal_frequency_boundaries(reference_week_clicks(baseline).values())
+    base, treat = level_means(baseline), level_means(treatment)
+    return [
+        MigrationCell(level, d, base[level][d - 1], treat[level][d - 1])
+        for level in range(1, len(boundaries) + 2)
+        for d in range(1, n_deciles + 1)
+    ]
+
+
+class TestColumnReportEqualsPerEventLoop:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_migration_report(self, seed):
+        rng = np.random.default_rng(seed)
+        base = random_events(rng, int(rng.integers(200, 800)))
+        treat = random_events(rng, int(rng.integers(200, 800)), n_users=50)
+        bounds = None if seed % 2 else tuple(sorted(rng.choice(np.arange(1, 30), 6, replace=False).tolist()))
+        expected = reference_migration_report(base, treat, bounds)
+        for arms in ((base, treat), (EventTable.of(base), EventTable.of(treat))):
+            cells = migration_report(*arms, bounds)
+            assert cells == expected
+            # repr per value: the same floats bit for bit.
+            assert migration_csv(cells) == migration_csv(expected)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_weekly_click_counts_in_first_seen_order(self, seed):
+        events = random_events(np.random.default_rng(seed), 500)
+        expected = list(reference_week_clicks(events).items())
+        assert list(weekly_click_counts(events).items()) == expected
+        assert list(weekly_click_counts(EventTable.of(events)).items()) == expected
+
+    def test_unsorted_boundaries_rejected(self):
+        events = random_events(np.random.default_rng(0), 100)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            migration_report(events, events, (1, 3, 2, 4, 5, 6))

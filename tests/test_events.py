@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from readweight import events as events_module
 from readweight.events import (
+    LOG_HEADER,
     BadLineBudgetExceeded,
+    EventTable,
     InteractionEvent,
     LogFormatError,
     ScanCounts,
@@ -16,7 +20,7 @@ from readweight.events import (
     write_log,
 )
 
-from conftest import make_event
+from conftest import assert_same_events, make_event
 
 
 class TestParse:
@@ -45,11 +49,15 @@ class TestParse:
             ("u1,i9,0,1,1.0", "timestamp must be positive"),
             ("u1,i9,1700000000,2,1.0", "clicked must be 0 or 1"),
             (",i9,1700000000,1,1.0", "empty user_id"),
+            ("u1,i9,9223372036854775808,1,1.0", "does not fit int64"),
         ],
     )
     def test_rejections(self, line, match):
         with pytest.raises(LogFormatError, match=match):
             parse_event(line)
+
+    def test_largest_int64_timestamp_accepted(self):
+        assert parse_event(f"u1,i9,{2**63 - 1},1,1.0").timestamp == 2**63 - 1
 
     def test_line_number_in_error(self):
         with pytest.raises(LogFormatError, match="line 17"):
@@ -116,7 +124,7 @@ class TestScanLog:
         log = tmp_path / "log.csv"
         log.write_text("", encoding="utf-8")
         events, counts = read_log(log)
-        assert events == []
+        assert list(events) == []
         assert counts.total == 0
 
     def test_header_modes(self, tmp_path):
@@ -128,6 +136,16 @@ class TestScanLog:
         with pytest.raises(BadLineBudgetExceeded):
             read_log(log, header="absent")
 
+    def test_auto_header_skips_only_the_exact_header(self, tmp_path):
+        log = tmp_path / "log.csv"
+        self._write(log, ["user_id7,i1,1700000000,1,12.0", "u2,i1,1700000001,1,13.0"])
+        events, counts = read_log(log)
+        assert [e.user_id for e in events] == ["user_id7", "u2"]
+        assert (counts.total, counts.skipped) == (2, 0)
+        assert [e.user_id for e in iter_log(log)] == ["user_id7", "u2"]
+        self._write(log, [" " + LOG_HEADER + " ", "u2,i1,1700000001,1,13.0"])
+        assert [e.user_id for e in read_log(log)[0]] == ["u2"]
+
     def test_concatenation_equals_stream_concat(self, tmp_path):
         a_events = [make_event(user_id=f"a{k}", dwell_time_s=k + 1.0) for k in range(5)]
         b_events = [make_event(user_id=f"b{k}", dwell_time_s=k + 2.0) for k in range(7)]
@@ -138,7 +156,7 @@ class TestScanLog:
             log_a.read_text(encoding="utf-8") + log_b.read_text(encoding="utf-8"),
             encoding="utf-8",
         )
-        assert read_log(log_ab)[0] == read_log(log_a)[0] + read_log(log_b)[0]
+        assert list(read_log(log_ab)[0]) == list(read_log(log_a)[0]) + list(read_log(log_b)[0])
 
     def test_iterator_counts_populate(self, tmp_path):
         log = tmp_path / "log.csv"
@@ -146,3 +164,126 @@ class TestScanLog:
         counts = ScanCounts()
         assert sum(1 for _ in iter_log(log, counts=counts)) == 2
         assert counts.total == 2
+
+
+def random_log_lines(rng, n: int) -> list[str]:
+    """Valid log rows with awkward but legal ids and extreme numbers."""
+    ids = ["u1", " padded ", "é", "a\x00b", "x y", " ", "\x85", "1"]
+    dwells = [4.0, 1e-300, 5e-324, 1.7976931348623157e308, float(rng.exponential(30.0))]
+    lines = []
+    for _ in range(n):
+        clicked = bool(rng.random() < 0.6)
+        dwell = dwells[rng.integers(len(dwells))] if clicked else [0.0, -0.0][rng.integers(2)]
+        timestamp = [1, 2**63 - 1, int(rng.integers(1, 2**62))][rng.integers(3)]
+        user, item = ids[rng.integers(len(ids))] + "u", "i" + ids[rng.integers(len(ids))]
+        lines.append(serialize_event(InteractionEvent(user, item, timestamp, clicked, dwell)))
+    return lines
+
+
+def replace_field(column: int, text: str, clicked: str | None = None):
+    """A corruption that puts ``text`` in one column of the second row."""
+
+    def corrupt(rows):
+        fields = rows[1].split(",")
+        fields[column] = text
+        if clicked is not None:
+            fields[3] = clicked
+        return "\n".join([rows[0], ",".join(fields), *rows[2:]]) + "\n"
+
+    return corrupt
+
+
+EVENT_CORRUPTIONS = {
+    "none": lambda rows: "\n".join(rows) + "\n",
+    "no final newline": lambda rows: "\n".join(rows),
+    "header": lambda rows: LOG_HEADER + "\n" + "\n".join(rows) + "\n",
+    "padded header": lambda rows: " " + LOG_HEADER + "\t\n" + "\n".join(rows) + "\n",
+    "header mid-file": lambda rows: "\n".join([rows[0], LOG_HEADER, *rows[1:]]) + "\n",
+    "header twice": lambda rows: "\n".join([LOG_HEADER, LOG_HEADER, *rows]) + "\n",
+    "user_id-prefixed first row": lambda rows: "\n".join(["user_id7" + rows[0], *rows[1:]]) + "\n",
+    "crlf": lambda rows: LOG_HEADER + "\r\n" + "\r\n".join(rows) + "\r\n",
+    "bare cr line ends": lambda rows: "\r".join(rows) + "\r",
+    "bare cr mid-line": lambda rows: "\n".join([rows[0].replace(",", "\r,", 1), *rows[1:]]) + "\n",
+    "blank line": lambda rows: "\n".join([rows[0], "", *rows[1:]]) + "\n",
+    "whitespace line": lambda rows: "\n".join([rows[0], " \t", *rows[1:]]) + "\n",
+    "two final newlines": lambda rows: "\n".join(rows) + "\n\n",
+    "empty file": lambda rows: "",
+    "header only": lambda rows: LOG_HEADER + "\n",
+    "missing field": lambda rows: "\n".join([rows[0], rows[1].rsplit(",", 1)[0], *rows[2:]]) + "\n",
+    "extra field": lambda rows: "\n".join([rows[0] + ",", *rows[1:]]) + "\n",
+    # Four fields then six: the fields in file order are those of a valid log.
+    "four then six fields": lambda rows: "\n".join(
+        [rows[0].rsplit(",", 1)[0], rows[0].rsplit(",", 1)[1] + "," + rows[1], *rows[2:]]
+    ) + "\n",
+    "two bad lines": lambda rows: "\n".join([rows[0], "garbage", *rows[1:], "u,i,1,2,0"]) + "\n",
+    "empty user id": replace_field(0, ""),
+    "empty item id": replace_field(1, ""),
+    "clicked 2": replace_field(3, "2"),
+    "clicked padded": replace_field(3, " 1"),
+    "dwell on unclicked row": replace_field(4, "3.0", clicked="0"),
+}
+for text in ("0", "-1", str(2**63), str(-(2**63) - 1), "+5", "1_0", " 12", "12 ", "١٢", "0x10", "1.0", ""):
+    EVENT_CORRUPTIONS[f"timestamp {text!r}"] = replace_field(2, text)
+for text in ("nan", "inf", "-inf", "1e400", " 7.5", "1_0.5", "+5", "-1", "-0.0", "0x1p3", ""):
+    EVENT_CORRUPTIONS[f"dwell {text!r}"] = replace_field(4, text, clicked="1")
+
+
+class TestColumnarEventReader:
+    """``read_log``'s split-once path against the per-line ``iter_log``."""
+
+    @pytest.mark.parametrize("corruption", sorted(EVENT_CORRUPTIONS))
+    def test_fast_path_agrees_with_per_line_reader(self, tmp_path, monkeypatch, corruption):
+        fallbacks = []
+
+        def recording_iter_log(*args, **kwargs):
+            fallbacks.append(args)
+            return iter_log(*args, **kwargs)
+
+        monkeypatch.setattr(events_module, "iter_log", recording_iter_log)
+        rng = np.random.default_rng(sorted(EVENT_CORRUPTIONS).index(corruption))
+        path = tmp_path / "log.csv"
+        for trial in range(6):
+            text = EVENT_CORRUPTIONS[corruption](random_log_lines(rng, int(rng.integers(3, 30))))
+            path.write_text(text, encoding="utf-8", newline="")
+            for header in ("auto", "present", "absent"):
+                for budget in (0, 1):
+                    counts = ScanCounts()
+                    try:
+                        expected = list(iter_log(path, header=header, bad_line_budget=budget, counts=counts))
+                    except LogFormatError as err:
+                        with pytest.raises(type(err)) as raised:
+                            read_log(path, header=header, bad_line_budget=budget)
+                        assert str(raised.value) == str(err) and str(err).startswith("line ")
+                        continue
+                    fallbacks.clear()
+                    table, got = read_log(path, header=header, bad_line_budget=budget)
+                    assert_same_events(table, EventTable.of(expected))
+                    assert (got.total, got.skipped) == (counts.total, counts.skipped)
+                    assert list(table) == expected
+                    # Plain rows are read by the split-once path; only blank
+                    # lines, bad lines and empty logs need the per-line reader.
+                    plain = counts.skipped == 0 and counts.total > 0 and corruption not in (
+                        "blank line",
+                        "whitespace line",
+                        "two final newlines",
+                    )
+                    assert bool(fallbacks) != plain, (header, budget)
+
+    def test_columns_and_dtypes(self, tmp_path, rng):
+        lines = random_log_lines(rng, 40)
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        table, counts = read_log(path)
+        assert (len(table), counts.total, counts.skipped) == (40, 40, 0)
+        assert isinstance(table.user_id, list) and isinstance(table.item_id, list)
+        assert table.timestamp.dtype == np.int64
+        assert table.clicked.dtype == bool
+        assert table.dwell_time_s.dtype == np.float64
+        assert [serialize_event(e) for e in table] == lines
+        assert EventTable.of(table) is table
+
+    def test_unknown_header_mode(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("u1,i1,1700000000,1,12.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown header mode"):
+            read_log(path, header="sometimes")

@@ -27,7 +27,7 @@ from readweight.labeling import (
 from readweight.profiles import ItemDwellProfile, UserActivityProfile
 from readweight.quantiles import QuantileEstimator
 
-from conftest import make_event
+from conftest import assert_same_events, make_event
 
 
 def stats_with_xl(x_l: float, sigma: float = 1.3) -> DwellStats:
@@ -225,12 +225,10 @@ class TestLabeledFormat:
 
 
 def assert_same_columns(a: LabeledLog, b: LabeledLog) -> None:
-    assert a.user_id == b.user_id and a.item_id == b.item_id
-    for name in ("timestamp", "clicked", "dwell_time_s", "kind", "source"):
+    assert_same_events(a.events, b.events)
+    for name in ("kind", "source"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
-    # Same floats bit for bit, signed zeros included.
-    assert a.dwell_time_s.tobytes() == b.dwell_time_s.tobytes()
 
 
 def random_labeled_lines(rng, n: int) -> list[str]:

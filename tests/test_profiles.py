@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from readweight.dwell_stats import fit_log_normal
@@ -15,7 +16,9 @@ from readweight.profiles import (
 from readweight.quantiles import DEFAULT_SWITCH_THRESHOLD, QuantileEstimator
 from readweight.simulate import SimConfig, generate
 
-from conftest import make_event
+from readweight.events import EventTable
+
+from conftest import make_event, random_events
 from test_labeling import STATS15
 
 DAY = 86400
@@ -171,6 +174,22 @@ class TestStore:
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="magic"):
             ProfileStore.from_bytes(b"XXXX" + b"\x00" * 8)
+
+
+class TestColumnBuildEqualsPerEventLoop:
+    @pytest.mark.parametrize("switch_threshold", [16, DEFAULT_SWITCH_THRESHOLD])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_bytes_as_observe_event(self, seed, switch_threshold):
+        events = random_events(np.random.default_rng(seed), 3000, n_users=30, n_items=6)
+        reference = ProfileStore(switch_threshold=switch_threshold)
+        for event in events:
+            reference.observe_event(event)
+        expected = reference.freeze().to_bytes()
+        modes = {p.estimator.mode for p in reference.items.values()}
+        assert modes == ({"sketch"} if switch_threshold == 16 else {"exact"})
+        for log in (events, EventTable.of(events)):
+            store = build_profiles(log, switch_threshold=switch_threshold)
+            assert store.frozen and store.to_bytes() == expected
 
 
 class TestLabelsSurviveStoreRoundTrip:
