@@ -20,7 +20,8 @@ writes artifacts atomically (temp file + rename).  Exit codes: 0 success,
 object with a machine-parsable ``error`` reason.
 
 A shared config file (``--config``, ``key = value`` lines, ``#`` comments)
-can hold defaults for any long option; explicit flags win.
+can hold defaults for any long option; explicit flags win.  ``simulate``
+rejects an explicit flag that its mode does not read.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Callable, Sequence
 from . import FORMAT_VERSIONS, __version__
 from ._fileio import atomic_write_text
 from .dwell_stats import DwellStats, InsufficientDataError, fit_log_normal, histogram_csv, histogram_lnT
-from .events import BadLineBudgetExceeded, LogFormatError, read_log, serialize_event
+from .events import BadLineBudgetExceeded, LogFormatError, read_log, write_log
 from .evaluation import EvalReport, migration_csv, migration_report
 from .labeling import (
     LABELED_HEADER,
@@ -112,8 +113,10 @@ class Options:
     def __init__(self, args: argparse.Namespace, config: dict[str, str]):
         self.args = args
         self.config = config
+        self.read: set[str] = set()
 
     def get(self, name: str, cast: Callable, default):
+        self.read.add(name)
         flag_value = getattr(self.args, name.replace("-", "_"), None)
         if flag_value is not None:
             return flag_value
@@ -124,6 +127,14 @@ class Options:
             except (TypeError, ValueError) as err:
                 raise CliError("invalid-config", f"bad value for {name}: {raw!r} ({err})")
         return default
+
+    def reject_unread(self) -> None:
+        """Fail on a flag given on the command line that no ``get`` has read
+        (config-file keys are shared defaults and may go unread)."""
+        for flag, _ in _COMMAND_FLAGS[self.args.command]:
+            name = flag.removeprefix("--")
+            if name not in self.read and getattr(self.args, name.replace("-", "_")) is not None:
+                raise CliError(f"invalid-flag:{name}", f"{flag} is not read in this mode")
 
 
 def _parse_bool(text: str) -> bool:
@@ -185,18 +196,19 @@ def _handle_simulate(opts: Options) -> dict:
     if not out:
         raise CliError("missing-flag:out", "--out is required")
     if mode == "organic":
-        events, sidecar = generate(_sim_config(opts, seed))
-        _write_event_log(out, events)
+        cfg = _sim_config(opts, seed)
         sidecar_path = opts.get("sidecar", str, None)
+        opts.reject_unread()
+        events, sidecar = generate(cfg)
+        write_log(out, events)
         if sidecar_path:
-            atomic_write_text(sidecar_path, sidecar_csv(sidecar))
-        n_clicks = sum(1 for e in events if e.clicked)
+            atomic_write_text(sidecar_path, sidecar_csv(events, sidecar))
         return {
             "command": "simulate",
             "mode": mode,
             "seed": seed,
             "n_events": len(events),
-            "n_clicks": n_clicks,
+            "n_clicks": int(events.clicked.sum()),
             "out": out,
             "sidecar": sidecar_path,
         }
@@ -212,8 +224,9 @@ def _handle_simulate(opts: Options) -> dict:
             unclicked_frac=opts.get("unclicked-frac", float, default.unclicked_frac),
             seed=seed,
         )
+        opts.reject_unread()
         corpus = generate_rule_mix(cfg)
-        _write_event_log(out, corpus.events)
+        write_log(out, corpus.events)
         atomic_write_text(stats_out, corpus.stats.to_json() + "\n")
         return {
             "command": "simulate",
@@ -238,9 +251,11 @@ def _handle_simulate(opts: Options) -> dict:
             )
             if value is not None
         }
-        pair = generate_migration_pair(_sim_config(opts, seed), **shift)
-        _write_event_log(out, pair.baseline)
-        _write_event_log(treatment_out, pair.treatment)
+        cfg = _sim_config(opts, seed)
+        opts.reject_unread()
+        pair = generate_migration_pair(cfg, **shift)
+        write_log(out, pair.baseline)
+        write_log(treatment_out, pair.treatment)
         return {
             "command": "simulate",
             "mode": mode,
@@ -252,11 +267,6 @@ def _handle_simulate(opts: Options) -> dict:
             "treatment_out": treatment_out,
         }
     raise CliError("invalid-flag:mode", f"unknown simulate mode {mode!r}")
-
-
-def _write_event_log(path: str, events) -> None:
-    lines = [serialize_event(e) for e in events]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def _read_log_checked(opts: Options, flag: str = "log"):

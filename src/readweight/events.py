@@ -23,6 +23,8 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from ._fileio import atomic_write_text
+
 LOG_COLUMNS = ("user_id", "item_id", "timestamp", "clicked", "dwell_time_s")
 LOG_HEADER = ",".join(LOG_COLUMNS)
 _TIMESTAMP_LIMIT = 2**63
@@ -93,16 +95,16 @@ def parse_event(record: str, line_number: int | None = None) -> InteractionEvent
     return InteractionEvent(user_id, item_id, timestamp, clicked, dwell)
 
 
-def serialize_event(event: InteractionEvent) -> str:
-    """Render an event as its canonical log line (no trailing newline).
+# The canonical log line: timestamps as plain integers, clicked as 0/1, dwell
+# time via ``repr(float)`` (the shortest decimal that round-trips).
+_LOG_LINE = "{},{},{},{:d},{!r}"
 
-    Canonical number formatting: timestamps as plain integers, dwell time via
-    ``repr(float)`` (shortest decimal that round-trips), clicked as 0/1.
-    ``parse_event`` of the result reproduces the event exactly.
-    """
-    return (
-        f"{event.user_id},{event.item_id},{event.timestamp},"
-        f"{1 if event.clicked else 0},{event.dwell_time_s!r}"
+
+def serialize_event(event: InteractionEvent) -> str:
+    """Render an event as its canonical log line (no trailing newline);
+    ``parse_event`` of the result reproduces the event exactly."""
+    return _LOG_LINE.format(
+        event.user_id, event.item_id, event.timestamp, event.clicked, event.dwell_time_s
     )
 
 
@@ -281,12 +283,13 @@ def write_log(
     *,
     header: bool = False,
 ) -> int:
-    """Write events in canonical form; returns the number of rows written."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        if header:
-            handle.write(LOG_HEADER + "\n")
-        for event in events:
-            handle.write(serialize_event(event) + "\n")
-            n += 1
-    return n
+    """Write a table or any iterable of events as canonical log lines,
+    atomically; returns the number of rows written."""
+    table = EventTable.of(events)
+    lines = map(
+        (_LOG_LINE + "\n").format,
+        table.user_id, table.item_id,
+        table.timestamp.tolist(), table.clicked.tolist(), table.dwell_time_s.tolist(),
+    )
+    atomic_write_text(path, (LOG_HEADER + "\n" if header else "") + "".join(lines))
+    return len(table)

@@ -289,41 +289,45 @@ class MtlNetwork:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> tuple["MtlNetwork", dict]:
-        if data[:4] != CHECKPOINT_MAGIC:
-            raise ValueError("not a model checkpoint (bad magic)")
-        (version,) = struct.unpack_from("<I", data, 4)
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (config_len,) = struct.unpack_from("<I", data, 8)
-        offset = 12
-        doc = json.loads(data[offset : offset + config_len].decode("utf-8"))
-        offset += config_len
-        if int(doc["dense_dim"]) != 0:
-            raise ValueError(f"dense features are not supported (dense_dim {doc['dense_dim']})")
-        config = ModelConfig(
-            slots=tuple(SlotSpec(s["name"], int(s["cardinality"])) for s in doc["slots"]),
-            embedding_dim=int(doc["embedding_dim"]),
-            bottom_dim=int(doc["bottom_dim"]),
-            tower_dims=tuple(doc["tower_dims"]),
-            seed=int(doc["seed"]),
-        )
-        (n_tensors,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        params: dict[str, np.ndarray] = {}
-        for _ in range(n_tensors):
-            (name_len,) = struct.unpack_from("<I", data, offset)
+        """Checkpoint from its bytes; a short or corrupt buffer raises ValueError."""
+        try:
+            if data[:4] != CHECKPOINT_MAGIC:
+                raise ValueError("not a model checkpoint (bad magic)")
+            (version,) = struct.unpack_from("<I", data, 4)
+            if version != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {version}")
+            (config_len,) = struct.unpack_from("<I", data, 8)
+            offset = 12
+            doc = json.loads(data[offset : offset + config_len].decode("utf-8"))
+            offset += config_len
+            if int(doc["dense_dim"]) != 0:
+                raise ValueError(f"dense features are not supported (dense_dim {doc['dense_dim']})")
+            config = ModelConfig(
+                slots=tuple(SlotSpec(s["name"], int(s["cardinality"])) for s in doc["slots"]),
+                embedding_dim=int(doc["embedding_dim"]),
+                bottom_dim=int(doc["bottom_dim"]),
+                tower_dims=tuple(doc["tower_dims"]),
+                seed=int(doc["seed"]),
+            )
+            (n_tensors,) = struct.unpack_from("<I", data, offset)
             offset += 4
-            name = data[offset : offset + name_len].decode("utf-8")
-            offset += name_len
-            (rank,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            shape = struct.unpack_from(f"<{rank}I", data, offset)
-            offset += 4 * rank
-            count = int(np.prod(shape)) if rank else 1
-            tensor = np.frombuffer(data, dtype="<f4", count=count, offset=offset).reshape(shape)
-            offset += 4 * count
-            params[name] = tensor.copy()
-        return cls(config, params), doc
+            params: dict[str, np.ndarray] = {}
+            for _ in range(n_tensors):
+                (name_len,) = struct.unpack_from("<I", data, offset)
+                offset += 4
+                name = data[offset : offset + name_len].decode("utf-8")
+                offset += name_len
+                (rank,) = struct.unpack_from("<I", data, offset)
+                offset += 4
+                shape = struct.unpack_from(f"<{rank}I", data, offset)
+                offset += 4 * rank
+                count = int(np.prod(shape)) if rank else 1
+                tensor = np.frombuffer(data, dtype="<f4", count=count, offset=offset).reshape(shape)
+                offset += 4 * count
+                params[name] = tensor.copy()
+            return cls(config, params), doc
+        except (struct.error, IndexError) as err:
+            raise ValueError(f"truncated or corrupt checkpoint: {err}") from None
 
     def save(self, path: str, extra_config: dict | None = None) -> None:
         from ._fileio import atomic_write_bytes

@@ -180,41 +180,45 @@ class ProfileStore:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ProfileStore":
-        if data[:4] != STORE_MAGIC:
-            raise ValueError("not a profile store (bad magic)")
-        (version,) = struct.unpack_from("<I", data, 4)
-        if version != STORE_VERSION:
-            raise ValueError(f"unsupported profile store version {version}")
-        store = cls()
-        offset = 8
-        while offset < len(data):
-            (length,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            end = offset + length
-            rec_type, token_len = struct.unpack_from("<BH", data, offset)
-            pos = offset + 3
-            token = data[pos : pos + token_len].decode("utf-8")
-            pos += token_len
-            if rec_type == _RECORD_ITEM:
-                (n_records,) = struct.unpack_from("<Q", data, pos)
-                pos += 8
-                estimator, pos = QuantileEstimator.from_bytes(data, pos)
-                store.items[token] = ItemDwellProfile(token, estimator, int(n_records))
-                store.eps = estimator.eps
-                store.switch_threshold = estimator.switch_threshold
-            elif rec_type == _RECORD_USER:
-                (count,) = struct.unpack_from("<I", data, pos)
-                pos += 4
-                stamps = list(struct.unpack_from(f"<{count}Q", data, pos))
-                pos += 8 * count
-                store.users[token] = UserActivityProfile(token, stamps)
-            else:
-                raise ValueError(f"unknown profile record type {rec_type}")
-            if pos != end:
-                raise ValueError("corrupt profile record length")
-            offset = end
-        store.freeze()
-        return store
+        """Profile store from its bytes; a short or corrupt buffer raises ValueError."""
+        try:
+            if data[:4] != STORE_MAGIC:
+                raise ValueError("not a profile store (bad magic)")
+            (version,) = struct.unpack_from("<I", data, 4)
+            if version != STORE_VERSION:
+                raise ValueError(f"unsupported profile store version {version}")
+            store = cls()
+            offset = 8
+            while offset < len(data):
+                (length,) = struct.unpack_from("<I", data, offset)
+                offset += 4
+                end = offset + length
+                rec_type, token_len = struct.unpack_from("<BH", data, offset)
+                pos = offset + 3
+                token = data[pos : pos + token_len].decode("utf-8")
+                pos += token_len
+                if rec_type == _RECORD_ITEM:
+                    (n_records,) = struct.unpack_from("<Q", data, pos)
+                    pos += 8
+                    estimator, pos = QuantileEstimator.from_bytes(data, pos)
+                    store.items[token] = ItemDwellProfile(token, estimator, int(n_records))
+                    store.eps = estimator.eps
+                    store.switch_threshold = estimator.switch_threshold
+                elif rec_type == _RECORD_USER:
+                    (count,) = struct.unpack_from("<I", data, pos)
+                    pos += 4
+                    stamps = list(struct.unpack_from(f"<{count}Q", data, pos))
+                    pos += 8 * count
+                    store.users[token] = UserActivityProfile(token, stamps)
+                else:
+                    raise ValueError(f"unknown profile record type {rec_type}")
+                if pos != end:
+                    raise ValueError("corrupt profile record length")
+                offset = end
+            store.freeze()
+            return store
+        except (struct.error, IndexError) as err:
+            raise ValueError(f"truncated or corrupt profile store: {err}") from None
 
     def save(self, path: str) -> None:
         from ._fileio import atomic_write_bytes

@@ -23,13 +23,12 @@ property tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dwell_stats import DwellStats
-from .events import InteractionEvent
+from .events import EventTable
 from .evaluation import activeness_level, equal_frequency_boundaries, weekly_click_counts
 from .ndt import logistic
 from .profiles import WEEK_SECONDS
@@ -87,37 +86,40 @@ class SimConfig:
             raise ValueError("span_days and latent_dim must be >= 1")
 
 
-@dataclass(slots=True)
-class SidecarRow:
-    user_id: str
-    item_id: str
-    timestamp: int
-    clicked: bool
-    affinity: float
-    user_level: int
-    item_class: str
-    vr_propensity: float
+@dataclass(frozen=True, slots=True, eq=False)
+class Sidecar:
+    """A generated log's ground truth as columns, row i for row i of its
+    EventTable: the click affinity (f64), the user's activeness level
+    (1-based int), the item's class name and the valid-read propensity
+    P(T > valid_read_ref_s | click) (f64)."""
+
+    affinity: np.ndarray
+    user_level: np.ndarray
+    item_class: list[str]
+    vr_propensity: np.ndarray
 
 
 SIDECAR_HEADER = "user_id,item_id,timestamp,clicked,affinity,user_level,item_class,vr_propensity"
 
 
-def sidecar_csv(rows: Sequence[SidecarRow]) -> str:
-    lines = [SIDECAR_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.user_id},{r.item_id},{r.timestamp},{1 if r.clicked else 0},"
-            f"{r.affinity!r},{r.user_level},{r.item_class},{r.vr_propensity!r}"
-        )
-    return "\n".join(lines) + "\n"
+def sidecar_csv(events: EventTable, sidecar: Sidecar) -> str:
+    """The sidecar as CSV, keyed by the log's user, item, timestamp and click."""
+    lines = map(
+        "{},{},{},{:d},{!r},{},{},{!r}\n".format,
+        events.user_id, events.item_id, events.timestamp.tolist(), events.clicked.tolist(),
+        sidecar.affinity.tolist(), sidecar.user_level.tolist(), sidecar.item_class,
+        sidecar.vr_propensity.tolist(),
+    )
+    return SIDECAR_HEADER + "\n" + "".join(lines)
 
 
 def _norm_cdf(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
 
 
-def generate(cfg: SimConfig) -> tuple[list[InteractionEvent], list[SidecarRow]]:
-    """Draw one log; byte-identical for equal configs.
+def generate(cfg: SimConfig) -> tuple[EventTable, Sidecar]:
+    """Draw one log and, row for row, its ground truth; byte-identical for
+    equal configs.
 
     Draw order is fixed: user levels, user latents, item latents, item bait,
     item classes, then per-impression item choices, timestamps, click coins,
@@ -155,32 +157,17 @@ def generate(cfg: SimConfig) -> tuple[list[InteractionEvent], list[SidecarRow]]:
         (ln_mean > math.log(cfg.valid_read_ref_s)).astype(np.float64),
     )
 
-    events: list[InteractionEvent] = []
-    sidecar: list[SidecarRow] = []
+    users = [f"u{u:06d}" for u in range(cfg.n_users)]
+    items = [f"i{i:06d}" for i in range(cfg.n_items)]
     class_names = [c.name for c in cfg.item_classes]
-    for row in range(total):
-        u = int(user_idx[row])
-        i = int(item_idx[row])
-        event = InteractionEvent(
-            user_id=f"u{u:06d}",
-            item_id=f"i{i:06d}",
-            timestamp=int(timestamps[row]),
-            clicked=bool(clicked[row]),
-            dwell_time_s=float(dwell[row]),
-        )
-        events.append(event)
-        sidecar.append(
-            SidecarRow(
-                user_id=event.user_id,
-                item_id=event.item_id,
-                timestamp=event.timestamp,
-                clicked=event.clicked,
-                affinity=float(affinity[row]),
-                user_level=int(levels[u]) + 1,
-                item_class=class_names[int(item_class[i])],
-                vr_propensity=float(propensity[row]),
-            )
-        )
+    user_ids, item_ids = [users[u] for u in user_idx.tolist()], [items[i] for i in item_idx.tolist()]
+    events = EventTable(user_ids, item_ids, timestamps, clicked, dwell)
+    sidecar = Sidecar(
+        affinity=affinity,
+        user_level=levels[user_idx] + 1,
+        item_class=[class_names[c] for c in item_class[item_idx].tolist()],
+        vr_propensity=propensity,
+    )
     return events, sidecar
 
 
@@ -278,7 +265,7 @@ class RuleMixConfig:
 
 @dataclass(slots=True)
 class RuleMixCorpus:
-    events: list[InteractionEvent]
+    events: EventTable
     stats: DwellStats
     analytic_mix: dict[str, float]
     analytic_counts: dict[str, int]
@@ -326,8 +313,8 @@ def generate_rule_mix(cfg: RuleMixConfig) -> RuleMixCorpus:
     n_generic_items = max(1, (n1 + n2 + n_noise) // 50)
 
     span_s = cfg.span_days * DAY_SECONDS
-    # (user, item, dwell, intent, pinned_ts)
-    rows: list[tuple[str, str, float, str, int | None]] = []
+    # (user, item, dwell, intent, pinned to start_ts)
+    rows: list[tuple[str, str, float, str, bool]] = []
 
     heavy_user = lambda j: f"h{j % n_heavy:06d}"  # noqa: E731
     generic_item = lambda j: f"g{j % n_generic_items:06d}"  # noqa: E731
@@ -335,43 +322,38 @@ def generate_rule_mix(cfg: RuleMixConfig) -> RuleMixCorpus:
     n_warmup = 7 * n_heavy
     for j in range(n1):
         dwell = float(rng.uniform(cfg.x_l + 1.0, 300.0))
-        pinned = cfg.start_ts if j < n_warmup else None
-        rows.append((heavy_user(j), generic_item(j), dwell, "T1", pinned))
+        rows.append((heavy_user(j), generic_item(j), dwell, "T1", j < n_warmup))
     for j in range(n2):
         dwell = float(rng.uniform(5.5, cfg.x_l - 1.0))
         rows.append(
-            (f"l{j // cfg.light_clicks_per_user:06d}", generic_item(n1 + j), dwell, "T2", None)
+            (f"l{j // cfg.light_clicks_per_user:06d}", generic_item(n1 + j), dwell, "T2", False)
         )
     for item in range(m_items):
         for j in range(k):
             dwell = float(rng.uniform(5.5, cfg.x_l - 1.0))
             rows.append(
-                (heavy_user(n1 + item * k + j), f"t{item:06d}", dwell, "T3_planted", None)
+                (heavy_user(n1 + item * k + j), f"t{item:06d}", dwell, "T3_planted", False)
             )
     for j in range(n_noise):
         dwell = float(rng.uniform(0.5, 4.5))
         rows.append(
-            (heavy_user(n1 + n3_planted + j), generic_item(n1 + n2 + j), dwell, "noise", None)
+            (heavy_user(n1 + n3_planted + j), generic_item(n1 + n2 + j), dwell, "noise", False)
         )
     for j in range(n_unclicked):
-        rows.append((heavy_user(j), generic_item(j), 0.0, "unclicked", None))
+        rows.append((heavy_user(j), generic_item(j), 0.0, "unclicked", False))
 
     drawn_ts = cfg.start_ts + rng.integers(0, span_s, size=len(rows))
     order = rng.permutation(len(rows))
-    events: list[InteractionEvent] = []
-    intended: list[str] = []
-    for row in order:
-        user, item, dwell, intent, pinned = rows[row]
-        events.append(
-            InteractionEvent(
-                user_id=user,
-                item_id=item,
-                timestamp=int(drawn_ts[row]) if pinned is None else pinned,
-                clicked=intent != "unclicked",
-                dwell_time_s=dwell,
-            )
-        )
-        intended.append(intent)
+    users, items, dwell_time_s, intended, pinned = (
+        [column[r] for r in order.tolist()] for column in zip(*rows)
+    )
+    events = EventTable(
+        users,
+        items,
+        np.where(pinned, cfg.start_ts, drawn_ts[order]),
+        np.array([intent != "unclicked" for intent in intended], dtype=bool),
+        np.array(dwell_time_s, dtype=np.float64),
+    )
 
     analytic_counts = {
         "T1": n1,
@@ -400,8 +382,8 @@ def generate_rule_mix(cfg: RuleMixConfig) -> RuleMixCorpus:
 
 @dataclass(slots=True)
 class MigrationPair:
-    baseline: list[InteractionEvent]
-    treatment: list[InteractionEvent]
+    baseline: EventTable
+    treatment: EventTable
     boundaries: tuple[int, ...]
     lifted_users: set[str]
     shift_s: float
@@ -435,20 +417,13 @@ def generate_migration_pair(
         for user, c in counts.items()
         if activeness_level(c, boundaries) <= max_level
     }
-    treatment = []
-    for event in baseline:
-        if event.clicked and event.user_id in lifted:
-            treatment.append(
-                InteractionEvent(
-                    user_id=event.user_id,
-                    item_id=event.item_id,
-                    timestamp=event.timestamp,
-                    clicked=True,
-                    dwell_time_s=short_read_lift(event.dwell_time_s, shift_s, shift_scale_s),
-                )
-            )
-        else:
-            treatment.append(event)
+    # The treatment shares the baseline's columns but dwell, which it copies
+    # and lifts row by row through the scalar map (math.exp, for its bits).
+    is_lifted = np.fromiter((u in lifted for u in baseline.user_id), dtype=bool, count=len(baseline))
+    rows = np.flatnonzero(baseline.clicked & is_lifted)
+    dwell = baseline.dwell_time_s.copy()
+    dwell[rows] = [short_read_lift(t, shift_s, shift_scale_s) for t in dwell[rows].tolist()]
+    treatment = replace(baseline, dwell_time_s=dwell)
     return MigrationPair(
         baseline=baseline,
         treatment=treatment,

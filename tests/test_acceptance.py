@@ -97,7 +97,7 @@ def test_c03_threshold_recovery():
         seed=1903,
     )
     events, _ = generate(cfg)
-    n_clicks = sum(e.clicked for e in events)
+    n_clicks = int(events.clicked.sum())
     stats = fit_log_normal(events)
     elapsed = time.monotonic() - t0
     ok = (

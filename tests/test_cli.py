@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -421,6 +422,101 @@ class TestErrors:
         code, doc = run_cli(capsys, "simulate", "--mode", "organic", "--seed", "1")
         assert code == 1
         assert doc["error"] == "missing-flag:out"
+
+    def test_truncated_binaries_are_runtime_failures(self, workspace, capsys, tmp_path):
+        ckpt = tmp_path / "model.ckpt"
+        code, _ = run_cli(
+            capsys, "train", "--labeled", str(workspace["labeled"]), "--ndt-params",
+            str(workspace["params"]), "--checkpoint", str(ckpt), "--epochs", "1",
+        )
+        assert code == 0
+        profiles, short_ckpt = tmp_path / "short.bin", tmp_path / "short.ckpt"
+        profiles.write_bytes(workspace["profiles"].read_bytes()[:6])
+        short_ckpt.write_bytes(ckpt.read_bytes()[:10])
+        label = [
+            "label", "--log", str(workspace["log"]), "--stats", str(workspace["stats"]),
+            "--profiles", str(profiles), "--out", str(tmp_path / "out.csv"),
+        ]
+        evaluate = ["eval", "--labeled", str(workspace["labeled"]), "--checkpoint", str(short_ckpt)]
+        for argv in (label, evaluate):
+            code, doc = run_cli(capsys, *argv)
+            assert (code, doc["error"]) == (2, "runtime-failure"), doc
+            assert "truncated or corrupt" in doc["detail"]
+
+    @pytest.mark.parametrize(
+        "mode, foreign",
+        [
+            ("organic", ["--stats-out", "stats.json"]),
+            ("organic", ["--shift", "5"]),
+            ("rule-mix", ["--sidecar", "sidecar.csv"]),
+            ("rule-mix", ["--users", "60"]),
+            ("migration", ["--sidecar", "sidecar.csv"]),
+            ("migration", ["--valid-reads", "500"]),
+        ],
+    )
+    def test_simulate_rejects_flags_of_other_modes(self, capsys, tmp_path, mode, foreign):
+        own = {
+            "organic": ["--users", "60", "--items", "20"],
+            "rule-mix": ["--stats-out", str(tmp_path / "planted.json"), "--valid-reads", "500"],
+            "migration": ["--treatment-out", str(tmp_path / "treat.csv"), "--users", "60", "--items", "20"],
+        }[mode]
+        out = tmp_path / "log.csv"
+        argv = ["simulate", "--mode", mode, "--out", str(out), "--seed", "1", *own]
+        name, value = foreign[0].removeprefix("--"), foreign[1]
+        if not value.isdigit():
+            value = str(tmp_path / value)
+        code, doc = run_cli(capsys, *argv, foreign[0], value)
+        assert (code, doc["error"]) == (1, f"invalid-flag:{name}")
+        assert sorted(tmp_path.iterdir()) == []
+        # The same setting as a config-file key is a shared default, not an error.
+        config = tmp_path / "sim.cfg"
+        config.write_text(f"{name} = {value}\n", encoding="utf-8")
+        assert run_cli(capsys, *argv, "--config", str(config))[0] == 0
+        assert not (tmp_path / foreign[1]).exists()
+
+
+class TestSimulatorGoldenBytes:
+    """sha256 of small simulator outputs, pinned across versions: the log,
+    sidecar, planted stats and migration pair must keep their bytes.  The
+    hashes come from a build on x86-64 Linux with Python 3.11 and numpy 2.4;
+    a numpy whose RNG streams or SIMD float kernels differ may not match."""
+
+    @pytest.mark.parametrize(
+        "argv, outputs",
+        [
+            (
+                ["--mode", "organic", "--users", "60", "--items", "20", "--seed", "3",
+                 "--out", "{log}", "--sidecar", "{sidecar}"],
+                {
+                    "log": "84447829b7a914c6a9b4111acab661d0109c2a819b30f84082ee50c844aaa0fd",
+                    "sidecar": "0c2c9aa801149f0f761190fbd056355bb3a829c8d4ab16a6247b08df1f58aa90",
+                },
+            ),
+            (
+                ["--mode", "rule-mix", "--valid-reads", "500", "--seed", "4",
+                 "--out", "{log}", "--stats-out", "{stats}"],
+                {
+                    "log": "42ab2afe8eda5cccb614f3e80f9e01938dac9ef245c46f4a7a9691bda1da8b57",
+                    "stats": "9bb0636f6ff00a6d4112be3944f65517bc24d2611871da09bdc62466d7fb9078",
+                },
+            ),
+            (
+                ["--mode", "migration", "--users", "120", "--items", "40", "--seed", "9",
+                 "--out", "{log}", "--treatment-out", "{treatment}"],
+                {
+                    "log": "d05f1b683ddd9c6ee9a85a16dff6e96d679e708dcd18bf75c1984ae1f8bd7057",
+                    "treatment": "ee3f1ef311754bb5763b95bc852ea8160dee5416ed8b1a17f065ee466ecae923",
+                },
+            ),
+        ],
+        ids=["organic", "rule-mix", "migration"],
+    )
+    def test_outputs_match_golden_sha256(self, capsys, tmp_path, argv, outputs):
+        paths = {name: tmp_path / f"{name}.out" for name in outputs}
+        code, doc = run_cli(capsys, "simulate", *(arg.format(**paths) for arg in argv))
+        assert code == 0, doc
+        digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+        assert digests == outputs
 
 
 class TestConfigFile:

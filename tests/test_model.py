@@ -276,3 +276,9 @@ class TestCheckpoint:
     def test_bad_magic(self):
         with pytest.raises(ValueError, match="magic"):
             MtlNetwork.from_bytes(b"NOPE" + b"\x00" * 16)
+
+    def test_every_short_prefix_raises_value_error(self):
+        blob = MtlNetwork(TINY_CONFIG).to_bytes()
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError):
+                MtlNetwork.from_bytes(blob[:cut])

@@ -175,6 +175,27 @@ class TestStore:
         with pytest.raises(ValueError, match="magic"):
             ProfileStore.from_bytes(b"XXXX" + b"\x00" * 8)
 
+    def test_every_prefix_loads_or_raises_value_error(self):
+        """A cut-off file (an exact item, a sketch item and users) either
+        parses, when the cut falls between records, or raises ValueError."""
+        store = ProfileStore(eps=0.05, switch_threshold=8)
+        base = 1_700_000_000
+        for k in range(12):
+            store.observe_event(make_event(f"u{k % 3}", "hot", base + k, True, 10.0 + k))
+        store.observe_event(make_event("u0", "cold", base + 20, True, 5.0))
+        data = store.freeze().to_bytes()
+        assert store.items["hot"].estimator.mode == "sketch"
+        parsed = 0
+        for cut in range(len(data)):
+            try:
+                ProfileStore.from_bytes(data[:cut])
+                parsed += 1
+            except ValueError:
+                pass
+        # The parseable prefixes end after the header or after a whole
+        # record (the last record's end is the full buffer, not a prefix).
+        assert parsed == len(store.items) + len(store.users)
+
 
 class TestColumnBuildEqualsPerEventLoop:
     @pytest.mark.parametrize("switch_threshold", [16, DEFAULT_SWITCH_THRESHOLD])

@@ -11,8 +11,9 @@ from readweight.events import serialize_event
 from readweight.labeling import composition_report, label_log
 from readweight.profiles import build_profiles
 from readweight.simulate import (
+    SIDECAR_HEADER,
     ItemClass,
-        RuleMixConfig,
+    RuleMixConfig,
     SimConfig,
     analytic_click_rate,
     analytic_light_user_fraction,
@@ -23,6 +24,8 @@ from readweight.simulate import (
     sidecar_csv,
 )
 
+from conftest import assert_same_events
+
 SINGLE_CLASS = (ItemClass("only", 1.0, 4.003, 1.295),)
 
 
@@ -31,20 +34,20 @@ class TestOrganicGenerator:
         cfg = SimConfig(n_users=200, n_items=60, seed=5)
         a, sa = generate(cfg)
         b, sb = generate(cfg)
-        assert [serialize_event(e) for e in a] == [serialize_event(e) for e in b]
-        assert sidecar_csv(sa) == sidecar_csv(sb)
+        assert_same_events(a, b)
+        assert sidecar_csv(a, sa) == sidecar_csv(b, sb)
 
     def test_different_seeds_differ(self):
-        assert generate(SimConfig(n_users=50, n_items=20, seed=1))[0] != generate(
-            SimConfig(n_users=50, n_items=20, seed=2)
-        )[0]
+        a, _ = generate(SimConfig(n_users=50, n_items=20, seed=1))
+        b, _ = generate(SimConfig(n_users=50, n_items=20, seed=2))
+        assert [serialize_event(e) for e in a] != [serialize_event(e) for e in b]
 
     def test_zero_click_probability(self):
         cfg = SimConfig(n_users=100, n_items=30, click_bias=-math.inf, seed=3)
         events, _ = generate(cfg)
-        assert events
-        assert not any(e.clicked for e in events)
-        assert all(e.dwell_time_s == 0.0 for e in events)
+        assert len(events)
+        assert not events.clicked.any()
+        assert (events.dwell_time_s == 0.0).all()
 
     def test_stats_recover_configured_class(self):
         cfg = SimConfig(
@@ -56,7 +59,7 @@ class TestOrganicGenerator:
             seed=11,
         )
         events, _ = generate(cfg)
-        clicks = sum(e.clicked for e in events)
+        clicks = int(events.clicked.sum())
         assert clicks > 100_000
         stats = fit_log_normal(events)
         assert stats.mu == pytest.approx(4.003, abs=0.02)
@@ -74,7 +77,7 @@ class TestOrganicGenerator:
         )
         events, _ = generate(cfg)
         assert len(events) > 950_000
-        empirical = sum(e.clicked for e in events) / len(events)
+        empirical = int(events.clicked.sum()) / len(events)
         assert empirical == pytest.approx(analytic_click_rate(cfg), abs=0.01)
 
     def test_light_user_fraction_matches_mix(self):
@@ -98,26 +101,28 @@ class TestOrganicGenerator:
             seed=13,
         )
         events, sidecar = generate(cfg)
-        by_class: dict[str, list[float]] = {"short": [], "long": []}
-        for event, row in zip(events, sidecar):
-            if event.clicked:
-                by_class[row.item_class].append(math.log(event.dwell_time_s))
+        item_class = np.array(sidecar.item_class)
         for cls in classes:
-            values = by_class[cls.name]
+            values = np.log(events.dwell_time_s[events.clicked & (item_class == cls.name)])
             assert len(values) > 100_000
             assert np.mean(values) == pytest.approx(cls.ln_dt_mean, abs=0.02)
 
     def test_sidecar_alignment_and_propensity(self):
         cfg = SimConfig(n_users=100, n_items=40, item_classes=SINGLE_CLASS, seed=9)
         events, sidecar = generate(cfg)
-        assert len(events) == len(sidecar)
-        for event, row in zip(events[:200], sidecar[:200]):
-            assert (event.user_id, event.item_id) == (row.user_id, row.item_id)
-            assert 0.0 <= row.vr_propensity <= 1.0
-            assert 1 <= row.user_level <= 7
+        for column in (sidecar.affinity, sidecar.user_level, sidecar.item_class, sidecar.vr_propensity):
+            assert len(column) == len(events)
+        header, *rows = sidecar_csv(events, sidecar).splitlines()
+        assert header == SIDECAR_HEADER
+        for event, row in zip(events, rows):
+            assert row.split(",")[:4] == serialize_event(event).split(",")[:4]
+        assert ((0.0 <= sidecar.vr_propensity) & (sidecar.vr_propensity <= 1.0)).all()
+        assert ((1 <= sidecar.user_level) & (sidecar.user_level <= 7)).all()
+        level_of = dict(zip(events.user_id, sidecar.user_level.tolist()))
+        assert all(level_of[u] == level for u, level in zip(events.user_id, sidecar.user_level.tolist()))
         # Single class, no affinity shift: propensity = P(lnT > ln 15).
         expected = 1 - 0.5 * (1 + math.erf((math.log(15) - 4.003) / (1.295 * math.sqrt(2))))
-        assert sidecar[0].vr_propensity == pytest.approx(expected, abs=1e-9)
+        assert sidecar.vr_propensity == pytest.approx(np.full(len(events), expected), abs=1e-9)
 
     def test_degenerate_configs_rejected(self):
         with pytest.raises(ValueError):
@@ -158,7 +163,8 @@ class TestRuleMixGenerator:
         cfg = RuleMixConfig(n_valid_reads=2_000, seed=21)
         a = generate_rule_mix(cfg)
         b = generate_rule_mix(cfg)
-        assert [serialize_event(e) for e in a.events] == [serialize_event(e) for e in b.events]
+        assert_same_events(a.events, b.events)
+        assert a.intended == b.intended
 
     def test_planted_stats_threshold(self):
         corpus = generate_rule_mix(RuleMixConfig(n_valid_reads=2_000, seed=2))
@@ -179,19 +185,21 @@ class TestMigrationPair:
 
     def test_pair_structure(self):
         pair = generate_migration_pair(SimConfig(n_users=400, n_items=120, seed=4))
-        assert len(pair.baseline) == len(pair.treatment)
+        base, treat = pair.baseline, pair.treatment
+        assert len(base) == len(treat)
         assert pair.lifted_users
-        base_clicks = [e.clicked for e in pair.baseline]
-        treat_clicks = [e.clicked for e in pair.treatment]
-        assert base_clicks == treat_clicks
-        for b, t in zip(pair.baseline, pair.treatment):
-            if not b.clicked or b.user_id not in pair.lifted_users:
-                assert t.dwell_time_s == b.dwell_time_s
-            elif b.dwell_time_s < 300.0:
-                assert t.dwell_time_s > b.dwell_time_s
-            else:
-                # Past a few scale lengths the lift is below float resolution.
-                assert t.dwell_time_s >= b.dwell_time_s
+        assert (base.user_id, base.item_id) == (treat.user_id, treat.item_id)
+        assert np.array_equal(base.timestamp, treat.timestamp)
+        assert np.array_equal(base.clicked, treat.clicked)
+        lifted = base.clicked & np.array([u in pair.lifted_users for u in base.user_id])
+        assert lifted.any()
+        assert np.array_equal(treat.dwell_time_s[~lifted], base.dwell_time_s[~lifted])
+        short = lifted & (base.dwell_time_s < 300.0)
+        assert (treat.dwell_time_s[short] > base.dwell_time_s[short]).all()
+        # Past a few scale lengths the lift is below float resolution.
+        assert (treat.dwell_time_s[lifted] >= base.dwell_time_s[lifted]).all()
+        expected = [short_read_lift(t, 8.0, 40.0) for t in base.dwell_time_s[lifted].tolist()]
+        assert treat.dwell_time_s[lifted].tolist() == expected
 
     def test_weekly_counts_unchanged(self):
         pair = generate_migration_pair(SimConfig(n_users=300, n_items=90, seed=6))
