@@ -47,7 +47,7 @@ from .labeling import (
     read_labeled_log,
 )
 from .model import ModelConfig, MtlNetwork, SlotSpec
-from .ndt import NdtParams, derive_scale, instance_weight, ndt, paper_default_params, solve_tau
+from .ndt import NdtParams, derive_scale, ndt, paper_default_params, solve_tau
 from .profiles import (
     ItemDwellProfile,
     ProfileStore,
@@ -115,7 +115,6 @@ __all__ = [
     "generate_migration_pair",
     "generate_rule_mix",
     "histogram_lnT",
-    "instance_weight",
     "iter_log",
     "label_event",
     "label_log",

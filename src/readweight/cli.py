@@ -16,12 +16,14 @@ One executable, nine subcommands::
 
 Every command prints a single machine-readable JSON summary on stdout and
 writes artifacts atomically (temp file + rename).  Exit codes: 0 success,
-1 validation failure, 2 runtime failure; failures print a one-line JSON
-object with a machine-parsable ``error`` reason.
+1 validation failure (usage errors included), 2 runtime failure; failures
+print a one-line JSON object with a machine-parsable ``error`` reason.
 
 A shared config file (``--config``, ``key = value`` lines, ``#`` comments)
-can hold defaults for any long option; explicit flags win.  ``simulate``
-rejects an explicit flag that its mode does not read.
+can hold defaults for any long option; explicit flags win.  Flag text and
+config text go through the option's one parser, and an option set in
+neither place keeps the library's default.  ``simulate`` rejects an
+explicit flag that its mode does not read.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Callable, Sequence
 from . import FORMAT_VERSIONS, __version__
 from ._fileio import atomic_write_text
 from .dwell_stats import DwellStats, InsufficientDataError, fit_log_normal, histogram_csv, histogram_lnT
-from .events import BadLineBudgetExceeded, LogFormatError, read_log, write_log
+from .events import HEADER_MODES, BadLineBudgetExceeded, LogFormatError, read_log, write_log
 from .evaluation import EvalReport, migration_csv, migration_report
 from .labeling import (
     LABELED_HEADER,
@@ -46,9 +48,8 @@ from .labeling import (
     serialize_labeled,
 )
 from .model import MtlNetwork
-from .ndt import DEFAULT_PRECISION, DEFAULT_T_MAX, NdtParams, paper_default_params
+from .ndt import NEG_MODES, NdtParams, paper_default_params
 from .profiles import ProfileStore, build_profiles
-from .quantiles import DEFAULT_EPS, DEFAULT_SWITCH_THRESHOLD
 from .simulate import (
     ItemClass,
     RuleMixConfig,
@@ -59,6 +60,7 @@ from .simulate import (
     sidecar_csv,
 )
 from .training import (
+    OBJECTIVES,
     TrainConfig,
     build_instances,
     checkpoint_extra_config,
@@ -79,12 +81,12 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-def _require_input(path: str | None, tag: str) -> str:
-    if not path:
-        raise CliError(f"missing-flag:{tag}", f"--{tag} is required")
-    if not os.path.exists(path):
-        raise CliError(f"missing-input:{tag}", f"no such file: {path}")
-    return path
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error (unknown flag or command, missing value) as a
+    CliError, so it too prints one JSON line; subparsers inherit it."""
+
+    def error(self, message: str):
+        raise CliError("invalid-usage", message)
 
 
 def _load_config_file(path: str | None) -> dict[str, str]:
@@ -107,34 +109,79 @@ def _load_config_file(path: str | None) -> dict[str, str]:
     return values
 
 
+# Options whose keyword argument in the library is not the option's name.
+_KWARGS = {
+    "users": "n_users",
+    "items": "n_items",
+    "classes": "item_classes",
+    "valid-reads": "n_valid_reads",
+    "shift": "shift_s",
+    "shift-scale": "shift_scale_s",
+    "noise-floor": "noise_floor_s",
+    "light-max-clicks": "light_user_max_clicks",
+}
+
+
 class Options:
-    """Flag / config-file / default resolution; flags win."""
+    """An option's value: its flag, else the config file, else the caller's
+    default.  Both texts go through the option's one parser."""
 
     def __init__(self, args: argparse.Namespace, config: dict[str, str]):
-        self.args = args
+        self.casts = _COMMAND_FLAGS[args.command]
+        self.flags = {
+            name: text
+            for name in self.casts
+            if (text := getattr(args, name.replace("-", "_"))) is not None
+        }
         self.config = config
         self.read: set[str] = set()
 
-    def get(self, name: str, cast: Callable, default):
+    def get(self, name: str, default=None):
         self.read.add(name)
-        flag_value = getattr(self.args, name.replace("-", "_"), None)
-        if flag_value is not None:
-            return flag_value
-        if name in self.config:
-            raw = self.config[name]
-            try:
-                return cast(raw)
-            except (TypeError, ValueError) as err:
-                raise CliError("invalid-config", f"bad value for {name}: {raw!r} ({err})")
-        return default
+        if name in self.flags:
+            text, reason = self.flags[name], f"invalid-flag:{name}"
+        elif name in self.config:
+            text, reason = self.config[name], "invalid-config"
+        else:
+            return default
+        try:
+            return self.casts[name](text)
+        except (TypeError, ValueError) as err:
+            raise CliError(reason, f"bad value for {name}: {text!r} ({err})")
+
+    def given(self, *names: str) -> dict:
+        """The options among ``names`` that are set, as the callee's keyword
+        arguments; an unset one is left out, so the callee's default applies."""
+        values = {_KWARGS.get(name, name.replace("-", "_")): self.get(name) for name in names}
+        return {key: value for key, value in values.items() if value is not None}
+
+    def required(self, name: str, detail: str = ""):
+        value = self.get(name)
+        if not value:
+            raise CliError(f"missing-flag:{name}", detail or f"--{name} is required")
+        return value
+
+    def input(self, name: str) -> str:
+        path = self.required(name)
+        if not os.path.exists(path):
+            raise CliError(f"missing-input:{name}", f"no such file: {path}")
+        return path
 
     def reject_unread(self) -> None:
         """Fail on a flag given on the command line that no ``get`` has read
         (config-file keys are shared defaults and may go unread)."""
-        for flag, _ in _COMMAND_FLAGS[self.args.command]:
-            name = flag.removeprefix("--")
-            if name not in self.read and getattr(self.args, name.replace("-", "_")) is not None:
-                raise CliError(f"invalid-flag:{name}", f"{flag} is not read in this mode")
+        for name in self.flags:
+            if name not in self.read:
+                raise CliError(f"invalid-flag:{name}", f"--{name} is not read in this mode")
+
+
+def _choice(names: tuple[str, ...]) -> Callable[[str], str]:
+    def parse(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"not one of {', '.join(names)}")
+        return text
+
+    return parse
 
 
 def _parse_bool(text: str) -> bool:
@@ -165,65 +212,19 @@ def _parse_classes(text: str) -> tuple[ItemClass, ...]:
 
 # -- handlers ---------------------------------------------------------------
 
-
-def _sim_config(opts: Options, seed: int) -> SimConfig:
-    """The organic simulator's config; an unset flag keeps SimConfig's default."""
-    default = SimConfig()
-    return SimConfig(
-        n_users=opts.get("users", int, default.n_users),
-        n_items=opts.get("items", int, default.n_items),
-        activeness_mix=opts.get("activeness-mix", _parse_floats, default.activeness_mix),
-        impressions_per_level=opts.get(
-            "impressions-per-level", _parse_ints, default.impressions_per_level
-        ),
-        latent_dim=opts.get("latent-dim", int, default.latent_dim),
-        user_scale=opts.get("user-scale", float, default.user_scale),
-        item_scale=opts.get("item-scale", float, default.item_scale),
-        click_bias=opts.get("click-bias", float, default.click_bias),
-        affinity_dt_coef=opts.get("affinity-dt-coef", float, default.affinity_dt_coef),
-        bait_click_coef=opts.get("bait-click-coef", float, default.bait_click_coef),
-        bait_dt_coef=opts.get("bait-dt-coef", float, default.bait_dt_coef),
-        item_classes=opts.get("classes", _parse_classes, default.item_classes),
-        span_days=opts.get("span-days", int, default.span_days),
-        seed=seed,
-    )
+_SIM_OPTIONS = (
+    "users", "items", "activeness-mix", "impressions-per-level", "latent-dim", "user-scale",
+    "item-scale", "click-bias", "affinity-dt-coef", "bait-click-coef", "bait-dt-coef",
+    "classes", "span-days", "seed",
+)
 
 
 def _handle_simulate(opts: Options) -> dict:
-    mode = opts.get("mode", str, "organic")
-    seed = opts.get("seed", int, 0)
-    out = opts.get("out", str, None)
-    if not out:
-        raise CliError("missing-flag:out", "--out is required")
-    if mode == "organic":
-        cfg = _sim_config(opts, seed)
-        sidecar_path = opts.get("sidecar", str, None)
-        opts.reject_unread()
-        events, sidecar = generate(cfg)
-        write_log(out, events)
-        if sidecar_path:
-            atomic_write_text(sidecar_path, sidecar_csv(events, sidecar))
-        return {
-            "command": "simulate",
-            "mode": mode,
-            "seed": seed,
-            "n_events": len(events),
-            "n_clicks": int(events.clicked.sum()),
-            "out": out,
-            "sidecar": sidecar_path,
-        }
+    mode = opts.get("mode", "organic")
+    out = opts.required("out")
     if mode == "rule-mix":
-        stats_out = opts.get("stats-out", str, None)
-        if not stats_out:
-            raise CliError("missing-flag:stats-out", "rule-mix mode writes planted stats")
-        default = RuleMixConfig()
-        cfg = RuleMixConfig(
-            n_valid_reads=opts.get("valid-reads", int, default.n_valid_reads),
-            mix=opts.get("mix", _parse_floats, default.mix),
-            noise_frac=opts.get("noise-frac", float, default.noise_frac),
-            unclicked_frac=opts.get("unclicked-frac", float, default.unclicked_frac),
-            seed=seed,
-        )
+        stats_out = opts.required("stats-out", "rule-mix mode writes planted stats")
+        cfg = RuleMixConfig(**opts.given("valid-reads", "mix", "noise-frac", "unclicked-frac", "seed"))
         opts.reject_unread()
         corpus = generate_rule_mix(cfg)
         write_log(out, corpus.events)
@@ -231,27 +232,16 @@ def _handle_simulate(opts: Options) -> dict:
         return {
             "command": "simulate",
             "mode": mode,
-            "seed": seed,
+            "seed": cfg.seed,
             "n_events": len(corpus.events),
             "analytic_mix": corpus.analytic_mix,
             "out": out,
             "stats_out": stats_out,
         }
     if mode == "migration":
-        treatment_out = opts.get("treatment-out", str, None)
-        if not treatment_out:
-            raise CliError("missing-flag:treatment-out", "migration mode writes two logs")
-        # An unset flag is left out, so generate_migration_pair's default applies.
-        shift = {
-            key: value
-            for key, value in (
-                ("shift_s", opts.get("shift", float, None)),
-                ("shift_scale_s", opts.get("shift-scale", float, None)),
-                ("max_level", opts.get("max-level", int, None)),
-            )
-            if value is not None
-        }
-        cfg = _sim_config(opts, seed)
+        treatment_out = opts.required("treatment-out", "migration mode writes two logs")
+        shift = opts.given("shift", "shift-scale", "max-level")
+        cfg = SimConfig(**opts.given(*_SIM_OPTIONS))
         opts.reject_unread()
         pair = generate_migration_pair(cfg, **shift)
         write_log(out, pair.baseline)
@@ -259,34 +249,49 @@ def _handle_simulate(opts: Options) -> dict:
         return {
             "command": "simulate",
             "mode": mode,
-            "seed": seed,
+            "seed": cfg.seed,
             "n_events": len(pair.baseline),
             "boundaries": list(pair.boundaries),
             "n_lifted_users": len(pair.lifted_users),
             "out": out,
             "treatment_out": treatment_out,
         }
-    raise CliError("invalid-flag:mode", f"unknown simulate mode {mode!r}")
+    cfg = SimConfig(**opts.given(*_SIM_OPTIONS))
+    sidecar_path = opts.get("sidecar")
+    opts.reject_unread()
+    events, sidecar = generate(cfg)
+    write_log(out, events)
+    if sidecar_path:
+        atomic_write_text(sidecar_path, sidecar_csv(events, sidecar))
+    return {
+        "command": "simulate",
+        "mode": mode,
+        "seed": cfg.seed,
+        "n_events": len(events),
+        "n_clicks": int(events.clicked.sum()),
+        "out": out,
+        "sidecar": sidecar_path,
+    }
 
 
 def _read_log_checked(opts: Options, flag: str = "log"):
-    path = _require_input(opts.get(flag, str, None), flag)
+    path = opts.input(flag)
     try:
-        events, counts = read_log(
-            path,
-            header=opts.get("header", str, "auto"),
-            bad_line_budget=opts.get("bad-line-budget", int, 0),
-        )
+        return read_log(path, **opts.given("header", "bad-line-budget"))
     except BadLineBudgetExceeded as err:
         raise CliError("bad-line-budget-exceeded", str(err), exit_code=2)
     except LogFormatError as err:
         raise CliError("malformed-log", str(err), exit_code=2)
-    return events, counts
+
+
+def _load_stats(path: str) -> DwellStats:
+    with open(path, "r", encoding="utf-8") as handle:
+        return DwellStats.from_json(handle.read())
 
 
 def _handle_fit_stats(opts: Options) -> dict:
     events, counts = _read_log_checked(opts)
-    out = opts.get("out", str, None)
+    out = opts.get("out")
     try:
         stats = fit_log_normal(events)
     except InsufficientDataError as err:
@@ -308,10 +313,8 @@ def _handle_fit_stats(opts: Options) -> dict:
 
 def _handle_stats_report(opts: Options) -> dict:
     events, counts = _read_log_checked(opts)
-    out = opts.get("out", str, None)
-    if not out:
-        raise CliError("missing-flag:out", "--out is required")
-    bins = opts.get("bins", int, 40)
+    out = opts.required("out")
+    bins = opts.get("bins", 40)
     histogram = histogram_lnT(events, bins)
     atomic_write_text(out, histogram_csv(histogram))
     return {
@@ -325,14 +328,8 @@ def _handle_stats_report(opts: Options) -> dict:
 
 def _handle_build_profiles(opts: Options) -> dict:
     events, counts = _read_log_checked(opts)
-    out = opts.get("out", str, None)
-    if not out:
-        raise CliError("missing-flag:out", "--out is required")
-    store = build_profiles(
-        events,
-        eps=opts.get("eps", float, DEFAULT_EPS),
-        switch_threshold=opts.get("switch-threshold", int, DEFAULT_SWITCH_THRESHOLD),
-    )
+    out = opts.required("out")
+    store = build_profiles(events, **opts.given("eps", "switch-threshold"))
     store.save(out)
     return {
         "command": "build-profiles",
@@ -345,27 +342,20 @@ def _handle_build_profiles(opts: Options) -> dict:
 
 def _handle_label(opts: Options) -> dict:
     events, counts = _read_log_checked(opts)
-    stats_path = _require_input(opts.get("stats", str, None), "stats")
-    profiles_path = _require_input(opts.get("profiles", str, None), "profiles")
-    out = opts.get("out", str, None)
-    if not out:
-        raise CliError("missing-flag:out", "--out is required")
-    with open(stats_path, "r", encoding="utf-8") as handle:
-        stats = DwellStats.from_json(handle.read())
+    stats_path = opts.input("stats")
+    profiles_path = opts.input("profiles")
+    out = opts.required("out")
+    stats = _load_stats(stats_path)
     store = ProfileStore.load(profiles_path)
-    default = LabelingConfig()
     cfg = LabelingConfig(
-        noise_floor_s=opts.get("noise-floor", float, default.noise_floor_s),
-        light_user_max_clicks=opts.get("light-max-clicks", int, default.light_user_max_clicks),
-        min_records_t3=opts.get("min-records-t3", int, default.min_records_t3),
-        t3_exclude_self=opts.get("t3-exclude-self", _parse_bool, default.t3_exclude_self),
+        **opts.given("noise-floor", "light-max-clicks", "min-records-t3", "t3-exclude-self")
     )
     labeled = list(label_log(events, stats, store, cfg))
     lines = [LABELED_HEADER]
     lines.extend(serialize_labeled(event, label) for event, label in labeled)
     atomic_write_text(out, "\n".join(lines) + "\n")
     report = composition_report(label for _, label in labeled)
-    report_path = opts.get("report", str, None)
+    report_path = opts.get("report")
     if report_path:
         atomic_write_text(report_path, json.dumps(report, sort_keys=True) + "\n")
     return {
@@ -378,14 +368,10 @@ def _handle_label(opts: Options) -> dict:
 
 
 def _handle_ndt_params(opts: Options) -> dict:
-    stats_path = _require_input(opts.get("stats", str, None), "stats")
-    with open(stats_path, "r", encoding="utf-8") as handle:
-        stats = DwellStats.from_json(handle.read())
-    precision = opts.get("precision", float, DEFAULT_PRECISION)
-    t_max = opts.get("t-max", float, DEFAULT_T_MAX)
-    paper = paper_default_params(precision)
+    stats = _load_stats(opts.input("stats"))
+    paper = paper_default_params(**opts.given("precision"))
     try:
-        solved = NdtParams.solve(offset=stats.x_l, x_h=stats.x_h, precision=precision, t_max=t_max)
+        solved = NdtParams.solve(offset=stats.x_l, x_h=stats.x_h, **opts.given("precision", "t-max"))
     except ValueError as err:
         raise CliError("infeasible-ndt", str(err), exit_code=2)
     doc = {
@@ -393,7 +379,7 @@ def _handle_ndt_params(opts: Options) -> dict:
         "solved": json.loads(solved.to_json()),
         "stats": {"x_l": stats.x_l, "x_h": stats.x_h},
     }
-    out = opts.get("out", str, None)
+    out = opts.get("out")
     if out:
         atomic_write_text(out, json.dumps(doc, sort_keys=True) + "\n")
     doc["command"] = "ndt-params"
@@ -401,13 +387,13 @@ def _handle_ndt_params(opts: Options) -> dict:
     return doc
 
 
-def _load_ndt_params(path: str, mode: str) -> NdtParams:
+def _load_ndt_params(path: str, params_mode: str = "paper_default") -> NdtParams:
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
-    if "paper_default" in doc or "solved" in doc:
-        if mode not in doc:
-            raise CliError("invalid-flag:params-mode", f"params file lacks mode {mode!r}")
-        doc = doc[mode]
+    if isinstance(doc, dict) and ("paper_default" in doc or "solved" in doc):
+        if params_mode not in doc:
+            raise CliError("invalid-flag:params-mode", f"params file lacks mode {params_mode!r}")
+        doc = doc[params_mode]
     return NdtParams.from_json(json.dumps(doc))
 
 
@@ -422,29 +408,21 @@ def _read_labeled_checked(path: str):
 
 
 def _handle_train(opts: Options) -> dict:
-    labeled_path = _require_input(opts.get("labeled", str, None), "labeled")
-    params_path = _require_input(opts.get("ndt-params", str, None), "ndt-params")
-    checkpoint_path = opts.get("checkpoint", str, None)
-    if not checkpoint_path:
-        raise CliError("missing-flag:checkpoint", "--checkpoint is required")
-    params = _load_ndt_params(params_path, opts.get("params-mode", str, "paper_default"))
+    labeled_path = opts.input("labeled")
+    params_path = opts.input("ndt-params")
+    checkpoint_path = opts.required("checkpoint")
+    params = _load_ndt_params(params_path, **opts.given("params-mode"))
     labeled = _read_labeled_checked(labeled_path)
-    default = TrainConfig()
     cfg = TrainConfig(
-        objective=opts.get("objective", str, default.objective),
-        neg_mode=opts.get("neg-mode", str, default.neg_mode),
-        batch_size=opts.get("batch-size", int, default.batch_size),
-        learning_rate=opts.get("learning-rate", float, default.learning_rate),
-        epochs=opts.get("epochs", int, default.epochs),
-        seed=opts.get("seed", int, default.seed),
-        embedding_dim=opts.get("embedding-dim", int, default.embedding_dim),
-        bottom_dim=opts.get("bottom-dim", int, default.bottom_dim),
-        tower_dims=tuple(opts.get("tower-dims", _parse_ints, default.tower_dims)),
+        **opts.given(
+            "objective", "neg-mode", "batch-size", "learning-rate", "epochs", "seed",
+            "embedding-dim", "bottom-dim", "tower-dims",
+        )
     )
     batch, space = build_instances(labeled, params, cfg)
     result = train(cfg, batch, space)
     result.network.save(checkpoint_path, checkpoint_extra_config(result))
-    trace_path = opts.get("trace", str, None)
+    trace_path = opts.get("trace")
     if trace_path:
         atomic_write_text(trace_path, trace_csv(result.trace))
     final = result.trace[-1]
@@ -461,18 +439,17 @@ def _handle_train(opts: Options) -> dict:
 
 
 def _handle_eval(opts: Options) -> dict:
-    labeled_path = _require_input(opts.get("labeled", str, None), "labeled")
-    checkpoint_path = _require_input(opts.get("checkpoint", str, None), "checkpoint")
+    labeled_path = opts.input("labeled")
+    checkpoint_path = opts.input("checkpoint")
+    base_auc = opts.get("base-auc")
     labeled = _read_labeled_checked(labeled_path)
     net, doc = MtlNetwork.load(checkpoint_path)
     scores = score_events(net, space_from_checkpoint(doc), labeled)
-    labels = labeled.valid_read
-    base_auc = opts.get("base-auc", float, None)
     try:
-        report = EvalReport.build(scores, labels, base_auc)
+        report = EvalReport.build(scores, labeled.valid_read, base_auc)
     except ValueError as err:
         raise CliError("undefined-metric", str(err), exit_code=2)
-    out = opts.get("out", str, None)
+    out = opts.get("out")
     if out:
         atomic_write_text(out, report.to_json() + "\n")
     return {
@@ -487,14 +464,11 @@ def _handle_eval(opts: Options) -> dict:
 
 
 def _handle_migrate_report(opts: Options) -> dict:
-    out = opts.get("out", str, None)
-    if not out:
-        raise CliError("missing-flag:out", "--out is required")
+    out = opts.required("out")
     baseline, _ = _read_log_checked(opts, "baseline")
     treatment, _ = _read_log_checked(opts, "treatment")
-    boundaries = opts.get("boundaries", _parse_ints, None)
     try:
-        cells = migration_report(baseline, treatment, boundaries)
+        cells = migration_report(baseline, treatment, opts.get("boundaries"))
     except ValueError as err:
         raise CliError("invalid-input", str(err), exit_code=2)
     atomic_write_text(out, migration_csv(cells))
@@ -519,138 +493,107 @@ _HANDLERS = {
     "migrate-report": _handle_migrate_report,
 }
 
-_COMMAND_FLAGS: dict[str, list[tuple[str, dict]]] = {
-    "simulate": [
-        ("--mode", {"choices": ["organic", "rule-mix", "migration"]}),
-        ("--out", {}),
-        ("--sidecar", {}),
-        ("--stats-out", {}),
-        ("--treatment-out", {}),
-        ("--seed", {"type": int}),
-        ("--users", {"type": int}),
-        ("--items", {"type": int}),
-        ("--activeness-mix", {"type": _parse_floats}),
-        ("--impressions-per-level", {"type": _parse_ints}),
-        ("--latent-dim", {"type": int}),
-        ("--user-scale", {"type": float}),
-        ("--item-scale", {"type": float}),
-        ("--click-bias", {"type": float}),
-        ("--affinity-dt-coef", {"type": float}),
-        ("--bait-click-coef", {"type": float}),
-        ("--bait-dt-coef", {"type": float}),
-        ("--classes", {"type": _parse_classes}),
-        ("--span-days", {"type": int}),
-        ("--valid-reads", {"type": int}),
-        ("--mix", {"type": _parse_floats}),
-        ("--noise-frac", {"type": float}),
-        ("--unclicked-frac", {"type": float}),
-        ("--shift", {"type": float}),
-        ("--shift-scale", {"type": float}),
-        ("--max-level", {"type": int}),
-    ],
-    "fit-stats": [
-        ("--log", {}),
-        ("--out", {}),
-        ("--header", {"choices": ["auto", "present", "absent"]}),
-        ("--bad-line-budget", {"type": int}),
-    ],
-    "stats-report": [
-        ("--log", {}),
-        ("--out", {}),
-        ("--bins", {"type": int}),
-        ("--header", {"choices": ["auto", "present", "absent"]}),
-        ("--bad-line-budget", {"type": int}),
-    ],
-    "build-profiles": [
-        ("--log", {}),
-        ("--out", {}),
-        ("--eps", {"type": float}),
-        ("--switch-threshold", {"type": int}),
-        ("--header", {"choices": ["auto", "present", "absent"]}),
-        ("--bad-line-budget", {"type": int}),
-    ],
-    "label": [
-        ("--log", {}),
-        ("--stats", {}),
-        ("--profiles", {}),
-        ("--out", {}),
-        ("--report", {}),
-        ("--noise-floor", {"type": float}),
-        ("--light-max-clicks", {"type": int}),
-        ("--min-records-t3", {"type": int}),
-        ("--t3-exclude-self", {"type": _parse_bool}),
-        ("--header", {"choices": ["auto", "present", "absent"]}),
-        ("--bad-line-budget", {"type": int}),
-    ],
-    "ndt-params": [
-        ("--stats", {}),
-        ("--out", {}),
-        ("--precision", {"type": float}),
-        ("--t-max", {"type": float}),
-    ],
-    "train": [
-        ("--labeled", {}),
-        ("--ndt-params", {}),
-        ("--params-mode", {"choices": ["paper_default", "solved"]}),
-        ("--checkpoint", {}),
-        ("--trace", {}),
-        ("--objective", {"choices": ["single_ctr", "ctr_logdt", "vr_logdt", "vr_ndt"]}),
-        ("--neg-mode", {"choices": ["unit", "literal"]}),
-        ("--batch-size", {"type": int}),
-        ("--learning-rate", {"type": float}),
-        ("--epochs", {"type": int}),
-        ("--seed", {"type": int}),
-        ("--embedding-dim", {"type": int}),
-        ("--bottom-dim", {"type": int}),
-        ("--tower-dims", {"type": _parse_ints}),
-    ],
-    "eval": [
-        ("--labeled", {}),
-        ("--checkpoint", {}),
-        ("--out", {}),
-        ("--base-auc", {"type": float}),
-    ],
-    "migrate-report": [
-        ("--baseline", {}),
-        ("--treatment", {}),
-        ("--out", {}),
-        ("--boundaries", {"type": _parse_ints}),
-        ("--header", {"choices": ["auto", "present", "absent"]}),
-        ("--bad-line-budget", {"type": int}),
-    ],
+# Each command's long options, each with the one parser its flag text and
+# config-file text go through.
+_LOG_FLAGS = {"header": _choice(HEADER_MODES), "bad-line-budget": int}
+_COMMAND_FLAGS: dict[str, dict[str, Callable]] = {
+    "simulate": {
+        "mode": _choice(("organic", "rule-mix", "migration")),
+        "out": str,
+        "sidecar": str,
+        "stats-out": str,
+        "treatment-out": str,
+        "seed": int,
+        "users": int,
+        "items": int,
+        "activeness-mix": _parse_floats,
+        "impressions-per-level": _parse_ints,
+        "latent-dim": int,
+        "user-scale": float,
+        "item-scale": float,
+        "click-bias": float,
+        "affinity-dt-coef": float,
+        "bait-click-coef": float,
+        "bait-dt-coef": float,
+        "classes": _parse_classes,
+        "span-days": int,
+        "valid-reads": int,
+        "mix": _parse_floats,
+        "noise-frac": float,
+        "unclicked-frac": float,
+        "shift": float,
+        "shift-scale": float,
+        "max-level": int,
+    },
+    "fit-stats": {"log": str, "out": str, **_LOG_FLAGS},
+    "stats-report": {"log": str, "out": str, "bins": int, **_LOG_FLAGS},
+    "build-profiles": {"log": str, "out": str, "eps": float, "switch-threshold": int, **_LOG_FLAGS},
+    "label": {
+        "log": str,
+        "stats": str,
+        "profiles": str,
+        "out": str,
+        "report": str,
+        "noise-floor": float,
+        "light-max-clicks": int,
+        "min-records-t3": int,
+        "t3-exclude-self": _parse_bool,
+        **_LOG_FLAGS,
+    },
+    "ndt-params": {"stats": str, "out": str, "precision": float, "t-max": float},
+    "train": {
+        "labeled": str,
+        "ndt-params": str,
+        "params-mode": _choice(("paper_default", "solved")),
+        "checkpoint": str,
+        "trace": str,
+        "objective": _choice(OBJECTIVES),
+        "neg-mode": _choice(NEG_MODES),
+        "batch-size": int,
+        "learning-rate": float,
+        "epochs": int,
+        "seed": int,
+        "embedding-dim": int,
+        "bottom-dim": int,
+        "tower-dims": _parse_ints,
+    },
+    "eval": {"labeled": str, "checkpoint": str, "out": str, "base-auc": float},
+    "migrate-report": {
+        "baseline": str,
+        "treatment": str,
+        "out": str,
+        "boundaries": _parse_ints,
+        **_LOG_FLAGS,
+    },
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="readweight",
-        description="Dwell-time click reweighting pipeline",
-    )
+    """argparse only collects each option's text; ``Options`` parses it."""
+    parser = _Parser(prog="readweight", description="Dwell-time click reweighting pipeline")
     parser.add_argument(
         "--version",
         action="store_true",
         help="print artifact and file-format versions as JSON",
     )
     subparsers = parser.add_subparsers(dest="command")
-    for command, flags in _COMMAND_FLAGS.items():
+    for command, casts in _COMMAND_FLAGS.items():
         sub = subparsers.add_parser(command)
         sub.add_argument("--config", help="key = value defaults file")
-        for flag, kwargs in flags:
-            sub.add_argument(flag, default=None, **kwargs)
+        for name in casts:
+            sub.add_argument(f"--{name}")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if getattr(args, "version", False) and args.command is None:
-        print(json.dumps({"version": __version__, "formats": FORMAT_VERSIONS}, sort_keys=True))
-        return 0
-    if args.command is None:
-        print(json.dumps({"error": "missing-command", "detail": "see --help"}))
-        return 1
     try:
-        config = _load_config_file(getattr(args, "config", None))
-        summary = _HANDLERS[args.command](Options(args, config))
+        args = build_parser().parse_args(argv)
+        if args.command is None:
+            if args.version:
+                print(json.dumps({"version": __version__, "formats": FORMAT_VERSIONS}, sort_keys=True))
+                return 0
+            raise CliError("missing-command", "see --help")
+        summary = _HANDLERS[args.command](Options(args, _load_config_file(args.config)))
     except CliError as err:
         print(json.dumps({"error": err.reason, "detail": err.detail}, sort_keys=True))
         return err.exit_code

@@ -42,13 +42,16 @@ class DwellStats:
     @classmethod
     def from_json(cls, text: str) -> "DwellStats":
         doc = json.loads(text)
-        return cls(
-            mu=float(doc["mu"]),
-            sigma=float(doc["sigma"]),
-            n=int(doc["n"]),
-            x_l=float(doc["x_l"]),
-            x_h=float(doc["x_h"]),
-        )
+        try:
+            return cls(
+                mu=float(doc["mu"]),
+                sigma=float(doc["sigma"]),
+                n=int(doc["n"]),
+                x_l=float(doc["x_l"]),
+                x_h=float(doc["x_h"]),
+            )
+        except (KeyError, TypeError) as err:
+            raise ValueError(f"stats JSON lacks a numeric field: {err}") from err
 
     @classmethod
     def from_moments(cls, mu: float, sigma: float, n: int) -> "DwellStats":

@@ -206,6 +206,7 @@ _HEADER_RULES: dict[str, Callable[[str], bool]] = {
     "present": lambda line: True,
     "absent": lambda line: False,
 }
+HEADER_MODES = tuple(_HEADER_RULES)
 
 
 def _header_rule(header: str) -> Callable[[str], bool]:

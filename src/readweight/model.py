@@ -326,7 +326,7 @@ class MtlNetwork:
                 offset += 4 * count
                 params[name] = tensor.copy()
             return cls(config, params), doc
-        except (struct.error, IndexError) as err:
+        except (struct.error, IndexError, KeyError, TypeError) as err:
             raise ValueError(f"truncated or corrupt checkpoint: {err}") from None
 
     def save(self, path: str, extra_config: dict | None = None) -> None:

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .labeling import LabelKind, ValidReadLabel
-
 DEFAULT_OFFSET_S = 15.0
 DEFAULT_TAU_S = 20.0
 DEFAULT_T_MAX = 1.575
@@ -103,14 +101,17 @@ class NdtParams:
     @classmethod
     def from_json(cls, text: str) -> "NdtParams":
         doc = json.loads(text)
-        return cls(
-            offset=float(doc["offset"]),
-            tau=float(doc["tau"]),
-            a=float(doc["a"]),
-            b=float(doc["b"]),
-            t_max=float(doc["t_max"]),
-            precision=float(doc["precision"]),
-        )
+        try:
+            return cls(
+                offset=float(doc["offset"]),
+                tau=float(doc["tau"]),
+                a=float(doc["a"]),
+                b=float(doc["b"]),
+                t_max=float(doc["t_max"]),
+                precision=float(doc["precision"]),
+            )
+        except (KeyError, TypeError) as err:
+            raise ValueError(f"NDT params JSON lacks a numeric field: {err}") from err
 
 
 def paper_default_params(precision: float = DEFAULT_PRECISION) -> NdtParams:
@@ -187,12 +188,3 @@ def tower_weights(positive, transformed, neg_mode: str) -> np.ndarray:
         return transformed
     return np.where(positive, transformed, 1.0)
 
-
-def instance_weight(label: ValidReadLabel, p: NdtParams, neg_mode: str = "unit") -> float:
-    """Training weight of one labeled event for the weighted tower.
-
-    Valid reads weigh ndt(T).  Negatives weigh 1.0 in unit mode; literal
-    mode weighs them ndt(T) too, which zeroes unclicked rows (ndt(0) = 0).
-    """
-    positive = label.kind is LabelKind.VALID_READ
-    return float(tower_weights(positive, ndt(label.dwell_time_s, p), neg_mode))

@@ -36,7 +36,7 @@ import numpy as np
 
 from .labeling import LabeledLog
 from .model import ModelConfig, MtlNetwork, PackedBatch, SlotSpec
-from .ndt import NdtParams, ndt, tower_weights
+from .ndt import NEG_MODES, NdtParams, ndt, tower_weights
 
 OBJECTIVES = ("single_ctr", "ctr_logdt", "vr_logdt", "vr_ndt")
 
@@ -60,8 +60,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
-        if self.neg_mode not in ("unit", "literal"):
-            raise ValueError(f"neg_mode must be unit or literal, got {self.neg_mode!r}")
+        if self.neg_mode not in NEG_MODES:
+            raise ValueError(f"neg_mode must be one of {NEG_MODES}, got {self.neg_mode!r}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
 
@@ -337,7 +337,10 @@ def checkpoint_extra_config(result: TrainResult) -> dict:
 
 
 def space_from_checkpoint(doc: dict) -> FeatureSpace:
-    return FeatureSpace(tuple(doc["user_vocab"]), tuple(doc["item_vocab"]))
+    try:
+        return FeatureSpace(tuple(doc["user_vocab"]), tuple(doc["item_vocab"]))
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"checkpoint lacks its vocabularies: {err}") from err
 
 
 def score_events(net: MtlNetwork, space: FeatureSpace, log: LabeledLog) -> np.ndarray:

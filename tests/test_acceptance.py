@@ -330,7 +330,8 @@ def test_c08_pipeline_determinism(tmp_path):
         )
         eval_json = root / "eval.json"
         _run_cli("eval", "--labeled", str(labeled), "--checkpoint", str(ckpt), "--out", str(eval_json))
-        n_events = sum(1 for _ in open(log))
+        with open(log, encoding="utf-8") as handle:
+            n_events = sum(1 for _ in handle)
         digests.append((ckpt.read_bytes(), eval_json.read_bytes(), n_events))
     elapsed = time.monotonic() - t0
     identical = digests[0][0] == digests[1][0] and digests[0][1] == digests[1][1]

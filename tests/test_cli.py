@@ -1,21 +1,39 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import struct
+from pathlib import Path
 
 import pytest
 
 from readweight.cli import main
-from readweight.events import LOG_HEADER, serialize_event, write_log
+from readweight.dwell_stats import DwellStats
+from readweight.events import LOG_HEADER, read_log, serialize_event, write_log
+from readweight.labeling import LABELED_HEADER, LabelingConfig, label_log, serialize_labeled
 from readweight.model import MtlNetwork
-from readweight.simulate import RuleMixConfig, SimConfig, generate_migration_pair, generate_rule_mix
+from readweight.ndt import NdtParams, paper_default_params
+from readweight.profiles import ProfileStore, build_profiles
+from readweight.simulate import (
+    RuleMixConfig,
+    SimConfig,
+    generate,
+    generate_migration_pair,
+    generate_rule_mix,
+)
 from readweight.training import TrainConfig
 
 
 def run_cli(capsys, *argv):
+    """Run one command; it must print exactly one JSON line on stdout and
+    nothing on stderr."""
     code = main(list(argv))
-    out = capsys.readouterr().out.strip()
-    return code, json.loads(out.splitlines()[-1])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and captured.err == "", captured
+    return code, json.loads(lines[0])
 
 
 @pytest.fixture
@@ -294,6 +312,31 @@ class TestHappyPath:
         write_log(library, generate_rule_mix(RuleMixConfig(seed=6)).events)
         assert out.read_bytes() == library.read_bytes()
 
+    def test_simulate_defaults_come_from_sim_config(self, capsys, tmp_path):
+        out = tmp_path / "events.csv"
+        assert run_cli(capsys, "simulate", "--seed", "11", "--out", str(out))[0] == 0
+        library = tmp_path / "library.csv"
+        write_log(library, generate(SimConfig(seed=11))[0])
+        assert out.read_bytes() == library.read_bytes()
+
+    def test_build_profiles_defaults_come_from_build_profiles(self, workspace):
+        table, _ = read_log(workspace["log"])
+        assert workspace["profiles"].read_bytes() == build_profiles(table).to_bytes()
+
+    def test_ndt_params_defaults_come_from_ndt(self, workspace):
+        doc = json.loads(workspace["params"].read_text())
+        stats = DwellStats.from_json(workspace["stats"].read_text())
+        assert doc["paper_default"] == json.loads(paper_default_params().to_json())
+        assert doc["solved"] == json.loads(NdtParams.solve(stats.x_l, stats.x_h).to_json())
+
+    def test_label_defaults_come_from_labeling_config(self, workspace):
+        table, _ = read_log(workspace["log"])
+        stats = DwellStats.from_json(workspace["stats"].read_text())
+        store = ProfileStore.load(str(workspace["profiles"]))
+        rows = label_log(table, stats, store, LabelingConfig())
+        expected = [LABELED_HEADER, *(serialize_labeled(event, label) for event, label in rows)]
+        assert workspace["labeled"].read_text() == "\n".join(expected) + "\n"
+
     def test_migration_shift_defaults_come_from_the_generator(self, capsys, tmp_path):
         sim = SimConfig(n_users=120, n_items=40, seed=9)
         for flags, kwargs in (([], {}), (["--shift", "5", "--max-level", "2"], {"shift_s": 5.0, "max_level": 2})):
@@ -417,6 +460,35 @@ class TestErrors:
             "--checkpoint", str(ckpt),
         )
         assert (code, doc["detail"]) == (2, "line 3: expected 5 comma-separated fields, got 4")
+
+    @pytest.mark.parametrize("text", ["{}", "5", '{"mu": [1]}', '{"paper_default": {"offset": 1}}'])
+    def test_malformed_json_inputs_are_runtime_failures(self, inputs, capsys, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        argvs = [
+            ["ndt-params", "--stats", str(bad)],
+            ["label", "--log", inputs["log"], "--stats", str(bad), "--profiles", inputs["profiles"],
+             "--out", str(tmp_path / "labeled.csv")],
+            ["train", "--labeled", inputs["labeled"], "--ndt-params", str(bad),
+             "--checkpoint", str(tmp_path / "model.ckpt")],
+        ]
+        for argv in argvs:
+            code, doc = run_cli(capsys, *argv)
+            assert (code, doc["error"]) == (2, "runtime-failure"), argv
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.json"]
+
+    @pytest.mark.parametrize("drop", ["dense_dim", "slots", "user_vocab"])
+    def test_checkpoint_config_without_a_key_is_runtime_failure(self, inputs, capsys, tmp_path, drop):
+        data = Path(inputs["checkpoint"]).read_bytes()
+        (length,) = struct.unpack_from("<I", data, 8)
+        config = json.loads(data[12 : 12 + length])
+        del config[drop]
+        blob = json.dumps(config).encode()
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + length :])
+        code, doc = run_cli(capsys, "eval", "--labeled", inputs["labeled"], "--checkpoint", str(ckpt))
+        assert (code, doc["error"]) == (2, "runtime-failure")
+        assert drop in doc["detail"]
 
     def test_missing_flag(self, capsys, tmp_path):
         code, doc = run_cli(capsys, "simulate", "--mode", "organic", "--seed", "1")
@@ -559,3 +631,114 @@ class TestConfigFile:
         code, doc = run_cli(capsys, "fit-stats", "--config", "/nonexistent.cfg", "--log", "x")
         assert code == 1
         assert doc["error"] == "missing-input:config"
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """Every command's input files, built once and never written again."""
+    root = tmp_path_factory.mktemp("inputs")
+    paths = {
+        name: str(root / name)
+        for name in ("log", "stats", "profiles", "labeled", "params", "checkpoint")
+    }
+    steps = [
+        ["simulate", "--seed", "5", "--users", "150", "--items", "50", "--out", paths["log"]],
+        ["fit-stats", "--log", paths["log"], "--out", paths["stats"]],
+        ["build-profiles", "--log", paths["log"], "--out", paths["profiles"]],
+        ["label", "--log", paths["log"], "--stats", paths["stats"], "--profiles", paths["profiles"],
+         "--out", paths["labeled"]],
+        ["ndt-params", "--stats", paths["stats"], "--out", paths["params"]],
+        ["train", "--labeled", paths["labeled"], "--ndt-params", paths["params"],
+         "--checkpoint", paths["checkpoint"], "--epochs", "1"],
+    ]
+    for argv in steps:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+    return paths
+
+
+# A valid argv per command; outputs go under {out}.
+VALID_ARGV = {
+    "simulate": ["--users", "60", "--items", "20", "--out", "{out}/log.csv"],
+    "fit-stats": ["--log", "{log}", "--out", "{out}/stats.json"],
+    "stats-report": ["--log", "{log}", "--out", "{out}/hist.csv"],
+    "build-profiles": ["--log", "{log}", "--out", "{out}/profiles.bin"],
+    "label": ["--log", "{log}", "--stats", "{stats}", "--profiles", "{profiles}",
+              "--out", "{out}/labeled.csv", "--report", "{out}/report.json"],
+    "ndt-params": ["--stats", "{stats}", "--out", "{out}/params.json"],
+    "train": ["--labeled", "{labeled}", "--ndt-params", "{params}",
+              "--checkpoint", "{out}/model.ckpt", "--trace", "{out}/trace.csv", "--epochs", "1"],
+    "eval": ["--labeled", "{labeled}", "--checkpoint", "{checkpoint}", "--out", "{out}/eval.json"],
+    "migrate-report": ["--baseline", "{log}", "--treatment", "{log}", "--out", "{out}/cells.csv"],
+}
+
+
+class TestUsageErrors:
+    """A usage error prints one JSON line, exits 1 and writes nothing."""
+
+    @pytest.fixture
+    def out(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        return out
+
+    def argv(self, command, inputs, out):
+        return [command, *(arg.format(out=out, **inputs) for arg in VALID_ARGV[command])]
+
+    @pytest.mark.parametrize("command", list(VALID_ARGV))
+    def test_valid_argv_runs(self, capsys, inputs, out, command):
+        code, doc = run_cli(capsys, *self.argv(command, inputs, out))
+        assert (code, doc["command"]) == (0, command)
+
+    @pytest.mark.parametrize(
+        "command, name, value",
+        [
+            ("simulate", "mode", "bogus"),
+            ("simulate", "classes", "a:b"),
+            ("simulate", "latent-dim", "wide"),
+            ("fit-stats", "header", "bogus"),
+            ("fit-stats", "bad-line-budget", "1.5"),
+            ("stats-report", "bins", "x"),
+            ("build-profiles", "switch-threshold", "big"),
+            ("build-profiles", "eps", "tiny"),
+            ("label", "t3-exclude-self", "maybe"),
+            ("label", "noise-floor", "3s"),
+            ("label", "header", "bogus"),
+            ("ndt-params", "precision", "fine"),
+            ("train", "objective", "nope"),
+            ("train", "neg-mode", "both"),
+            ("train", "params-mode", "fitted"),
+            ("train", "tower-dims", "64,x"),
+            ("eval", "base-auc", "high"),
+            ("migrate-report", "boundaries", "1,x"),
+            ("migrate-report", "header", "bogus"),
+        ],
+    )
+    def test_bad_value(self, capsys, tmp_path, inputs, out, command, name, value):
+        argv = self.argv(command, inputs, out)
+        code, doc = run_cli(capsys, *argv, f"--{name}", value)
+        assert (code, doc["error"]) == (1, f"invalid-flag:{name}")
+        assert list(out.iterdir()) == []
+        # A config file's text goes through the same parser.
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"{name} = {value}\n", encoding="utf-8")
+        code, doc = run_cli(capsys, *argv, "--config", str(config))
+        assert (code, doc["error"]) == (1, "invalid-config")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", list(VALID_ARGV))
+    def test_unknown_flag(self, capsys, inputs, out, command):
+        code, doc = run_cli(capsys, *self.argv(command, inputs, out), "--bogus", "1")
+        assert (code, doc["error"]) == (1, "invalid-usage")
+        assert "--bogus" in doc["detail"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["nope"], ["nope", "--out", "x"], ["fit-stats", "--log"], ["--bogus"], []],
+        ids=["unknown-command", "unknown-command-with-flags", "missing-value", "unknown-top-flag", "no-command"],
+    )
+    def test_malformed_argv(self, capsys, argv):
+        code, doc = run_cli(capsys, *argv)
+        assert code == 1
+        assert doc["error"] == ("missing-command" if not argv else "invalid-usage")

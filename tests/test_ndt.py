@@ -8,15 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from readweight.labeling import LabelKind, ValidReadLabel, ValidReadSource
 from readweight.ndt import (
     NdtParams,
     derive_scale,
-    instance_weight,
     ndt,
     paper_default_params,
     solve_tau,
     tail_gap,
+    tower_weights,
 )
 
 
@@ -155,21 +154,21 @@ class TestParams:
 
 
 class TestInstanceWeight:
+    """A labeled event's weighted-tower weight: ``tower_weights`` over its
+    ndt(T), positive exactly on a valid read."""
+
     def test_valid_read(self):
-        label = ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T1, 15.0)
-        assert instance_weight(label, PAPER) == pytest.approx(0.4155, abs=1e-3)
+        assert tower_weights(True, ndt(15.0, PAPER), "unit") == pytest.approx(0.4155, abs=1e-3)
 
     def test_negatives_unit(self):
-        label = ValidReadLabel(LabelKind.NOT_CLICKED, None, 0.0)
-        assert instance_weight(label, PAPER, "unit") == 1.0
+        assert tower_weights(False, ndt(0.0, PAPER), "unit") == 1.0
 
     def test_negatives_literal(self):
-        not_clicked = ValidReadLabel(LabelKind.NOT_CLICKED, None, 0.0)
-        assert instance_weight(not_clicked, PAPER, "literal") == pytest.approx(0.0, abs=1e-12)
-        noise = ValidReadLabel(LabelKind.NOISE_CLICK, None, 3.0)
-        assert 0 < instance_weight(noise, PAPER, "literal") < 0.1
+        not_clicked = tower_weights(False, ndt(0.0, PAPER), "literal")
+        assert not_clicked == pytest.approx(0.0, abs=1e-12)
+        noise = tower_weights(False, ndt(3.0, PAPER), "literal")
+        assert 0 < noise < 0.1
 
     def test_unknown_mode(self):
-        label = ValidReadLabel(LabelKind.NOT_CLICKED, None, 0.0)
         with pytest.raises(ValueError):
-            instance_weight(label, PAPER, "other")
+            tower_weights(False, ndt(0.0, PAPER), "other")

@@ -7,7 +7,7 @@ import pytest
 
 from readweight.labeling import LabeledLog, LabelKind, ValidReadLabel, ValidReadSource
 from readweight.model import MtlNetwork, PackedBatch
-from readweight.ndt import instance_weight, paper_default_params
+from readweight.ndt import ndt, paper_default_params
 from readweight.training import (
     Adam,
     FeatureSpace,
@@ -75,7 +75,9 @@ class TestBuildInstances:
         assert batch.w.tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("neg_mode", ["unit", "literal"])
-    def test_weights_match_instance_weight(self, rng, neg_mode):
+    def test_weights_follow_the_ndt_rule(self, rng, neg_mode):
+        """Valid reads weigh ndt(T); negatives weigh 1.0 in unit mode and
+        ndt(T) in literal mode."""
         kinds = [
             (LabelKind.VALID_READ, ValidReadSource.T2, True),
             (LabelKind.INVALID_CLICK, None, True),
@@ -90,7 +92,9 @@ class TestBuildInstances:
         cfg = TrainConfig(objective="vr_ndt", neg_mode=neg_mode)
         batch, _ = build_instances(log_of(*rows), PARAMS, cfg)
         for (_, label), w in zip(rows, batch.w, strict=True):
-            assert abs(w - instance_weight(label, PARAMS, neg_mode)) <= 1e-12
+            positive = label.kind is LabelKind.VALID_READ
+            expected = ndt(label.dwell_time_s, PARAMS) if positive or neg_mode == "literal" else 1.0
+            assert abs(w - expected) <= 1e-12
 
     def test_vocabulary_is_sorted_and_shared(self):
         rows = [
