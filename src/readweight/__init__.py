@@ -46,9 +46,10 @@ from .labeling import (
     label_log,
     read_labeled_log,
 )
-from .model import ModelConfig, MtlNetwork, SlotSpec
+from .model import CHECKPOINT_VERSION, ModelConfig, MtlNetwork, SlotSpec
 from .ndt import NdtParams, derive_scale, ndt, paper_default_params, solve_tau
 from .profiles import (
+    STORE_VERSION,
     ItemDwellProfile,
     ProfileStore,
     UserActivityProfile,
@@ -69,8 +70,8 @@ from .training import FeatureSpace, TrainConfig, build_instances, train
 __version__ = "0.1.0"
 
 FORMAT_VERSIONS = {
-    "profile_store": 2,
-    "checkpoint": 1,
+    "profile_store": STORE_VERSION,
+    "checkpoint": CHECKPOINT_VERSION,
 }
 
 __all__ = [

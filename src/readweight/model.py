@@ -289,7 +289,7 @@ class MtlNetwork:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> tuple["MtlNetwork", dict]:
-        """Checkpoint from its bytes; a short or corrupt buffer raises ValueError."""
+        """Checkpoint from its bytes; a cut, extended or corrupt buffer raises ValueError."""
         try:
             if data[:4] != CHECKPOINT_MAGIC:
                 raise ValueError("not a model checkpoint (bad magic)")
@@ -325,6 +325,8 @@ class MtlNetwork:
                 tensor = np.frombuffer(data, dtype="<f4", count=count, offset=offset).reshape(shape)
                 offset += 4 * count
                 params[name] = tensor.copy()
+            if offset != len(data):
+                raise ValueError(f"truncated or corrupt checkpoint: {len(data) - offset} trailing bytes")
             return cls(config, params), doc
         except (struct.error, IndexError, KeyError, TypeError) as err:
             raise ValueError(f"truncated or corrupt checkpoint: {err}") from None

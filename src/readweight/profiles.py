@@ -6,14 +6,25 @@ event's own click is part of the profiles it is labeled against (the
 simplest two-pass semantics); ``p10(exclude=...)`` supports the
 exclude-self sensitivity variant for exact-mode items.
 
-Store format (magic ``VRPF``): version u32, then length-prefixed records,
-each ``u32 payload_len`` followed by ``u8 type`` (1 item, 2 user),
-``u16 token_len + token``, and a type-specific body.  Item bodies carry the
-record count and the serialized estimator (sorted little-endian f64 values
-in exact mode, f64 entry values in sketch mode, so a reloaded store answers
-every query exactly as the saved one did); user bodies carry sorted u64
-click timestamps.  Records are written sorted by (type, token) so equal
-inputs give equal bytes.  Version 2 widened the stored values from f32.
+Store format 3 is a header ``<4sIdIII`` (magic ``VRPF``, version, eps,
+switch threshold, item count, user count) followed by little-endian arrays,
+each sized by what came before it:
+
+- u16 token byte lengths, of the items and then the users, each sorted;
+- the UTF-8 token bytes;
+- u64 record count of each item;
+- u32 click count of each user;
+- f64 sorted dwell values of the exact items;
+- u32 entry count of each sketch item;
+- GK entries (f64 value, u64 g, u64 delta) of the sketch items;
+- u64 sorted click timestamps of the users.
+
+An item is in sketch mode exactly when its record count is above the switch
+threshold.  The arrays must end at the end of the buffer, so a cut or
+extended store is rejected; values are stored in full f64, so a reloaded
+store answers every query exactly as the saved one did.  Equal inputs give
+equal bytes.  Version 2 had length-prefixed records and no record count;
+version 1 stored the values as f32.
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -31,10 +43,10 @@ from .quantiles import DEFAULT_EPS, DEFAULT_SWITCH_THRESHOLD, QuantileEstimator,
 WEEK_SECONDS = 7 * 86400
 
 STORE_MAGIC = b"VRPF"
-STORE_VERSION = 2
+STORE_VERSION = 3
 
-_RECORD_ITEM = 1
-_RECORD_USER = 2
+_HEADER = struct.Struct("<4sIdIII")
+_GK_ENTRY = np.dtype([("value", "<f8"), ("g", "<u8"), ("delta", "<u8")])
 
 
 class NoProfileDataError(ValueError):
@@ -51,13 +63,13 @@ class ItemDwellProfile:
 
     item_id: str
     estimator: QuantileEstimator
-    n_records: int = 0
+
+    @property
+    def n_records(self) -> int:
+        return self.estimator.n
 
     def observe(self, dwell_time_s: float) -> None:
-        if dwell_time_s < 0:
-            raise ValueError(f"negative dwell time {dwell_time_s}")
         self.estimator.observe(dwell_time_s)
-        self.n_records += 1
 
     def p10(self, exclude: float | None = None) -> float:
         """Nearest-rank 10th percentile of this item's dwell records.
@@ -68,14 +80,15 @@ class ItemDwellProfile:
         """
         if self.n_records < 1:
             raise NoProfileDataError(f"item {self.item_id} has no dwell records")
-        if exclude is not None and self.estimator.mode == "exact":
-            values = sorted(self.estimator._exact)  # small by construction
+        values = self.estimator._exact
+        if exclude is not None and values is not None:
             i = bisect_left(values, exclude)
             if i < len(values) and values[i] == exclude:
-                del values[i]
-            if not values:
-                raise NoProfileDataError(f"item {self.item_id} has no other dwell records")
-            return values[nearest_rank(0.10, len(values)) - 1]
+                if len(values) == 1:
+                    raise NoProfileDataError(f"item {self.item_id} has no other dwell records")
+                # Ranks at or past the dropped value shift up by one.
+                k = nearest_rank(0.10, len(values) - 1) - 1
+                return values[k + 1] if k >= i else values[k]
         return self.estimator.query(0.10)
 
 
@@ -152,73 +165,91 @@ class ProfileStore:
         return self
 
     def to_bytes(self) -> bytes:
-        parts = [STORE_MAGIC, struct.pack("<I", STORE_VERSION)]
-        for item_id in sorted(self.items):
-            profile = self.items[item_id]
-            token = item_id.encode("utf-8")
-            body = (
-                struct.pack("<BH", _RECORD_ITEM, len(token))
-                + token
-                + struct.pack("<Q", profile.n_records)
-                + profile.estimator.to_bytes()
-            )
-            parts.append(struct.pack("<I", len(body)))
-            parts.append(body)
-        for user_id in sorted(self.users):
-            profile = self.users[user_id]
-            token = user_id.encode("utf-8")
-            stamps = profile.click_timestamps
-            body = (
-                struct.pack("<BH", _RECORD_USER, len(token))
-                + token
-                + struct.pack("<I", len(stamps))
-                + struct.pack(f"<{len(stamps)}Q", *stamps)
-            )
-            parts.append(struct.pack("<I", len(body)))
-            parts.append(body)
-        return b"".join(parts)
+        item_ids, user_ids = sorted(self.items), sorted(self.users)
+        items = [self.items[token] for token in item_ids]
+        users = [self.users[token] for token in user_ids]
+        tokens = [token.encode("utf-8") for token in item_ids + user_ids]
+        exact = [p.estimator._exact for p in items if p.estimator.mode == "exact"]
+        sketches = [p.estimator._as_sketch() for p in items if p.estimator.mode == "sketch"]
+        entries = np.empty(sum(len(s._values) for s in sketches), _GK_ENTRY)
+        entries["value"] = list(chain.from_iterable(s._values for s in sketches))
+        entries["g"] = list(chain.from_iterable(s._g for s in sketches))
+        entries["delta"] = list(chain.from_iterable(s._delta for s in sketches))
+        arrays = [
+            np.array([len(t) for t in tokens], "<u2"),
+            np.frombuffer(b"".join(tokens), "u1"),
+            np.array([p.n_records for p in items], "<u8"),
+            np.array([len(p.click_timestamps) for p in users], "<u4"),
+            np.array(list(chain.from_iterable(exact)), "<f8"),
+            np.array([len(s._values) for s in sketches], "<u4"),
+            entries,
+            np.array(list(chain.from_iterable(p.click_timestamps for p in users)), "<u8"),
+        ]
+        header = _HEADER.pack(
+            STORE_MAGIC, STORE_VERSION, self.eps, self.switch_threshold, len(items), len(users)
+        )
+        return header + b"".join(a.tobytes() for a in arrays)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ProfileStore":
-        """Profile store from its bytes; a short or corrupt buffer raises ValueError."""
+        """Profile store from its bytes; a cut, extended or corrupt buffer raises ValueError."""
+        if data[:4] != STORE_MAGIC:
+            raise ValueError("not a profile store (bad magic)")
         try:
-            if data[:4] != STORE_MAGIC:
-                raise ValueError("not a profile store (bad magic)")
-            (version,) = struct.unpack_from("<I", data, 4)
-            if version != STORE_VERSION:
-                raise ValueError(f"unsupported profile store version {version}")
-            store = cls()
-            offset = 8
-            while offset < len(data):
-                (length,) = struct.unpack_from("<I", data, offset)
-                offset += 4
-                end = offset + length
-                rec_type, token_len = struct.unpack_from("<BH", data, offset)
-                pos = offset + 3
-                token = data[pos : pos + token_len].decode("utf-8")
-                pos += token_len
-                if rec_type == _RECORD_ITEM:
-                    (n_records,) = struct.unpack_from("<Q", data, pos)
-                    pos += 8
-                    estimator, pos = QuantileEstimator.from_bytes(data, pos)
-                    store.items[token] = ItemDwellProfile(token, estimator, int(n_records))
-                    store.eps = estimator.eps
-                    store.switch_threshold = estimator.switch_threshold
-                elif rec_type == _RECORD_USER:
-                    (count,) = struct.unpack_from("<I", data, pos)
-                    pos += 4
-                    stamps = list(struct.unpack_from(f"<{count}Q", data, pos))
-                    pos += 8 * count
-                    store.users[token] = UserActivityProfile(token, stamps)
-                else:
-                    raise ValueError(f"unknown profile record type {rec_type}")
-                if pos != end:
-                    raise ValueError("corrupt profile record length")
-                offset = end
-            store.freeze()
-            return store
-        except (struct.error, IndexError) as err:
+            _, version, eps, switch_threshold, n_items, n_users = _HEADER.unpack_from(data)
+        except struct.error as err:
             raise ValueError(f"truncated or corrupt profile store: {err}") from None
+        if version != STORE_VERSION:
+            raise ValueError(f"unsupported profile store version {version}")
+        offset = _HEADER.size
+
+        def take(dtype, count) -> np.ndarray:
+            nonlocal offset
+            array = np.frombuffer(data, dtype, int(count), offset)
+            offset += array.nbytes
+            return array
+
+        try:
+            token_lens = take("<u2", n_items + n_users)
+            token_bytes = take("u1", token_lens.sum()).tobytes()
+            counts = take("<u8", n_items)
+            clicks = take("<u4", n_users)
+            sketchy = counts > switch_threshold
+            values = take("<f8", counts[~sketchy].sum())
+            sizes = take("<u4", sketchy.sum())
+            entries = take(_GK_ENTRY, sizes.sum())
+            stamps = take("<u8", clicks.sum())
+            if offset != len(data):
+                raise ValueError(f"{len(data) - offset} trailing bytes")
+            _check_ascending(values, counts[~sketchy], "dwell values")
+            _check_ascending(stamps, clicks, "click timestamps")
+            ends = np.cumsum(token_lens).tolist()
+            tokens = [token_bytes[a:b].decode("utf-8") for a, b in zip([0] + ends, ends)]
+        except (ValueError, OverflowError) as err:
+            raise ValueError(f"truncated or corrupt profile store: {err}") from None
+
+        store = cls(eps=eps, switch_threshold=switch_threshold)
+        values, sizes = values.tolist(), iter(sizes.tolist())
+        gk_values, gk_g, gk_delta = (entries[name].tolist() for name in _GK_ENTRY.names)
+        v = e = 0
+        for token, n, sketch in zip(tokens, counts.tolist(), sketchy.tolist()):
+            estimator = QuantileEstimator(eps=eps, switch_threshold=switch_threshold)
+            if sketch:
+                # An empty estimator's sketch has the budget it would keep.
+                estimator._to_sketch()
+                gk, end = estimator._sketch, e + next(sizes)
+                gk.n = n
+                gk._values, gk._g, gk._delta = gk_values[e:end], gk_g[e:end], gk_delta[e:end]
+                e = end
+            else:
+                estimator._exact = values[v : v + n]
+                v += n
+            store.items[token] = ItemDwellProfile(token, estimator)
+        stamps, s = stamps.tolist(), 0
+        for token, n in zip(tokens[n_items:], clicks.tolist()):
+            store.users[token] = UserActivityProfile(token, stamps[s : s + n])
+            s += n
+        return store.freeze()
 
     def save(self, path: str) -> None:
         from ._fileio import atomic_write_bytes
@@ -229,6 +260,15 @@ class ProfileStore:
     def load(cls, path: str) -> "ProfileStore":
         with open(path, "rb") as handle:
             return cls.from_bytes(handle.read())
+
+
+def _check_ascending(values: np.ndarray, counts: np.ndarray, what: str) -> None:
+    """Raise ValueError unless each run of ``counts`` consecutive values ascends."""
+    falls = ~(values[1:] >= values[:-1])
+    starts = np.cumsum(counts)[:-1]
+    falls[starts[(starts > 0) & (starts < len(values))] - 1] = False
+    if falls.any():
+        raise ValueError(f"{what} out of order")
 
 
 def build_profiles(

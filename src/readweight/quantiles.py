@@ -14,16 +14,11 @@ stores byte-stable across runs.
 from __future__ import annotations
 
 import math
-import struct
+from bisect import insort
 from typing import Iterable
-
-import numpy as np
 
 DEFAULT_EPS = 0.01
 DEFAULT_SWITCH_THRESHOLD = 4096
-
-_MODE_EXACT = 0
-_MODE_SKETCH = 1
 
 
 def nearest_rank(p: float, n: int) -> int:
@@ -166,32 +161,14 @@ class GKSummary:
         merged._compress()
         return merged
 
-    def to_bytes(self) -> bytes:
-        self._flush()
-        parts = [struct.pack("<dQI", self.eps, self.n, len(self._values))]
-        for value, g, delta in zip(self._values, self._g, self._delta):
-            parts.append(struct.pack("<dQQ", value, g, delta))
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, data: bytes, offset: int = 0) -> tuple["GKSummary", int]:
-        eps, n, count = struct.unpack_from("<dQI", data, offset)
-        offset += struct.calcsize("<dQI")
-        summary = cls(eps=eps)
-        summary.n = n
-        for _ in range(count):
-            value, g, delta = struct.unpack_from("<dQQ", data, offset)
-            offset += struct.calcsize("<dQQ")
-            summary._values.append(value)
-            summary._g.append(int(g))
-            summary._delta.append(int(delta))
-        return summary, offset
-
 
 class QuantileEstimator:
-    """Exact-until-large quantile state for one item's dwell history."""
+    """Exact-until-large quantile state for one item's dwell history.
 
-    __slots__ = ("eps", "switch_threshold", "_exact", "_sketch", "_sorted_cache")
+    Exact-mode values are kept ascending, so a query indexes them directly.
+    """
+
+    __slots__ = ("eps", "switch_threshold", "_exact", "_sketch")
 
     def __init__(
         self,
@@ -204,7 +181,6 @@ class QuantileEstimator:
         self.switch_threshold = switch_threshold
         self._exact: list[float] | None = []
         self._sketch: GKSummary | None = None
-        self._sorted_cache: np.ndarray | None = None
 
     @property
     def mode(self) -> str:
@@ -221,8 +197,7 @@ class QuantileEstimator:
         if value < 0:
             raise ValueError(f"negative value {value}")
         if self._exact is not None:
-            self._exact.append(value)
-            self._sorted_cache = None
+            insort(self._exact, value)
             if len(self._exact) > self.switch_threshold:
                 self._to_sketch()
         else:
@@ -230,24 +205,14 @@ class QuantileEstimator:
             self._sketch.add(value)
 
     def _to_sketch(self) -> None:
-        assert self._exact is not None
-        # Maintain the summary at half the advertised budget: queries then
-        # sit well inside the eps contract and merges inside 2 * eps.
-        sketch = GKSummary(eps=self.eps / 2)
-        # Sorted feed keeps the summary deterministic for a given multiset.
-        sketch.extend(sorted(self._exact))
-        sketch._flush()
-        self._sketch = sketch
+        self._sketch = self._as_sketch()
         self._exact = None
-        self._sorted_cache = None
 
     def query(self, p: float) -> float:
         if self.n == 0:
             raise ValueError("cannot query an empty estimator")
         if self._exact is not None:
-            if self._sorted_cache is None:
-                self._sorted_cache = np.sort(np.asarray(self._exact, dtype=np.float64))
-            return float(self._sorted_cache[nearest_rank(p, len(self._exact)) - 1])
+            return self._exact[nearest_rank(p, len(self._exact)) - 1]
         assert self._sketch is not None
         return self._sketch.query(p)
 
@@ -256,7 +221,7 @@ class QuantileEstimator:
         switch threshold, any sketch side forces sketch mode."""
         merged = QuantileEstimator(eps=self.eps, switch_threshold=self.switch_threshold)
         if self._exact is not None and other._exact is not None:
-            merged._exact = self._exact + other._exact
+            merged._exact = sorted(self._exact + other._exact)
             if len(merged._exact) > merged.switch_threshold:
                 merged._to_sketch()
             return merged
@@ -265,39 +230,14 @@ class QuantileEstimator:
         return merged
 
     def _as_sketch(self) -> GKSummary:
+        """The flushed summary; in exact mode, a new one of the values."""
         if self._sketch is not None:
             self._sketch._flush()
             return self._sketch
+        # Maintain the summary at half the advertised budget: queries then
+        # sit well inside the eps contract and merges inside 2 * eps.
         sketch = GKSummary(eps=self.eps / 2)
-        sketch.extend(sorted(self._exact or []))
+        # Sorted feed keeps the summary deterministic for a given multiset.
+        sketch.extend(self._exact or [])
         sketch._flush()
         return sketch
-
-    def to_bytes(self) -> bytes:
-        if self._exact is not None:
-            values = np.sort(np.asarray(self._exact, dtype="<f8"))
-            head = struct.pack("<BdII", _MODE_EXACT, self.eps, self.switch_threshold, len(values))
-            return head + values.tobytes()
-        assert self._sketch is not None
-        return struct.pack("<BdI", _MODE_SKETCH, self.eps, self.switch_threshold) + self._sketch.to_bytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes, offset: int = 0) -> tuple["QuantileEstimator", int]:
-        mode = data[offset]
-        if mode == _MODE_EXACT:
-            _, eps, switch_threshold, count = struct.unpack_from("<BdII", data, offset)
-            offset += struct.calcsize("<BdII")
-            values = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-            offset += 8 * count
-            est = cls(eps=eps, switch_threshold=switch_threshold)
-            est._exact = [float(v) for v in values]
-            return est, offset
-        if mode == _MODE_SKETCH:
-            _, eps, switch_threshold = struct.unpack_from("<BdI", data, offset)
-            offset += struct.calcsize("<BdI")
-            sketch, offset = GKSummary.from_bytes(data, offset)
-            est = cls(eps=eps, switch_threshold=switch_threshold)
-            est._exact = None
-            est._sketch = sketch
-            return est, offset
-        raise ValueError(f"unknown estimator mode byte {mode}")

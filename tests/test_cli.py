@@ -89,7 +89,7 @@ class TestHappyPath:
         code, doc = run_cli(capsys, "--version")
         assert code == 0
         assert doc["version"] == "0.1.0"
-        assert doc["formats"] == {"checkpoint": 1, "profile_store": 2}
+        assert doc["formats"] == {"checkpoint": 1, "profile_store": 3}
 
     def test_fit_stats_summary(self, workspace, capsys, tmp_path):
         code, doc = run_cli(capsys, "fit-stats", "--log", str(workspace["log"]))
@@ -515,6 +515,26 @@ class TestErrors:
             assert (code, doc["error"]) == (2, "runtime-failure"), doc
             assert "truncated or corrupt" in doc["detail"]
 
+    def test_extended_binaries_are_runtime_failures(self, workspace, capsys, tmp_path):
+        ckpt = tmp_path / "model.ckpt"
+        code, _ = run_cli(
+            capsys, "train", "--labeled", str(workspace["labeled"]), "--ndt-params",
+            str(workspace["params"]), "--checkpoint", str(ckpt), "--epochs", "1",
+        )
+        assert code == 0
+        profiles, long_ckpt = tmp_path / "long.bin", tmp_path / "long.ckpt"
+        profiles.write_bytes(workspace["profiles"].read_bytes() + b"\x00")
+        long_ckpt.write_bytes(ckpt.read_bytes() + b"garbage")
+        label = [
+            "label", "--log", str(workspace["log"]), "--stats", str(workspace["stats"]),
+            "--profiles", str(profiles), "--out", str(tmp_path / "out.csv"),
+        ]
+        evaluate = ["eval", "--labeled", str(workspace["labeled"]), "--checkpoint", str(long_ckpt)]
+        for argv in (label, evaluate):
+            code, doc = run_cli(capsys, *argv)
+            assert (code, doc["error"]) == (2, "runtime-failure"), doc
+            assert "trailing bytes" in doc["detail"]
+
     @pytest.mark.parametrize(
         "mode, foreign",
         [
@@ -549,7 +569,8 @@ class TestErrors:
 
 class TestSimulatorGoldenBytes:
     """sha256 of small simulator outputs, pinned across versions: the log,
-    sidecar, planted stats and migration pair must keep their bytes.  The
+    sidecar, planted stats and migration pair must keep their bytes, and so
+    must the profile store built from the organic log.  The
     hashes come from a build on x86-64 Linux with Python 3.11 and numpy 2.4;
     a numpy whose RNG streams or SIMD float kernels differ may not match."""
 
@@ -589,6 +610,23 @@ class TestSimulatorGoldenBytes:
         assert code == 0, doc
         digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
         assert digests == outputs
+
+    @pytest.mark.parametrize(
+        "switch, golden",
+        [
+            # Default switch: all 20 items exact.
+            ([], "dcf168e8f6f2b09aa23cd1c5e0f3bfb3e2a5f257505bb09b5906bfa8377ee93c"),
+            # 16 items past a 12-record switch, 4 still exact.
+            (["--switch-threshold", "12"], "0816580b09ea7022cc4deb7a85f2eeab2c1dd11963717171a07ab1c580aafc92"),
+        ],
+        ids=["exact", "mixed"],
+    )
+    def test_profile_store_matches_golden_sha256(self, capsys, tmp_path, switch, golden):
+        log, profiles = tmp_path / "log.csv", tmp_path / "profiles.bin"
+        argv = ["--mode", "organic", "--users", "60", "--items", "20", "--seed", "3", "--out", str(log)]
+        assert run_cli(capsys, "simulate", *argv)[0] == 0
+        assert run_cli(capsys, "build-profiles", "--log", str(log), "--out", str(profiles), *switch)[0] == 0
+        assert hashlib.sha256(profiles.read_bytes()).hexdigest() == golden
 
 
 class TestConfigFile:

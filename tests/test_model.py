@@ -282,3 +282,9 @@ class TestCheckpoint:
         for cut in range(len(blob)):
             with pytest.raises(ValueError):
                 MtlNetwork.from_bytes(blob[:cut])
+
+    def test_trailing_bytes_raise_value_error(self):
+        blob = MtlNetwork(TINY_CONFIG).to_bytes()
+        for extra in (b"\x00", b"garbage"):
+            with pytest.raises(ValueError, match="trailing bytes"):
+                MtlNetwork.from_bytes(blob + extra)

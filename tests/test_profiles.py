@@ -1,19 +1,24 @@
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from readweight.dwell_stats import fit_log_normal
-from readweight.labeling import ValidReadSource, label_event, label_log
+from readweight.labeling import LabelingConfig, ValidReadSource, label_event, label_log
 from readweight.profiles import (
     FrozenProfileError,
     ItemDwellProfile,
     NoProfileDataError,
     ProfileStore,
+    WEEK_SECONDS,
     UserActivityProfile,
     build_profiles,
 )
-from readweight.quantiles import DEFAULT_SWITCH_THRESHOLD, QuantileEstimator
+from readweight.quantiles import DEFAULT_SWITCH_THRESHOLD, QuantileEstimator, nearest_rank
 from readweight.simulate import SimConfig, generate
 
 from readweight.events import EventTable
@@ -66,6 +71,32 @@ class TestItemProfile:
         assert profile.p10(exclude=10.0) == 20.0
         # Excluding a value not present changes nothing.
         assert profile.p10(exclude=55.0) == 10.0
+
+    @given(
+        st.lists(st.sampled_from([0.0, 1.5, 2.0, 7.25, 30.0]), min_size=1, max_size=40),
+        st.sampled_from([0.0, 1.5, 2.0, 7.25, 30.0, 99.0]),
+    )
+    def test_exclude_self_matches_brute_force(self, values, exclude):
+        """Ties, absent values and single records against a sorted copy
+        with one occurrence removed, then nearest rank."""
+        profile = item_profile()
+        for v in values:
+            profile.observe(v)
+        rest = sorted(values)
+        if exclude in rest:
+            rest.remove(exclude)
+        if not rest:
+            with pytest.raises(NoProfileDataError):
+                profile.p10(exclude=exclude)
+        else:
+            assert profile.p10(exclude=exclude) == rest[nearest_rank(0.10, len(rest)) - 1]
+
+    def test_exclude_only_record_raises(self):
+        profile = item_profile()
+        profile.observe(4.0)
+        with pytest.raises(NoProfileDataError):
+            profile.p10(exclude=4.0)
+        assert profile.p10(exclude=5.0) == 4.0
 
 
 class TestUserProfile:
@@ -148,15 +179,27 @@ class TestStore:
         loaded = ProfileStore.load(str(path))
         assert set(loaded.items) == set(store.items)
         assert set(loaded.users) == set(store.users)
-        assert loaded.items["i1"].n_records == 3
-        assert loaded.items["i1"].p10() == store.items["i1"].p10()
+        item = loaded.items["i1"]
+        assert item.estimator.mode == "exact" and item.n_records == 3
+        for p in (0.1, 0.5, 1.0):
+            assert item.estimator.query(p) == store.items["i1"].estimator.query(p)
         assert loaded.users["u2"].click_timestamps == store.users["u2"].click_timestamps
         assert loaded.frozen
+        assert loaded.to_bytes() == path.read_bytes()
 
-    def test_bytes_deterministic(self):
+    def test_bytes_deterministic(self, rng):
         a, _ = self.build_store()
         b, _ = self.build_store()
         assert a.to_bytes() == b.to_bytes()
+        values = rng.uniform(0, 10, 6000).tolist()
+
+        def sketchy():
+            store = ProfileStore(eps=0.01, switch_threshold=128)
+            for k, v in enumerate(values):
+                store.observe_event(make_event("u1", "hot", 1_700_000_000 + k, True, v))
+            return store.freeze().to_bytes()
+
+        assert sketchy() == sketchy()
 
     def test_sketchy_item_round_trip(self, tmp_path, rng):
         store = ProfileStore(eps=0.01, switch_threshold=256)
@@ -169,22 +212,24 @@ class TestStore:
         store.save(str(path))
         loaded = ProfileStore.load(str(path))
         assert loaded.items["hot"].estimator.mode == "sketch"
+        assert loaded.items["hot"].n_records == 2000
         assert loaded.items["hot"].p10() == store.items["hot"].p10()
+        assert loaded.to_bytes() == path.read_bytes()
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="magic"):
             ProfileStore.from_bytes(b"XXXX" + b"\x00" * 8)
 
-    def test_every_prefix_loads_or_raises_value_error(self):
-        """A cut-off file (an exact item, a sketch item and users) either
-        parses, when the cut falls between records, or raises ValueError."""
-        store = ProfileStore(eps=0.05, switch_threshold=8)
-        base = 1_700_000_000
-        for k in range(12):
-            store.observe_event(make_event(f"u{k % 3}", "hot", base + k, True, 10.0 + k))
-        store.observe_event(make_event("u0", "cold", base + 20, True, 5.0))
-        data = store.freeze().to_bytes()
-        assert store.items["hot"].estimator.mode == "sketch"
+    def test_other_version_rejected(self):
+        data = bytearray(small_store().to_bytes())
+        struct.pack_into("<I", data, 4, 2)
+        with pytest.raises(ValueError, match="version 2"):
+            ProfileStore.from_bytes(bytes(data))
+
+    def test_every_strict_prefix_raises_value_error(self):
+        """A cut-off file (an exact item, a sketch item and users) never
+        parses, wherever the cut falls."""
+        data = small_store().to_bytes()
         parsed = 0
         for cut in range(len(data)):
             try:
@@ -192,9 +237,95 @@ class TestStore:
                 parsed += 1
             except ValueError:
                 pass
-        # The parseable prefixes end after the header or after a whole
-        # record (the last record's end is the full buffer, not a prefix).
-        assert parsed == len(store.items) + len(store.users)
+        assert parsed == 0
+
+    def test_appended_byte_raises_value_error(self):
+        data = small_store().to_bytes()
+        for extra in (b"\x00", b"\x01", b"\xff"):
+            with pytest.raises(ValueError, match="trailing"):
+                ProfileStore.from_bytes(data + extra)
+
+    def test_descending_values_or_stamps_raise_value_error(self):
+        for mangle in (
+            lambda store: store.items["cold"].estimator._exact.reverse(),
+            lambda store: store.users["u0"].click_timestamps.reverse(),
+        ):
+            store = small_store()
+            mangle(store)
+            with pytest.raises(ValueError, match="out of order"):
+                ProfileStore.from_bytes(store.to_bytes())
+
+    def test_bad_utf8_token_raises_value_error(self):
+        data = small_store().to_bytes()
+        token = data.index(b"cold")
+        with pytest.raises(ValueError, match="utf-8"):
+            ProfileStore.from_bytes(data[:token] + b"\xff" + data[token + 1 :])
+
+
+def small_store() -> ProfileStore:
+    """A sketch item, two exact items and three users."""
+    store = ProfileStore(eps=0.05, switch_threshold=8)
+    base = 1_700_000_000
+    for k in range(12):
+        store.observe_event(make_event(f"u{k % 3}", "hot", base + k, True, 10.0 + k))
+    store.observe_event(make_event("u0", "cold", base + 20, True, 5.0))
+    store.observe_event(make_event("u0", "cold", base + 21, True, 2.0))
+    store.observe_event(make_event("u1", "warm", base + 22, True, 1.0))
+    assert store.items["hot"].estimator.mode == "sketch"
+    return store.freeze()
+
+
+TOKENS = st.text(st.characters(codec="utf-8"), max_size=6)
+
+
+@st.composite
+def stores(draw) -> ProfileStore:
+    """Exact and sketch items under a small switch, possibly no items or no
+    users, non-ASCII tokens, tied dwell values and repeated stamps."""
+    store = ProfileStore(
+        eps=draw(st.sampled_from([0.01, 0.05, 0.2])), switch_threshold=draw(st.integers(1, 6))
+    )
+    dwell = st.sampled_from([0.0, 0.5, 3.0, 3.0, 12.25, 40.0]) | st.floats(0, 1e4)
+    for token in draw(st.sets(TOKENS, max_size=5)):
+        profile = ItemDwellProfile(token, QuantileEstimator(store.eps, store.switch_threshold))
+        for value in draw(st.lists(dwell, min_size=1, max_size=30)):
+            profile.observe(value)
+        store.items[token] = profile
+    stamp = st.integers(1_700_000_000, 1_700_000_000 + 3 * WEEK_SECONDS)
+    for token in draw(st.sets(TOKENS, max_size=5)):
+        user = UserActivityProfile(token)
+        for ts in draw(st.lists(stamp, max_size=12).map(lambda xs: xs + xs[:2])):
+            user.record_click(ts)
+        store.users[token] = user
+    return store.freeze()
+
+
+class TestStoreRoundTripProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(stores(), st.lists(st.integers(1_700_000_000, 1_700_000_000 + 4 * WEEK_SECONDS), max_size=4))
+    def test_bytes_and_answers_survive(self, store, probes):
+        data = store.to_bytes()
+        loaded = ProfileStore.from_bytes(data)
+        assert loaded.to_bytes() == data
+        assert (loaded.eps, loaded.switch_threshold) == (store.eps, store.switch_threshold)
+        assert loaded.items.keys() == store.items.keys() and loaded.users.keys() == store.users.keys()
+        for token, item in store.items.items():
+            again = loaded.items[token]
+            assert again.estimator.mode == item.estimator.mode
+            assert again.n_records == item.n_records
+            assert again.p10() == item.p10()
+            for exclude in {min(item.estimator._exact or [0.0]), 3.0}:
+                assert answer(again.p10, exclude) == answer(item.p10, exclude)
+        for token, user in store.users.items():
+            for at in probes + user.click_timestamps:
+                assert loaded.users[token].window_size(at) == user.window_size(at)
+
+
+def answer(p10, exclude):
+    try:
+        return p10(exclude=exclude)
+    except NoProfileDataError:
+        return "no data"
 
 
 class TestColumnBuildEqualsPerEventLoop:
@@ -213,32 +344,39 @@ class TestColumnBuildEqualsPerEventLoop:
             assert store.frozen and store.to_bytes() == expected
 
 
+@pytest.mark.parametrize(
+    "cfg, switch_threshold",
+    [
+        # Every item past a 64-record switch: GK sketch mode.
+        (
+            SimConfig(
+                n_users=60,
+                n_items=8,
+                impressions_per_level=(1, 1, 1, 1, 1, 1, 100),
+                activeness_mix=(0, 0, 0, 0, 0, 0, 1),
+                seed=1,
+            ),
+            64,
+        ),
+        # Default switch: every item in exact mode.
+        (SimConfig(n_users=400, n_items=60, seed=7), DEFAULT_SWITCH_THRESHOLD),
+    ],
+)
 class TestLabelsSurviveStoreRoundTrip:
     """Labels against a saved-and-reloaded store equal in-memory ones."""
 
-    @pytest.mark.parametrize(
-        "cfg, switch_threshold",
-        [
-            # Every item past a 64-record switch: GK sketch mode.
-            (
-                SimConfig(
-                    n_users=60,
-                    n_items=8,
-                    impressions_per_level=(1, 1, 1, 1, 1, 1, 100),
-                    activeness_mix=(0, 0, 0, 0, 0, 0, 1),
-                    seed=1,
-                ),
-                64,
-            ),
-            # Default switch: every item in exact mode.
-            (SimConfig(n_users=400, n_items=60, seed=7), DEFAULT_SWITCH_THRESHOLD),
-        ],
-    )
     def test_in_memory_and_reloaded_labels_agree(self, cfg, switch_threshold):
+        self.assert_labels_agree(cfg, switch_threshold, LabelingConfig())
+
+    def test_in_memory_and_reloaded_labels_agree_excluding_self(self, cfg, switch_threshold):
+        self.assert_labels_agree(cfg, switch_threshold, LabelingConfig(t3_exclude_self=True))
+
+    @staticmethod
+    def assert_labels_agree(cfg, switch_threshold, labeling):
         events, _ = generate(cfg)
         stats = fit_log_normal(events)
         store = build_profiles(events, switch_threshold=switch_threshold)
         reloaded = ProfileStore.from_bytes(store.to_bytes())
-        in_memory = [(l.kind, l.source) for _, l in label_log(events, stats, store)]
-        from_disk = [(l.kind, l.source) for _, l in label_log(events, stats, reloaded)]
+        in_memory = [(l.kind, l.source) for _, l in label_log(events, stats, store, labeling)]
+        from_disk = [(l.kind, l.source) for _, l in label_log(events, stats, reloaded, labeling)]
         assert from_disk == in_memory

@@ -139,42 +139,6 @@ class TestSketchMode:
         assert all(a <= b for a, b in zip(qs, qs[1:]))
 
 
-class TestSerialization:
-    def test_exact_round_trip_f32(self):
-        est = QuantileEstimator()
-        for v in (3.5, 1.25, 9.75):
-            est.observe(v)
-        blob = est.to_bytes()
-        loaded, offset = QuantileEstimator.from_bytes(blob)
-        assert offset == len(blob)
-        assert loaded.mode == "exact"
-        assert loaded.n == 3
-        # Values chosen exactly representable in float32.
-        for p in (0.1, 0.5, 1.0):
-            assert loaded.query(p) == est.query(p)
-
-    def test_sketch_round_trip(self, rng):
-        est = QuantileEstimator(eps=0.01, switch_threshold=16)
-        for v in rng.uniform(0, 10, 5000).tolist():
-            est.observe(v)
-        blob = est.to_bytes()
-        loaded, _ = QuantileEstimator.from_bytes(blob)
-        assert loaded.mode == "sketch"
-        assert loaded.n == est.n
-        assert loaded.to_bytes() == blob
-
-    def test_deterministic_bytes(self, rng):
-        values = rng.uniform(0, 10, 6000).tolist()
-
-        def build():
-            est = QuantileEstimator(eps=0.01, switch_threshold=128)
-            for v in values:
-                est.observe(v)
-            return est.to_bytes()
-
-        assert build() == build()
-
-
 class TestGKInvariant:
     def test_band_invariant_holds(self, rng):
         sk = GKSummary(eps=0.02)
