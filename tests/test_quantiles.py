@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from readweight.profiles import ItemDwellProfile, ProfileStore
 from readweight.quantiles import GKSummary, QuantileEstimator, nearest_rank
 
 
@@ -137,6 +138,54 @@ class TestSketchMode:
             est.observe(v)
         qs = [est.query(p) for p in np.linspace(0, 1, 101)]
         assert all(a <= b for a, b in zip(qs, qs[1:]))
+
+
+class TestSerialization:
+    """Estimators are serialized as item profiles of a profile store."""
+
+    @staticmethod
+    def to_bytes(est: QuantileEstimator) -> bytes:
+        store = ProfileStore(eps=est.eps, switch_threshold=est.switch_threshold)
+        store.items["i"] = ItemDwellProfile("i", est)
+        return store.freeze().to_bytes()
+
+    @staticmethod
+    def from_bytes(blob: bytes) -> QuantileEstimator:
+        return ProfileStore.from_bytes(blob).items["i"].estimator
+
+    def test_exact_round_trip_f32(self):
+        est = QuantileEstimator()
+        for v in (3.5, 1.25, 9.75):
+            est.observe(v)
+        blob = self.to_bytes(est)
+        loaded = self.from_bytes(blob)
+        assert loaded.mode == "exact"
+        assert loaded.n == 3
+        # Values chosen exactly representable in float32.
+        for p in (0.1, 0.5, 1.0):
+            assert loaded.query(p) == est.query(p)
+        assert self.to_bytes(loaded) == blob
+
+    def test_sketch_round_trip(self, rng):
+        est = QuantileEstimator(eps=0.01, switch_threshold=16)
+        for v in rng.uniform(0, 10, 5000).tolist():
+            est.observe(v)
+        blob = self.to_bytes(est)
+        loaded = self.from_bytes(blob)
+        assert loaded.mode == "sketch"
+        assert loaded.n == est.n
+        assert self.to_bytes(loaded) == blob
+
+    def test_deterministic_bytes(self, rng):
+        values = rng.uniform(0, 10, 6000).tolist()
+
+        def build():
+            est = QuantileEstimator(eps=0.01, switch_threshold=128)
+            for v in values:
+                est.observe(v)
+            return self.to_bytes(est)
+
+        assert build() == build()
 
 
 class TestGKInvariant:
