@@ -6,7 +6,14 @@ The generator plants which labeling rule each valid read should fire
 two-pass pipeline recovers the mix from the raw log alone.
 """
 
-from readweight import RuleMixConfig, build_profiles, composition_report, generate_rule_mix, label_log
+from readweight import (
+    LabeledLog,
+    RuleMixConfig,
+    build_profiles,
+    composition_report,
+    generate_rule_mix,
+    label_log,
+)
 
 corpus = generate_rule_mix(RuleMixConfig(n_valid_reads=20_000, mix=(0.8, 0.1, 0.1), seed=7))
 print(f"corpus: {len(corpus.events)} events, planted stats x_l={corpus.stats.x_l:.1f}s")
@@ -14,8 +21,8 @@ print(f"analytic mix: { {k: round(v, 4) for k, v in corpus.analytic_mix.items()}
 print()
 
 store = build_profiles(corpus.events)          # statistics pass
-labeled = list(label_log(corpus.events, corpus.stats, store))  # labeling pass
-report = composition_report(label for _, label in labeled)
+labeled = LabeledLog.from_pairs(label_log(corpus.events, corpus.stats, store))  # labeling pass
+report = composition_report(labeled)
 
 print("label counts:")
 for kind, count in report["counts"].items():

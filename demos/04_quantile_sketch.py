@@ -41,5 +41,5 @@ for d in range(1, 10):
     e2 = abs(rank_of(v2) - target) / n
     print(f"{p:5.1f} {true_value:10.2f} {v1:10.2f} {e1:9.4f} {v2:10.2f} {e2:9.4f}")
 
-print(f"\nsummary sizes: single={len(est._sketch._values)} entries, "
-      f"merged={len(merged._sketch._values)} entries, for {n} observations")
+print(f"\nsummary sizes: single={len(est._sketch.entries)} entries, "
+      f"merged={len(merged._sketch.entries)} entries, for {n} observations")

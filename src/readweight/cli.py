@@ -39,14 +39,7 @@ from ._fileio import atomic_write_text
 from .dwell_stats import DwellStats, InsufficientDataError, fit_log_normal, histogram_csv, histogram_lnT
 from .events import HEADER_MODES, BadLineBudgetExceeded, LogFormatError, read_log, write_log
 from .evaluation import EvalReport, migration_csv, migration_report
-from .labeling import (
-    LABELED_HEADER,
-    LabelingConfig,
-    composition_report,
-    label_log,
-    read_labeled_log,
-    serialize_labeled,
-)
+from .labeling import LabeledLog, LabelingConfig, composition_report, label_log, read_labeled_log
 from .model import MtlNetwork
 from .ndt import NEG_MODES, NdtParams, paper_default_params
 from .profiles import ProfileStore, build_profiles
@@ -350,11 +343,9 @@ def _handle_label(opts: Options) -> dict:
     cfg = LabelingConfig(
         **opts.given("noise-floor", "light-max-clicks", "min-records-t3", "t3-exclude-self")
     )
-    labeled = list(label_log(events, stats, store, cfg))
-    lines = [LABELED_HEADER]
-    lines.extend(serialize_labeled(event, label) for event, label in labeled)
-    atomic_write_text(out, "\n".join(lines) + "\n")
-    report = composition_report(label for _, label in labeled)
+    labeled = LabeledLog.from_pairs(label_log(events, stats, store, cfg))
+    atomic_write_text(out, labeled.to_text())
+    report = composition_report(labeled)
     report_path = opts.get("report")
     if report_path:
         atomic_write_text(report_path, json.dumps(report, sort_keys=True) + "\n")

@@ -287,10 +287,16 @@ def write_log(
     """Write a table or any iterable of events as canonical log lines,
     atomically; returns the number of rows written."""
     table = EventTable.of(events)
-    lines = map(
-        (_LOG_LINE + "\n").format,
+    atomic_write_text(path, (LOG_HEADER + "\n" if header else "") + log_lines(table))
+    return len(table)
+
+
+def log_lines(table: EventTable, *extra: list[str]) -> str:
+    """A table's rows as canonical log lines, each ending in a newline; each
+    of ``extra`` is a text column appended to every line after a comma."""
+    return "".join(map(
+        (_LOG_LINE + ",{}" * len(extra) + "\n").format,
         table.user_id, table.item_id,
         table.timestamp.tolist(), table.clicked.tolist(), table.dwell_time_s.tolist(),
-    )
-    atomic_write_text(path, (LOG_HEADER + "\n" if header else "") + "".join(lines))
-    return len(table)
+        *extra,
+    ))

@@ -30,6 +30,7 @@ from .events import (
     EventTable,
     InteractionEvent,
     LogFormatError,
+    log_lines,
     parse_event,
     serialize_event,
     split_columns,
@@ -121,30 +122,6 @@ def label_log(
         )
 
 
-def composition_report(labels: Iterable[ValidReadLabel]) -> dict:
-    """Counts per kind/source plus fractions of valid reads per source.
-
-    Fractions are over valid reads only and sum to 1 when any exist; with
-    zero valid reads the fraction map is empty but counts remain.
-    """
-    counts = {kind.value: 0 for kind in LabelKind}
-    source_counts = {source.value: 0 for source in ValidReadSource}
-    for label in labels:
-        counts[label.kind.value] += 1
-        if label.source is not None:
-            source_counts[label.source.value] += 1
-    n_valid = counts[LabelKind.VALID_READ.value]
-    fractions = (
-        {name: count / n_valid for name, count in source_counts.items()} if n_valid else {}
-    )
-    return {
-        "counts": counts,
-        "valid_read_source_counts": source_counts,
-        "valid_read_source_fractions": fractions,
-        "n_events": sum(counts.values()),
-    }
-
-
 # Labeled-log lines are the event columns plus `label,source`.
 LABELED_HEADER = "user_id,item_id,timestamp,clicked,dwell_time_s,label,source"
 
@@ -188,15 +165,40 @@ class LabeledLog:
         pairs = list(pairs)
         n = len(pairs)
         labels = [label for _, label in pairs]
+        # Kinds and sources are str enums, so they look up their own codes.
         return cls(
             EventTable.of(event for event, _ in pairs),
-            np.fromiter((_KIND_CODE[l.kind.value] for l in labels), dtype=np.int8, count=n),
-            np.fromiter(
-                (_SOURCE_CODE[l.source.value if l.source else ""] for l in labels),
-                dtype=np.int8,
-                count=n,
-            ),
+            np.fromiter((_KIND_CODE[l.kind] for l in labels), dtype=np.int8, count=n),
+            np.fromiter((_SOURCE_CODE[l.source or ""] for l in labels), dtype=np.int8, count=n),
         )
+
+    def to_text(self) -> str:
+        """The log as labeled-log text: the header, then each row as
+        ``serialize_labeled`` writes it, formatted from the columns."""
+        kind = np.array(list(_KIND_CODE))[self.kind].tolist()
+        source = np.array(list(_SOURCE_CODE))[self.source].tolist()
+        return LABELED_HEADER + "\n" + log_lines(self.events, kind, source)
+
+
+def composition_report(log: LabeledLog) -> dict:
+    """Counts per kind/source plus fractions of valid reads per source.
+
+    Fractions are over valid reads only and sum to 1 when any exist; with
+    zero valid reads the fraction map is empty but counts remain.
+    """
+    counts = dict(zip(_KIND_CODE, np.bincount(log.kind, minlength=len(LABEL_KINDS)).tolist()))
+    sources = np.bincount(log.source, minlength=len(LABEL_SOURCES)).tolist()
+    source_counts = dict(zip(list(_SOURCE_CODE)[1:], sources[1:]))
+    n_valid = counts[LabelKind.VALID_READ.value]
+    fractions = (
+        {name: count / n_valid for name, count in source_counts.items()} if n_valid else {}
+    )
+    return {
+        "counts": counts,
+        "valid_read_source_counts": source_counts,
+        "valid_read_source_fractions": fractions,
+        "n_events": len(log),
+    }
 
 
 def serialize_labeled(event: InteractionEvent, label: ValidReadLabel) -> str:

@@ -20,11 +20,12 @@ each sized by what came before it:
 - u64 sorted click timestamps of the users.
 
 An item is in sketch mode exactly when its record count is above the switch
-threshold.  The arrays must end at the end of the buffer, so a cut or
-extended store is rejected; values are stored in full f64, so a reloaded
-store answers every query exactly as the saved one did.  Equal inputs give
-equal bytes.  Version 2 had length-prefixed records and no record count;
-version 1 stored the values as f32.
+threshold; its GK values ascend and its g values sum to its record count.
+The arrays must end at the end of the buffer, so a cut or extended store is
+rejected; values are stored in full f64, so a reloaded store answers every
+query exactly as the saved one did.  Equal inputs give equal bytes.
+Version 2 had length-prefixed records and no record count; version 1
+stored the values as f32.
 """
 
 from __future__ import annotations
@@ -171,18 +172,14 @@ class ProfileStore:
         tokens = [token.encode("utf-8") for token in item_ids + user_ids]
         exact = [p.estimator._exact for p in items if p.estimator.mode == "exact"]
         sketches = [p.estimator._as_sketch() for p in items if p.estimator.mode == "sketch"]
-        entries = np.empty(sum(len(s._values) for s in sketches), _GK_ENTRY)
-        entries["value"] = list(chain.from_iterable(s._values for s in sketches))
-        entries["g"] = list(chain.from_iterable(s._g for s in sketches))
-        entries["delta"] = list(chain.from_iterable(s._delta for s in sketches))
         arrays = [
             np.array([len(t) for t in tokens], "<u2"),
             np.frombuffer(b"".join(tokens), "u1"),
             np.array([p.n_records for p in items], "<u8"),
             np.array([len(p.click_timestamps) for p in users], "<u4"),
             np.array(list(chain.from_iterable(exact)), "<f8"),
-            np.array([len(s._values) for s in sketches], "<u4"),
-            entries,
+            np.array([len(s.entries) for s in sketches], "<u4"),
+            np.fromiter(chain.from_iterable(s.entries for s in sketches), _GK_ENTRY),
             np.array(list(chain.from_iterable(p.click_timestamps for p in users)), "<u8"),
         ]
         header = _HEADER.pack(
@@ -223,6 +220,12 @@ class ProfileStore:
                 raise ValueError(f"{len(data) - offset} trailing bytes")
             _check_ascending(values, counts[~sketchy], "dwell values")
             _check_ascending(stamps, clicks, "click timestamps")
+            if not sizes.all():
+                raise ValueError("sketch item with no GK entries")
+            _check_ascending(entries["value"], sizes, "GK values")
+            starts = (np.cumsum(sizes) - sizes).astype(np.intp)
+            if (np.add.reduceat(entries["g"], starts) != counts[sketchy]).any():
+                raise ValueError("GK gaps do not sum to the record count")
             ends = np.cumsum(token_lens).tolist()
             tokens = [token_bytes[a:b].decode("utf-8") for a, b in zip([0] + ends, ends)]
         except (ValueError, OverflowError) as err:
@@ -230,7 +233,7 @@ class ProfileStore:
 
         store = cls(eps=eps, switch_threshold=switch_threshold)
         values, sizes = values.tolist(), iter(sizes.tolist())
-        gk_values, gk_g, gk_delta = (entries[name].tolist() for name in _GK_ENTRY.names)
+        entries = list(zip(*(entries[name].tolist() for name in _GK_ENTRY.names)))
         v = e = 0
         for token, n, sketch in zip(tokens, counts.tolist(), sketchy.tolist()):
             estimator = QuantileEstimator(eps=eps, switch_threshold=switch_threshold)
@@ -238,9 +241,7 @@ class ProfileStore:
                 # An empty estimator's sketch has the budget it would keep.
                 estimator._to_sketch()
                 gk, end = estimator._sketch, e + next(sizes)
-                gk.n = n
-                gk._values, gk._g, gk._delta = gk_values[e:end], gk_g[e:end], gk_delta[e:end]
-                e = end
+                gk.n, gk.entries, e = n, entries[e:end], end
             else:
                 estimator._exact = values[v : v + n]
                 v += n

@@ -1,11 +1,12 @@
 """Quantile estimation for per-item dwell-time histories.
 
 Small histories are kept exactly; past a switch threshold the estimator
-converts itself into a Greenwald-Khanna rank summary with worst-case rank
-error ``eps * n``.  Merging two summaries keeps each side's tuples, so the
-merged rank error is bounded by the sum of the two budgets (2 * eps for
-equal budgets).  All quantiles use the nearest-rank definition: the value at
-1-based sorted index ceil(p * n).
+converts itself into a Greenwald-Khanna rank summary: one list of
+``(value, g, delta)`` entries with worst-case rank error ``eps * n``.
+Merging two summaries keeps each side's entries as they are, so a merged
+entry's rank may also be off by one band of the other side: the merged rank
+error is at most ``eps * n + 2 * eps * max(n_a, n_b)``.  All quantiles use
+the nearest-rank definition: the value at 1-based sorted index ceil(p * n).
 
 The sketch is deterministic (no randomized compaction), which keeps profile
 stores byte-stable across runs.
@@ -15,10 +16,12 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from typing import Iterable
+from operator import itemgetter
 
 DEFAULT_EPS = 0.01
 DEFAULT_SWITCH_THRESHOLD = 4096
+
+Entry = tuple[float, int, int]
 
 
 def nearest_rank(p: float, n: int) -> int:
@@ -31,23 +34,22 @@ def nearest_rank(p: float, n: int) -> int:
 class GKSummary:
     """Greenwald-Khanna quantile summary.
 
-    Entries are (value, g, delta) with values ascending; g is the rank gap to
-    the previous entry and delta the extra rank slack, so entry i covers true
-    ranks [sum(g_1..g_i), sum(g_1..g_i) + delta_i].  The maintenance
-    invariant g_i + delta_i <= floor(2 * eps * n) makes rank queries accurate
-    to eps * n.  Incoming values are buffered and folded in sorted batches.
+    ``entries`` is a list of (value, g, delta) tuples with values ascending;
+    g is the rank gap to the previous entry and delta the extra rank slack,
+    so entry i covers true ranks [sum(g_1..g_i), sum(g_1..g_i) + delta_i].
+    The maintenance invariant g_i + delta_i <= max(floor(2 * eps * n), 1)
+    makes rank queries accurate to eps * n.  Incoming values are buffered
+    and folded in sorted batches.
     """
 
-    __slots__ = ("eps", "n", "_values", "_g", "_delta", "_buffer")
+    __slots__ = ("eps", "n", "entries", "_buffer")
 
     def __init__(self, eps: float = DEFAULT_EPS):
         if not 0 < eps < 1:
             raise ValueError(f"eps must be in (0, 1), got {eps}")
         self.eps = eps
         self.n = 0
-        self._values: list[float] = []
-        self._g: list[int] = []
-        self._delta: list[int] = []
+        self.entries: list[Entry] = []
         self._buffer: list[float] = []
 
     def add(self, value: float) -> None:
@@ -55,111 +57,72 @@ class GKSummary:
         if len(self._buffer) >= max(int(1.0 / self.eps), 16):
             self._flush()
 
-    def extend(self, values: Iterable[float]) -> None:
-        for v in values:
-            self.add(v)
-
     def _flush(self) -> None:
         if not self._buffer:
             return
         batch = sorted(self._buffer)
         self._buffer = []
-        new_n = self.n + len(batch)
-        cap = max(int(2 * self.eps * new_n) - 1, 0)
-
-        values, gs, deltas = self._values, self._g, self._delta
-        out_v: list[float] = []
-        out_g: list[int] = []
-        out_d: list[int] = []
-        i = j = 0
-        while i < len(values) or j < len(batch):
-            if j >= len(batch) or (i < len(values) and values[i] <= batch[j]):
-                out_v.append(values[i])
-                out_g.append(gs[i])
-                out_d.append(deltas[i])
-                i += 1
-            else:
-                v = batch[j]
-                # Extremes stay exact (delta 0); interior values take the
-                # loosest slack the invariant allows.
-                first = not out_v
-                last = i >= len(values) and j == len(batch) - 1
-                out_v.append(v)
-                out_g.append(1)
-                out_d.append(0 if (first or last) else cap)
-                j += 1
-        self._values, self._g, self._delta = out_v, out_g, out_d
-        self.n = new_n
+        held = self.entries
+        self.n += len(batch)
+        # Interior values take the loosest slack the invariant allows;
+        # a value that lands first or last stays exact (delta 0).
+        cap = max(int(2 * self.eps * self.n) - 1, 0)
+        entries = _merged(held, [(v, 1, cap) for v in batch])
+        if not held or batch[0] < held[0][0]:
+            entries[0] = (batch[0], 1, 0)
+        if not held or batch[-1] >= held[-1][0]:
+            entries[-1] = (batch[-1], 1, 0)
+        self.entries = entries
         self._compress()
 
     def _compress(self) -> None:
-        if len(self._values) < 3:
+        entries = self.entries
+        if len(entries) < 3:
             return
         threshold = int(2 * self.eps * self.n)
-        values, gs, deltas = self._values, self._g, self._delta
         # Right-to-left sweep, never touching the first or last entry.
-        out_v = [values[-1]]
-        out_g = [gs[-1]]
-        out_d = [deltas[-1]]
-        for i in range(len(values) - 2, 0, -1):
-            if gs[i] + out_g[-1] + out_d[-1] <= threshold:
-                out_g[-1] += gs[i]
+        out = [entries[-1]]
+        for entry in entries[-2:0:-1]:
+            value, g, delta = out[-1]
+            if entry[1] + g + delta <= threshold:
+                out[-1] = (value, entry[1] + g, delta)
             else:
-                out_v.append(values[i])
-                out_g.append(gs[i])
-                out_d.append(deltas[i])
-        out_v.append(values[0])
-        out_g.append(gs[0])
-        out_d.append(deltas[0])
-        out_v.reverse()
-        out_g.reverse()
-        out_d.reverse()
-        self._values, self._g, self._delta = out_v, out_g, out_d
+                out.append(entry)
+        out.append(entries[0])
+        out.reverse()
+        self.entries = out
 
     def query(self, p: float) -> float:
         if self.n == 0 and not self._buffer:
             raise ValueError("cannot query an empty summary")
         self._flush()
         if p <= self.eps:
-            return self._values[0]
+            return self.entries[0][0]
         if p >= 1.0 - self.eps:
-            return self._values[-1]
+            return self.entries[-1][0]
         rank = nearest_rank(p, self.n)
         slack = self.eps * self.n
         rmin = 0
-        for value, g, delta in zip(self._values, self._g, self._delta):
+        for value, g, delta in self.entries:
             rmin += g
-            rmax = rmin + delta
-            if rmax - slack <= rank <= rmin + slack:
+            if rmin + delta - slack <= rank <= rmin + slack:
                 return value
-        return self._values[-1]
+        return self.entries[-1][0]
 
     def merge(self, other: "GKSummary") -> "GKSummary":
-        """Combine two summaries; rank error grows to the sum of budgets."""
+        """Combine two summaries; on equal values ``self``'s entries come first."""
         self._flush()
         other._flush()
         merged = GKSummary(eps=self.eps)
         merged.n = self.n + other.n
-        a_v, a_g, a_d = self._values, self._g, self._delta
-        b_v, b_g, b_d = other._values, other._g, other._delta
-        out_v: list[float] = []
-        out_g: list[int] = []
-        out_d: list[int] = []
-        i = j = 0
-        while i < len(a_v) or j < len(b_v):
-            if j >= len(b_v) or (i < len(a_v) and a_v[i] <= b_v[j]):
-                out_v.append(a_v[i])
-                out_g.append(a_g[i])
-                out_d.append(a_d[i])
-                i += 1
-            else:
-                out_v.append(b_v[j])
-                out_g.append(b_g[j])
-                out_d.append(b_d[j])
-                j += 1
-        merged._values, merged._g, merged._delta = out_v, out_g, out_d
+        merged.entries = _merged(self.entries, other.entries)
         merged._compress()
         return merged
+
+
+def _merged(a: list[Entry], b: list[Entry]) -> list[Entry]:
+    """Two ascending entry lists as one; on equal values ``a``'s come first."""
+    return sorted(a + b, key=itemgetter(0))
 
 
 class QuantileEstimator:
@@ -238,6 +201,7 @@ class QuantileEstimator:
         # sit well inside the eps contract and merges inside 2 * eps.
         sketch = GKSummary(eps=self.eps / 2)
         # Sorted feed keeps the summary deterministic for a given multiset.
-        sketch.extend(self._exact or [])
+        for value in self._exact or []:
+            sketch.add(value)
         sketch._flush()
         return sketch

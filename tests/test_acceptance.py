@@ -161,8 +161,8 @@ def test_c04_labeler_goldens_and_planted_mix():
     # pipeline (profiles built from the corpus, stats as planted).
     corpus = generate_rule_mix(RuleMixConfig(n_valid_reads=48_000, mix=(0.8, 0.1, 0.1), seed=4))
     store = build_profiles(corpus.events)
-    labeled = list(label_log(corpus.events, corpus.stats, store))
-    rep = composition_report(label for _, label in labeled)
+    labeled = LabeledLog.from_pairs(label_log(corpus.events, corpus.stats, store))
+    rep = composition_report(labeled)
     mix_dev = max(
         abs(rep["valid_read_source_fractions"][s] - corpus.analytic_mix[s])
         for s in ("T1", "T2", "T3")

@@ -176,6 +176,13 @@ class TestLabelType:
         assert label_event(event, STATS15, None, None).kind is LabelKind.NOISE_CLICK
 
 
+def log_of(labels: list[ValidReadLabel]) -> LabeledLog:
+    return LabeledLog.from_pairs(
+        (make_event(clicked=l.kind is not LabelKind.NOT_CLICKED, dwell_time_s=l.dwell_time_s), l)
+        for l in labels
+    )
+
+
 class TestComposition:
     def test_counting(self):
         labels = [
@@ -184,7 +191,7 @@ class TestComposition:
             ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T2, 8.0),
             ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T3, 9.0),
         ]
-        report = composition_report(labels)
+        report = composition_report(log_of(labels))
         assert report["valid_read_source_fractions"] == {"T1": 0.5, "T2": 0.25, "T3": 0.25}
         assert report["counts"]["ValidRead"] == 4
 
@@ -193,7 +200,7 @@ class TestComposition:
             ValidReadLabel(LabelKind.NOT_CLICKED, None, 0.0),
             ValidReadLabel(LabelKind.NOISE_CLICK, None, 2.0),
         ]
-        report = composition_report(labels)
+        report = composition_report(log_of(labels))
         assert report["valid_read_source_fractions"] == {}
         assert report["counts"]["NotClicked"] == 1
         assert report["n_events"] == 2
@@ -203,7 +210,7 @@ class TestComposition:
             ValidReadLabel(LabelKind.VALID_READ, src, 10.0)
             for src in (ValidReadSource.T1, ValidReadSource.T2, ValidReadSource.T3)
         ] * 7
-        report = composition_report(labels)
+        report = composition_report(log_of(labels))
         assert sum(report["valid_read_source_fractions"].values()) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -343,6 +350,23 @@ class TestColumnarReader:
         assert [serialize_labeled(e, l) for e, l in pairs] == lines
         assert_same_columns(LabeledLog.from_pairs(pairs), log)
         assert log.valid_read.tolist() == [l.kind is LabelKind.VALID_READ for _, l in pairs]
+
+    def test_text_and_composition_match_per_row_oracle(self, tmp_path, rng):
+        for n in (0, 1, 60):
+            lines = random_labeled_lines(rng, n)
+            text = LABELED_HEADER + "\n" + "".join(line + "\n" for line in lines)
+            path = tmp_path / "labeled.csv"
+            path.write_text(text, encoding="utf-8")
+            log = read_labeled_log(path)
+            assert log.to_text() == text
+            labels = [label for _, label in log]
+            report = composition_report(log)
+            assert report["n_events"] == n
+            for kind in LabelKind:
+                assert report["counts"][kind.value] == sum(l.kind is kind for l in labels)
+            for source in ValidReadSource:
+                count = sum(l.source is source for l in labels)
+                assert report["valid_read_source_counts"][source.value] == count
 
     @pytest.mark.parametrize(
         "row, message",

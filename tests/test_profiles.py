@@ -255,6 +255,24 @@ class TestStore:
             with pytest.raises(ValueError, match="out of order"):
                 ProfileStore.from_bytes(store.to_bytes())
 
+    def test_corrupt_gk_entries_raise_value_error(self):
+        def bump_g(entries):
+            value, g, delta = entries[3]
+            entries[3] = (value, g + 1, delta)
+
+        def swap_value(entries):
+            entries[3] = (entries[5][0], *entries[3][1:])
+
+        for mangle, match in (
+            (bump_g, "sum to the record count"),
+            (swap_value, "GK values out of order"),
+            (list.clear, "no GK entries"),
+        ):
+            store = small_store()
+            mangle(store.items["hot"].estimator._as_sketch().entries)
+            with pytest.raises(ValueError, match=match):
+                ProfileStore.from_bytes(store.to_bytes())
+
     def test_bad_utf8_token_raises_value_error(self):
         data = small_store().to_bytes()
         token = data.index(b"cold")

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from readweight.profiles import ItemDwellProfile, ProfileStore
@@ -195,6 +197,93 @@ class TestGKInvariant:
             sk.add(v)
         sk._flush()
         threshold = int(2 * sk.eps * sk.n)
-        interior = list(zip(sk._g, sk._delta))[1:-1]
-        assert all(g + d <= threshold for g, d in interior)
-        assert sum(sk._g) == sk.n
+        interior = sk.entries[1:-1]
+        assert all(g + d <= threshold for _, g, d in interior)
+        assert sum(g for _, g, _ in sk.entries) == sk.n
+
+
+def gk_of(eps: float, values: list[float]) -> GKSummary:
+    sk = GKSummary(eps=eps)
+    for v in values:
+        sk.add(v)
+    sk._flush()
+    return sk
+
+
+def check_summary(sk: GKSummary, data: list[float], rank_budget: float) -> None:
+    """The GK invariants, and every decile within ``rank_budget`` ranks."""
+    values = [v for v, _, _ in sk.entries]
+    assert values == sorted(values)
+    assert sum(g for _, g, _ in sk.entries) == sk.n == len(data)
+    # While floor(2 * eps * n) is 0 no entry can meet it; exact entries (1, 0) stand.
+    threshold = max(math.floor(2 * sk.eps * sk.n), 1)
+    assert all(g + d <= threshold for _, g, d in sk.entries[1:-1])
+    assert sk.entries[0][2] == sk.entries[-1][2] == 0
+    exact = np.sort(np.array(data))
+    for p in np.linspace(0, 1, 11).tolist():
+        assert rank_error(exact, sk.query(p), p) * sk.n <= rank_budget + 1e-9
+
+
+TIES = st.sampled_from([-0.0, 0.0, 1.0, 1.0, 2.5]) | st.floats(0, 100)
+
+
+class TestGKProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([0.3, 0.1, 0.05, 0.01]),
+        st.lists(TIES, min_size=1, max_size=400),
+        st.lists(TIES, min_size=1, max_size=400),
+    )
+    def test_streams_and_merges(self, eps, xs, ys):
+        a, b = gk_of(eps, xs), gk_of(eps, ys)
+        check_summary(a, xs, eps * len(xs))
+        check_summary(b, ys, eps * len(ys))
+        # A merged entry's rank is off by at most the other side's band.
+        budget = eps * (len(xs) + len(ys)) + 2 * eps * max(len(xs), len(ys))
+        check_summary(a.merge(b), xs + ys, budget)
+        check_summary(b.merge(a), ys + xs, budget)
+
+
+def signed(entries: list) -> list:
+    """Entries with each value's sign, so -0.0 and 0.0 differ."""
+    return [(math.copysign(1.0, v), v, g, d) for v, g, d in entries]
+
+
+class TestGKTieOrder:
+    """Literal entries of tiny tie-heavy summaries: on equal values, entries
+    already held (or the left side's in a merge) come first."""
+
+    A = [2.0, 1.0, 2.0, 0.0, -0.0, 1.0, 2.0, 2.0] * 5
+    B = [-0.0, 2.0, 0.0, 1.0] * 6
+
+    def test_stream(self):
+        assert signed(gk_of(0.25, self.A).entries) == signed(
+            [(0.0, 1, 0), (1.0, 13, 7), (1.0, 4, 15), (1.0, 1, 19), (1.0, 1, 19), (2.0, 20, 0)]
+        )
+        assert signed(gk_of(0.25, self.B).entries) == signed(
+            [(-0.0, 1, 0), (-0.0, 2, 7), (0.0, 5, 7), (-0.0, 1, 11), (0.0, 1, 11),
+             (-0.0, 1, 11), (0.0, 1, 11), (2.0, 12, 0)]
+        )
+        # A batch minimum equal to the held first value lands second.
+        assert signed(gk_of(0.25, [-0.0] + [1.0] * 15 + [0.0, 2.0]).entries) == signed(
+            [(-0.0, 1, 0), (1.0, 2, 7), (1.0, 2, 7), (1.0, 2, 7), (1.0, 2, 7), (2.0, 9, 0)]
+        )
+        values = [1.0] * 10 + [0.0, -0.0] * 4 + [1.0, 3.0] * 5
+        assert signed(gk_of(0.1, values).entries) == signed(
+            [(0.0, 1, 0), (0.0, 2, 2), (-0.0, 3, 2), (0.0, 1, 4), (1.0, 3, 2), (1.0, 3, 2),
+             (1.0, 5, 0), (1.0, 1, 4), (1.0, 1, 4), (1.0, 1, 4), (1.0, 1, 4), (1.0, 1, 4),
+             (3.0, 5, 0)]
+        )
+
+    def test_merge(self):
+        a, b = gk_of(0.25, self.A), gk_of(0.25, self.B)
+        assert signed(a.merge(b).entries) == signed(
+            [(0.0, 1, 0), (1.0, 25, 7), (1.0, 6, 19), (2.0, 32, 0)]
+        )
+        assert signed(b.merge(a).entries) == signed(
+            [(-0.0, 1, 0), (1.0, 25, 7), (1.0, 6, 19), (2.0, 32, 0)]
+        )
+        d, e = gk_of(0.45, [0.0, -0.0, 5.0, 5.0]), gk_of(0.45, [-0.0, 5.0, 0.0])
+        assert signed(d.entries) == signed([(0.0, 1, 0), (5.0, 3, 0)])
+        assert signed(d.merge(e).entries) == signed([(0.0, 1, 0), (5.0, 6, 0)])
+        assert signed(e.merge(d).entries) == signed([(-0.0, 1, 0), (5.0, 6, 0)])

@@ -8,7 +8,7 @@ import pytest
 from readweight.dwell_stats import fit_log_normal
 from readweight.evaluation import weekly_click_counts
 from readweight.events import serialize_event
-from readweight.labeling import composition_report, label_log
+from readweight.labeling import LabeledLog, composition_report, label_log
 from readweight.profiles import build_profiles
 from readweight.simulate import (
     SIDECAR_HEADER,
@@ -138,8 +138,8 @@ class TestRuleMixGenerator:
         cfg = RuleMixConfig(n_valid_reads=10_000, mix=(0.8, 0.1, 0.1), seed=3)
         corpus = generate_rule_mix(cfg)
         store = build_profiles(corpus.events)
-        labeled = list(label_log(corpus.events, corpus.stats, store))
-        report = composition_report(label for _, label in labeled)
+        labeled = LabeledLog.from_pairs(label_log(corpus.events, corpus.stats, store))
+        report = composition_report(labeled)
         for source in ("T1", "T2", "T3"):
             assert report["valid_read_source_fractions"][source] == pytest.approx(
                 corpus.analytic_mix[source], abs=0.01
@@ -152,8 +152,8 @@ class TestRuleMixGenerator:
         cfg = RuleMixConfig(n_valid_reads=6_000, mix=(0.6, 0.25, 0.15), seed=8)
         corpus = generate_rule_mix(cfg)
         store = build_profiles(corpus.events)
-        labeled = list(label_log(corpus.events, corpus.stats, store))
-        report = composition_report(label for _, label in labeled)
+        labeled = LabeledLog.from_pairs(label_log(corpus.events, corpus.stats, store))
+        report = composition_report(labeled)
         for source in ("T1", "T2", "T3"):
             assert report["valid_read_source_fractions"][source] == pytest.approx(
                 corpus.analytic_mix[source], abs=0.01
