@@ -22,8 +22,9 @@ print a one-line JSON object with a machine-parsable ``error`` reason.
 A shared config file (``--config``, ``key = value`` lines, ``#`` comments)
 can hold defaults for any long option; explicit flags win.  Flag text and
 config text go through the option's one parser, and an option set in
-neither place keeps the library's default.  ``simulate`` rejects an
-explicit flag that its mode does not read.
+neither place keeps the library's default.  A config key that no command
+declares fails with ``invalid-config``.  ``simulate`` rejects an explicit
+flag that its mode does not read.
 """
 
 from __future__ import annotations
@@ -97,8 +98,10 @@ def _load_config_file(path: str | None) -> dict[str, str]:
                 raise CliError(
                     "invalid-config", f"line {line_number}: expected key = value, got {raw!r}"
                 )
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if not any(key in flags for flags in _COMMAND_FLAGS.values()):
+                raise CliError("invalid-config", f"line {line_number}: no command has an option {key!r}")
+            values[key] = value
     return values
 
 
@@ -175,15 +178,6 @@ def _choice(names: tuple[str, ...]) -> Callable[[str], str]:
         return text
 
     return parse
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -340,9 +334,7 @@ def _handle_label(opts: Options) -> dict:
     out = opts.required("out")
     stats = _load_stats(stats_path)
     store = ProfileStore.load(profiles_path)
-    cfg = LabelingConfig(
-        **opts.given("noise-floor", "light-max-clicks", "min-records-t3", "t3-exclude-self")
-    )
+    cfg = LabelingConfig(**opts.given("noise-floor", "light-max-clicks"))
     labeled = LabeledLog.from_pairs(label_log(events, stats, store, cfg))
     atomic_write_text(out, labeled.to_text())
     report = composition_report(labeled)
@@ -527,8 +519,6 @@ _COMMAND_FLAGS: dict[str, dict[str, Callable]] = {
         "report": str,
         "noise-floor": float,
         "light-max-clicks": int,
-        "min-records-t3": int,
-        "t3-exclude-self": _parse_bool,
         **_LOG_FLAGS,
     },
     "ndt-params": {"stats": str, "out": str, "precision": float, "t-max": float},

@@ -35,7 +35,7 @@ from .events import (
     serialize_event,
     split_columns,
 )
-from .profiles import ItemDwellProfile, NoProfileDataError, ProfileStore, UserActivityProfile
+from .profiles import ItemDwellProfile, ProfileStore, UserActivityProfile
 
 NOISE_FLOOR_S = 5.0
 LIGHT_USER_MAX_CLICKS = 7
@@ -58,7 +58,6 @@ class ValidReadSource(str, Enum):
 class ValidReadLabel:
     kind: LabelKind
     source: ValidReadSource | None
-    dwell_time_s: float
 
     def __post_init__(self):
         # The noise floor is a labeling setting (``LabelingConfig``), so a
@@ -71,8 +70,6 @@ class ValidReadLabel:
 class LabelingConfig:
     noise_floor_s: float = NOISE_FLOOR_S
     light_user_max_clicks: int = LIGHT_USER_MAX_CLICKS
-    min_records_t3: int = 1
-    t3_exclude_self: bool = False
 
 
 def label_event(
@@ -90,23 +87,18 @@ def label_event(
     are strict: dwell equal to x_l or to the item P10 fails the rule.
     """
     if not event.clicked:
-        return ValidReadLabel(LabelKind.NOT_CLICKED, None, event.dwell_time_s)
+        return ValidReadLabel(LabelKind.NOT_CLICKED, None)
     dwell = event.dwell_time_s
     if dwell < cfg.noise_floor_s:
-        return ValidReadLabel(LabelKind.NOISE_CLICK, None, dwell)
+        return ValidReadLabel(LabelKind.NOISE_CLICK, None)
     if dwell > stats.x_l:
-        return ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T1, dwell)
+        return ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T1)
     in_window = user.window_size(event.timestamp) if user is not None else 0
     if in_window < cfg.light_user_max_clicks:
-        return ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T2, dwell)
-    if item is not None and item.n_records >= cfg.min_records_t3:
-        try:
-            p10 = item.p10(exclude=dwell if cfg.t3_exclude_self else None)
-        except NoProfileDataError:
-            p10 = None
-        if p10 is not None and dwell > p10:
-            return ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T3, dwell)
-    return ValidReadLabel(LabelKind.INVALID_CLICK, None, dwell)
+        return ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T2)
+    if item is not None and item.n_records and dwell > item.p10():
+        return ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T3)
+    return ValidReadLabel(LabelKind.INVALID_CLICK, None)
 
 
 def label_log(
@@ -153,7 +145,7 @@ class LabeledLog:
 
     def __iter__(self) -> Iterator[tuple[InteractionEvent, ValidReadLabel]]:
         for event, kind, source in zip(self.events, self.kind.tolist(), self.source.tolist()):
-            yield event, ValidReadLabel(LABEL_KINDS[kind], LABEL_SOURCES[source], event.dwell_time_s)
+            yield event, ValidReadLabel(LABEL_KINDS[kind], LABEL_SOURCES[source])
 
     @property
     def valid_read(self) -> np.ndarray:
@@ -221,7 +213,7 @@ def parse_labeled(line: str, line_number: int | None = None) -> tuple[Interactio
     try:
         kind = LabelKind(parts[1])
         source = ValidReadSource(parts[2]) if parts[2] else None
-        label = ValidReadLabel(kind, source, event.dwell_time_s)
+        label = ValidReadLabel(kind, source)
     except ValueError as err:
         raise LogFormatError(str(err), line_number) from None
     if (kind is LabelKind.NOT_CLICKED) == event.clicked:

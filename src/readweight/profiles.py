@@ -3,10 +3,9 @@
 Profiles are built in one pass over the training log and frozen before the
 labeling pass, so labeling is a pure function of immutable state.  An
 event's own click is part of the profiles it is labeled against (the
-simplest two-pass semantics); ``p10(exclude=...)`` supports the
-exclude-self sensitivity variant for exact-mode items.
+simplest two-pass semantics).
 
-Store format 3 is a header ``<4sIdIII`` (magic ``VRPF``, version, eps,
+Store format 4 is a header ``<4sIdIII`` (magic ``VRPF``, version, eps,
 switch threshold, item count, user count) followed by little-endian arrays,
 each sized by what came before it:
 
@@ -17,21 +16,24 @@ each sized by what came before it:
 - f64 sorted dwell values of the exact items;
 - u32 entry count of each sketch item;
 - GK entries (f64 value, u64 g, u64 delta) of the sketch items;
-- u64 sorted click timestamps of the users.
+- u64 sorted click timestamps of the users;
 
+then the little-endian CRC-32 (``zlib.crc32``) of every byte before it.
 An item is in sketch mode exactly when its record count is above the switch
 threshold; its GK values ascend and its g values sum to its record count.
-The arrays must end at the end of the buffer, so a cut or extended store is
-rejected; values are stored in full f64, so a reloaded store answers every
-query exactly as the saved one did.  Equal inputs give equal bytes.
-Version 2 had length-prefixed records and no record count; version 1
-stored the values as f32.
+The arrays must end where the checksum starts, so a cut or extended store is
+rejected, and the checksum rejects any other changed byte (and all but about
+2^-32 of larger changes) before a value is read; values are stored in full
+f64, so a reloaded store answers every query exactly as the saved one did.  Equal inputs give equal bytes.
+Version 3 had no checksum; version 2 had length-prefixed records and no
+record count; version 1 stored the values as f32.
 """
 
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left, bisect_right, insort
+import zlib
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable
@@ -39,14 +41,15 @@ from typing import Iterable
 import numpy as np
 
 from .events import EventTable, InteractionEvent
-from .quantiles import DEFAULT_EPS, DEFAULT_SWITCH_THRESHOLD, QuantileEstimator, nearest_rank
+from .quantiles import DEFAULT_EPS, DEFAULT_SWITCH_THRESHOLD, QuantileEstimator
 
 WEEK_SECONDS = 7 * 86400
 
 STORE_MAGIC = b"VRPF"
-STORE_VERSION = 3
+STORE_VERSION = 4
 
 _HEADER = struct.Struct("<4sIdIII")
+_CRC = struct.Struct("<I")
 _GK_ENTRY = np.dtype([("value", "<f8"), ("g", "<u8"), ("delta", "<u8")])
 
 
@@ -72,24 +75,10 @@ class ItemDwellProfile:
     def observe(self, dwell_time_s: float) -> None:
         self.estimator.observe(dwell_time_s)
 
-    def p10(self, exclude: float | None = None) -> float:
-        """Nearest-rank 10th percentile of this item's dwell records.
-
-        ``exclude`` drops one occurrence of that value first (exact mode
-        only; a single record is below the sketch's rank resolution, so
-        sketch mode ignores it).
-        """
+    def p10(self) -> float:
+        """Nearest-rank 10th percentile of this item's dwell records."""
         if self.n_records < 1:
             raise NoProfileDataError(f"item {self.item_id} has no dwell records")
-        values = self.estimator._exact
-        if exclude is not None and values is not None:
-            i = bisect_left(values, exclude)
-            if i < len(values) and values[i] == exclude:
-                if len(values) == 1:
-                    raise NoProfileDataError(f"item {self.item_id} has no other dwell records")
-                # Ranks at or past the dropped value shift up by one.
-                k = nearest_rank(0.10, len(values) - 1) - 1
-                return values[k + 1] if k >= i else values[k]
         return self.estimator.query(0.10)
 
 
@@ -185,7 +174,8 @@ class ProfileStore:
         header = _HEADER.pack(
             STORE_MAGIC, STORE_VERSION, self.eps, self.switch_threshold, len(items), len(users)
         )
-        return header + b"".join(a.tobytes() for a in arrays)
+        body = header + b"".join(a.tobytes() for a in arrays)
+        return body + _CRC.pack(zlib.crc32(body))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ProfileStore":
@@ -198,11 +188,11 @@ class ProfileStore:
             raise ValueError(f"truncated or corrupt profile store: {err}") from None
         if version != STORE_VERSION:
             raise ValueError(f"unsupported profile store version {version}")
-        offset = _HEADER.size
+        body, offset = data[: -_CRC.size], _HEADER.size
 
         def take(dtype, count) -> np.ndarray:
             nonlocal offset
-            array = np.frombuffer(data, dtype, int(count), offset)
+            array = np.frombuffer(body, dtype, int(count), offset)
             offset += array.nbytes
             return array
 
@@ -216,8 +206,10 @@ class ProfileStore:
             sizes = take("<u4", sketchy.sum())
             entries = take(_GK_ENTRY, sizes.sum())
             stamps = take("<u8", clicks.sum())
-            if offset != len(data):
-                raise ValueError(f"{len(data) - offset} trailing bytes")
+            if offset != len(body):
+                raise ValueError(f"{len(body) - offset} trailing bytes")
+            if zlib.crc32(body) != _CRC.unpack_from(data, offset)[0]:
+                raise ValueError("checksum mismatch")
             _check_ascending(values, counts[~sketchy], "dwell values")
             _check_ascending(stamps, clicks, "click timestamps")
             if not sizes.all():

@@ -244,7 +244,7 @@ def test_c06_gradient_check_all_objectives():
     items = ["x", "y", "y", "x", "y", "x"]
     for (kind, source, clicked, dwell), user, item in zip(specs, users, items):
         event = make_event(user_id=user, item_id=item, clicked=clicked, dwell_time_s=dwell)
-        rows.append((event, ValidReadLabel(kind, source, dwell)))
+        rows.append((event, ValidReadLabel(kind, source)))
 
     space = FeatureSpace.from_pairs((e.user_id, e.item_id) for e, _ in rows)
     log = LabeledLog.from_pairs(rows)

@@ -89,7 +89,7 @@ class TestHappyPath:
         code, doc = run_cli(capsys, "--version")
         assert code == 0
         assert doc["version"] == "0.1.0"
-        assert doc["formats"] == {"checkpoint": 1, "profile_store": 3}
+        assert doc["formats"] == {"checkpoint": 1, "profile_store": 4}
 
     def test_fit_stats_summary(self, workspace, capsys, tmp_path):
         code, doc = run_cli(capsys, "fit-stats", "--log", str(workspace["log"]))
@@ -570,7 +570,8 @@ class TestErrors:
 class TestSimulatorGoldenBytes:
     """sha256 of small simulator outputs, pinned across versions: the log,
     sidecar, planted stats and migration pair must keep their bytes, and so
-    must the profile store built from the organic log.  The
+    must the profile store built from the organic log (format 4: format 3's
+    bytes with the version field 4 and a CRC-32 appended).  The
     hashes come from a build on x86-64 Linux with Python 3.11 and numpy 2.4;
     a numpy whose RNG streams or SIMD float kernels differ may not match."""
 
@@ -615,9 +616,9 @@ class TestSimulatorGoldenBytes:
         "switch, golden",
         [
             # Default switch: all 20 items exact.
-            ([], "dcf168e8f6f2b09aa23cd1c5e0f3bfb3e2a5f257505bb09b5906bfa8377ee93c"),
+            ([], "ef4601499f0ab7cb54a6bee68acc49f9ee8a67abf1c5c8b05fdcbec54abeb29d"),
             # 16 items past a 12-record switch, 4 still exact.
-            (["--switch-threshold", "12"], "0816580b09ea7022cc4deb7a85f2eeab2c1dd11963717171a07ab1c580aafc92"),
+            (["--switch-threshold", "12"], "35f159e2a7403c85e20d48d6a33a2a031327ccb80ea45f8824d1de6a2c38935e"),
         ],
         ids=["exact", "mixed"],
     )
@@ -739,7 +740,7 @@ class TestUsageErrors:
             ("stats-report", "bins", "x"),
             ("build-profiles", "switch-threshold", "big"),
             ("build-profiles", "eps", "tiny"),
-            ("label", "t3-exclude-self", "maybe"),
+            ("label", "light-max-clicks", "many"),
             ("label", "noise-floor", "3s"),
             ("label", "header", "bogus"),
             ("ndt-params", "precision", "fine"),
@@ -762,6 +763,23 @@ class TestUsageErrors:
         config.write_text(f"{name} = {value}\n", encoding="utf-8")
         code, doc = run_cli(capsys, *argv, "--config", str(config))
         assert (code, doc["error"]) == (1, "invalid-config")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("key", ["noise_floor", "bogus-key", "t3-exclude-self", "min-records-t3"])
+    def test_unknown_config_key(self, capsys, tmp_path, inputs, out, key):
+        """A key no command declares fails and names its line; a key that
+        only another command declares (``epochs``) is a shared default."""
+        config = tmp_path / "stale.cfg"
+        config.write_text(f"# defaults\nepochs = 2\n{key} = 1\n", encoding="utf-8")
+        code, doc = run_cli(capsys, *self.argv("label", inputs, out), "--config", str(config))
+        assert (code, doc["error"]) == (1, "invalid-config")
+        assert doc["detail"].startswith("line 3:") and repr(key) in doc["detail"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value", [("t3-exclude-self", "1"), ("min-records-t3", "2")])
+    def test_removed_label_flags_are_unknown(self, capsys, inputs, out, flag, value):
+        code, doc = run_cli(capsys, *self.argv("label", inputs, out), f"--{flag}", value)
+        assert (code, doc["error"]) == (1, "invalid-usage")
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", list(VALID_ARGV))

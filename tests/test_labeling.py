@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from readweight.dwell_stats import DwellStats
-from readweight.events import LogFormatError
+from readweight.events import InteractionEvent, LogFormatError
 from readweight.labeling import (
     LABELED_HEADER,
     LabeledLog,
@@ -19,12 +19,13 @@ from readweight.labeling import (
     columns_from_text,
     composition_report,
     label_event,
+    label_log,
     parse_labeled,
     read_labeled_lines,
     read_labeled_log,
     serialize_labeled,
 )
-from readweight.profiles import ItemDwellProfile, UserActivityProfile
+from readweight.profiles import WEEK_SECONDS, ItemDwellProfile, UserActivityProfile, build_profiles
 from readweight.quantiles import QuantileEstimator
 
 from conftest import assert_same_events, make_event
@@ -121,23 +122,6 @@ class TestDecisionEdges:
         label = label_event(make_event(dwell_time_s=8.0), STATS15, None, HEAVY)
         assert label.kind is LabelKind.INVALID_CLICK
 
-    def test_min_records_t3_gate(self):
-        item = item_with_records([6.0] * 3)
-        cfg = LabelingConfig(min_records_t3=5)
-        label = label_event(make_event(dwell_time_s=8.0), STATS15, item, HEAVY, cfg)
-        assert label.kind is LabelKind.INVALID_CLICK
-
-    def test_exclude_self_variant(self):
-        # 11 records: P10 sits at the 2nd smallest (the event's own 8.0), so
-        # the strict comparison fails; dropping the event's record moves P10
-        # down to 5.5 and T3 fires.
-        item = item_with_records([5.5, 8.0] + [8.1] * 9)
-        event = make_event(dwell_time_s=8.0)
-        with_self = label_event(event, STATS15, item, HEAVY)
-        assert with_self.kind is LabelKind.INVALID_CLICK
-        excl = label_event(event, STATS15, item, HEAVY, LabelingConfig(t3_exclude_self=True))
-        assert excl.source is ValidReadSource.T3
-
     def test_raising_xl_never_adds_t1(self):
         events = [make_event(dwell_time_s=t) for t in (5.5, 9.0, 14.0, 16.0, 20.0, 30.0, 80.0)]
         counts = []
@@ -155,7 +139,7 @@ class TestDecisionEdges:
         b = label_event(event, STATS15, None, user)
         assert a == b
         if a.kind is LabelKind.VALID_READ:
-            assert a.dwell_time_s >= 5.0
+            assert dwell >= 5.0
         if dwell > STATS15.x_l and dwell >= 5.0:
             assert a.source is ValidReadSource.T1
 
@@ -163,33 +147,130 @@ class TestDecisionEdges:
 class TestLabelType:
     def test_source_requires_valid_read(self):
         with pytest.raises(ValueError):
-            ValidReadLabel(LabelKind.INVALID_CLICK, ValidReadSource.T1, 9.0)
+            ValidReadLabel(LabelKind.INVALID_CLICK, ValidReadSource.T1)
         with pytest.raises(ValueError):
-            ValidReadLabel(LabelKind.VALID_READ, None, 9.0)
+            ValidReadLabel(LabelKind.VALID_READ, None)
 
     def test_floor_comes_from_the_config(self):
         # The label holds no floor of its own: label_event applies cfg's.
-        ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T2, 4.0)
         event = make_event(dwell_time_s=4.0)
         low = label_event(event, STATS15, None, None, LabelingConfig(noise_floor_s=3.0))
         assert (low.kind, low.source) == (LabelKind.VALID_READ, ValidReadSource.T2)
         assert label_event(event, STATS15, None, None).kind is LabelKind.NOISE_CLICK
 
 
+def paper_labels(
+    history: list[InteractionEvent],
+    log: list[InteractionEvent],
+    x_l: float,
+    cfg: LabelingConfig,
+    eps: float,
+    switch_threshold: int,
+) -> list[tuple[LabelKind, ValidReadSource | None]]:
+    """The paper's rules, by brute force, for each event of ``log`` against
+    the clicks of ``history``.
+
+    T1: dwell > x_l.  T2: the user has fewer than ``light_user_max_clicks``
+    clicks in (ts - week, ts].  T3: dwell > the item's P10, the nearest-rank
+    10th percentile of its sorted click dwells, or the GK sketch's answer
+    once the item has more clicks than ``switch_threshold``.  Clicks under
+    the noise floor are noise whatever the rules say.
+    """
+    clicks = [e for e in history if e.clicked]
+    p10 = {}
+    for item in {e.item_id for e in clicks}:
+        dwells = [e.dwell_time_s for e in clicks if e.item_id == item]
+        if len(dwells) > switch_threshold:
+            sketch = QuantileEstimator(eps=eps, switch_threshold=switch_threshold)
+            for dwell in dwells:
+                sketch.observe(dwell)
+            p10[item] = sketch.query(0.10)
+        else:
+            p10[item] = sorted(dwells)[math.ceil(0.10 * len(dwells)) - 1]
+    labels = []
+    for e in log:
+        t = e.dwell_time_s
+        in_week = sum(
+            c.user_id == e.user_id and e.timestamp - WEEK_SECONDS < c.timestamp <= e.timestamp
+            for c in clicks
+        )
+        if not e.clicked:
+            labels.append((LabelKind.NOT_CLICKED, None))
+        elif t < cfg.noise_floor_s:
+            labels.append((LabelKind.NOISE_CLICK, None))
+        elif t > x_l:
+            labels.append((LabelKind.VALID_READ, ValidReadSource.T1))
+        elif in_week < cfg.light_user_max_clicks:
+            labels.append((LabelKind.VALID_READ, ValidReadSource.T2))
+        elif e.item_id in p10 and t > p10[e.item_id]:
+            labels.append((LabelKind.VALID_READ, ValidReadSource.T3))
+        else:
+            labels.append((LabelKind.INVALID_CLICK, None))
+    return labels
+
+
+# Few ids, so users pass the light-user count and items pass the switch;
+# dwell values and week offsets that tie with each other and with the
+# thresholds drawn below.
+TIED_DWELLS = [0.0, 4.0, 5.0, 8.0, 12.5, 15.0, 20.0, 60.0]
+WEEK_EDGES = [0, 1, WEEK_SECONDS - 1, WEEK_SECONDS, WEEK_SECONDS + 1, 2 * WEEK_SECONDS]
+
+
+def events_over(users: list[str], items: list[str]):
+    def event(user, item, offset, clicked, dwell):
+        return make_event(user, item, 1_700_000_000 + offset, clicked, dwell if clicked else 0.0)
+
+    return st.builds(
+        event,
+        st.sampled_from(users),
+        st.sampled_from(items),
+        st.sampled_from(WEEK_EDGES) | st.integers(0, 3 * WEEK_SECONDS),
+        st.booleans(),
+        st.sampled_from(TIED_DWELLS) | st.floats(0, 100),
+    )
+
+
+class TestLabelLogMatchesPaperRules:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        history=st.lists(events_over(["u0", "u1", "u2"], ["i0", "i1", "i2"]), min_size=10, max_size=40),
+        unseen=st.lists(events_over(["u0", "u-new"], ["i0", "i-new"]), max_size=8),
+        x_l=st.sampled_from([8.0, 15.0, 20.0]),
+        noise_floor=st.sampled_from([0.0, 4.0, 5.0, 8.0]),
+        light=st.sampled_from([1, 2, 4, 7]),
+        eps=st.sampled_from([0.05, 0.2]),
+        switch_threshold=st.sampled_from([1, 2, 5, 4096]),
+    )
+    def test_label_log_equals_brute_force(
+        self, history, unseen, x_l, noise_floor, light, eps, switch_threshold
+    ):
+        """``label_log`` against a built store labels each event of the log
+        it was built from, and of events with ids the store does not hold,
+        as the paper's three rules do."""
+        store = build_profiles(history, eps=eps, switch_threshold=switch_threshold)
+        cfg = LabelingConfig(noise_floor_s=noise_floor, light_user_max_clicks=light)
+        log = history + unseen
+        pairs = list(label_log(log, stats_with_xl(x_l), store, cfg))
+        assert [event for event, _ in pairs] == log
+        expected = paper_labels(history, log, x_l, cfg, eps, switch_threshold)
+        assert [(label.kind, label.source) for _, label in pairs] == expected
+
+
 def log_of(labels: list[ValidReadLabel]) -> LabeledLog:
+    """Each label on an unclicked row if it is NotClicked, else on a 20 s click."""
+    unclicked = make_event(clicked=False, dwell_time_s=0.0)
     return LabeledLog.from_pairs(
-        (make_event(clicked=l.kind is not LabelKind.NOT_CLICKED, dwell_time_s=l.dwell_time_s), l)
-        for l in labels
+        (unclicked if l.kind is LabelKind.NOT_CLICKED else make_event(), l) for l in labels
     )
 
 
 class TestComposition:
     def test_counting(self):
         labels = [
-            ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T1, 20.0),
-            ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T1, 25.0),
-            ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T2, 8.0),
-            ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T3, 9.0),
+            ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T1),
+            ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T1),
+            ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T2),
+            ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T3),
         ]
         report = composition_report(log_of(labels))
         assert report["valid_read_source_fractions"] == {"T1": 0.5, "T2": 0.25, "T3": 0.25}
@@ -197,8 +278,8 @@ class TestComposition:
 
     def test_zero_valid_reads(self):
         labels = [
-            ValidReadLabel(LabelKind.NOT_CLICKED, None, 0.0),
-            ValidReadLabel(LabelKind.NOISE_CLICK, None, 2.0),
+            ValidReadLabel(LabelKind.NOT_CLICKED, None),
+            ValidReadLabel(LabelKind.NOISE_CLICK, None),
         ]
         report = composition_report(log_of(labels))
         assert report["valid_read_source_fractions"] == {}
@@ -207,7 +288,7 @@ class TestComposition:
 
     def test_fractions_sum_to_one(self):
         labels = [
-            ValidReadLabel(LabelKind.VALID_READ, src, 10.0)
+            ValidReadLabel(LabelKind.VALID_READ, src)
             for src in (ValidReadSource.T1, ValidReadSource.T2, ValidReadSource.T3)
         ] * 7
         report = composition_report(log_of(labels))
@@ -217,7 +298,7 @@ class TestComposition:
 class TestLabeledFormat:
     def test_round_trip(self):
         event = make_event(dwell_time_s=20.0)
-        label = ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T1, 20.0)
+        label = ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T1)
         line = serialize_labeled(event, label)
         parsed_event, parsed_label = parse_labeled(line)
         assert parsed_event == event
@@ -225,7 +306,7 @@ class TestLabeledFormat:
 
     def test_round_trip_without_source(self):
         event = make_event(clicked=False, dwell_time_s=0.0)
-        label = ValidReadLabel(LabelKind.NOT_CLICKED, None, 0.0)
+        label = ValidReadLabel(LabelKind.NOT_CLICKED, None)
         line = serialize_labeled(event, label)
         assert line.endswith(",NotClicked,")
         assert parse_labeled(line)[1] == label
@@ -257,7 +338,7 @@ def random_labeled_lines(rng, n: int) -> list[str]:
             clicked=clicked,
             dwell_time_s=dwell,
         )
-        lines.append(serialize_labeled(event, ValidReadLabel(kind, source, dwell)))
+        lines.append(serialize_labeled(event, ValidReadLabel(kind, source)))
     return lines
 
 

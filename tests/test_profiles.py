@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from readweight.dwell_stats import fit_log_normal
-from readweight.labeling import LabelingConfig, ValidReadSource, label_event, label_log
+from readweight.labeling import ValidReadSource, label_event, label_log
 from readweight.profiles import (
     FrozenProfileError,
     ItemDwellProfile,
@@ -18,7 +19,7 @@ from readweight.profiles import (
     UserActivityProfile,
     build_profiles,
 )
-from readweight.quantiles import DEFAULT_SWITCH_THRESHOLD, QuantileEstimator, nearest_rank
+from readweight.quantiles import DEFAULT_SWITCH_THRESHOLD, QuantileEstimator
 from readweight.simulate import SimConfig, generate
 
 from readweight.events import EventTable
@@ -62,41 +63,6 @@ class TestItemProfile:
         for v in rng.uniform(0, 100, 200_000).tolist():
             profile.observe(v)
         assert profile.p10() == pytest.approx(10.0, abs=0.5)
-
-    def test_exclude_self_shifts_rank(self):
-        profile = item_profile()
-        for v in range(10, 110, 10):
-            profile.observe(float(v))
-        # Without 10.0 the remaining 9 records put P10 at index ceil(0.9)=1.
-        assert profile.p10(exclude=10.0) == 20.0
-        # Excluding a value not present changes nothing.
-        assert profile.p10(exclude=55.0) == 10.0
-
-    @given(
-        st.lists(st.sampled_from([0.0, 1.5, 2.0, 7.25, 30.0]), min_size=1, max_size=40),
-        st.sampled_from([0.0, 1.5, 2.0, 7.25, 30.0, 99.0]),
-    )
-    def test_exclude_self_matches_brute_force(self, values, exclude):
-        """Ties, absent values and single records against a sorted copy
-        with one occurrence removed, then nearest rank."""
-        profile = item_profile()
-        for v in values:
-            profile.observe(v)
-        rest = sorted(values)
-        if exclude in rest:
-            rest.remove(exclude)
-        if not rest:
-            with pytest.raises(NoProfileDataError):
-                profile.p10(exclude=exclude)
-        else:
-            assert profile.p10(exclude=exclude) == rest[nearest_rank(0.10, len(rest)) - 1]
-
-    def test_exclude_only_record_raises(self):
-        profile = item_profile()
-        profile.observe(4.0)
-        with pytest.raises(NoProfileDataError):
-            profile.p10(exclude=4.0)
-        assert profile.p10(exclude=5.0) == 4.0
 
 
 class TestUserProfile:
@@ -274,10 +240,25 @@ class TestStore:
                 ProfileStore.from_bytes(store.to_bytes())
 
     def test_bad_utf8_token_raises_value_error(self):
-        data = small_store().to_bytes()
-        token = data.index(b"cold")
+        body = small_store().to_bytes()[:-4]
+        token = body.index(b"cold")
         with pytest.raises(ValueError, match="utf-8"):
-            ProfileStore.from_bytes(data[:token] + b"\xff" + data[token + 1 :])
+            ProfileStore.from_bytes(sealed(body[:token] + b"\xff" + body[token + 1 :]))
+
+    def test_every_flipped_byte_raises_value_error(self):
+        """One changed byte anywhere, checksum included, never loads."""
+        data = small_store().to_bytes()
+        for at in range(len(data)):
+            for flip in (0x01, 0x80, 0xFF):
+                corrupt = bytearray(data)
+                corrupt[at] ^= flip
+                with pytest.raises(ValueError):
+                    ProfileStore.from_bytes(bytes(corrupt))
+
+
+def sealed(body: bytes) -> bytes:
+    """Store bytes with a fresh checksum, so the checks after it are reached."""
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def small_store() -> ProfileStore:
@@ -332,18 +313,9 @@ class TestStoreRoundTripProperty:
             assert again.estimator.mode == item.estimator.mode
             assert again.n_records == item.n_records
             assert again.p10() == item.p10()
-            for exclude in {min(item.estimator._exact or [0.0]), 3.0}:
-                assert answer(again.p10, exclude) == answer(item.p10, exclude)
         for token, user in store.users.items():
             for at in probes + user.click_timestamps:
                 assert loaded.users[token].window_size(at) == user.window_size(at)
-
-
-def answer(p10, exclude):
-    try:
-        return p10(exclude=exclude)
-    except NoProfileDataError:
-        return "no data"
 
 
 class TestColumnBuildEqualsPerEventLoop:
@@ -384,17 +356,10 @@ class TestLabelsSurviveStoreRoundTrip:
     """Labels against a saved-and-reloaded store equal in-memory ones."""
 
     def test_in_memory_and_reloaded_labels_agree(self, cfg, switch_threshold):
-        self.assert_labels_agree(cfg, switch_threshold, LabelingConfig())
-
-    def test_in_memory_and_reloaded_labels_agree_excluding_self(self, cfg, switch_threshold):
-        self.assert_labels_agree(cfg, switch_threshold, LabelingConfig(t3_exclude_self=True))
-
-    @staticmethod
-    def assert_labels_agree(cfg, switch_threshold, labeling):
         events, _ = generate(cfg)
         stats = fit_log_normal(events)
         store = build_profiles(events, switch_threshold=switch_threshold)
         reloaded = ProfileStore.from_bytes(store.to_bytes())
-        in_memory = [(l.kind, l.source) for _, l in label_log(events, stats, store, labeling)]
-        from_disk = [(l.kind, l.source) for _, l in label_log(events, stats, reloaded, labeling)]
+        in_memory = [label for _, label in label_log(events, stats, store)]
+        from_disk = [label for _, label in label_log(events, stats, reloaded)]
         assert from_disk == in_memory

@@ -30,7 +30,7 @@ PARAMS = paper_default_params()
 
 def labeled(kind, source, clicked, dwell, user="u1", item="i1"):
     event = make_event(user_id=user, item_id=item, clicked=clicked, dwell_time_s=dwell)
-    return event, ValidReadLabel(kind, source, dwell)
+    return event, ValidReadLabel(kind, source)
 
 
 VALID15 = labeled(LabelKind.VALID_READ, ValidReadSource.T1, True, 15.0)
@@ -91,9 +91,9 @@ class TestBuildInstances:
             rows.append(labeled(kind, source, clicked, dwell))
         cfg = TrainConfig(objective="vr_ndt", neg_mode=neg_mode)
         batch, _ = build_instances(log_of(*rows), PARAMS, cfg)
-        for (_, label), w in zip(rows, batch.w, strict=True):
+        for (event, label), w in zip(rows, batch.w, strict=True):
             positive = label.kind is LabelKind.VALID_READ
-            expected = ndt(label.dwell_time_s, PARAMS) if positive or neg_mode == "literal" else 1.0
+            expected = ndt(event.dwell_time_s, PARAMS) if positive or neg_mode == "literal" else 1.0
             assert abs(w - expected) <= 1e-12
 
     def test_vocabulary_is_sorted_and_shared(self):
