@@ -18,7 +18,6 @@ from .events import (
     EventTable,
     InteractionEvent,
     LogFormatError,
-    iter_log,
     parse_event,
     read_log,
     serialize_event,
@@ -116,7 +115,6 @@ __all__ = [
     "generate_migration_pair",
     "generate_rule_mix",
     "histogram_lnT",
-    "iter_log",
     "label_event",
     "label_log",
     "migration_report",

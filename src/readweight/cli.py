@@ -180,6 +180,13 @@ def _choice(names: tuple[str, ...]) -> Callable[[str], str]:
     return parse
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError("must be >= 0")
+    return value
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
 
@@ -478,7 +485,7 @@ _HANDLERS = {
 
 # Each command's long options, each with the one parser its flag text and
 # config-file text go through.
-_LOG_FLAGS = {"header": _choice(HEADER_MODES), "bad-line-budget": int}
+_LOG_FLAGS = {"header": _choice(HEADER_MODES), "bad-line-budget": _non_negative_int}
 _COMMAND_FLAGS: dict[str, dict[str, Callable]] = {
     "simulate": {
         "mode": _choice(("organic", "rule-mix", "migration")),

@@ -10,15 +10,15 @@ caller asks for it (or in "auto" mode, where a first line that is exactly
 ``LOG_HEADER`` once stripped is skipped).
 
 In memory a log is one ``EventTable``: parallel columns, not one object per
-row.  ``read_log`` splits the whole file once into columns; ``iter_log``
-parses line by line and is the reference the column reader must agree with.
+row.  ``read_log`` splits the whole file once into columns and checks every
+line with masks; ``parse_event`` runs only on the line it reports.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -152,47 +152,6 @@ class EventTable:
         )
 
 
-def split_columns(
-    text: str, width: int, is_header: Callable[[str], bool]
-) -> tuple[EventTable, list[str]] | None:
-    """Split a log's text once into columns; None unless every row is plain.
-
-    Rows are lines of ``width`` comma-separated fields whose first five are
-    an event.  A first line that ``is_header`` accepts and one trailing
-    newline are dropped.  Every other line must be a row ``parse_event``
-    accepts on its first five fields; a blank line, a wrong field count or
-    any value ``parse_event`` rejects returns None, and the caller falls
-    back to a per-line reader.  Numbers go through the same ``int``/``float``
-    calls as ``parse_event``, so the values are the same bit for bit.
-    Returns the event columns and the flat field list (row-major), from
-    which the caller takes any further columns.
-    """
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if lines and is_header(lines[0]):
-        del lines[0]
-    # An empty list gives an empty set, so an empty log falls back too.
-    if set(map(str.count, lines, repeat(","))) != {width - 1}:
-        return None
-    n = len(lines)
-    fields = ",".join(lines).split(",")
-    users, items, clicked_text = fields[0::width], fields[1::width], fields[3::width]
-    if not (all(users) and all(items)) or not set(clicked_text) <= {"0", "1"}:
-        return None
-    try:
-        # int64 overflow (a timestamp of 2**63 or more) raises OverflowError.
-        timestamp = np.fromiter(map(int, fields[2::width]), dtype=np.int64, count=n)
-        dwell = np.fromiter(map(float, fields[4::width]), dtype=np.float64, count=n)
-    except (ValueError, OverflowError):
-        return None
-    clicked = np.fromiter(map("1".__eq__, clicked_text), dtype=bool, count=n)
-    ok = (timestamp > 0) & (dwell >= 0.0) & (dwell < np.inf) & (clicked | (dwell == 0.0))
-    if not ok.all():
-        return None
-    return EventTable(users, items, timestamp, clicked, dwell), fields
-
-
 @dataclass(slots=True)
 class ScanCounts:
     """Tally kept alongside a log scan."""
@@ -216,42 +175,99 @@ def _header_rule(header: str) -> Callable[[str], bool]:
     return _HEADER_RULES[header]
 
 
-def iter_log(
-    path: str | os.PathLike[str],
-    *,
-    header: str = "auto",
-    bad_line_budget: int = 0,
-    counts: ScanCounts | None = None,
-) -> Iterator[InteractionEvent]:
-    """Stream events from a log file in file order, one line at a time.
+def _parse_column(texts: list[str], parse: Callable[[str], object], dtype, bad: np.ndarray) -> np.ndarray:
+    """``parse`` of each text, as a ``dtype`` array.  A text that ``parse``
+    rejects, or whose value ``dtype`` cannot hold, reads as 0 and is marked
+    in ``bad``; the column goes value by value only when one does."""
+    try:
+        return np.fromiter(map(parse, texts), dtype=dtype, count=len(texts))
+    except (ValueError, OverflowError):
+        pass
+    values = np.zeros(len(texts), dtype=dtype)
+    for i, text in enumerate(texts):
+        try:
+            values[i] = parse(text)
+        except (ValueError, OverflowError):
+            bad[i] = True
+    return values
 
-    ``header`` is one of "auto" (skip a first line that is exactly
-    ``LOG_HEADER`` once stripped), "present" (always skip one line), or
-    "absent".  Blank lines are skipped.  Up to ``bad_line_budget`` malformed
-    lines are counted and skipped; the next one raises
-    BadLineBudgetExceeded.  ``counts`` (if given) ends up holding the number
-    of parsed and skipped lines.
+
+_CLICKED_CODE = {"0": 0, "1": 1}
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class LogScan:
+    """A log's text split once into rows, with every line checked.
+
+    ``lines[i]`` is line i + 1 of the file.  ``rows`` holds the index in
+    ``lines`` of each line of ``width`` comma-separated fields, ``fields``
+    their fields (row-major), ``events`` the columns of their first five
+    fields, and ``bad`` marks the rows ``parse_event`` rejects.
+    ``misshapen`` lists the non-blank lines with another field count.
     """
-    is_header = _header_rule(header)
-    if counts is None:
-        counts = ScanCounts()
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if line_number == 1 and is_header(line):
-                continue
-            if not line.strip():
-                continue
-            try:
-                event = parse_event(line, line_number)
-            except LogFormatError as err:
-                counts.skipped += 1
-                if counts.skipped > bad_line_budget:
-                    raise BadLineBudgetExceeded(
-                        f"bad-line budget {bad_line_budget} exceeded: {err}", line_number
-                    ) from err
-                continue
-            counts.total += 1
-            yield event
+
+    lines: list[str]
+    rows: np.ndarray
+    fields: list[str]
+    events: EventTable
+    bad: np.ndarray
+    misshapen: list[int]
+
+    @classmethod
+    def of(cls, text: str, width: int, is_header: Callable[[str], bool]) -> "LogScan":
+        """Scan ``text``; a first line that ``is_header`` accepts and blank
+        lines are neither rows nor misshapen.  Numbers go through the same
+        ``int``/``float`` calls as ``parse_event``, so the values are the
+        same bit for bit.
+        """
+        lines = text.split("\n")
+        if is_header(lines[0]):
+            # Blanked before the field split: a header row would fail every
+            # number column's batch conversion.
+            lines[0] = ""
+        commas = np.fromiter(map(str.count, lines, repeat(",")), dtype=np.int64, count=len(lines))
+        shaped = commas == width - 1
+        rows = np.flatnonzero(shaped)
+        misshapen = [i for i in np.flatnonzero(~shaped).tolist() if lines[i].strip()]
+        n = len(rows)
+        fields = ",".join(compress(lines, shaped)).split(",") if n else []
+        users, items = fields[0::width], fields[1::width]
+        bad = np.zeros(n, dtype=bool)
+        if not (all(users) and all(items)):
+            bad |= ~(np.fromiter(map(bool, users), bool, n) & np.fromiter(map(bool, items), bool, n))
+        clicked_code = np.fromiter(map(_CLICKED_CODE.get, fields[3::width], repeat(2)), np.int8, n)
+        clicked = clicked_code == 1
+        timestamp = _parse_column(fields[2::width], int, np.int64, bad)
+        dwell = _parse_column(fields[4::width], float, np.float64, bad)
+        bad |= (clicked_code > 1) | (timestamp <= 0) | ~((dwell >= 0.0) & (dwell < np.inf))
+        bad |= ~clicked & (dwell > 0.0)
+        return cls(lines, rows, fields, EventTable(users, items, timestamp, clicked, dwell), bad, misshapen)
+
+    def bad_lines(self, bad: np.ndarray) -> list[int]:
+        """Indices into ``lines``, in file order, of the misshapen lines and
+        of the rows ``bad`` marks."""
+        return sorted(self.misshapen + self.rows[bad].tolist())
+
+    def error(self, index: int, parse: Callable[[str, int], object]) -> LogFormatError:
+        """The LogFormatError that ``parse`` raises for ``lines[index]``."""
+        try:
+            parse(self.lines[index], index + 1)
+        except LogFormatError as err:
+            return err
+        raise RuntimeError(f"line {index + 1}: the column checks reject a line {parse.__name__} accepts")
+
+    def kept(self, keep: np.ndarray) -> EventTable:
+        """The event columns of the rows ``keep`` marks."""
+        events = self.events
+        if keep.all():
+            return events
+        return EventTable(
+            list(compress(events.user_id, keep)),
+            list(compress(events.item_id, keep)),
+            events.timestamp[keep],
+            events.clicked[keep],
+            events.dwell_time_s[keep],
+        )
 
 
 def read_log(
@@ -262,20 +278,24 @@ def read_log(
 ) -> tuple[EventTable, ScanCounts]:
     """Read a whole log as columns; returns (table, counts).
 
-    The file is split once and checked column by column; if anything is off
-    (a blank line, a bad line, a header out of place), ``iter_log`` reads it
-    again, so a file gives exactly the rows and counts ``iter_log`` gives,
-    and a bad file raises ``iter_log``'s error for the line at fault.
+    ``header`` is one of "auto" (skip a first line that is exactly
+    ``LOG_HEADER`` once stripped), "present" (always skip one line), or
+    "absent".  Blank lines are skipped.  Up to ``bad_line_budget`` lines
+    that ``parse_event`` rejects are counted and skipped; the next one
+    raises BadLineBudgetExceeded, wrapping ``parse_event``'s error for it.
     """
     is_header = _header_rule(header)
+    if bad_line_budget < 0:
+        raise ValueError(f"bad_line_budget must be >= 0, got {bad_line_budget}")
     with open(path, "r", encoding="utf-8") as handle:
-        split = split_columns(handle.read(), len(LOG_COLUMNS), is_header)
-    if split is not None:
-        table = split[0]
-        return table, ScanCounts(total=len(table))
-    counts = ScanCounts()
-    table = EventTable.of(iter_log(path, header=header, bad_line_budget=bad_line_budget, counts=counts))
-    return table, counts
+        scan = LogScan.of(handle.read(), len(LOG_COLUMNS), is_header)
+    at_fault = scan.bad_lines(scan.bad)
+    if len(at_fault) > bad_line_budget:
+        err = scan.error(at_fault[bad_line_budget], parse_event)
+        message = f"bad-line budget {bad_line_budget} exceeded: {err}"
+        raise BadLineBudgetExceeded(message, err.line_number) from err
+    table = scan.kept(~scan.bad)
+    return table, ScanCounts(total=len(table), skipped=len(at_fault))
 
 
 def write_log(

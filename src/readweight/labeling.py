@@ -30,10 +30,10 @@ from .events import (
     EventTable,
     InteractionEvent,
     LogFormatError,
+    LogScan,
     log_lines,
     parse_event,
     serialize_event,
-    split_columns,
 )
 from .profiles import ItemDwellProfile, ProfileStore, UserActivityProfile
 
@@ -223,62 +223,33 @@ def parse_labeled(line: str, line_number: int | None = None) -> tuple[Interactio
     return event, label
 
 
-def read_labeled_lines(path: str | os.PathLike[str]) -> list[tuple[InteractionEvent, ValidReadLabel]]:
-    """The per-line reader: one ``parse_labeled`` call per line.
-
-    Blank lines and header lines are skipped wherever they appear.  This is
-    the reference ``read_labeled_log`` must agree with, and the reader that
-    names the first bad line.
-    """
-    rows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped == LABELED_HEADER:
-                continue
-            rows.append(parse_labeled(line, line_number))
-    return rows
-
-
 def _codes(table: dict[str, int], texts: list[str]) -> np.ndarray:
     return np.fromiter(map(table.get, texts, repeat(-1)), dtype=np.int8, count=len(texts))
 
 
-def columns_from_text(text: str) -> LabeledLog | None:
-    """The columns of a labeled log's text, or None if any line is not a
-    plain data row that ``parse_labeled`` accepts.
-
-    Only an optional exact header first and one trailing newline are
-    allowed around the rows; blank lines, repeated headers and every other
-    oddity return None, and the caller falls back to the per-line reader.
-    The event columns come from ``events.split_columns``, as the event log's
-    do, so the values are ``parse_event``'s bit for bit.
-    """
-    split = split_columns(text, 7, LABELED_HEADER.__eq__)
-    if split is None:
-        return None
-    events, fields = split
-    kind = _codes(_KIND_CODE, fields[5::7])
-    source = _codes(_SOURCE_CODE, fields[6::7])
-    ok = (
-        (kind >= 0)
-        & (source >= 0)
-        & ((kind == _VALID_READ) == (source > 0))
-        & ((kind == _NOT_CLICKED) != events.clicked)
-    )
-    if not ok.all():
-        return None
-    return LabeledLog(events, kind, source)
+def _is_header(line: str) -> bool:
+    return line.strip() == LABELED_HEADER
 
 
 def read_labeled_log(path: str | os.PathLike[str]) -> LabeledLog:
     """Read a labeled log as columns.
 
-    The whole file is split once and checked column by column; if anything
-    is off, the per-line reader reads it again, so a file is accepted only
-    with the rows ``read_labeled_lines`` gives, and a bad file raises that
-    reader's LogFormatError for its first bad line.
+    The file is split once and every line checked column by column.  Blank
+    lines and header lines are skipped wherever they appear, and there is
+    no bad-line budget: a line ``parse_labeled`` rejects fails the read with
+    that call's LogFormatError, for the first such line.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        log = columns_from_text(handle.read())
-    return log if log is not None else LabeledLog.from_pairs(read_labeled_lines(path))
+        scan = LogScan.of(handle.read(), 7, _is_header)
+    kind = _codes(_KIND_CODE, scan.fields[5::7])
+    source = _codes(_SOURCE_CODE, scan.fields[6::7])
+    skip = scan.bad | (kind < 0) | (source < 0) | ((kind == _VALID_READ) != (source > 0))
+    skip |= (kind == _NOT_CLICKED) == scan.events.clicked
+    # A header after line 1 fails the event checks, and is skipped.
+    bad = skip.copy()
+    bad[[i for i in np.flatnonzero(skip).tolist() if _is_header(scan.lines[scan.rows[i]])]] = False
+    at_fault = scan.bad_lines(bad)
+    if len(at_fault):
+        raise scan.error(at_fault[0], parse_labeled)
+    keep = ~skip
+    return LabeledLog(scan.kept(keep), kind[keep], source[keep])

@@ -737,6 +737,7 @@ class TestUsageErrors:
             ("simulate", "latent-dim", "wide"),
             ("fit-stats", "header", "bogus"),
             ("fit-stats", "bad-line-budget", "1.5"),
+            ("fit-stats", "bad-line-budget", "-1"),
             ("stats-report", "bins", "x"),
             ("build-profiles", "switch-threshold", "big"),
             ("build-profiles", "eps", "tiny"),

@@ -7,20 +7,20 @@ from hypothesis import strategies as st
 
 from readweight import events as events_module
 from readweight.events import (
+    HEADER_MODES,
     LOG_HEADER,
     BadLineBudgetExceeded,
     EventTable,
     InteractionEvent,
     LogFormatError,
     ScanCounts,
-    iter_log,
     parse_event,
     read_log,
     serialize_event,
     write_log,
 )
 
-from conftest import assert_same_events, make_event
+from conftest import assert_same_events, iter_log, make_event
 
 
 class TestParse:
@@ -119,6 +119,12 @@ class TestScanLog:
         self._write(log, ["garbage"])
         with pytest.raises(BadLineBudgetExceeded):
             read_log(log)
+
+    def test_negative_budget_rejected(self, tmp_path):
+        log = tmp_path / "log.csv"
+        self._write(log, [serialize_event(make_event())])
+        with pytest.raises(ValueError, match="bad_line_budget must be >= 0, got -1"):
+            read_log(log, bad_line_budget=-1)
 
     def test_empty_file(self, tmp_path):
         log = tmp_path / "log.csv"
@@ -229,45 +235,42 @@ for text in ("nan", "inf", "-inf", "1e400", " 7.5", "1_0.5", "+5", "-1", "-0.0",
 
 
 class TestColumnarEventReader:
-    """``read_log``'s split-once path against the per-line ``iter_log``."""
+    """``read_log`` against the per-line ``iter_log``."""
 
     @pytest.mark.parametrize("corruption", sorted(EVENT_CORRUPTIONS))
     def test_fast_path_agrees_with_per_line_reader(self, tmp_path, monkeypatch, corruption):
-        fallbacks = []
+        parsed = []
 
-        def recording_iter_log(*args, **kwargs):
-            fallbacks.append(args)
-            return iter_log(*args, **kwargs)
+        def counting_parse_event(*args):
+            parsed.append(args)
+            return parse_event(*args)
 
-        monkeypatch.setattr(events_module, "iter_log", recording_iter_log)
+        monkeypatch.setattr(events_module, "parse_event", counting_parse_event)
         rng = np.random.default_rng(sorted(EVENT_CORRUPTIONS).index(corruption))
         path = tmp_path / "log.csv"
         for trial in range(6):
             text = EVENT_CORRUPTIONS[corruption](random_log_lines(rng, int(rng.integers(3, 30))))
             path.write_text(text, encoding="utf-8", newline="")
-            for header in ("auto", "present", "absent"):
-                for budget in (0, 1):
+            for header in HEADER_MODES:
+                for budget in (0, 1, 2):
                     counts = ScanCounts()
+                    parsed.clear()
                     try:
                         expected = list(iter_log(path, header=header, bad_line_budget=budget, counts=counts))
                     except LogFormatError as err:
                         with pytest.raises(type(err)) as raised:
                             read_log(path, header=header, bad_line_budget=budget)
                         assert str(raised.value) == str(err) and str(err).startswith("line ")
+                        # Only the line at fault goes through parse_event.
+                        assert len(parsed) == 1, (header, budget)
                         continue
-                    fallbacks.clear()
                     table, got = read_log(path, header=header, bad_line_budget=budget)
+                    assert parsed == [], (header, budget)
                     assert_same_events(table, EventTable.of(expected))
                     assert (got.total, got.skipped) == (counts.total, counts.skipped)
                     assert list(table) == expected
-                    # Plain rows are read by the split-once path; only blank
-                    # lines, bad lines and empty logs need the per-line reader.
-                    plain = counts.skipped == 0 and counts.total > 0 and corruption not in (
-                        "blank line",
-                        "whitespace line",
-                        "two final newlines",
-                    )
-                    assert bool(fallbacks) != plain, (header, budget)
+                    if corruption == "two bad lines" and budget == 2:
+                        assert got.skipped == 2
 
     def test_columns_and_dtypes(self, tmp_path, rng):
         lines = random_log_lines(rng, 40)

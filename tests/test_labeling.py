@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from readweight import labeling as labeling_module
 from readweight.dwell_stats import DwellStats
 from readweight.events import InteractionEvent, LogFormatError
 from readweight.labeling import (
@@ -16,19 +17,17 @@ from readweight.labeling import (
     LabelingConfig,
     ValidReadLabel,
     ValidReadSource,
-    columns_from_text,
     composition_report,
     label_event,
     label_log,
     parse_labeled,
-    read_labeled_lines,
     read_labeled_log,
     serialize_labeled,
 )
 from readweight.profiles import WEEK_SECONDS, ItemDwellProfile, UserActivityProfile, build_profiles
 from readweight.quantiles import QuantileEstimator
 
-from conftest import assert_same_events, make_event
+from conftest import assert_same_events, make_event, read_labeled_lines
 
 
 def stats_with_xl(x_l: float, sigma: float = 1.3) -> DwellStats:
@@ -130,6 +129,23 @@ class TestDecisionEdges:
             labels = [label_event(e, stats, None, HEAVY) for e in events]
             counts.append(sum(1 for l in labels if l.source is ValidReadSource.T1))
         assert counts == sorted(counts, reverse=True)
+
+    @pytest.mark.parametrize(
+        "past_edge, expected",
+        [(0, (LabelKind.VALID_READ, ValidReadSource.T2)), (1, (LabelKind.INVALID_CLICK, None))],
+    )
+    def test_trailing_week_excludes_its_left_edge(self, past_edge, expected):
+        """The week is (ts - WEEK_SECONDS, ts]: clicks stamped exactly a
+        week before an event leave its user light; a second later they count."""
+        ts = 1_700_000_000
+        cfg = LabelingConfig()
+        history = [
+            make_event("u1", f"i{k}", ts - WEEK_SECONDS + past_edge, True, 8.0)
+            for k in range(cfg.light_user_max_clicks)
+        ]
+        store = build_profiles(history)
+        [(_, label)] = label_log([make_event("u1", "i-new", ts, True, 8.0)], STATS15, store, cfg)
+        assert (label.kind, label.source) == expected
 
     @given(st.floats(min_value=0, max_value=500), st.integers(min_value=0, max_value=12))
     def test_pure_function(self, dwell, clicks):
@@ -400,27 +416,31 @@ for text in ("nan", "inf", "-inf", "1e400", " 7.5", "1_0.5", "+5", "-1", "-0.0",
 
 class TestColumnarReader:
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
-    def test_fast_path_agrees_with_per_line_reader(self, tmp_path, corruption):
+    def test_fast_path_agrees_with_per_line_reader(self, tmp_path, monkeypatch, corruption):
+        parsed = []
+
+        def counting_parse_labeled(*args):
+            parsed.append(args)
+            return parse_labeled(*args)
+
+        monkeypatch.setattr(labeling_module, "parse_labeled", counting_parse_labeled)
         rng = np.random.default_rng(sorted(CORRUPTIONS).index(corruption))
         path = tmp_path / "labeled.csv"
         for trial in range(20):
             text = CORRUPTIONS[corruption](random_labeled_lines(rng, int(rng.integers(3, 40))))
             path.write_text(text, encoding="utf-8", newline="")
-            with open(path, encoding="utf-8") as handle:
-                fast = columns_from_text(handle.read())
+            parsed.clear()
             try:
                 reference = LabeledLog.from_pairs(read_labeled_lines(path))
             except LogFormatError as err:
-                assert fast is None
                 with pytest.raises(LogFormatError) as raised:
                     read_labeled_log(path)
                 assert str(raised.value) == str(err) and str(err).startswith("line ")
+                # Only the line at fault goes through parse_labeled.
+                assert len(parsed) == 1
                 continue
-            if corruption in ("none", "no header, no final newline", "crlf"):
-                assert fast is not None
-            if fast is not None:
-                assert_same_columns(fast, reference)
             assert_same_columns(read_labeled_log(path), reference)
+            assert parsed == []
 
     def test_round_trips_through_pairs(self, tmp_path, rng):
         lines = random_labeled_lines(rng, 50)
