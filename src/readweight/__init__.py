@@ -10,7 +10,6 @@ provides ground truth for every stage.
 from .dwell_stats import (
     DwellStats,
     InsufficientDataError,
-    StatsAccumulator,
     fit_log_normal,
     histogram_lnT,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "RuleMixConfig",
     "SimConfig",
     "SlotSpec",
-    "StatsAccumulator",
     "TrainConfig",
     "UndefinedAucError",
     "UserActivityProfile",

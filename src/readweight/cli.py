@@ -180,10 +180,20 @@ def _choice(names: tuple[str, ...]) -> Callable[[str], str]:
     return parse
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError("must be >= 0")
+def _int_from(low: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be >= {low}")
+        return value
+
+    return parse
+
+
+def _open_unit(text: str) -> float:
+    value = float(text)
+    if not 0 < value < 1:
+        raise ValueError("must be in (0, 1)")
     return value
 
 
@@ -306,9 +316,9 @@ def _handle_fit_stats(opts: Options) -> dict:
 
 
 def _handle_stats_report(opts: Options) -> dict:
+    bins = opts.get("bins", 40)
     events, counts = _read_log_checked(opts)
     out = opts.required("out")
-    bins = opts.get("bins", 40)
     histogram = histogram_lnT(events, bins)
     atomic_write_text(out, histogram_csv(histogram))
     return {
@@ -321,9 +331,10 @@ def _handle_stats_report(opts: Options) -> dict:
 
 
 def _handle_build_profiles(opts: Options) -> dict:
+    settings = opts.given("eps", "switch-threshold")
     events, counts = _read_log_checked(opts)
     out = opts.required("out")
-    store = build_profiles(events, **opts.given("eps", "switch-threshold"))
+    store = build_profiles(events, **settings)
     store.save(out)
     return {
         "command": "build-profiles",
@@ -401,14 +412,14 @@ def _handle_train(opts: Options) -> dict:
     labeled_path = opts.input("labeled")
     params_path = opts.input("ndt-params")
     checkpoint_path = opts.required("checkpoint")
-    params = _load_ndt_params(params_path, **opts.given("params-mode"))
-    labeled = _read_labeled_checked(labeled_path)
     cfg = TrainConfig(
         **opts.given(
             "objective", "neg-mode", "batch-size", "learning-rate", "epochs", "seed",
             "embedding-dim", "bottom-dim", "tower-dims",
         )
     )
+    params = _load_ndt_params(params_path, **opts.given("params-mode"))
+    labeled = _read_labeled_checked(labeled_path)
     batch, space = build_instances(labeled, params, cfg)
     result = train(cfg, batch, space)
     result.network.save(checkpoint_path, checkpoint_extra_config(result))
@@ -485,7 +496,7 @@ _HANDLERS = {
 
 # Each command's long options, each with the one parser its flag text and
 # config-file text go through.
-_LOG_FLAGS = {"header": _choice(HEADER_MODES), "bad-line-budget": _non_negative_int}
+_LOG_FLAGS = {"header": _choice(HEADER_MODES), "bad-line-budget": _int_from(0)}
 _COMMAND_FLAGS: dict[str, dict[str, Callable]] = {
     "simulate": {
         "mode": _choice(("organic", "rule-mix", "migration")),
@@ -516,8 +527,10 @@ _COMMAND_FLAGS: dict[str, dict[str, Callable]] = {
         "max-level": int,
     },
     "fit-stats": {"log": str, "out": str, **_LOG_FLAGS},
-    "stats-report": {"log": str, "out": str, "bins": int, **_LOG_FLAGS},
-    "build-profiles": {"log": str, "out": str, "eps": float, "switch-threshold": int, **_LOG_FLAGS},
+    "stats-report": {"log": str, "out": str, "bins": _int_from(1), **_LOG_FLAGS},
+    "build-profiles": {
+        "log": str, "out": str, "eps": _open_unit, "switch-threshold": _int_from(1), **_LOG_FLAGS,
+    },
     "label": {
         "log": str,
         "stats": str,
@@ -537,9 +550,9 @@ _COMMAND_FLAGS: dict[str, dict[str, Callable]] = {
         "trace": str,
         "objective": _choice(OBJECTIVES),
         "neg-mode": _choice(NEG_MODES),
-        "batch-size": int,
+        "batch-size": _int_from(1),
         "learning-rate": float,
-        "epochs": int,
+        "epochs": _int_from(1),
         "seed": int,
         "embedding-dim": int,
         "bottom-dim": int,

@@ -60,58 +60,12 @@ class DwellStats:
         return cls(mu=mu, sigma=sigma, n=n, x_l=math.exp(mu - sigma), x_h=math.exp(mu + sigma))
 
 
-@dataclass(slots=True)
-class StatsAccumulator:
-    """Mergeable running moments of ln T.
-
-    Merging accumulators over disjoint shards and finalizing reproduces the
-    single-pass fit (sums are exact in the merge; mu/sigma agree to float
-    rounding).
-    """
-
-    n: int = 0
-    sum_lnT: float = 0.0
-    sum_lnT_sq: float = 0.0
-
-    def observe(self, dwell_time_s: float) -> None:
-        if dwell_time_s <= 0:
-            raise ValueError(f"dwell time must be > 0 to take its log, got {dwell_time_s}")
-        x = math.log(dwell_time_s)
-        self.n += 1
-        self.sum_lnT += x
-        self.sum_lnT_sq += x * x
-
-    def observe_event(self, event: InteractionEvent) -> bool:
-        """Feed one event; only clicks with positive dwell count. Returns
-        whether the event was used."""
-        if event.clicked and event.dwell_time_s > 0:
-            self.observe(event.dwell_time_s)
-            return True
-        return False
-
-    def merge(self, other: "StatsAccumulator") -> "StatsAccumulator":
-        return StatsAccumulator(
-            n=self.n + other.n,
-            sum_lnT=self.sum_lnT + other.sum_lnT,
-            sum_lnT_sq=self.sum_lnT_sq + other.sum_lnT_sq,
-        )
-
-    def finalize(self) -> DwellStats:
-        if self.n < 2:
-            raise InsufficientDataError(
-                f"need at least 2 clicked events with positive dwell time, got {self.n}"
-            )
-        mu = self.sum_lnT / self.n
-        variance = self.sum_lnT_sq / self.n - mu * mu
-        sigma = math.sqrt(max(variance, 0.0))
-        return DwellStats.from_moments(mu=mu, sigma=sigma, n=self.n)
-
-
-def _usable_dwell(events: Iterable[InteractionEvent]) -> list[float]:
-    """Dwell times of the clicked rows with positive dwell, in file order."""
+def _log_dwell(events: Iterable[InteractionEvent]) -> np.ndarray:
+    """``math.log`` of the clicked rows' positive dwell times, in file order."""
     table = EventTable.of(events)
     dwell = table.dwell_time_s
-    return dwell[table.clicked & (dwell > 0)].tolist()
+    usable = dwell[table.clicked & (dwell > 0)].tolist()
+    return np.fromiter(map(math.log, usable), dtype=np.float64, count=len(usable))
 
 
 def fit_log_normal(events: Iterable[InteractionEvent]) -> DwellStats:
@@ -119,12 +73,17 @@ def fit_log_normal(events: Iterable[InteractionEvent]) -> DwellStats:
 
     Unclicked events and zero-dwell clicks are ignored.  Raises
     InsufficientDataError below 2 usable samples.  Takes an EventTable or
-    any iterable of events; the sums run in file order.
+    any iterable of events.  Both sums run left to right in file order
+    (``np.cumsum``, not the pairwise ``np.sum``), so the fit is the same
+    bits as adding one click at a time.
     """
-    acc = StatsAccumulator()
-    for dwell in _usable_dwell(events):
-        acc.observe(dwell)
-    return acc.finalize()
+    x = _log_dwell(events)
+    n = len(x)
+    if n < 2:
+        raise InsufficientDataError(f"need at least 2 clicked events with positive dwell time, got {n}")
+    mu = float(np.cumsum(x)[-1]) / n
+    variance = float(np.cumsum(x * x)[-1]) / n - mu * mu
+    return DwellStats.from_moments(mu=mu, sigma=math.sqrt(max(variance, 0.0)), n=n)
 
 
 def histogram_lnT(
@@ -137,7 +96,7 @@ def histogram_lnT(
     """
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    values = np.array(list(map(math.log, _usable_dwell(events))), dtype=np.float64)
+    values = _log_dwell(events)
     if values.size == 0:
         return []
     counts, edges = np.histogram(values, bins=n_bins)

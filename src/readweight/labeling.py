@@ -9,7 +9,8 @@ order:
 
 Clicks under the noise floor (5 seconds unless configured) are wiped before
 any rule applies.  Labeling is a pure function of the event, the fitted
-stats, and the frozen profiles, so shards can be labeled independently.
+stats, and the profile store, which nothing changes once it is built or
+loaded, so shards can be labeled independently.
 
 A labeled log on disk is read back as one ``LabeledLog``: parallel columns,
 not one object per row.
@@ -79,7 +80,7 @@ def label_event(
     user: UserActivityProfile | None,
     cfg: LabelingConfig = LabelingConfig(),
 ) -> ValidReadLabel:
-    """Label one event against frozen statistics and profiles.
+    """Label one event against the fitted statistics and its profiles.
 
     A click under ``cfg.noise_floor_s`` is a NoiseClick whatever the rules
     say.  A missing item profile makes T3 non-matching; a missing user
@@ -107,7 +108,7 @@ def label_log(
     store: ProfileStore,
     cfg: LabelingConfig = LabelingConfig(),
 ) -> Iterator[tuple[InteractionEvent, ValidReadLabel]]:
-    """Label a stream of events against one frozen store, in input order."""
+    """Label a stream of events against one profile store, in input order."""
     for event in events:
         yield event, label_event(
             event, stats, store.item(event.item_id), store.user(event.user_id), cfg

@@ -1,8 +1,9 @@
 """Per-item dwell-time profiles and per-user sliding-week click windows.
 
-Profiles are built in one pass over the training log and frozen before the
-labeling pass, so labeling is a pure function of immutable state.  An
-event's own click is part of the profiles it is labeled against (the
+Profiles come from one statistics pass over the training log's columns
+(``build_profiles``) or from a saved store (``ProfileStore.load``), and the
+labeling pass only reads them, so labeling is a pure function of the store.
+An event's own click is part of the profiles it is labeled against (the
 simplest two-pass semantics).
 
 Store format 4 is a header ``<4sIdIII`` (magic ``VRPF``, version, eps,
@@ -33,10 +34,10 @@ from __future__ import annotations
 
 import struct
 import zlib
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable
+from itertools import chain, compress
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,10 +58,6 @@ class NoProfileDataError(ValueError):
     """Queried a profile with no records."""
 
 
-class FrozenProfileError(RuntimeError):
-    """Attempted to mutate a frozen profile store."""
-
-
 @dataclass(slots=True)
 class ItemDwellProfile:
     """Dwell-time quantile state for one item."""
@@ -72,9 +69,6 @@ class ItemDwellProfile:
     def n_records(self) -> int:
         return self.estimator.n
 
-    def observe(self, dwell_time_s: float) -> None:
-        self.estimator.observe(dwell_time_s)
-
     def p10(self) -> float:
         """Nearest-rank 10th percentile of this item's dwell records."""
         if self.n_records < 1:
@@ -84,7 +78,8 @@ class ItemDwellProfile:
 
 @dataclass(slots=True)
 class UserActivityProfile:
-    """Click timestamps of one user, queried over a trailing 7-day window.
+    """Ascending click timestamps of one user, queried over a trailing
+    7-day window.
 
     Expiry is applied at query time: a query at time ``at`` only sees clicks
     in ``(at - WEEK_SECONDS, at]``, so out-of-order queries stay correct.
@@ -92,11 +87,6 @@ class UserActivityProfile:
 
     user_id: str
     click_timestamps: list[int] = field(default_factory=list)
-
-    def record_click(self, ts: int) -> None:
-        if ts <= 0:
-            raise ValueError(f"timestamp must be positive, got {ts}")
-        insort(self.click_timestamps, ts)
 
     def window_size(self, at: int) -> int:
         """Number of clicks in (at - WEEK_SECONDS, at]."""
@@ -106,22 +96,25 @@ class UserActivityProfile:
 
 
 class ProfileStore:
-    """All item and user profiles for one training window."""
+    """All item and user profiles for one training window.
+
+    ``items`` and ``users`` map tokens to profiles.  ``eps`` must lie in
+    (0, 1), and ``switch_threshold`` in 1 .. 2^32 - 1 (a u32 in the header).
+    """
 
     def __init__(
         self,
         eps: float = DEFAULT_EPS,
         switch_threshold: int = DEFAULT_SWITCH_THRESHOLD,
     ):
+        if not 0 < eps < 1:
+            raise ValueError(f"eps must be in (0, 1), got {eps}")
+        if not 1 <= switch_threshold < 2**32:
+            raise ValueError(f"switch_threshold must be in 1 .. 2^32 - 1, got {switch_threshold}")
         self.eps = eps
         self.switch_threshold = switch_threshold
         self.items: dict[str, ItemDwellProfile] = {}
         self.users: dict[str, UserActivityProfile] = {}
-        self.frozen = False
-
-    def _check_mutable(self) -> None:
-        if self.frozen:
-            raise FrozenProfileError("profile store is frozen")
 
     def item(self, item_id: str) -> ItemDwellProfile | None:
         return self.items.get(item_id)
@@ -129,29 +122,32 @@ class ProfileStore:
     def user(self, user_id: str) -> UserActivityProfile | None:
         return self.users.get(user_id)
 
-    def observe_event(self, event: InteractionEvent) -> None:
-        """Fold one event into the store; only clicks leave a trace."""
-        self._check_mutable()
-        if event.clicked:
-            self._observe_click(event.user_id, event.item_id, event.timestamp, event.dwell_time_s)
-
-    def _observe_click(self, user_id: str, item_id: str, timestamp: int, dwell_time_s: float) -> None:
-        profile = self.items.get(item_id)
-        if profile is None:
-            profile = ItemDwellProfile(
-                item_id,
-                QuantileEstimator(eps=self.eps, switch_threshold=self.switch_threshold),
-            )
-            self.items[item_id] = profile
-        profile.observe(dwell_time_s)
-        user = self.users.get(user_id)
-        if user is None:
-            user = UserActivityProfile(user_id)
-            self.users[user_id] = user
-        user.record_click(timestamp)
-
-    def freeze(self) -> "ProfileStore":
-        self.frozen = True
+    def _fill(
+        self,
+        tokens: Sequence[str],
+        counts: np.ndarray,
+        values: np.ndarray,
+        sketches: Iterable[QuantileEstimator],
+        clicks: np.ndarray,
+        stamps: np.ndarray,
+    ) -> "ProfileStore":
+        """This empty store filled from arrays laid out as the format's:
+        ``tokens`` (the sorted item tokens, then the sorted user tokens),
+        each item's record count, the exact items' ascending values item
+        after item, the sketch items' estimators in token order, each user's
+        click count, and the users' ascending stamps user after user."""
+        counts = counts.tolist()
+        exact = _runs(values.tolist(), [n for n in counts if n <= self.switch_threshold])
+        sketches = iter(sketches)
+        for token, n in zip(tokens, counts):
+            if n > self.switch_threshold:
+                estimator = next(sketches)
+            else:
+                estimator = QuantileEstimator(eps=self.eps, switch_threshold=self.switch_threshold)
+                estimator._exact = next(exact)
+            self.items[token] = ItemDwellProfile(token, estimator)
+        for token, run in zip(tokens[len(counts) :], _runs(stamps.tolist(), clicks.tolist())):
+            self.users[token] = UserActivityProfile(token, run)
         return self
 
     def to_bytes(self) -> bytes:
@@ -197,6 +193,7 @@ class ProfileStore:
             return array
 
         try:
+            store = cls(eps=eps, switch_threshold=switch_threshold)
             token_lens = take("<u2", n_items + n_users)
             token_bytes = take("u1", token_lens.sum()).tobytes()
             counts = take("<u8", n_items)
@@ -218,31 +215,19 @@ class ProfileStore:
             starts = (np.cumsum(sizes) - sizes).astype(np.intp)
             if (np.add.reduceat(entries["g"], starts) != counts[sketchy]).any():
                 raise ValueError("GK gaps do not sum to the record count")
-            ends = np.cumsum(token_lens).tolist()
-            tokens = [token_bytes[a:b].decode("utf-8") for a, b in zip([0] + ends, ends)]
+            tokens = [t.decode("utf-8") for t in _runs(token_bytes, token_lens.tolist())]
         except (ValueError, OverflowError) as err:
             raise ValueError(f"truncated or corrupt profile store: {err}") from None
 
-        store = cls(eps=eps, switch_threshold=switch_threshold)
-        values, sizes = values.tolist(), iter(sizes.tolist())
         entries = list(zip(*(entries[name].tolist() for name in _GK_ENTRY.names)))
-        v = e = 0
-        for token, n, sketch in zip(tokens, counts.tolist(), sketchy.tolist()):
+        sketches = []
+        for n, run in zip(counts[sketchy].tolist(), _runs(entries, sizes.tolist())):
             estimator = QuantileEstimator(eps=eps, switch_threshold=switch_threshold)
-            if sketch:
-                # An empty estimator's sketch has the budget it would keep.
-                estimator._to_sketch()
-                gk, end = estimator._sketch, e + next(sizes)
-                gk.n, gk.entries, e = n, entries[e:end], end
-            else:
-                estimator._exact = values[v : v + n]
-                v += n
-            store.items[token] = ItemDwellProfile(token, estimator)
-        stamps, s = stamps.tolist(), 0
-        for token, n in zip(tokens[n_items:], clicks.tolist()):
-            store.users[token] = UserActivityProfile(token, stamps[s : s + n])
-            s += n
-        return store.freeze()
+            # An empty estimator's sketch has the budget it would keep.
+            estimator._to_sketch()
+            estimator._sketch.n, estimator._sketch.entries = n, run
+            sketches.append(estimator)
+        return store._fill(tokens, counts, values, sketches, clicks, stamps)
 
     def save(self, path: str) -> None:
         from ._fileio import atomic_write_bytes
@@ -255,6 +240,14 @@ class ProfileStore:
             return cls.from_bytes(handle.read())
 
 
+def _runs(seq: Sequence, sizes: Iterable[int]) -> Iterator[Sequence]:
+    """``seq`` cut into consecutive slices of ``sizes`` elements."""
+    start = 0
+    for n in sizes:
+        yield seq[start : start + n]
+        start += n
+
+
 def _check_ascending(values: np.ndarray, counts: np.ndarray, what: str) -> None:
     """Raise ValueError unless each run of ``counts`` consecutive values ascends."""
     falls = ~(values[1:] >= values[:-1])
@@ -264,21 +257,50 @@ def _check_ascending(values: np.ndarray, counts: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} out of order")
 
 
+def _coded(ids: Iterable[str]) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct ids, and each id's index among them."""
+    ids = list(ids)
+    tokens = sorted(set(ids))
+    code = dict(zip(tokens, range(len(tokens))))
+    return tokens, np.fromiter(map(code.__getitem__, ids), np.intp, len(ids))
+
+
 def build_profiles(
     events: Iterable[InteractionEvent],
     eps: float = DEFAULT_EPS,
     switch_threshold: int = DEFAULT_SWITCH_THRESHOLD,
 ) -> ProfileStore:
-    """Single statistics pass over a log; returns a frozen store.
+    """Single statistics pass over a log's columns.
 
-    Takes an EventTable or any iterable of events.  Only clicks leave a
-    trace, and each item's estimator sees its dwell times in file order, so
-    the store equals one fed ``observe_event`` row by row.
+    Takes an EventTable or any iterable of events; only clicks leave a
+    trace, and a click with negative dwell time or a timestamp below 1
+    raises ValueError.  Exact items' values and users' stamps come out of
+    stable sorts, so equal values keep file order, as one ``insort`` per
+    click would leave them.  A sketch item's estimator takes its values in
+    file order, because a GK summary depends on the order values arrive in.
     """
-    table = EventTable.of(events)
     store = ProfileStore(eps=eps, switch_threshold=switch_threshold)
-    users, items = table.user_id, table.item_id
-    stamps, dwell = table.timestamp.tolist(), table.dwell_time_s.tolist()
-    for i in np.flatnonzero(table.clicked).tolist():
-        store._observe_click(users[i], items[i], stamps[i], dwell[i])
-    return store.freeze()
+    table = EventTable.of(events)
+    clicked = table.clicked
+    dwell, stamps = table.dwell_time_s[clicked], table.timestamp[clicked]
+    if not (dwell >= 0).all():
+        raise ValueError("a click's dwell time must be >= 0")
+    if not (stamps > 0).all():
+        raise ValueError("a click's timestamp must be positive")
+    item_tokens, item = _coded(compress(table.item_id, clicked))
+    user_tokens, user = _coded(compress(table.user_id, clicked))
+    counts = np.bincount(item, minlength=len(item_tokens))
+    sketchy = counts > switch_threshold
+    by_item = np.lexsort((dwell, item))
+    values = dwell[by_item][~sketchy[item[by_item]]]
+    rows = np.flatnonzero(sketchy[item])
+    in_file_order = dwell[rows[np.argsort(item[rows], kind="stable")]].tolist()
+    sketches = []
+    for run in _runs(in_file_order, counts[sketchy].tolist()):
+        estimator = QuantileEstimator(eps=eps, switch_threshold=switch_threshold)
+        for value in run:
+            estimator.observe(value)
+        sketches.append(estimator)
+    clicks = np.bincount(user, minlength=len(user_tokens))
+    by_user = np.lexsort((stamps, user))
+    return store._fill(item_tokens + user_tokens, counts, values, sketches, clicks, stamps[by_user])

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import math
 import os
-from typing import Iterator
+from bisect import insort
+from typing import Iterable, Iterator
 
 import numpy as np
 import pytest
@@ -15,7 +17,10 @@ from readweight.events import (
     _header_rule,
     parse_event,
 )
+from readweight.dwell_stats import DwellStats, InsufficientDataError
 from readweight.labeling import LABELED_HEADER, ValidReadLabel, parse_labeled
+from readweight.profiles import ItemDwellProfile, ProfileStore, UserActivityProfile
+from readweight.quantiles import DEFAULT_EPS, DEFAULT_SWITCH_THRESHOLD, QuantileEstimator
 
 
 def make_event(
@@ -117,3 +122,43 @@ def read_labeled_lines(path: str | os.PathLike[str]) -> list[tuple[InteractionEv
                 continue
             rows.append(parse_labeled(line, line_number))
     return rows
+
+
+# The per-click statistics pass: one step per click, in file order.
+# ``fit_log_normal`` and ``build_profiles`` must give the same bits.
+
+
+def fit_per_click(events: Iterable[InteractionEvent]) -> DwellStats:
+    """Running sums of ln T and (ln T)^2 over the clicks with positive dwell."""
+    n, sum_lnT, sum_lnT_sq = 0, 0.0, 0.0
+    for event in events:
+        if event.clicked and event.dwell_time_s > 0:
+            x = math.log(event.dwell_time_s)
+            n += 1
+            sum_lnT += x
+            sum_lnT_sq += x * x
+    if n < 2:
+        raise InsufficientDataError(f"need at least 2 clicked events with positive dwell time, got {n}")
+    mu = sum_lnT / n
+    return DwellStats.from_moments(mu=mu, sigma=math.sqrt(max(sum_lnT_sq / n - mu * mu, 0.0)), n=n)
+
+
+def profiles_per_click(
+    events: Iterable[InteractionEvent],
+    eps: float = DEFAULT_EPS,
+    switch_threshold: int = DEFAULT_SWITCH_THRESHOLD,
+) -> ProfileStore:
+    """Each click's dwell into its item's estimator and its stamp into its
+    user's stamps with ``insort``, so equal values land in file order."""
+    store = ProfileStore(eps=eps, switch_threshold=switch_threshold)
+    for event in events:
+        if not event.clicked:
+            continue
+        item = store.items.get(event.item_id)
+        if item is None:
+            item = ItemDwellProfile(event.item_id, QuantileEstimator(eps, switch_threshold))
+            store.items[event.item_id] = item
+        item.estimator.observe(event.dwell_time_s)
+        user = store.users.setdefault(event.user_id, UserActivityProfile(event.user_id))
+        insort(user.click_timestamps, event.timestamp)
+    return store

@@ -123,18 +123,14 @@ def _stats_with_xl(x_l: float, sigma: float = 1.3):
 
 def test_c04_labeler_goldens_and_planted_mix():
     stats = _stats_with_xl(15.0)
-    heavy = UserActivityProfile("u")
-    for k in range(10):
-        heavy.record_click(1_700_000_000 - k * 3600)
-    light = UserActivityProfile("u")
-    for k in range(3):
-        light.record_click(1_700_000_000 - k * 3600)
+    heavy = UserActivityProfile("u", sorted(1_700_000_000 - k * 3600 for k in range(10)))
+    light = UserActivityProfile("u", sorted(1_700_000_000 - k * 3600 for k in range(3)))
 
     def item_with(records):
-        profile = ItemDwellProfile("i", QuantileEstimator())
+        estimator = QuantileEstimator()
         for r in records:
-            profile.observe(r)
-        return profile
+            estimator.observe(r)
+        return ItemDwellProfile("i", estimator)
 
     goldens = [
         (make_event(dwell_time_s=20.0), None, heavy, LabelKind.VALID_READ, ValidReadSource.T1),

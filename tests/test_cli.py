@@ -571,7 +571,8 @@ class TestSimulatorGoldenBytes:
     """sha256 of small simulator outputs, pinned across versions: the log,
     sidecar, planted stats and migration pair must keep their bytes, and so
     must the profile store built from the organic log (format 4: format 3's
-    bytes with the version field 4 and a CRC-32 appended).  The
+    bytes with the version field 4 and a CRC-32 appended) and the stats
+    fitted to it.  The
     hashes come from a build on x86-64 Linux with Python 3.11 and numpy 2.4;
     a numpy whose RNG streams or SIMD float kernels differ may not match."""
 
@@ -628,6 +629,16 @@ class TestSimulatorGoldenBytes:
         assert run_cli(capsys, "simulate", *argv)[0] == 0
         assert run_cli(capsys, "build-profiles", "--log", str(log), "--out", str(profiles), *switch)[0] == 0
         assert hashlib.sha256(profiles.read_bytes()).hexdigest() == golden
+
+    def test_fit_stats_matches_golden_sha256(self, capsys, tmp_path):
+        """The fit sums ln T left to right; a pairwise sum (``np.sum``)
+        changes the last bits of mu and sigma, and so these bytes."""
+        log, stats = tmp_path / "log.csv", tmp_path / "stats.json"
+        argv = ["--mode", "organic", "--users", "60", "--items", "20", "--seed", "3", "--out", str(log)]
+        assert run_cli(capsys, "simulate", *argv)[0] == 0
+        assert run_cli(capsys, "fit-stats", "--log", str(log), "--out", str(stats))[0] == 0
+        golden = "406faf284e572c1bf50fb04e403481b2e86b8d88d922df40a940ae9245d370bb"
+        assert hashlib.sha256(stats.read_bytes()).hexdigest() == golden
 
 
 class TestConfigFile:
@@ -739,8 +750,12 @@ class TestUsageErrors:
             ("fit-stats", "bad-line-budget", "1.5"),
             ("fit-stats", "bad-line-budget", "-1"),
             ("stats-report", "bins", "x"),
+            ("stats-report", "bins", "0"),
             ("build-profiles", "switch-threshold", "big"),
+            ("build-profiles", "switch-threshold", "-5"),
             ("build-profiles", "eps", "tiny"),
+            ("build-profiles", "eps", "0"),
+            ("build-profiles", "eps", "2"),
             ("label", "light-max-clicks", "many"),
             ("label", "noise-floor", "3s"),
             ("label", "header", "bogus"),
@@ -749,6 +764,8 @@ class TestUsageErrors:
             ("train", "neg-mode", "both"),
             ("train", "params-mode", "fitted"),
             ("train", "tower-dims", "64,x"),
+            ("train", "epochs", "0"),
+            ("train", "batch-size", "0"),
             ("eval", "base-auc", "high"),
             ("migrate-report", "boundaries", "1,x"),
             ("migrate-report", "header", "bogus"),
@@ -756,6 +773,10 @@ class TestUsageErrors:
     )
     def test_bad_value(self, capsys, tmp_path, inputs, out, command, name, value):
         argv = self.argv(command, inputs, out)
+        if f"--{name}" in argv:
+            # A flag wins over the config file, so drop the valid one.
+            at = argv.index(f"--{name}")
+            del argv[at : at + 2]
         code, doc = run_cli(capsys, *argv, f"--{name}", value)
         assert (code, doc["error"]) == (1, f"invalid-flag:{name}")
         assert list(out.iterdir()) == []

@@ -4,20 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from readweight.dwell_stats import (
     DwellStats,
     InsufficientDataError,
-    StatsAccumulator,
     fit_log_normal,
     histogram_lnT,
 )
 
 from readweight.events import EventTable
 
-from conftest import make_event, random_events
+from conftest import fit_per_click, make_event, random_events
 
 
 def lognormal_events(n, mu, sigma, seed):
@@ -76,44 +73,6 @@ class TestFit:
 
 
 class TestAccumulator:
-    def test_merge_of_halves_equals_single_pass(self):
-        events = lognormal_events(1001, 4.0, 1.2, seed=5)
-        whole = StatsAccumulator()
-        for e in events:
-            whole.observe_event(e)
-        left, right = StatsAccumulator(), StatsAccumulator()
-        for e in events[:500]:
-            left.observe_event(e)
-        for e in events[500:]:
-            right.observe_event(e)
-        merged = left.merge(right)
-        assert merged.n == whole.n
-        assert merged.sum_lnT == pytest.approx(whole.sum_lnT, rel=1e-12)
-        a, b = merged.finalize(), whole.finalize()
-        assert a.mu == pytest.approx(b.mu, rel=1e-12)
-        assert a.sigma == pytest.approx(b.sigma, rel=1e-12)
-
-    @given(
-        st.lists(st.floats(min_value=0.1, max_value=1e4), min_size=0, max_size=30),
-        st.lists(st.floats(min_value=0.1, max_value=1e4), min_size=0, max_size=30),
-        st.lists(st.floats(min_value=0.1, max_value=1e4), min_size=0, max_size=30),
-    )
-    def test_merge_associative_commutative(self, xs, ys, zs):
-        def acc(values):
-            a = StatsAccumulator()
-            for v in values:
-                a.observe(v)
-            return a
-
-        ab_c = acc(xs).merge(acc(ys)).merge(acc(zs))
-        a_bc = acc(xs).merge(acc(ys).merge(acc(zs)))
-        ba = acc(ys).merge(acc(xs))
-        ab = acc(xs).merge(acc(ys))
-        assert ab_c.n == a_bc.n
-        assert ab_c.sum_lnT == pytest.approx(a_bc.sum_lnT, rel=1e-12, abs=1e-12)
-        assert ab.n == ba.n
-        assert ab.sum_lnT == pytest.approx(ba.sum_lnT, rel=1e-12, abs=1e-12)
-
     def test_from_moments_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             DwellStats.from_moments(mu=1.0, sigma=-0.1, n=10)
@@ -160,12 +119,9 @@ class TestColumnFitEqualsPerEventLoop:
     @pytest.mark.parametrize("seed", range(6))
     def test_fit_and_histogram(self, seed):
         events = random_events(np.random.default_rng(seed), 4000)
-        acc = StatsAccumulator()
-        for event in events:
-            acc.observe_event(event)
         logs = [math.log(e.dwell_time_s) for e in events if e.clicked and e.dwell_time_s > 0]
         counts, edges = np.histogram(np.array(logs), bins=25)
         centers = ((edges[:-1] + edges[1:]) / 2.0).tolist()
         for log in (events, EventTable.of(events)):
-            assert fit_log_normal(log) == acc.finalize()
+            assert fit_log_normal(log) == fit_per_click(events)
             assert histogram_lnT(log, 25) == list(zip(centers, counts.tolist()))

@@ -37,17 +37,14 @@ def stats_with_xl(x_l: float, sigma: float = 1.3) -> DwellStats:
 
 
 def item_with_records(records) -> ItemDwellProfile:
-    profile = ItemDwellProfile("i1", QuantileEstimator())
+    estimator = QuantileEstimator()
     for r in records:
-        profile.observe(r)
-    return profile
+        estimator.observe(r)
+    return ItemDwellProfile("i1", estimator)
 
 
 def user_with_clicks(n: int, at: int = 1_700_000_000) -> UserActivityProfile:
-    user = UserActivityProfile("u1")
-    for k in range(n):
-        user.record_click(at - k * 3600)
-    return user
+    return UserActivityProfile("u1", sorted(at - k * 3600 for k in range(n)))
 
 
 STATS15 = stats_with_xl(15.0)
@@ -146,6 +143,23 @@ class TestDecisionEdges:
         store = build_profiles(history)
         [(_, label)] = label_log([make_event("u1", "i-new", ts, True, 8.0)], STATS15, store, cfg)
         assert (label.kind, label.source) == expected
+
+    @pytest.mark.parametrize("switch_threshold, mode", [(4096, "exact"), (16, "sketch")])
+    def test_dwell_equal_to_built_p10_is_not_t3(self, switch_threshold, mode):
+        """A click at exactly the item's P10 from ``build_profiles`` fails
+        T3; the next float up passes it."""
+        ts = 1_700_000_000
+        history = [
+            make_event("u1", "hot", ts - 3600 - k, True, 6.0 + (k * 7 % 40) / 5)
+            for k in range(60)
+        ]
+        store = build_profiles(history, switch_threshold=switch_threshold)
+        assert store.item("hot").estimator.mode == mode
+        p10 = store.item("hot").p10()
+        assert LabelingConfig().noise_floor_s <= p10 < STATS15.x_l
+        probes = [make_event("u1", "hot", ts, True, t) for t in (p10, math.nextafter(p10, math.inf))]
+        labels = [(label.kind, label.source) for _, label in label_log(probes, STATS15, store)]
+        assert labels == [(LabelKind.INVALID_CLICK, None), (LabelKind.VALID_READ, ValidReadSource.T3)]
 
     @given(st.floats(min_value=0, max_value=500), st.integers(min_value=0, max_value=12))
     def test_pure_function(self, dwell, clicks):

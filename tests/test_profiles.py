@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from readweight.dwell_stats import fit_log_normal
 from readweight.labeling import ValidReadSource, label_event, label_log
 from readweight.profiles import (
-    FrozenProfileError,
     ItemDwellProfile,
     NoProfileDataError,
     ProfileStore,
@@ -24,66 +23,59 @@ from readweight.simulate import SimConfig, generate
 
 from readweight.events import EventTable
 
-from conftest import make_event, random_events
+from conftest import make_event, profiles_per_click, random_events
 from test_labeling import STATS15
 
 DAY = 86400
 
 
-def item_profile(**kwargs) -> ItemDwellProfile:
-    return ItemDwellProfile("i1", QuantileEstimator(**kwargs))
+def item_profile(records=(), **kwargs) -> ItemDwellProfile:
+    estimator = QuantileEstimator(**kwargs)
+    for r in records:
+        estimator.observe(r)
+    return ItemDwellProfile("i1", estimator)
 
 
 class TestItemProfile:
     def test_single_record(self):
-        profile = item_profile()
-        profile.observe(7.0)
+        profile = item_profile([7.0])
         assert profile.n_records == 1
         for p in (0.05, 0.5, 1.0):
             assert profile.estimator.query(p) == 7.0
         assert profile.p10() == 7.0
 
     def test_ten_records(self):
-        profile = item_profile()
-        for v in range(10, 110, 10):
-            profile.observe(float(v))
+        profile = item_profile([float(v) for v in range(10, 110, 10)])
         assert profile.n_records == 10
         assert profile.p10() == 10.0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            item_profile().observe(-0.5)
+            build_profiles([make_event(dwell_time_s=-0.5)])
 
     def test_empty_p10_errors(self):
         with pytest.raises(NoProfileDataError):
             item_profile().p10()
 
     def test_uniform_p10_near_ten(self, rng):
-        profile = item_profile(switch_threshold=4096)
-        for v in rng.uniform(0, 100, 200_000).tolist():
-            profile.observe(v)
+        profile = item_profile(rng.uniform(0, 100, 200_000).tolist(), switch_threshold=4096)
         assert profile.p10() == pytest.approx(10.0, abs=0.5)
 
 
 class TestUserProfile:
     def test_first_click(self):
-        user = UserActivityProfile("u1")
-        user.record_click(1000)
+        user = UserActivityProfile("u1", [1000])
         assert user.window_size(1000) == 1
 
     def test_ten_clicks_one_day(self):
-        user = UserActivityProfile("u1")
         base = 1_700_000_000
-        for k in range(10):
-            user.record_click(base + k * 3600)
+        user = UserActivityProfile("u1", [base + k * 3600 for k in range(10)])
         assert user.window_size(base + DAY) == 10
 
     def test_seven_day_expiry(self):
-        user = UserActivityProfile("u1")
         day0 = 1_700_000_000
         day8 = day0 + 8 * DAY
-        user.record_click(day0)
-        user.record_click(day8)
+        user = UserActivityProfile("u1", [day0, day8])
         assert user.window_size(day8) == 1
 
     def test_zero_clicks_is_light(self):
@@ -95,19 +87,15 @@ class TestUserProfile:
         base = 1_700_000_000
         previous = True
         for n in range(0, 12):
-            user = UserActivityProfile("u1")
-            for k in range(n):
-                user.record_click(base + k)
+            user = UserActivityProfile("u1", [base + k for k in range(n)])
             event = make_event(timestamp=base + 50, dwell_time_s=8.0)
             light = label_event(event, STATS15, None, user).source is ValidReadSource.T2
             assert not (light and not previous), "lightness regained as clicks grew"
             previous = light
 
     def test_out_of_order_queries_stay_correct(self):
-        user = UserActivityProfile("u1")
         day0 = 1_700_000_000
-        user.record_click(day0)
-        user.record_click(day0 + 9 * DAY)
+        user = UserActivityProfile("u1", [day0, day0 + 9 * DAY])
         # Late query first, then an earlier one; both see their own windows.
         assert user.window_size(day0 + 9 * DAY) == 1
         assert user.window_size(day0 + DAY) == 1
@@ -133,11 +121,6 @@ class TestStore:
         assert store.items["i2"].n_records == 1
         assert store.users["u1"].window_size(1_700_000_100) == 2
 
-    def test_frozen_store_rejects_writes(self):
-        store, events = self.build_store()
-        with pytest.raises(FrozenProfileError):
-            store.observe_event(events[0])
-
     def test_round_trip(self, tmp_path):
         store, _ = self.build_store()
         path = tmp_path / "profiles.bin"
@@ -150,7 +133,6 @@ class TestStore:
         for p in (0.1, 0.5, 1.0):
             assert item.estimator.query(p) == store.items["i1"].estimator.query(p)
         assert loaded.users["u2"].click_timestamps == store.users["u2"].click_timestamps
-        assert loaded.frozen
         assert loaded.to_bytes() == path.read_bytes()
 
     def test_bytes_deterministic(self, rng):
@@ -160,19 +142,16 @@ class TestStore:
         values = rng.uniform(0, 10, 6000).tolist()
 
         def sketchy():
-            store = ProfileStore(eps=0.01, switch_threshold=128)
-            for k, v in enumerate(values):
-                store.observe_event(make_event("u1", "hot", 1_700_000_000 + k, True, v))
-            return store.freeze().to_bytes()
+            events = [make_event("u1", "hot", 1_700_000_000 + k, True, v) for k, v in enumerate(values)]
+            return build_profiles(events, eps=0.01, switch_threshold=128).to_bytes()
 
         assert sketchy() == sketchy()
 
     def test_sketchy_item_round_trip(self, tmp_path, rng):
-        store = ProfileStore(eps=0.01, switch_threshold=256)
         base = 1_700_000_000
-        for k, v in enumerate(rng.uniform(0, 100, 2000).tolist()):
-            store.observe_event(make_event("u1", "hot", base + k, True, v))
-        store.freeze()
+        values = rng.uniform(0, 100, 2000).tolist()
+        events = [make_event("u1", "hot", base + k, True, v) for k, v in enumerate(values)]
+        store = build_profiles(events, eps=0.01, switch_threshold=256)
         assert store.items["hot"].estimator.mode == "sketch"
         path = tmp_path / "profiles.bin"
         store.save(str(path))
@@ -181,6 +160,24 @@ class TestStore:
         assert loaded.items["hot"].n_records == 2000
         assert loaded.items["hot"].p10() == store.items["hot"].p10()
         assert loaded.to_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "settings",
+        [{"eps": 0.0}, {"eps": 1.0}, {"eps": 2.0}, {"eps": float("nan")},
+         {"switch_threshold": 0}, {"switch_threshold": -5}, {"switch_threshold": 2**32}],
+    )
+    def test_out_of_range_settings_rejected(self, settings):
+        with pytest.raises(ValueError):
+            ProfileStore(**settings)
+        with pytest.raises(ValueError):
+            build_profiles([make_event()], **settings)
+
+    def test_out_of_range_header_rejected(self):
+        """A header eps outside (0, 1) fails to load behind a matching checksum."""
+        body = bytearray(small_store().to_bytes()[:-4])
+        struct.pack_into("<d", body, 8, 2.0)
+        with pytest.raises(ValueError, match="eps must be in"):
+            ProfileStore.from_bytes(sealed(bytes(body)))
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="magic"):
@@ -263,15 +260,15 @@ def sealed(body: bytes) -> bytes:
 
 def small_store() -> ProfileStore:
     """A sketch item, two exact items and three users."""
-    store = ProfileStore(eps=0.05, switch_threshold=8)
     base = 1_700_000_000
-    for k in range(12):
-        store.observe_event(make_event(f"u{k % 3}", "hot", base + k, True, 10.0 + k))
-    store.observe_event(make_event("u0", "cold", base + 20, True, 5.0))
-    store.observe_event(make_event("u0", "cold", base + 21, True, 2.0))
-    store.observe_event(make_event("u1", "warm", base + 22, True, 1.0))
+    events = [make_event(f"u{k % 3}", "hot", base + k, True, 10.0 + k) for k in range(12)] + [
+        make_event("u0", "cold", base + 20, True, 5.0),
+        make_event("u0", "cold", base + 21, True, 2.0),
+        make_event("u1", "warm", base + 22, True, 1.0),
+    ]
+    store = build_profiles(events, eps=0.05, switch_threshold=8)
     assert store.items["hot"].estimator.mode == "sketch"
-    return store.freeze()
+    return store
 
 
 TOKENS = st.text(st.characters(codec="utf-8"), max_size=6)
@@ -286,17 +283,15 @@ def stores(draw) -> ProfileStore:
     )
     dwell = st.sampled_from([0.0, 0.5, 3.0, 3.0, 12.25, 40.0]) | st.floats(0, 1e4)
     for token in draw(st.sets(TOKENS, max_size=5)):
-        profile = ItemDwellProfile(token, QuantileEstimator(store.eps, store.switch_threshold))
+        estimator = QuantileEstimator(store.eps, store.switch_threshold)
         for value in draw(st.lists(dwell, min_size=1, max_size=30)):
-            profile.observe(value)
-        store.items[token] = profile
+            estimator.observe(value)
+        store.items[token] = ItemDwellProfile(token, estimator)
     stamp = st.integers(1_700_000_000, 1_700_000_000 + 3 * WEEK_SECONDS)
     for token in draw(st.sets(TOKENS, max_size=5)):
-        user = UserActivityProfile(token)
-        for ts in draw(st.lists(stamp, max_size=12).map(lambda xs: xs + xs[:2])):
-            user.record_click(ts)
-        store.users[token] = user
-    return store.freeze()
+        stamps = draw(st.lists(stamp, max_size=12).map(lambda xs: xs + xs[:2]))
+        store.users[token] = UserActivityProfile(token, sorted(stamps))
+    return store
 
 
 class TestStoreRoundTripProperty:
@@ -318,20 +313,51 @@ class TestStoreRoundTripProperty:
                 assert loaded.users[token].window_size(at) == user.window_size(at)
 
 
+# Ties, signed zeros, subnormals, a value past 2^53, and non-ASCII ids
+# (one a combining sequence that sorts apart from its composed form).
+TIED_DWELL = [0.0, -0.0, 5e-324, 2.5e-308, 3.0, 3.0, 12.25, 1e16]
+ODD_IDS = ["a", "é", "e\u0301", "日本", "𝔘", "z"]
+
+
+def tie_heavy_events(rng, n: int) -> list:
+    """A random log whose clicks tie on dwell and, per user, on stamps."""
+    stamps = 1_700_000_000 + rng.integers(0, 3 * WEEK_SECONDS, 6)
+    events = []
+    for _ in range(n):
+        clicked = bool(rng.random() < 0.8)
+        dwell = TIED_DWELL[rng.integers(len(TIED_DWELL))] if clicked else 0.0
+        user, item = ODD_IDS[rng.integers(len(ODD_IDS))], ODD_IDS[rng.integers(len(ODD_IDS))]
+        events.append(make_event(user, item, int(stamps[rng.integers(len(stamps))]), clicked, dwell))
+    return events
+
+
 class TestColumnBuildEqualsPerEventLoop:
+    """``build_profiles`` gives the same store bytes as the per-click build."""
+
     @pytest.mark.parametrize("switch_threshold", [16, DEFAULT_SWITCH_THRESHOLD])
     @pytest.mark.parametrize("seed", range(3))
     def test_same_bytes_as_observe_event(self, seed, switch_threshold):
         events = random_events(np.random.default_rng(seed), 3000, n_users=30, n_items=6)
-        reference = ProfileStore(switch_threshold=switch_threshold)
-        for event in events:
-            reference.observe_event(event)
-        expected = reference.freeze().to_bytes()
+        reference = profiles_per_click(events, switch_threshold=switch_threshold)
+        expected = reference.to_bytes()
         modes = {p.estimator.mode for p in reference.items.values()}
         assert modes == ({"sketch"} if switch_threshold == 16 else {"exact"})
         for log in (events, EventTable.of(events)):
             store = build_profiles(log, switch_threshold=switch_threshold)
-            assert store.frozen and store.to_bytes() == expected
+            assert store.to_bytes() == expected
+
+    @pytest.mark.parametrize("switch_threshold", [1, 7, 30, DEFAULT_SWITCH_THRESHOLD])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tie_heavy_tables(self, seed, switch_threshold):
+        """Items cross the switch partway through the log at the small
+        thresholds; the store bytes hold each value's sign bit, so a tie
+        between -0.0 and 0.0 that lands in another order shows."""
+        events = tie_heavy_events(np.random.default_rng(100 + seed), 300)
+        reference = profiles_per_click(events, eps=0.05, switch_threshold=switch_threshold)
+        store = build_profiles(EventTable.of(events), eps=0.05, switch_threshold=switch_threshold)
+        assert store.to_bytes() == reference.to_bytes()
+        sketched = any(p.estimator.mode == "sketch" for p in reference.items.values())
+        assert sketched == (switch_threshold < DEFAULT_SWITCH_THRESHOLD)
 
 
 @pytest.mark.parametrize(

@@ -149,7 +149,7 @@ class TestSerialization:
     def to_bytes(est: QuantileEstimator) -> bytes:
         store = ProfileStore(eps=est.eps, switch_threshold=est.switch_threshold)
         store.items["i"] = ItemDwellProfile("i", est)
-        return store.freeze().to_bytes()
+        return store.to_bytes()
 
     @staticmethod
     def from_bytes(blob: bytes) -> QuantileEstimator:
