@@ -22,7 +22,6 @@ from readweight import (
     relaimpr,
     train,
 )
-from readweight.labeling import LabelKind
 from readweight.simulate import ItemClass
 from readweight.training import FeatureSpace, score_events
 
@@ -35,18 +34,16 @@ cfg = SimConfig(
 events, _ = generate(cfg)
 stats = fit_log_normal(events)
 store = build_profiles(events)
-labeled = list(label_log(events, stats, store))
+labeled = LabeledLog.from_pairs(label_log(events, stats, store))
 params = NdtParams.solve(offset=stats.x_l, x_h=stats.x_h)
-n_vr = sum(1 for _, l in labeled if l.kind is LabelKind.VALID_READ)
-print(f"{len(events)} events, {n_vr} valid reads")
+print(f"{len(events)} events, {labeled.valid_read.sum()} valid reads")
 print(f"heavy clickbait widens the dwell spread: x_l collapses to {stats.x_l:.2f}s,")
 print("so the 5s noise floor does the filtering and bait clicks miss it.")
 
 order = np.random.default_rng(99).permutation(len(labeled))
 cut = int(0.8 * len(labeled))
-train_log = LabeledLog.from_pairs(labeled[i] for i in order[:cut])
-eval_log = LabeledLog.from_pairs(labeled[i] for i in order[cut:])
-space = FeatureSpace.from_pairs((e.user_id, e.item_id) for e, _ in labeled)
+train_log, eval_log = labeled.take(order[:cut]), labeled.take(order[cut:])
+space = FeatureSpace.of(labeled.events)
 
 results = {}
 for objective in ("single_ctr", "ctr_logdt", "vr_logdt", "vr_ndt"):

@@ -19,19 +19,16 @@ from .events import (
     LogFormatError,
     parse_event,
     read_log,
-    serialize_event,
     write_log,
 )
 from .evaluation import (
     EvalReport,
     MigrationCell,
     UndefinedAucError,
-    activeness_level,
     auc,
     equal_frequency_boundaries,
     migration_report,
     relaimpr,
-    weekly_click_counts,
 )
 from .labeling import (
     LabeledLog,
@@ -57,8 +54,6 @@ from .quantiles import GKSummary, QuantileEstimator
 from .simulate import (
     RuleMixConfig,
     SimConfig,
-    analytic_click_rate,
-    analytic_light_user_fraction,
     generate,
     generate_migration_pair,
     generate_rule_mix,
@@ -99,9 +94,6 @@ __all__ = [
     "UserActivityProfile",
     "ValidReadLabel",
     "ValidReadSource",
-    "activeness_level",
-    "analytic_click_rate",
-    "analytic_light_user_fraction",
     "auc",
     "build_instances",
     "build_profiles",
@@ -122,9 +114,7 @@ __all__ = [
     "read_labeled_log",
     "read_log",
     "relaimpr",
-    "serialize_event",
     "solve_tau",
     "train",
-    "weekly_click_counts",
     "write_log",
 ]

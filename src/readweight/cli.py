@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Callable, Sequence
@@ -56,6 +57,7 @@ from .simulate import (
 from .training import (
     OBJECTIVES,
     TrainConfig,
+    TrainingDivergedError,
     build_instances,
     checkpoint_extra_config,
     space_from_checkpoint,
@@ -180,14 +182,31 @@ def _choice(names: tuple[str, ...]) -> Callable[[str], str]:
     return parse
 
 
-def _int_from(low: int) -> Callable[[str], int]:
+def _int_from(low: int, high: int | None = None) -> Callable[[str], int]:
     def parse(text: str) -> int:
         value = int(text)
-        if value < low:
-            raise ValueError(f"must be >= {low}")
+        if value < low or (high is not None and value > high):
+            raise ValueError(f"must be >= {low}" if high is None else f"must be in {low} .. {high}")
         return value
 
     return parse
+
+
+def _float_from(low: float, above: bool = False) -> Callable[[str], float]:
+    """A finite float >= ``low`` (> ``low`` when ``above``)."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError("must be finite")
+        if value < low or (above and value == low):
+            raise ValueError(f"must be {'>' if above else '>='} {low}")
+        return value
+
+    return parse
+
+
+_finite, _non_negative, _positive = _float_from(-math.inf), _float_from(0), _float_from(0, above=True)
 
 
 def _open_unit(text: str) -> float:
@@ -197,12 +216,16 @@ def _open_unit(text: str) -> float:
     return value
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
+def _list_of(parse: Callable[[str], object], count: int | None = None) -> Callable[[str], tuple]:
+    """Comma-separated values, each through ``parse``; exactly ``count`` of them when given."""
 
+    def parse_list(text: str) -> tuple:
+        values = tuple(map(parse, text.split(",")))
+        if count is not None and len(values) != count:
+            raise ValueError(f"need {count} comma-separated values, got {len(values)}")
+        return values
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
+    return parse_list
 
 
 def _parse_classes(text: str) -> tuple[ItemClass, ...]:
@@ -210,7 +233,7 @@ def _parse_classes(text: str) -> tuple[ItemClass, ...]:
     classes = []
     for chunk in text.split(";"):
         name, prob, mean, std = chunk.split(":")
-        classes.append(ItemClass(name, float(prob), float(mean), float(std)))
+        classes.append(ItemClass(name, _non_negative(prob), _finite(mean), _non_negative(std)))
     return tuple(classes)
 
 
@@ -346,13 +369,13 @@ def _handle_build_profiles(opts: Options) -> dict:
 
 
 def _handle_label(opts: Options) -> dict:
+    cfg = LabelingConfig(**opts.given("noise-floor", "light-max-clicks"))
     events, counts = _read_log_checked(opts)
     stats_path = opts.input("stats")
     profiles_path = opts.input("profiles")
     out = opts.required("out")
     stats = _load_stats(stats_path)
     store = ProfileStore.load(profiles_path)
-    cfg = LabelingConfig(**opts.given("noise-floor", "light-max-clicks"))
     labeled = LabeledLog.from_pairs(label_log(events, stats, store, cfg))
     atomic_write_text(out, labeled.to_text())
     report = composition_report(labeled)
@@ -369,10 +392,11 @@ def _handle_label(opts: Options) -> dict:
 
 
 def _handle_ndt_params(opts: Options) -> dict:
+    settings = opts.given("precision", "t-max")
     stats = _load_stats(opts.input("stats"))
     paper = paper_default_params(**opts.given("precision"))
     try:
-        solved = NdtParams.solve(offset=stats.x_l, x_h=stats.x_h, **opts.given("precision", "t-max"))
+        solved = NdtParams.solve(offset=stats.x_l, x_h=stats.x_h, **settings)
     except ValueError as err:
         raise CliError("infeasible-ndt", str(err), exit_code=2)
     doc = {
@@ -421,7 +445,10 @@ def _handle_train(opts: Options) -> dict:
     params = _load_ndt_params(params_path, **opts.given("params-mode"))
     labeled = _read_labeled_checked(labeled_path)
     batch, space = build_instances(labeled, params, cfg)
-    result = train(cfg, batch, space)
+    try:
+        result = train(cfg, batch, space)
+    except TrainingDivergedError as err:
+        raise CliError("training-diverged", str(err), exit_code=2)
     result.network.save(checkpoint_path, checkpoint_extra_config(result))
     trace_path = opts.get("trace")
     if trace_path:
@@ -466,10 +493,11 @@ def _handle_eval(opts: Options) -> dict:
 
 def _handle_migrate_report(opts: Options) -> dict:
     out = opts.required("out")
+    boundaries = opts.get("boundaries")
     baseline, _ = _read_log_checked(opts, "baseline")
     treatment, _ = _read_log_checked(opts, "treatment")
     try:
-        cells = migration_report(baseline, treatment, opts.get("boundaries"))
+        cells = migration_report(baseline, treatment, boundaries)
     except ValueError as err:
         raise CliError("invalid-input", str(err), exit_code=2)
     atomic_write_text(out, migration_csv(cells))
@@ -497,6 +525,7 @@ _HANDLERS = {
 # Each command's long options, each with the one parser its flag text and
 # config-file text go through.
 _LOG_FLAGS = {"header": _choice(HEADER_MODES), "bad-line-budget": _int_from(0)}
+MAX_BINS = 10_000
 _COMMAND_FLAGS: dict[str, dict[str, Callable]] = {
     "simulate": {
         "mode": _choice(("organic", "rule-mix", "migration")),
@@ -504,30 +533,30 @@ _COMMAND_FLAGS: dict[str, dict[str, Callable]] = {
         "sidecar": str,
         "stats-out": str,
         "treatment-out": str,
-        "seed": int,
-        "users": int,
-        "items": int,
-        "activeness-mix": _parse_floats,
-        "impressions-per-level": _parse_ints,
-        "latent-dim": int,
-        "user-scale": float,
-        "item-scale": float,
-        "click-bias": float,
-        "affinity-dt-coef": float,
-        "bait-click-coef": float,
-        "bait-dt-coef": float,
+        "seed": _int_from(0),
+        "users": _int_from(1),
+        "items": _int_from(1),
+        "activeness-mix": _list_of(_non_negative),
+        "impressions-per-level": _list_of(_int_from(0)),
+        "latent-dim": _int_from(1),
+        "user-scale": _non_negative,
+        "item-scale": _non_negative,
+        "click-bias": _finite,
+        "affinity-dt-coef": _finite,
+        "bait-click-coef": _finite,
+        "bait-dt-coef": _finite,
         "classes": _parse_classes,
-        "span-days": int,
-        "valid-reads": int,
-        "mix": _parse_floats,
-        "noise-frac": float,
-        "unclicked-frac": float,
-        "shift": float,
-        "shift-scale": float,
-        "max-level": int,
+        "span-days": _int_from(1),
+        "valid-reads": _int_from(1),
+        "mix": _list_of(_non_negative, 3),
+        "noise-frac": _non_negative,
+        "unclicked-frac": _non_negative,
+        "shift": _non_negative,
+        "shift-scale": _positive,
+        "max-level": _int_from(0),
     },
     "fit-stats": {"log": str, "out": str, **_LOG_FLAGS},
-    "stats-report": {"log": str, "out": str, "bins": _int_from(1), **_LOG_FLAGS},
+    "stats-report": {"log": str, "out": str, "bins": _int_from(1, MAX_BINS), **_LOG_FLAGS},
     "build-profiles": {
         "log": str, "out": str, "eps": _open_unit, "switch-threshold": _int_from(1), **_LOG_FLAGS,
     },
@@ -537,11 +566,11 @@ _COMMAND_FLAGS: dict[str, dict[str, Callable]] = {
         "profiles": str,
         "out": str,
         "report": str,
-        "noise-floor": float,
-        "light-max-clicks": int,
+        "noise-floor": _non_negative,
+        "light-max-clicks": _int_from(0),
         **_LOG_FLAGS,
     },
-    "ndt-params": {"stats": str, "out": str, "precision": float, "t-max": float},
+    "ndt-params": {"stats": str, "out": str, "precision": _positive, "t-max": _positive},
     "train": {
         "labeled": str,
         "ndt-params": str,
@@ -551,19 +580,19 @@ _COMMAND_FLAGS: dict[str, dict[str, Callable]] = {
         "objective": _choice(OBJECTIVES),
         "neg-mode": _choice(NEG_MODES),
         "batch-size": _int_from(1),
-        "learning-rate": float,
+        "learning-rate": _positive,
         "epochs": _int_from(1),
-        "seed": int,
-        "embedding-dim": int,
-        "bottom-dim": int,
-        "tower-dims": _parse_ints,
+        "seed": _int_from(0),
+        "embedding-dim": _int_from(1),
+        "bottom-dim": _int_from(1),
+        "tower-dims": _list_of(_int_from(1), 2),
     },
-    "eval": {"labeled": str, "checkpoint": str, "out": str, "base-auc": float},
+    "eval": {"labeled": str, "checkpoint": str, "out": str, "base-auc": _finite},
     "migrate-report": {
         "baseline": str,
         "treatment": str,
         "out": str,
-        "boundaries": _parse_ints,
+        "boundaries": _list_of(int),
         **_LOG_FLAGS,
     },
 }
@@ -598,7 +627,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as err:
         print(json.dumps({"error": err.reason, "detail": err.detail}, sort_keys=True))
         return err.exit_code
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, MemoryError) as err:
         print(json.dumps({"error": "runtime-failure", "detail": str(err)}, sort_keys=True))
         return 2
     print(json.dumps(summary, sort_keys=True))

@@ -12,11 +12,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .events import EventTable, InteractionEvent
+from .events import EventTable
 
 
 class InsufficientDataError(ValueError):
@@ -60,24 +60,22 @@ class DwellStats:
         return cls(mu=mu, sigma=sigma, n=n, x_l=math.exp(mu - sigma), x_h=math.exp(mu + sigma))
 
 
-def _log_dwell(events: Iterable[InteractionEvent]) -> np.ndarray:
+def _log_dwell(table: EventTable) -> np.ndarray:
     """``math.log`` of the clicked rows' positive dwell times, in file order."""
-    table = EventTable.of(events)
     dwell = table.dwell_time_s
     usable = dwell[table.clicked & (dwell > 0)].tolist()
     return np.fromiter(map(math.log, usable), dtype=np.float64, count=len(usable))
 
 
-def fit_log_normal(events: Iterable[InteractionEvent]) -> DwellStats:
-    """Fit mu/sigma of ln T over clicked events with positive dwell time.
+def fit_log_normal(table: EventTable) -> DwellStats:
+    """Fit mu/sigma of ln T over clicked rows with positive dwell time.
 
-    Unclicked events and zero-dwell clicks are ignored.  Raises
-    InsufficientDataError below 2 usable samples.  Takes an EventTable or
-    any iterable of events.  Both sums run left to right in file order
-    (``np.cumsum``, not the pairwise ``np.sum``), so the fit is the same
-    bits as adding one click at a time.
+    Unclicked rows and zero-dwell clicks are ignored.  Raises
+    InsufficientDataError below 2 usable samples.  Both sums run left to
+    right in file order (``np.cumsum``, not the pairwise ``np.sum``), so the
+    fit is the same bits as adding one click at a time.
     """
-    x = _log_dwell(events)
+    x = _log_dwell(table)
     n = len(x)
     if n < 2:
         raise InsufficientDataError(f"need at least 2 clicked events with positive dwell time, got {n}")
@@ -86,17 +84,15 @@ def fit_log_normal(events: Iterable[InteractionEvent]) -> DwellStats:
     return DwellStats.from_moments(mu=mu, sigma=math.sqrt(max(variance, 0.0)), n=n)
 
 
-def histogram_lnT(
-    events: Iterable[InteractionEvent], n_bins: int
-) -> list[tuple[float, int]]:
-    """Histogram of ln T over clicked positive-dwell events.
+def histogram_lnT(table: EventTable, n_bins: int) -> list[tuple[float, int]]:
+    """Histogram of ln T over clicked positive-dwell rows.
 
     Returns (bin_center, count) pairs; the counts sum to the number of usable
-    events.  Empty input gives an empty histogram.
+    rows.  A table with none gives an empty histogram.
     """
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    values = _log_dwell(events)
+    values = _log_dwell(table)
     if values.size == 0:
         return []
     counts, edges = np.histogram(values, bins=n_bins)

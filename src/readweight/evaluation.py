@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .events import EventTable, InteractionEvent
+from .events import EventTable
 from .profiles import WEEK_SECONDS
 
 N_LEVELS = 7
@@ -100,27 +100,6 @@ class EvalReport:
         )
 
 
-def _week_clicks(table: EventTable) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
-    """Users coded in order of first appearance, each row's user code, and
-    each user's clicks in the trailing 7-day window ending at the log's last
-    timestamp.  The table must not be empty."""
-    codes = {user: code for code, user in enumerate(dict.fromkeys(table.user_id))}
-    row_user = np.fromiter(map(codes.__getitem__, table.user_id), dtype=np.intp, count=len(table))
-    horizon = table.timestamp.max()
-    in_week = table.clicked & (table.timestamp > horizon - WEEK_SECONDS) & (table.timestamp <= horizon)
-    return codes, row_user, np.bincount(row_user[in_week], minlength=len(codes))
-
-
-def weekly_click_counts(events: Iterable[InteractionEvent]) -> dict[str, int]:
-    """Clicks per user in the trailing 7-day window ending at the log's last
-    timestamp.  Users seen only as impressions count 0."""
-    table = EventTable.of(events)
-    if not len(table):
-        return {}
-    codes, _, counts = _week_clicks(table)
-    return dict(zip(codes, counts.tolist()))
-
-
 def equal_frequency_boundaries(counts: Iterable[int], n_levels: int = N_LEVELS) -> tuple[int, ...]:
     """Septile boundaries of weekly click counts: nearest-rank cuts, forced
     strictly ascending and >= 1 so zero-click users always land at level 1."""
@@ -138,18 +117,26 @@ def equal_frequency_boundaries(counts: Iterable[int], n_levels: int = N_LEVELS) 
     return tuple(boundaries)
 
 
-def activeness_level(user_week_clicks: int, boundaries: Sequence[int]) -> int:
-    """1 + number of boundaries at or below the click count; level 7 (with
-    six boundaries) is the most active band."""
-    bounds = _ascending(boundaries)
-    return 1 + sum(1 for b in bounds if b <= user_week_clicks)
+def row_levels(table: EventTable, boundaries: Sequence[int] | None = None) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Each row's user activeness level, and the boundaries it was cut at.
 
-
-def _ascending(boundaries: Sequence[int]) -> list[int]:
-    bounds = list(boundaries)
+    A user's level is 1 plus the number of boundaries at or below their
+    clicks in the trailing 7-day window ending at the log's last timestamp,
+    so a user seen only as impressions is at level 1.  Boundaries default
+    to the equal-frequency septiles of those counts and must ascend
+    strictly.  The table must not be empty.
+    """
+    codes = {user: code for code, user in enumerate(dict.fromkeys(table.user_id))}
+    row_user = np.fromiter(map(codes.__getitem__, table.user_id), dtype=np.intp, count=len(table))
+    horizon = table.timestamp.max()
+    in_week = table.clicked & (table.timestamp > horizon - WEEK_SECONDS) & (table.timestamp <= horizon)
+    counts = np.bincount(row_user[in_week], minlength=len(codes))
+    if boundaries is None:
+        boundaries = equal_frequency_boundaries(counts.tolist())
+    bounds = tuple(boundaries)
     if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
         raise ValueError("boundaries must be strictly ascending")
-    return bounds
+    return (1 + np.searchsorted(np.asarray(bounds), counts, side="right"))[row_user], bounds
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,72 +153,52 @@ class MigrationCell:
         return self.mean_dt_treatment - self.mean_dt_baseline
 
 
-def _level_means(
-    table: EventTable,
-    week_clicks: tuple[dict[str, int], np.ndarray, np.ndarray],
-    bounds: list[int],
-    n_deciles: int,
-) -> dict[int, list[float | None]]:
+def _mean(chunk: np.ndarray) -> float:
+    """Mean of ``chunk``, summed left to right as the builtin ``sum`` does
+    before Python 3.12 (3.12 compensates); ``+ 0.0`` gives an all ``-0.0``
+    chunk ``sum``'s ``0.0``."""
+    return (float(np.cumsum(chunk)[-1]) + 0.0) / len(chunk)
+
+
+def _level_means(table: EventTable, levels: np.ndarray, n_levels: int, n_deciles: int) -> list[list[float | None]]:
     """Per activeness level, the per-decile mean dwell time of one arm."""
-    _, row_user, counts = week_clicks
-    user_level = 1 + np.searchsorted(np.asarray(bounds), counts, side="right")
     clicked = table.clicked
-    row_level = user_level[row_user[clicked]]
+    row_level = levels[clicked]
     dwell = table.dwell_time_s[clicked]
-    means: dict[int, list[float | None]] = {}
-    for level in range(1, len(bounds) + 2):
-        dwells = sorted(dwell[row_level == level].tolist())
+    means = []
+    for level in range(1, n_levels + 1):
+        dwells = np.sort(dwell[row_level == level], kind="stable")
         m = len(dwells)
-        cell_means: list[float | None] = []
-        prev = 0
-        for d in range(1, n_deciles + 1):
-            hi = min(math.ceil(d * m / n_deciles), m)
-            if hi > prev:
-                chunk = dwells[prev:hi]
-                cell_means.append(sum(chunk) / len(chunk))
-            else:
-                cell_means.append(None)
-            prev = hi
-        means[level] = cell_means
+        cuts = [min(math.ceil(d * m / n_deciles), m) for d in range(n_deciles + 1)]
+        means.append([_mean(dwells[lo:hi]) if hi > lo else None for lo, hi in zip(cuts, cuts[1:])])
     return means
 
 
 def migration_report(
-    baseline: Iterable[InteractionEvent],
-    treatment: Iterable[InteractionEvent],
+    baseline: EventTable,
+    treatment: EventTable,
     boundaries: Sequence[int] | None = None,
     n_deciles: int = N_DECILES,
 ) -> list[MigrationCell]:
     """Dwell-time change per (activeness level x within-level DT decile).
 
-    Levels come from each arm's own weekly click counts; decile cuts are
-    nearest-rank and computed within each arm.  Boundaries default to
-    equal-frequency septiles of the baseline arm.  Cells are ordered
-    level-major, decile-minor; empty cells carry missing means.  Each arm is
-    an EventTable or any iterable of events.
+    Levels come from each arm's own weekly click counts (``row_levels``);
+    decile cuts are nearest-rank and computed within each arm.  Boundaries
+    default to equal-frequency septiles of the baseline arm.  Cells are
+    ordered level-major, decile-minor; empty cells carry missing means.
     """
-    baseline = EventTable.of(baseline)
-    treatment = EventTable.of(treatment)
     if not baseline.clicked.any() or not treatment.clicked.any():
         raise ValueError("both logs must contain clicks")
-    base_week = _week_clicks(baseline)
-    if boundaries is None:
-        boundaries = equal_frequency_boundaries(base_week[2].tolist())
-    bounds = _ascending(boundaries)
-    base_means = _level_means(baseline, base_week, bounds, n_deciles)
-    treat_means = _level_means(treatment, _week_clicks(treatment), bounds, n_deciles)
-    cells = []
-    for level in range(1, len(bounds) + 2):
-        for d in range(1, n_deciles + 1):
-            cells.append(
-                MigrationCell(
-                    activeness_level=level,
-                    dt_decile=d,
-                    mean_dt_baseline=base_means[level][d - 1],
-                    mean_dt_treatment=treat_means[level][d - 1],
-                )
-            )
-    return cells
+    base_levels, bounds = row_levels(baseline, boundaries)
+    treat_levels, _ = row_levels(treatment, bounds)
+    n_levels = len(bounds) + 1
+    base_means = _level_means(baseline, base_levels, n_levels, n_deciles)
+    treat_means = _level_means(treatment, treat_levels, n_levels, n_deciles)
+    return [
+        MigrationCell(level, d, base_means[level - 1][d - 1], treat_means[level - 1][d - 1])
+        for level in range(1, n_levels + 1)
+        for d in range(1, n_deciles + 1)
+    ]
 
 
 def migration_csv(cells: Sequence[MigrationCell]) -> str:

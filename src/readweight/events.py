@@ -96,16 +96,9 @@ def parse_event(record: str, line_number: int | None = None) -> InteractionEvent
 
 
 # The canonical log line: timestamps as plain integers, clicked as 0/1, dwell
-# time via ``repr(float)`` (the shortest decimal that round-trips).
+# time via ``repr(float)`` (the shortest decimal that round-trips), so
+# ``parse_event`` of a line reproduces its row exactly.
 _LOG_LINE = "{},{},{},{:d},{!r}"
-
-
-def serialize_event(event: InteractionEvent) -> str:
-    """Render an event as its canonical log line (no trailing newline);
-    ``parse_event`` of the result reproduces the event exactly."""
-    return _LOG_LINE.format(
-        event.user_id, event.item_id, event.timestamp, event.clicked, event.dwell_time_s
-    )
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -136,11 +129,20 @@ class EventTable:
             self.dwell_time_s.tolist(),
         )
 
+    def take(self, rows: np.ndarray) -> "EventTable":
+        """The rows at the indices ``rows``, in that order."""
+        pick = rows.tolist()
+        return EventTable(
+            list(map(self.user_id.__getitem__, pick)),
+            list(map(self.item_id.__getitem__, pick)),
+            self.timestamp[rows],
+            self.clicked[rows],
+            self.dwell_time_s[rows],
+        )
+
     @classmethod
     def of(cls, events: Iterable[InteractionEvent]) -> "EventTable":
-        """``events`` itself if it is a table, else its rows as columns."""
-        if isinstance(events, EventTable):
-            return events
+        """The rows of ``events`` as columns."""
         events = list(events)
         n = len(events)
         return cls(
@@ -256,19 +258,6 @@ class LogScan:
             return err
         raise RuntimeError(f"line {index + 1}: the column checks reject a line {parse.__name__} accepts")
 
-    def kept(self, keep: np.ndarray) -> EventTable:
-        """The event columns of the rows ``keep`` marks."""
-        events = self.events
-        if keep.all():
-            return events
-        return EventTable(
-            list(compress(events.user_id, keep)),
-            list(compress(events.item_id, keep)),
-            events.timestamp[keep],
-            events.clicked[keep],
-            events.dwell_time_s[keep],
-        )
-
 
 def read_log(
     path: str | os.PathLike[str],
@@ -294,19 +283,13 @@ def read_log(
         err = scan.error(at_fault[bad_line_budget], parse_event)
         message = f"bad-line budget {bad_line_budget} exceeded: {err}"
         raise BadLineBudgetExceeded(message, err.line_number) from err
-    table = scan.kept(~scan.bad)
+    table = scan.events.take(np.flatnonzero(~scan.bad)) if at_fault else scan.events
     return table, ScanCounts(total=len(table), skipped=len(at_fault))
 
 
-def write_log(
-    path: str | os.PathLike[str],
-    events: Iterable[InteractionEvent],
-    *,
-    header: bool = False,
-) -> int:
-    """Write a table or any iterable of events as canonical log lines,
-    atomically; returns the number of rows written."""
-    table = EventTable.of(events)
+def write_log(path: str | os.PathLike[str], table: EventTable, *, header: bool = False) -> int:
+    """Write a table as canonical log lines, atomically; returns the number
+    of rows written."""
     atomic_write_text(path, (LOG_HEADER + "\n" if header else "") + log_lines(table))
     return len(table)
 

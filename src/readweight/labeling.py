@@ -27,15 +27,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .dwell_stats import DwellStats
-from .events import (
-    EventTable,
-    InteractionEvent,
-    LogFormatError,
-    LogScan,
-    log_lines,
-    parse_event,
-    serialize_event,
-)
+from .events import EventTable, InteractionEvent, LogFormatError, LogScan, log_lines, parse_event
 from .profiles import ItemDwellProfile, ProfileStore, UserActivityProfile
 
 NOISE_FLOOR_S = 5.0
@@ -111,7 +103,7 @@ def label_log(
     """Label a stream of events against one profile store, in input order."""
     for event in events:
         yield event, label_event(
-            event, stats, store.item(event.item_id), store.user(event.user_id), cfg
+            event, stats, store.items.get(event.item_id), store.users.get(event.user_id), cfg
         )
 
 
@@ -152,6 +144,10 @@ class LabeledLog:
     def valid_read(self) -> np.ndarray:
         return self.kind == _VALID_READ
 
+    def take(self, rows: np.ndarray) -> "LabeledLog":
+        """The rows at the indices ``rows``, in that order."""
+        return LabeledLog(self.events.take(rows), self.kind[rows], self.source[rows])
+
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[InteractionEvent, ValidReadLabel]]) -> "LabeledLog":
         """Columns of (event, label) pairs, such as ``label_log`` yields."""
@@ -166,8 +162,8 @@ class LabeledLog:
         )
 
     def to_text(self) -> str:
-        """The log as labeled-log text: the header, then each row as
-        ``serialize_labeled`` writes it, formatted from the columns."""
+        """The log as labeled-log text: the header, then each row's event
+        line plus ``,label,source``, formatted from the columns."""
         kind = np.array(list(_KIND_CODE))[self.kind].tolist()
         source = np.array(list(_SOURCE_CODE))[self.source].tolist()
         return LABELED_HEADER + "\n" + log_lines(self.events, kind, source)
@@ -192,11 +188,6 @@ def composition_report(log: LabeledLog) -> dict:
         "valid_read_source_fractions": fractions,
         "n_events": len(log),
     }
-
-
-def serialize_labeled(event: InteractionEvent, label: ValidReadLabel) -> str:
-    source = label.source.value if label.source is not None else ""
-    return f"{serialize_event(event)},{label.kind.value},{source}"
 
 
 def parse_labeled(line: str, line_number: int | None = None) -> tuple[InteractionEvent, ValidReadLabel]:
@@ -252,5 +243,5 @@ def read_labeled_log(path: str | os.PathLike[str]) -> LabeledLog:
     at_fault = scan.bad_lines(bad)
     if len(at_fault):
         raise scan.error(at_fault[0], parse_labeled)
-    keep = ~skip
-    return LabeledLog(scan.kept(keep), kind[keep], source[keep])
+    log = LabeledLog(scan.events, kind, source)
+    return log.take(np.flatnonzero(~skip)) if skip.any() else log

@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .events import EventTable, InteractionEvent
+from .events import EventTable
 from .quantiles import DEFAULT_EPS, DEFAULT_SWITCH_THRESHOLD, QuantileEstimator
 
 WEEK_SECONDS = 7 * 86400
@@ -115,12 +115,6 @@ class ProfileStore:
         self.switch_threshold = switch_threshold
         self.items: dict[str, ItemDwellProfile] = {}
         self.users: dict[str, UserActivityProfile] = {}
-
-    def item(self, item_id: str) -> ItemDwellProfile | None:
-        return self.items.get(item_id)
-
-    def user(self, user_id: str) -> UserActivityProfile | None:
-        return self.users.get(user_id)
 
     def _fill(
         self,
@@ -266,21 +260,20 @@ def _coded(ids: Iterable[str]) -> tuple[list[str], np.ndarray]:
 
 
 def build_profiles(
-    events: Iterable[InteractionEvent],
+    table: EventTable,
     eps: float = DEFAULT_EPS,
     switch_threshold: int = DEFAULT_SWITCH_THRESHOLD,
 ) -> ProfileStore:
     """Single statistics pass over a log's columns.
 
-    Takes an EventTable or any iterable of events; only clicks leave a
-    trace, and a click with negative dwell time or a timestamp below 1
-    raises ValueError.  Exact items' values and users' stamps come out of
-    stable sorts, so equal values keep file order, as one ``insort`` per
-    click would leave them.  A sketch item's estimator takes its values in
-    file order, because a GK summary depends on the order values arrive in.
+    Only clicks leave a trace, and a click with negative dwell time or a
+    timestamp below 1 raises ValueError.  Exact items' values and users'
+    stamps come out of stable sorts, so equal values keep file order, as one
+    ``insort`` per click would leave them.  A sketch item's estimator takes
+    its values in file order, because a GK summary depends on the order
+    values arrive in.
     """
     store = ProfileStore(eps=eps, switch_threshold=switch_threshold)
-    table = EventTable.of(events)
     clicked = table.clicked
     dwell, stamps = table.dwell_time_s[clicked], table.timestamp[clicked]
     if not (dwell >= 0).all():

@@ -15,25 +15,27 @@ Three generators cover the pipeline's oracle needs:
   low-activeness users' short reads are lengthened by a smooth monotone
   map, leaving per-cell migration deltas that are exactly recoverable.
 
-Everything is deterministic given the config seed; closed-form or
-quadrature oracles (mean click rate, light-user fraction) are provided for
-property tests.
+Everything is deterministic given the config seed.  Logs start at
+``START_TS``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import compress
 
 import numpy as np
 
 from .dwell_stats import DwellStats
 from .events import EventTable
-from .evaluation import activeness_level, equal_frequency_boundaries, weekly_click_counts
+from .evaluation import row_levels
 from .ndt import logistic
-from .profiles import WEEK_SECONDS
 
 DAY_SECONDS = 86400
+START_TS = 1_700_000_000
+# The dwell time a click must exceed to count in ``Sidecar.vr_propensity``.
+VALID_READ_REF_S = 15.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,9 +70,7 @@ class SimConfig:
         ItemClass("medium", 0.5, 4.0, 1.2),
         ItemClass("long", 0.2, 5.0, 1.0),
     )
-    start_ts: int = 1_700_000_000
     span_days: int = 14
-    valid_read_ref_s: float = 15.0
     seed: int = 0
 
     def __post_init__(self):
@@ -91,7 +91,7 @@ class Sidecar:
     """A generated log's ground truth as columns, row i for row i of its
     EventTable: the click affinity (f64), the user's activeness level
     (1-based int), the item's class name and the valid-read propensity
-    P(T > valid_read_ref_s | click) (f64)."""
+    P(T > VALID_READ_REF_S | click) (f64)."""
 
     affinity: np.ndarray
     user_level: np.ndarray
@@ -139,7 +139,7 @@ def generate(cfg: SimConfig) -> tuple[EventTable, Sidecar]:
     user_idx = np.repeat(np.arange(cfg.n_users), imp_counts)
     item_idx = rng.integers(0, cfg.n_items, size=total)
     span_s = cfg.span_days * DAY_SECONDS
-    timestamps = cfg.start_ts + rng.integers(0, span_s, size=total)
+    timestamps = START_TS + rng.integers(0, span_s, size=total)
     affinity = np.einsum("ij,ij->i", user_vecs[user_idx], item_vecs[item_idx])
     logit = cfg.click_bias + affinity + cfg.bait_click_coef * bait[item_idx]
     clicked = rng.random(total) < logistic(logit)
@@ -150,11 +150,11 @@ def generate(cfg: SimConfig) -> tuple[EventTable, Sidecar]:
     ln_dt = ln_mean + class_std * rng.standard_normal(total)
     dwell = np.where(clicked, np.exp(ln_dt), 0.0)
 
-    z = (math.log(cfg.valid_read_ref_s) - ln_mean) / np.where(class_std > 0, class_std, 1.0)
+    z = (math.log(VALID_READ_REF_S) - ln_mean) / np.where(class_std > 0, class_std, 1.0)
     propensity = np.where(
         class_std > 0,
         1.0 - _norm_cdf(z),
-        (ln_mean > math.log(cfg.valid_read_ref_s)).astype(np.float64),
+        (ln_mean > math.log(VALID_READ_REF_S)).astype(np.float64),
     )
 
     users = [f"u{u:06d}" for u in range(cfg.n_users)]
@@ -171,70 +171,18 @@ def generate(cfg: SimConfig) -> tuple[EventTable, Sidecar]:
     return events, sidecar
 
 
-# -- analytic oracles ------------------------------------------------------
-
-
-def _gauss_hermite_mean(f, sd: float, n_nodes: int = 120) -> float:
-    """E[f(sd * Z)] for Z ~ N(0,1) by Gauss-Hermite quadrature."""
-    nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
-    density_norm = math.sqrt(2.0 * math.pi)
-    return float(np.sum(weights * f(sd * nodes)) / density_norm)
-
-
-def _chi2_mean(h, k: int, n_nodes: int = 96) -> float:
-    """E[h(Q)] for Q ~ chi-square with k degrees of freedom, via
-    Gauss-Laguerre after substituting q = 2t."""
-    nodes, weights = np.polynomial.laguerre.laggauss(n_nodes)
-    vals = np.asarray([h(2.0 * t) for t in nodes])
-    return float(np.sum(weights * vals * nodes ** (k / 2.0 - 1.0)) / math.gamma(k / 2.0))
-
-
-def _mean_click_prob_given_radius2(cfg: SimConfig, q: float) -> float:
-    """Mean click probability of a user whose latent squared norm is
-    user_scale^2 * q; the item side integrates out to one Gaussian."""
-    var = cfg.item_scale**2 * cfg.user_scale**2 * q + cfg.bait_click_coef**2
-    sd = math.sqrt(var)
-    return _gauss_hermite_mean(lambda x: 1.0 / (1.0 + np.exp(-(cfg.click_bias + x))), sd)
-
-
-def analytic_click_rate(cfg: SimConfig) -> float:
-    """Population mean click probability by nested quadrature over the
-    latent distribution (user radius x 1-D Gaussian projection)."""
-    return _chi2_mean(lambda q: _mean_click_prob_given_radius2(cfg, q), cfg.latent_dim)
-
-
-def _binom_cdf(k_max: int, n: int, p: float) -> float:
-    p = min(max(p, 0.0), 1.0)
-    total = 0.0
-    for j in range(0, min(k_max, n) + 1):
-        total += math.comb(n, j) * p**j * (1.0 - p) ** (n - j)
-    return min(total, 1.0)
-
-
-def analytic_light_user_fraction(cfg: SimConfig, max_clicks: int = 7) -> float:
-    """Probability a user has fewer than ``max_clicks`` clicks in the
-    trailing week, implied by the activeness mix and the click model.
-
-    Conditional on the user's latent radius the weekly click count is
-    Binomial(impressions, p * week_fraction); the radius integrates out by
-    quadrature and the mix weights the per-level counts.
-    """
-    week_frac = min(1.0, WEEK_SECONDS / (cfg.span_days * DAY_SECONDS))
-    total = 0.0
-    for mix, n_imp in zip(cfg.activeness_mix, cfg.impressions_per_level):
-        if mix == 0.0:
-            continue
-        prob = _chi2_mean(
-            lambda q: _binom_cdf(
-                max_clicks - 1, n_imp, _mean_click_prob_given_radius2(cfg, q) * week_frac
-            ),
-            cfg.latent_dim,
-        )
-        total += mix * prob
-    return total
-
-
 # -- planted rule-mix corpus -------------------------------------------------
+
+
+# The planted corpus's shape: its stats (x_l, sigma of ln T), clicks per
+# user (light users stay under 7 a week), events per T3 item, and a span
+# inside one week window.
+RULE_MIX_X_L = 15.0
+RULE_MIX_SIGMA = 1.295
+LIGHT_CLICKS_PER_USER = 6
+HEAVY_CLICKS_PER_USER = 40
+T3_RECORDS_PER_ITEM = 20
+RULE_MIX_SPAN_S = 3 * DAY_SECONDS
 
 
 @dataclass(frozen=True, slots=True)
@@ -243,24 +191,11 @@ class RuleMixConfig:
     mix: tuple[float, float, float] = (0.8, 0.1, 0.1)
     noise_frac: float = 0.05
     unclicked_frac: float = 1.0
-    t3_records_per_item: int = 20
-    x_l: float = 15.0
-    sigma: float = 1.295
-    light_clicks_per_user: int = 6
-    heavy_clicks_per_user: int = 40
-    start_ts: int = 1_700_000_000
-    span_days: int = 3
     seed: int = 0
 
     def __post_init__(self):
         if abs(sum(self.mix) - 1.0) > 1e-9:
             raise ValueError("rule mix must sum to 1")
-        if self.span_days * DAY_SECONDS >= WEEK_SECONDS:
-            raise ValueError("rule-mix corpus must fit inside one week window")
-        if self.t3_records_per_item < 2:
-            raise ValueError("t3_records_per_item must be >= 2")
-        if not 0 < self.light_clicks_per_user < 7:
-            raise ValueError("light users must keep fewer than 7 weekly clicks")
 
 
 @dataclass(slots=True)
@@ -286,10 +221,10 @@ def generate_rule_mix(cfg: RuleMixConfig) -> RuleMixCorpus:
     the organic generator's job).
     """
     rng = np.random.default_rng(cfg.seed)
-    mu = math.log(cfg.x_l) + cfg.sigma
-    stats = DwellStats.from_moments(mu=mu, sigma=cfg.sigma, n=cfg.n_valid_reads)
+    mu = math.log(RULE_MIX_X_L) + RULE_MIX_SIGMA
+    stats = DwellStats.from_moments(mu=mu, sigma=RULE_MIX_SIGMA, n=cfg.n_valid_reads)
 
-    k = cfg.t3_records_per_item
+    k = T3_RECORDS_PER_ITEM
     fails_per_item = math.ceil(0.1 * k)
     eff_per_item = k - fails_per_item
     n1 = round(cfg.mix[0] * cfg.n_valid_reads)
@@ -306,14 +241,13 @@ def generate_rule_mix(cfg: RuleMixConfig) -> RuleMixCorpus:
     # Seven warm-up clicks per heavy user sit at the span start; they carry
     # T1-band dwell times and count toward the planted T1 total.
     n_heavy_clicks = n1 + n3_planted + n_noise
-    n_heavy = max(1, min(n_heavy_clicks // max(cfg.heavy_clicks_per_user, 7), n1 // 7))
+    n_heavy = max(1, min(n_heavy_clicks // HEAVY_CLICKS_PER_USER, n1 // 7))
     if n1 < 7:
         raise ValueError("rule mix needs at least 7 T1 events to warm the heavy pool")
-    n_light = max(1, math.ceil(n2 / cfg.light_clicks_per_user)) if n2 else 0
+    n_light = max(1, math.ceil(n2 / LIGHT_CLICKS_PER_USER)) if n2 else 0
     n_generic_items = max(1, (n1 + n2 + n_noise) // 50)
 
-    span_s = cfg.span_days * DAY_SECONDS
-    # (user, item, dwell, intent, pinned to start_ts)
+    # (user, item, dwell, intent, pinned to START_TS)
     rows: list[tuple[str, str, float, str, bool]] = []
 
     heavy_user = lambda j: f"h{j % n_heavy:06d}"  # noqa: E731
@@ -321,16 +255,16 @@ def generate_rule_mix(cfg: RuleMixConfig) -> RuleMixCorpus:
 
     n_warmup = 7 * n_heavy
     for j in range(n1):
-        dwell = float(rng.uniform(cfg.x_l + 1.0, 300.0))
+        dwell = float(rng.uniform(RULE_MIX_X_L + 1.0, 300.0))
         rows.append((heavy_user(j), generic_item(j), dwell, "T1", j < n_warmup))
     for j in range(n2):
-        dwell = float(rng.uniform(5.5, cfg.x_l - 1.0))
+        dwell = float(rng.uniform(5.5, RULE_MIX_X_L - 1.0))
         rows.append(
-            (f"l{j // cfg.light_clicks_per_user:06d}", generic_item(n1 + j), dwell, "T2", False)
+            (f"l{j // LIGHT_CLICKS_PER_USER:06d}", generic_item(n1 + j), dwell, "T2", False)
         )
     for item in range(m_items):
         for j in range(k):
-            dwell = float(rng.uniform(5.5, cfg.x_l - 1.0))
+            dwell = float(rng.uniform(5.5, RULE_MIX_X_L - 1.0))
             rows.append(
                 (heavy_user(n1 + item * k + j), f"t{item:06d}", dwell, "T3_planted", False)
             )
@@ -342,7 +276,7 @@ def generate_rule_mix(cfg: RuleMixConfig) -> RuleMixCorpus:
     for j in range(n_unclicked):
         rows.append((heavy_user(j), generic_item(j), 0.0, "unclicked", False))
 
-    drawn_ts = cfg.start_ts + rng.integers(0, span_s, size=len(rows))
+    drawn_ts = START_TS + rng.integers(0, RULE_MIX_SPAN_S, size=len(rows))
     order = rng.permutation(len(rows))
     users, items, dwell_time_s, intended, pinned = (
         [column[r] for r in order.tolist()] for column in zip(*rows)
@@ -350,7 +284,7 @@ def generate_rule_mix(cfg: RuleMixConfig) -> RuleMixCorpus:
     events = EventTable(
         users,
         items,
-        np.where(pinned, cfg.start_ts, drawn_ts[order]),
+        np.where(pinned, START_TS, drawn_ts[order]),
         np.array([intent != "unclicked" for intent in intended], dtype=bool),
         np.array(dwell_time_s, dtype=np.float64),
     )
@@ -410,16 +344,10 @@ def generate_migration_pair(
     if shift_s >= shift_scale_s:
         raise ValueError("shift must stay below the scale to keep the lift monotone")
     baseline, _ = generate(cfg)
-    counts = weekly_click_counts(baseline)
-    boundaries = equal_frequency_boundaries(counts.values())
-    lifted = {
-        user
-        for user, c in counts.items()
-        if activeness_level(c, boundaries) <= max_level
-    }
+    levels, boundaries = row_levels(baseline)
+    is_lifted = levels <= max_level
     # The treatment shares the baseline's columns but dwell, which it copies
     # and lifts row by row through the scalar map (math.exp, for its bits).
-    is_lifted = np.fromiter((u in lifted for u in baseline.user_id), dtype=bool, count=len(baseline))
     rows = np.flatnonzero(baseline.clicked & is_lifted)
     dwell = baseline.dwell_time_s.copy()
     dwell[rows] = [short_read_lift(t, shift_s, shift_scale_s) for t in dwell[rows].tolist()]
@@ -428,7 +356,7 @@ def generate_migration_pair(
         baseline=baseline,
         treatment=treatment,
         boundaries=boundaries,
-        lifted_users=lifted,
+        lifted_users=set(compress(baseline.user_id, is_lifted)),
         shift_s=shift_s,
         shift_scale_s=shift_scale_s,
     )

@@ -34,6 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .events import EventTable
 from .labeling import LabeledLog
 from .model import ModelConfig, MtlNetwork, PackedBatch, SlotSpec
 from .ndt import NEG_MODES, NdtParams, ndt, tower_weights
@@ -80,13 +81,9 @@ class FeatureSpace:
         self._item_index.update({t: i + 1 for i, t in enumerate(self.item_vocab)})
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "FeatureSpace":
-        users: set[str] = set()
-        items: set[str] = set()
-        for user_id, item_id in pairs:
-            users.add(user_id)
-            items.add(item_id)
-        return cls(tuple(sorted(users)), tuple(sorted(items)))
+    def of(cls, events: EventTable) -> "FeatureSpace":
+        """The sorted distinct user and item ids of ``events``."""
+        return cls(tuple(sorted(set(events.user_id))), tuple(sorted(set(events.item_id))))
 
     def encode(self, user_ids: Sequence[str], item_ids: Sequence[str]) -> np.ndarray:
         """(n, 2) int32 token indices of parallel id sequences; unseen ids map to 0."""
@@ -128,7 +125,7 @@ def build_instances(
     is the log's own.
     """
     if space is None:
-        space = FeatureSpace.from_pairs(zip(log.events.user_id, log.events.item_id))
+        space = FeatureSpace.of(log.events)
     y = log.events.clicked if cfg.objective in ("single_ctr", "ctr_logdt") else log.valid_read
     if cfg.objective == "single_ctr":
         w = np.zeros(len(log))

@@ -19,8 +19,9 @@ from readweight.events import (
 )
 from readweight.dwell_stats import DwellStats, InsufficientDataError
 from readweight.labeling import LABELED_HEADER, ValidReadLabel, parse_labeled
-from readweight.profiles import ItemDwellProfile, ProfileStore, UserActivityProfile
+from readweight.profiles import WEEK_SECONDS, ItemDwellProfile, ProfileStore, UserActivityProfile
 from readweight.quantiles import DEFAULT_EPS, DEFAULT_SWITCH_THRESHOLD, QuantileEstimator
+from readweight.simulate import DAY_SECONDS, SimConfig
 
 
 def make_event(
@@ -62,6 +63,20 @@ def random_events(rng, n: int, n_users: int = 40, n_items: int = 15) -> list[Int
         timestamp = 1_700_000_000 + int(rng.integers(21 * 86400))
         events.append(InteractionEvent(f"u{user}", f"i{rng.integers(n_items)}", timestamp, clicked, dwell))
     return events
+
+
+# One row as text, the way the column writers must render it.
+
+
+def serialize_event(event: InteractionEvent) -> str:
+    """An event as its canonical log line (no trailing newline)."""
+    return f"{event.user_id},{event.item_id},{event.timestamp},{int(event.clicked)},{event.dwell_time_s!r}"
+
+
+def serialize_labeled(event: InteractionEvent, label: ValidReadLabel) -> str:
+    """An (event, label) pair as its labeled-log line (no trailing newline)."""
+    source = label.source.value if label.source is not None else ""
+    return f"{serialize_event(event)},{label.kind.value},{source}"
 
 
 # The per-line readers: one ``parse_event`` or ``parse_labeled`` call per
@@ -162,3 +177,95 @@ def profiles_per_click(
         user = store.users.setdefault(event.user_id, UserActivityProfile(event.user_id))
         insort(user.click_timestamps, event.timestamp)
     return store
+
+
+# The per-user activeness path: one weekly count per user, then one level per
+# count.  ``evaluation.row_levels`` must give every row its user's level.
+
+
+def weekly_click_counts(events: Iterable[InteractionEvent]) -> dict[str, int]:
+    """Clicks per user, in order of first appearance, in the trailing 7-day
+    window ending at the log's last timestamp; impression-only users count 0."""
+    events = list(events)
+    if not events:
+        return {}
+    horizon = max(e.timestamp for e in events)
+    counts: dict[str, int] = {}
+    for event in events:
+        counts.setdefault(event.user_id, 0)
+        if event.clicked and horizon - WEEK_SECONDS < event.timestamp <= horizon:
+            counts[event.user_id] += 1
+    return counts
+
+
+def activeness_level(user_week_clicks: int, boundaries) -> int:
+    """1 + number of boundaries at or below the click count; level 7 (with
+    six boundaries) is the most active band."""
+    bounds = list(boundaries)
+    if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
+        raise ValueError("boundaries must be strictly ascending")
+    return 1 + sum(1 for b in bounds if b <= user_week_clicks)
+
+
+# Closed-form and quadrature oracles of the organic simulator: the mean click
+# rate and the light-user fraction a ``SimConfig`` implies.
+
+
+def _gauss_hermite_mean(f, sd: float, n_nodes: int = 120) -> float:
+    """E[f(sd * Z)] for Z ~ N(0,1) by Gauss-Hermite quadrature."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
+    density_norm = math.sqrt(2.0 * math.pi)
+    return float(np.sum(weights * f(sd * nodes)) / density_norm)
+
+
+def _chi2_mean(h, k: int, n_nodes: int = 96) -> float:
+    """E[h(Q)] for Q ~ chi-square with k degrees of freedom, via
+    Gauss-Laguerre after substituting q = 2t."""
+    nodes, weights = np.polynomial.laguerre.laggauss(n_nodes)
+    vals = np.asarray([h(2.0 * t) for t in nodes])
+    return float(np.sum(weights * vals * nodes ** (k / 2.0 - 1.0)) / math.gamma(k / 2.0))
+
+
+def _mean_click_prob_given_radius2(cfg: SimConfig, q: float) -> float:
+    """Mean click probability of a user whose latent squared norm is
+    user_scale^2 * q; the item side integrates out to one Gaussian."""
+    var = cfg.item_scale**2 * cfg.user_scale**2 * q + cfg.bait_click_coef**2
+    sd = math.sqrt(var)
+    return _gauss_hermite_mean(lambda x: 1.0 / (1.0 + np.exp(-(cfg.click_bias + x))), sd)
+
+
+def analytic_click_rate(cfg: SimConfig) -> float:
+    """Population mean click probability by nested quadrature over the
+    latent distribution (user radius x 1-D Gaussian projection)."""
+    return _chi2_mean(lambda q: _mean_click_prob_given_radius2(cfg, q), cfg.latent_dim)
+
+
+def _binom_cdf(k_max: int, n: int, p: float) -> float:
+    p = min(max(p, 0.0), 1.0)
+    total = 0.0
+    for j in range(0, min(k_max, n) + 1):
+        total += math.comb(n, j) * p**j * (1.0 - p) ** (n - j)
+    return min(total, 1.0)
+
+
+def analytic_light_user_fraction(cfg: SimConfig, max_clicks: int = 7) -> float:
+    """Probability a user has fewer than ``max_clicks`` clicks in the
+    trailing week, implied by the activeness mix and the click model.
+
+    Conditional on the user's latent radius the weekly click count is
+    Binomial(impressions, p * week_fraction); the radius integrates out by
+    quadrature and the mix weights the per-level counts.
+    """
+    week_frac = min(1.0, WEEK_SECONDS / (cfg.span_days * DAY_SECONDS))
+    total = 0.0
+    for mix, n_imp in zip(cfg.activeness_mix, cfg.impressions_per_level):
+        if mix == 0.0:
+            continue
+        prob = _chi2_mean(
+            lambda q: _binom_cdf(
+                max_clicks - 1, n_imp, _mean_click_prob_given_radius2(cfg, q) * week_frac
+            ),
+            cfg.latent_dim,
+        )
+        total += mix * prob
+    return total

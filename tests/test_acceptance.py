@@ -17,13 +17,8 @@ import pytest
 
 from readweight.cli import main as cli_main
 from readweight.dwell_stats import fit_log_normal
-from readweight.evaluation import (
-    activeness_level,
-    auc,
-    migration_report,
-    relaimpr,
-    weekly_click_counts,
-)
+from readweight.evaluation import auc, migration_report, relaimpr
+from readweight.events import EventTable
 from readweight.labeling import (
     LabeledLog,
     LabelKind,
@@ -47,7 +42,7 @@ from readweight.simulate import (
 )
 from readweight.training import FeatureSpace, TrainConfig, build_instances, score_events, train
 
-from conftest import make_event
+from conftest import activeness_level, make_event, weekly_click_counts
 from test_model import fd_gradient_check
 
 
@@ -168,7 +163,7 @@ def test_c04_labeler_goldens_and_planted_mix():
     for x_l in (5.0, 10.0, 15.0, 20.0, 40.0):
         shifted = _stats_with_xl(x_l)
         labels = (
-            label_event(e, shifted, store.item(e.item_id), store.user(e.user_id))
+            label_event(e, shifted, store.items.get(e.item_id), store.users.get(e.user_id))
             for e in corpus.events
         )
         t1_counts.append(sum(1 for l in labels if l.source is ValidReadSource.T1))
@@ -242,8 +237,8 @@ def test_c06_gradient_check_all_objectives():
         event = make_event(user_id=user, item_id=item, clicked=clicked, dwell_time_s=dwell)
         rows.append((event, ValidReadLabel(kind, source)))
 
-    space = FeatureSpace.from_pairs((e.user_id, e.item_id) for e, _ in rows)
     log = LabeledLog.from_pairs(rows)
+    space = FeatureSpace.of(log.events)
     config = ModelConfig(slots=space.slots(), embedding_dim=3, bottom_dim=4, tower_dims=(4, 4), seed=402)
     worst = 0.0
     for objective in ("single_ctr", "ctr_logdt", "vr_logdt", "vr_ndt"):
@@ -363,21 +358,19 @@ def test_c09_planted_signal_orders_objectives():
         events, _ = generate(cfg)
         stats = fit_log_normal(events)
         store = build_profiles(events)
-        labeled = list(label_log(events, stats, store))
+        labeled = LabeledLog.from_pairs(label_log(events, stats, store))
         params = NdtParams.solve(offset=stats.x_l, x_h=stats.x_h, precision=1e-5)
         order = np.random.default_rng([seed, 999]).permutation(len(labeled))
         cut = int(0.8 * len(labeled))
-        train_rows = [labeled[i] for i in order[:cut]]
-        eval_rows = [labeled[i] for i in order[cut:]]
-        space = FeatureSpace.from_pairs((e.user_id, e.item_id) for e, _ in labeled)
+        train_log, eval_log = labeled.take(order[:cut]), labeled.take(order[cut:])
+        space = FeatureSpace.of(labeled.events)
         run_auc = {}
         for objective in ("single_ctr", "vr_ndt"):
             cfg_train = TrainConfig(objective=objective, epochs=3, seed=seed)
-            batch, _ = build_instances(LabeledLog.from_pairs(train_rows), params, cfg_train, space)
+            batch, _ = build_instances(train_log, params, cfg_train, space)
             result = train(cfg_train, batch, space)
-            scores = score_events(result.network, space, LabeledLog.from_pairs(eval_rows))
-            ys = [1 if l.kind is LabelKind.VALID_READ else 0 for _, l in eval_rows]
-            run_auc[objective] = auc(scores, ys)
+            scores = score_events(result.network, space, eval_log)
+            run_auc[objective] = auc(scores, eval_log.valid_read)
         gaps.append(run_auc["vr_ndt"] - run_auc["single_ctr"])
     mean_gap = float(np.mean(gaps))
     ok = mean_gap >= 0.005
@@ -398,12 +391,12 @@ def test_c10_migration_report():
     identical = migration_report(pair.baseline, pair.baseline, boundaries)
     zeros_ok = all(c.delta == 0.0 for c in identical if c.delta is not None)
 
-    shifted = [
+    shifted = EventTable.of(
         make_event(e.user_id, e.item_id, e.timestamp, e.clicked, e.dwell_time_s + 10.0)
         if e.clicked
         else e
         for e in pair.baseline
-    ]
+    )
     uniform = migration_report(pair.baseline, shifted, boundaries)
     filled = [c for c in uniform if c.delta is not None]
     shift_ok = bool(filled) and all(abs(c.delta - 10.0) <= 1e-9 for c in filled)

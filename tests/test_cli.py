@@ -4,15 +4,20 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import struct
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from readweight.cli import main
+from readweight import cli as cli_module
+from readweight.cli import _COMMAND_FLAGS, MAX_BINS, main
 from readweight.dwell_stats import DwellStats
-from readweight.events import LOG_HEADER, read_log, serialize_event, write_log
-from readweight.labeling import LABELED_HEADER, LabelingConfig, label_log, serialize_labeled
+from readweight.events import LOG_HEADER, read_log, write_log
+from readweight.labeling import LABELED_HEADER, LabelingConfig, label_log
 from readweight.model import MtlNetwork
 from readweight.ndt import NdtParams, paper_default_params
 from readweight.profiles import ProfileStore, build_profiles
@@ -24,6 +29,8 @@ from readweight.simulate import (
     generate_rule_mix,
 )
 from readweight.training import TrainConfig
+
+from conftest import serialize_event, serialize_labeled
 
 
 def run_cli(capsys, *argv):
@@ -435,6 +442,24 @@ class TestErrors:
         assert code == 2
         assert doc["error"] == "bad-line-budget-exceeded"
 
+    def test_training_divergence_is_one_json_line(self, capsys, inputs, tmp_path):
+        checkpoint = tmp_path / "model.ckpt"
+        code, doc = run_cli(
+            capsys, "train", "--labeled", inputs["labeled"], "--ndt-params", inputs["params"],
+            "--checkpoint", str(checkpoint), "--learning-rate", "1e200", "--epochs", "1",
+        )
+        assert (code, doc["error"]) == (2, "training-diverged")
+        assert "non-finite loss" in doc["detail"]
+        assert not checkpoint.exists()
+
+    def test_memory_error_is_runtime_failure(self, capsys, inputs, tmp_path, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(cli_module, "histogram_lnT", exhausted)
+        code, doc = run_cli(capsys, "stats-report", "--log", inputs["log"], "--out", str(tmp_path / "h.csv"))
+        assert (code, doc["error"]) == (2, "runtime-failure")
+
     def test_malformed_labeled_log_names_the_line(self, workspace, capsys, tmp_path):
         ckpt = tmp_path / "model.ckpt"
         code, _ = run_cli(
@@ -766,6 +791,16 @@ class TestUsageErrors:
             ("train", "tower-dims", "64,x"),
             ("train", "epochs", "0"),
             ("train", "batch-size", "0"),
+            ("label", "noise-floor", "nan"),
+            ("label", "light-max-clicks", "-3"),
+            ("train", "embedding-dim", "0"),
+            ("train", "tower-dims", "4"),
+            ("train", "tower-dims", "4,4,4"),
+            ("train", "learning-rate", "nan"),
+            ("simulate", "users", "0"),
+            ("simulate", "span-days", "0"),
+            ("ndt-params", "precision", "-1"),
+            ("stats-report", "bins", str(MAX_BINS + 1)),
             ("eval", "base-auc", "high"),
             ("migrate-report", "boundaries", "1,x"),
             ("migrate-report", "header", "bogus"),
@@ -820,3 +855,69 @@ class TestUsageErrors:
         code, doc = run_cli(capsys, *argv)
         assert code == 1
         assert doc["error"] == ("missing-command" if not argv else "invalid-usage")
+
+
+# Hostile values for any option: non-finite, negative, zero, empty, and lists
+# of the wrong length (one item, two, nine).  A huge value goes only to the
+# options whose parser has an upper bound, so nothing large is allocated.
+HOSTILE = ("nan", "inf", "-inf", "-1", "0", "", "5", "5,5", "1,2,3,4,5,6,7,8,9")
+HUGE = "1" + "0" * 30
+BOUNDED = {("stats-report", "bins"), ("build-profiles", "eps")}
+OPTIONS = sorted((command, name) for command, flags in _COMMAND_FLAGS.items() for name in flags)
+
+
+@pytest.fixture(scope="module")
+def tiny_inputs(tmp_path_factory):
+    """Every command's inputs, from a 30-user log."""
+    root = tmp_path_factory.mktemp("tiny")
+    paths = {name: str(root / name) for name in ("log", "stats", "profiles", "labeled", "params", "checkpoint")}
+    steps = [
+        ["simulate", "--seed", "3", "--users", "30", "--items", "12", "--out", paths["log"]],
+        ["fit-stats", "--log", paths["log"], "--out", paths["stats"]],
+        ["build-profiles", "--log", paths["log"], "--out", paths["profiles"]],
+        ["label", "--log", paths["log"], "--stats", paths["stats"], "--profiles", paths["profiles"],
+         "--out", paths["labeled"]],
+        ["ndt-params", "--stats", paths["stats"], "--out", paths["params"]],
+        ["train", "--labeled", paths["labeled"], "--ndt-params", paths["params"],
+         "--checkpoint", paths["checkpoint"], "--epochs", "1"],
+    ]
+    for argv in steps:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+    return paths
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    option=st.sampled_from(OPTIONS),
+    value=st.sampled_from(HOSTILE),
+    huge=st.booleans(),
+)
+def test_hostile_option_values_print_one_json_line(tiny_inputs, option, value, huge):
+    """Any one option set to a hostile value, as a flag: one JSON line on
+    stdout, exit 0, 1 or 2, nothing on stderr, and nothing written on exit 1.
+    Commands run in a fresh directory, so a value read as a relative output
+    path lands there."""
+    command, name = option
+    if huge and option in BOUNDED:
+        value = HUGE
+    stdout, stderr = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as out:
+        argv = [command, *(arg.format(out=out, **tiny_inputs) for arg in VALID_ARGV[command])]
+        if f"--{name}" in argv:
+            at = argv.index(f"--{name}")
+            del argv[at : at + 2]
+        os.chdir(out)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([*argv, f"--{name}", value])
+            written = os.listdir(out)
+        finally:
+            os.chdir(home)
+    lines = stdout.getvalue().splitlines()
+    assert len(lines) == 1 and stderr.getvalue() == "", (argv, value, stdout.getvalue(), stderr.getvalue())
+    doc = json.loads(lines[0])
+    assert code in (0, 1, 2), (argv, value, doc)
+    if code == 1:
+        assert written == [], (argv, value, doc)

@@ -11,19 +11,17 @@ from readweight.evaluation import (
     EvalReport,
     MigrationCell,
     UndefinedAucError,
-    activeness_level,
     auc,
     equal_frequency_boundaries,
     migration_csv,
     migration_report,
     relaimpr,
-    weekly_click_counts,
+    row_levels,
 )
 
 from readweight.events import EventTable
-from readweight.profiles import WEEK_SECONDS
 
-from conftest import make_event, random_events
+from conftest import activeness_level, make_event, random_events, weekly_click_counts
 
 DAY = 86400
 
@@ -110,23 +108,42 @@ class TestRelaImpr:
         assert '"auc"' in report.to_json()
 
 
+def table_with_week_clicks(counts) -> EventTable:
+    """User ``u{k}`` with one impression and ``counts[k]`` clicks, all
+    inside the week that ends at the log's last timestamp."""
+    base = 1_700_000_000
+    events = []
+    for k, c in enumerate(counts):
+        events.append(make_event(f"u{k}", "i1", base, False, 0.0))
+        events += [make_event(f"u{k}", "i1", base + j, True, 10.0) for j in range(c)]
+    return EventTable.of(events)
+
+
+def user_levels(counts, boundaries) -> list[int]:
+    """``row_levels`` of ``table_with_week_clicks(counts)``, one per user."""
+    table = table_with_week_clicks(counts)
+    levels, _ = row_levels(table, boundaries)
+    by_user = dict(zip(table.user_id, levels.tolist()))
+    return [by_user[f"u{k}"] for k in range(len(counts))]
+
+
 class TestActiveness:
     BOUNDS = (1, 3, 6, 10, 20, 40)
 
     def test_zero_clicks_level_one(self):
-        assert activeness_level(0, self.BOUNDS) == 1
+        assert user_levels([0, 5], self.BOUNDS)[0] == 1
 
     def test_largest_boundary_maps_to_top(self):
-        assert activeness_level(40, self.BOUNDS) == 7
-        assert activeness_level(400, self.BOUNDS) == 7
+        assert user_levels([40, 400], self.BOUNDS) == [7, 7]
 
     def test_monotone(self):
-        levels = [activeness_level(c, self.BOUNDS) for c in range(0, 60)]
+        levels = user_levels(range(60), self.BOUNDS)
         assert levels == sorted(levels)
+        assert levels == [activeness_level(c, self.BOUNDS) for c in range(60)]
 
     def test_requires_ascending(self):
-        with pytest.raises(ValueError):
-            activeness_level(5, (1, 1, 2, 3, 4, 5))
+        with pytest.raises(ValueError, match="strictly ascending"):
+            row_levels(table_with_week_clicks([5]), (1, 1, 2, 3, 4, 5))
 
     def test_equal_frequency_septiles(self, rng):
         counts = rng.integers(0, 200, size=14_000)
@@ -142,7 +159,7 @@ class TestActiveness:
         counts = [0] * 50 + list(range(1, 50))
         boundaries = equal_frequency_boundaries(counts)
         assert boundaries[0] >= 1
-        assert activeness_level(0, boundaries) == 1
+        assert user_levels(counts, boundaries)[0] == 1
 
 
 def migration_logs(shift=0.0):
@@ -157,7 +174,7 @@ def migration_logs(shift=0.0):
             events.append(
                 make_event(f"h{u}", "i2", base_ts + k * 3600, True, 40.0 + u + k + shift)
             )
-    return events
+    return EventTable.of(events)
 
 
 class TestMigration:
@@ -170,10 +187,10 @@ class TestMigration:
 
     def test_uniform_shift_recovered(self):
         base = migration_logs()
-        treat = [
+        treat = EventTable.of(
             make_event(e.user_id, e.item_id, e.timestamp, e.clicked, e.dwell_time_s + 10.0)
             for e in base
-        ]
+        )
         cells = migration_report(base, treat, boundaries=(1, 2, 3, 4, 5, 29))
         filled = [c for c in cells if c.delta is not None]
         assert filled
@@ -182,10 +199,10 @@ class TestMigration:
 
     def test_antisymmetric_with_fixed_boundaries(self):
         base = migration_logs()
-        treat = [
+        treat = EventTable.of(
             make_event(e.user_id, e.item_id, e.timestamp, e.clicked, e.dwell_time_s * 1.1)
             for e in base
-        ]
+        )
         bounds = (1, 2, 3, 4, 5, 29)
         forward = migration_report(base, treat, bounds)
         backward = migration_report(treat, base, bounds)
@@ -207,7 +224,7 @@ class TestMigration:
         assert text.splitlines()[0] == "level,decile,mean_base,mean_treat,delta"
 
     def test_requires_clicks(self):
-        empty = [make_event(clicked=False, dwell_time_s=0.0)]
+        empty = EventTable.of([make_event(clicked=False, dwell_time_s=0.0)])
         with pytest.raises(ValueError):
             migration_report(empty, empty)
 
@@ -218,6 +235,22 @@ class TestMigration:
         assert keys == sorted(keys)
         assert len(cells) == 70
 
+    @pytest.mark.parametrize(
+        "chunk",
+        [[0.1, 0.2, 0.3], [1.0, 1.0, 1e16], [1e16, 1.0, 1.0, -1e16], [-0.0], [-0.0, -0.0, -0.0], [0.0, -0.0]],
+    )
+    def test_cell_means_sum_left_to_right(self, chunk):
+        """A cell's mean is the left-to-right sum of its ascending dwells
+        over their count, the same bits on every Python version; an all
+        ``-0.0`` cell reads ``0.0``.  One level and one decile: one cell."""
+        table = EventTable.of(make_event(timestamp=1_700_000_000 + k) for k in range(len(chunk)))
+        table.dwell_time_s[:] = chunk
+        [cell] = migration_report(table, table, boundaries=(), n_deciles=1)
+        total = 0
+        for t in sorted(chunk):
+            total = total + t
+        assert repr(cell.mean_dt_baseline) == repr(total / len(chunk))
+
 
 class TestWeeklyClicks:
     def test_window_anchored_at_log_end(self):
@@ -227,25 +260,17 @@ class TestWeeklyClicks:
             make_event("u1", "i1", base_ts + 9 * DAY, True, 10.0),
             make_event("u2", "i1", base_ts + 9 * DAY, False, 0.0),
         ]
-        counts = weekly_click_counts(events)
-        assert counts == {"u1": 1, "u2": 0}
-
-
-def reference_week_clicks(events) -> dict[str, int]:
-    horizon = max(e.timestamp for e in events)
-    counts: dict[str, int] = {}
-    for event in events:
-        counts.setdefault(event.user_id, 0)
-        if event.clicked and horizon - WEEK_SECONDS < event.timestamp <= horizon:
-            counts[event.user_id] += 1
-    return counts
+        assert weekly_click_counts(events) == {"u1": 1, "u2": 0}
+        # One click in the week puts u1 at level 2; two would put it at 3.
+        levels, _ = row_levels(EventTable.of(events), (1, 2, 3, 4, 5, 6))
+        assert levels.tolist() == [2, 2, 1]
 
 
 def reference_migration_report(baseline, treatment, boundaries=None, n_deciles=10):
     """The per-event migration report the column code replaced: the oracle."""
 
     def level_means(events):
-        levels = {u: activeness_level(c, boundaries) for u, c in reference_week_clicks(events).items()}
+        levels = {u: activeness_level(c, boundaries) for u, c in weekly_click_counts(events).items()}
         by_level = {level: [] for level in range(1, len(boundaries) + 2)}
         for event in events:
             if event.clicked:
@@ -262,7 +287,7 @@ def reference_migration_report(baseline, treatment, boundaries=None, n_deciles=1
         return means
 
     if boundaries is None:
-        boundaries = equal_frequency_boundaries(reference_week_clicks(baseline).values())
+        boundaries = equal_frequency_boundaries(weekly_click_counts(baseline).values())
     base, treat = level_means(baseline), level_means(treatment)
     return [
         MigrationCell(level, d, base[level][d - 1], treat[level][d - 1])
@@ -279,20 +304,22 @@ class TestColumnReportEqualsPerEventLoop:
         treat = random_events(rng, int(rng.integers(200, 800)), n_users=50)
         bounds = None if seed % 2 else tuple(sorted(rng.choice(np.arange(1, 30), 6, replace=False).tolist()))
         expected = reference_migration_report(base, treat, bounds)
-        for arms in ((base, treat), (EventTable.of(base), EventTable.of(treat))):
-            cells = migration_report(*arms, bounds)
-            assert cells == expected
-            # repr per value: the same floats bit for bit.
-            assert migration_csv(cells) == migration_csv(expected)
+        cells = migration_report(EventTable.of(base), EventTable.of(treat), bounds)
+        assert cells == expected
+        # repr per value: the same floats bit for bit.
+        assert migration_csv(cells) == migration_csv(expected)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_weekly_click_counts_in_first_seen_order(self, seed):
-        events = random_events(np.random.default_rng(seed), 500)
-        expected = list(reference_week_clicks(events).items())
-        assert list(weekly_click_counts(events).items()) == expected
-        assert list(weekly_click_counts(EventTable.of(events)).items()) == expected
+    def test_row_levels_match_per_user_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        events = random_events(rng, 500)
+        counts = weekly_click_counts(events)
+        given = None if seed % 2 else tuple(sorted(rng.choice(np.arange(1, 30), 6, replace=False).tolist()))
+        levels, bounds = row_levels(EventTable.of(events), given)
+        assert bounds == (given or equal_frequency_boundaries(counts.values()))
+        assert levels.tolist() == [activeness_level(counts[e.user_id], bounds) for e in events]
 
     def test_unsorted_boundaries_rejected(self):
-        events = random_events(np.random.default_rng(0), 100)
+        events = EventTable.of(random_events(np.random.default_rng(0), 100))
         with pytest.raises(ValueError, match="strictly ascending"):
             migration_report(events, events, (1, 3, 2, 4, 5, 6))

@@ -16,11 +16,10 @@ from readweight.events import (
     ScanCounts,
     parse_event,
     read_log,
-    serialize_event,
     write_log,
 )
 
-from conftest import assert_same_events, iter_log, make_event
+from conftest import assert_same_events, iter_log, make_event, serialize_event
 
 
 class TestParse:
@@ -156,8 +155,8 @@ class TestScanLog:
         a_events = [make_event(user_id=f"a{k}", dwell_time_s=k + 1.0) for k in range(5)]
         b_events = [make_event(user_id=f"b{k}", dwell_time_s=k + 2.0) for k in range(7)]
         log_a, log_b, log_ab = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "ab.csv"
-        write_log(log_a, a_events)
-        write_log(log_b, b_events)
+        write_log(log_a, EventTable.of(a_events))
+        write_log(log_b, EventTable.of(b_events))
         log_ab.write_text(
             log_a.read_text(encoding="utf-8") + log_b.read_text(encoding="utf-8"),
             encoding="utf-8",
@@ -283,7 +282,9 @@ class TestColumnarEventReader:
         assert table.clicked.dtype == bool
         assert table.dwell_time_s.dtype == np.float64
         assert [serialize_event(e) for e in table] == lines
-        assert EventTable.of(table) is table
+        order = rng.permutation(40)
+        assert [serialize_event(e) for e in table.take(order)] == [lines[i] for i in order]
+        assert len(table.take(order[:0])) == 0
 
     def test_unknown_header_mode(self, tmp_path):
         path = tmp_path / "log.csv"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from readweight import labeling as labeling_module
 from readweight.dwell_stats import DwellStats
-from readweight.events import InteractionEvent, LogFormatError
+from readweight.events import EventTable, InteractionEvent, LogFormatError
 from readweight.labeling import (
     LABELED_HEADER,
     LabeledLog,
@@ -22,12 +22,11 @@ from readweight.labeling import (
     label_log,
     parse_labeled,
     read_labeled_log,
-    serialize_labeled,
 )
 from readweight.profiles import WEEK_SECONDS, ItemDwellProfile, UserActivityProfile, build_profiles
 from readweight.quantiles import QuantileEstimator
 
-from conftest import assert_same_events, make_event, read_labeled_lines
+from conftest import assert_same_events, make_event, read_labeled_lines, serialize_labeled
 
 
 def stats_with_xl(x_l: float, sigma: float = 1.3) -> DwellStats:
@@ -140,7 +139,7 @@ class TestDecisionEdges:
             make_event("u1", f"i{k}", ts - WEEK_SECONDS + past_edge, True, 8.0)
             for k in range(cfg.light_user_max_clicks)
         ]
-        store = build_profiles(history)
+        store = build_profiles(EventTable.of(history))
         [(_, label)] = label_log([make_event("u1", "i-new", ts, True, 8.0)], STATS15, store, cfg)
         assert (label.kind, label.source) == expected
 
@@ -153,9 +152,9 @@ class TestDecisionEdges:
             make_event("u1", "hot", ts - 3600 - k, True, 6.0 + (k * 7 % 40) / 5)
             for k in range(60)
         ]
-        store = build_profiles(history, switch_threshold=switch_threshold)
-        assert store.item("hot").estimator.mode == mode
-        p10 = store.item("hot").p10()
+        store = build_profiles(EventTable.of(history), switch_threshold=switch_threshold)
+        assert store.items["hot"].estimator.mode == mode
+        p10 = store.items["hot"].p10()
         assert LabelingConfig().noise_floor_s <= p10 < STATS15.x_l
         probes = [make_event("u1", "hot", ts, True, t) for t in (p10, math.nextafter(p10, math.inf))]
         labels = [(label.kind, label.source) for _, label in label_log(probes, STATS15, store)]
@@ -277,7 +276,7 @@ class TestLabelLogMatchesPaperRules:
         """``label_log`` against a built store labels each event of the log
         it was built from, and of events with ids the store does not hold,
         as the paper's three rules do."""
-        store = build_profiles(history, eps=eps, switch_threshold=switch_threshold)
+        store = build_profiles(EventTable.of(history), eps=eps, switch_threshold=switch_threshold)
         cfg = LabelingConfig(noise_floor_s=noise_floor, light_user_max_clicks=light)
         log = history + unseen
         pairs = list(label_log(log, stats_with_xl(x_l), store, cfg))
@@ -465,6 +464,8 @@ class TestColumnarReader:
         assert [serialize_labeled(e, l) for e, l in pairs] == lines
         assert_same_columns(LabeledLog.from_pairs(pairs), log)
         assert log.valid_read.tolist() == [l.kind is LabelKind.VALID_READ for _, l in pairs]
+        order = rng.permutation(50)[:30]
+        assert_same_columns(log.take(order), LabeledLog.from_pairs(pairs[i] for i in order))
 
     def test_text_and_composition_match_per_row_oracle(self, tmp_path, rng):
         for n in (0, 1, 60):

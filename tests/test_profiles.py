@@ -51,7 +51,7 @@ class TestItemProfile:
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            build_profiles([make_event(dwell_time_s=-0.5)])
+            build_profiles(EventTable.of([make_event(dwell_time_s=-0.5)]))
 
     def test_empty_p10_errors(self):
         with pytest.raises(NoProfileDataError):
@@ -111,7 +111,7 @@ class TestStore:
             make_event("u2", "i2", base + 30, True, 3.0),
             make_event("u3", "i2", base + 40, False, 0.0),
         ]
-        return build_profiles(events), events
+        return build_profiles(EventTable.of(events)), events
 
     def test_only_clicks_recorded(self):
         store, _ = self.build_store()
@@ -143,7 +143,7 @@ class TestStore:
 
         def sketchy():
             events = [make_event("u1", "hot", 1_700_000_000 + k, True, v) for k, v in enumerate(values)]
-            return build_profiles(events, eps=0.01, switch_threshold=128).to_bytes()
+            return build_profiles(EventTable.of(events), eps=0.01, switch_threshold=128).to_bytes()
 
         assert sketchy() == sketchy()
 
@@ -151,7 +151,7 @@ class TestStore:
         base = 1_700_000_000
         values = rng.uniform(0, 100, 2000).tolist()
         events = [make_event("u1", "hot", base + k, True, v) for k, v in enumerate(values)]
-        store = build_profiles(events, eps=0.01, switch_threshold=256)
+        store = build_profiles(EventTable.of(events), eps=0.01, switch_threshold=256)
         assert store.items["hot"].estimator.mode == "sketch"
         path = tmp_path / "profiles.bin"
         store.save(str(path))
@@ -170,7 +170,7 @@ class TestStore:
         with pytest.raises(ValueError):
             ProfileStore(**settings)
         with pytest.raises(ValueError):
-            build_profiles([make_event()], **settings)
+            build_profiles(EventTable.of([make_event()]), **settings)
 
     def test_out_of_range_header_rejected(self):
         """A header eps outside (0, 1) fails to load behind a matching checksum."""
@@ -266,7 +266,7 @@ def small_store() -> ProfileStore:
         make_event("u0", "cold", base + 21, True, 2.0),
         make_event("u1", "warm", base + 22, True, 1.0),
     ]
-    store = build_profiles(events, eps=0.05, switch_threshold=8)
+    store = build_profiles(EventTable.of(events), eps=0.05, switch_threshold=8)
     assert store.items["hot"].estimator.mode == "sketch"
     return store
 
@@ -342,9 +342,8 @@ class TestColumnBuildEqualsPerEventLoop:
         expected = reference.to_bytes()
         modes = {p.estimator.mode for p in reference.items.values()}
         assert modes == ({"sketch"} if switch_threshold == 16 else {"exact"})
-        for log in (events, EventTable.of(events)):
-            store = build_profiles(log, switch_threshold=switch_threshold)
-            assert store.to_bytes() == expected
+        store = build_profiles(EventTable.of(events), switch_threshold=switch_threshold)
+        assert store.to_bytes() == expected
 
     @pytest.mark.parametrize("switch_threshold", [1, 7, 30, DEFAULT_SWITCH_THRESHOLD])
     @pytest.mark.parametrize("seed", range(4))

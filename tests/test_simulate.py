@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from readweight.dwell_stats import fit_log_normal
-from readweight.evaluation import weekly_click_counts
-from readweight.events import serialize_event
+from readweight.evaluation import row_levels
 from readweight.labeling import LabeledLog, composition_report, label_log
 from readweight.profiles import build_profiles
 from readweight.simulate import (
@@ -15,8 +14,6 @@ from readweight.simulate import (
     ItemClass,
     RuleMixConfig,
     SimConfig,
-    analytic_click_rate,
-    analytic_light_user_fraction,
     generate,
     generate_migration_pair,
     generate_rule_mix,
@@ -24,7 +21,13 @@ from readweight.simulate import (
     sidecar_csv,
 )
 
-from conftest import assert_same_events
+from conftest import (
+    analytic_click_rate,
+    analytic_light_user_fraction,
+    assert_same_events,
+    serialize_event,
+    weekly_click_counts,
+)
 
 SINGLE_CLASS = (ItemClass("only", 1.0, 4.003, 1.295),)
 
@@ -83,8 +86,10 @@ class TestOrganicGenerator:
     def test_light_user_fraction_matches_mix(self):
         cfg = SimConfig(n_users=12_000, n_items=2500, item_scale=0.5, click_bias=-1.5, seed=77)
         events, _ = generate(cfg)
-        counts = weekly_click_counts(events)
-        empirical = sum(1 for c in counts.values() if c < 7) / len(counts)
+        # Level 1 under the one boundary 7: fewer than 7 clicks in the week.
+        levels, _ = row_levels(events, (7,))
+        user_level = dict(zip(events.user_id, levels.tolist()))
+        empirical = sum(1 for level in user_level.values() if level == 1) / len(user_level)
         assert empirical == pytest.approx(analytic_light_user_fraction(cfg), abs=0.01)
 
     def test_per_class_ln_dt_mean(self):
