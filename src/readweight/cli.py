@@ -43,12 +43,13 @@ from .events import HEADER_MODES, BadLineBudgetExceeded, LogFormatError, read_lo
 from .evaluation import EvalReport, migration_csv, migration_report
 from .labeling import LabeledLog, LabelingConfig, composition_report, label_log, read_labeled_log
 from .model import MtlNetwork
-from .ndt import NEG_MODES, NdtParams, paper_default_params
+from .ndt import NEG_MODES, NdtParams, check_precision, paper_default_params
 from .profiles import ProfileStore, build_profiles
 from .simulate import (
     ItemClass,
     RuleMixConfig,
     SimConfig,
+    check_lift,
     generate,
     generate_migration_pair,
     generate_rule_mix,
@@ -153,6 +154,26 @@ class Options:
         values = {_KWARGS.get(name, name.replace("-", "_")): self.get(name) for name in names}
         return {key: value for key, value in values.items() if value is not None}
 
+    def build(self, make: Callable, *names: str):
+        """``make`` called with ``given(*names)``.  Options that each parse
+        can still be wrong together: on a ValueError from ``make``, the set
+        options go back to their defaults one by one, from the last named,
+        and the one whose reset lets ``make`` pass is blamed."""
+        kwargs = self.given(*names)
+        try:
+            return make(**kwargs)
+        except ValueError as err:
+            detail = str(err)
+        for name in reversed(names):
+            if kwargs.pop(_KWARGS.get(name, name.replace("-", "_")), None) is None:
+                continue
+            try:
+                make(**kwargs)
+            except ValueError:
+                continue
+            raise CliError(f"invalid-flag:{name}" if name in self.flags else "invalid-config", detail)
+        raise ValueError(detail)
+
     def required(self, name: str, detail: str = ""):
         value = self.get(name)
         if not value:
@@ -251,7 +272,7 @@ def _handle_simulate(opts: Options) -> dict:
     out = opts.required("out")
     if mode == "rule-mix":
         stats_out = opts.required("stats-out", "rule-mix mode writes planted stats")
-        cfg = RuleMixConfig(**opts.given("valid-reads", "mix", "noise-frac", "unclicked-frac", "seed"))
+        cfg = opts.build(RuleMixConfig, "valid-reads", "mix", "noise-frac", "unclicked-frac", "seed")
         opts.reject_unread()
         corpus = generate_rule_mix(cfg)
         write_log(out, corpus.events)
@@ -268,7 +289,8 @@ def _handle_simulate(opts: Options) -> dict:
     if mode == "migration":
         treatment_out = opts.required("treatment-out", "migration mode writes two logs")
         shift = opts.given("shift", "shift-scale", "max-level")
-        cfg = SimConfig(**opts.given(*_SIM_OPTIONS))
+        opts.build(check_lift, "shift", "shift-scale")
+        cfg = opts.build(SimConfig, *_SIM_OPTIONS)
         opts.reject_unread()
         pair = generate_migration_pair(cfg, **shift)
         write_log(out, pair.baseline)
@@ -283,7 +305,7 @@ def _handle_simulate(opts: Options) -> dict:
             "out": out,
             "treatment_out": treatment_out,
         }
-    cfg = SimConfig(**opts.given(*_SIM_OPTIONS))
+    cfg = opts.build(SimConfig, *_SIM_OPTIONS)
     sidecar_path = opts.get("sidecar")
     opts.reject_unread()
     events, sidecar = generate(cfg)
@@ -369,7 +391,7 @@ def _handle_build_profiles(opts: Options) -> dict:
 
 
 def _handle_label(opts: Options) -> dict:
-    cfg = LabelingConfig(**opts.given("noise-floor", "light-max-clicks"))
+    cfg = opts.build(LabelingConfig, "noise-floor", "light-max-clicks")
     events, counts = _read_log_checked(opts)
     stats_path = opts.input("stats")
     profiles_path = opts.input("profiles")
@@ -393,6 +415,7 @@ def _handle_label(opts: Options) -> dict:
 
 def _handle_ndt_params(opts: Options) -> dict:
     settings = opts.given("precision", "t-max")
+    opts.build(check_precision, "precision", "t-max")
     stats = _load_stats(opts.input("stats"))
     paper = paper_default_params(**opts.given("precision"))
     try:
@@ -436,11 +459,10 @@ def _handle_train(opts: Options) -> dict:
     labeled_path = opts.input("labeled")
     params_path = opts.input("ndt-params")
     checkpoint_path = opts.required("checkpoint")
-    cfg = TrainConfig(
-        **opts.given(
-            "objective", "neg-mode", "batch-size", "learning-rate", "epochs", "seed",
-            "embedding-dim", "bottom-dim", "tower-dims",
-        )
+    cfg = opts.build(
+        TrainConfig,
+        "objective", "neg-mode", "batch-size", "learning-rate", "epochs", "seed",
+        "embedding-dim", "bottom-dim", "tower-dims",
     )
     params = _load_ndt_params(params_path, **opts.given("params-mode"))
     labeled = _read_labeled_checked(labeled_path)
@@ -587,7 +609,7 @@ _COMMAND_FLAGS: dict[str, dict[str, Callable]] = {
         "bottom-dim": _int_from(1),
         "tower-dims": _list_of(_int_from(1), 2),
     },
-    "eval": {"labeled": str, "checkpoint": str, "out": str, "base-auc": _finite},
+    "eval": {"labeled": str, "checkpoint": str, "out": str, "base-auc": _float_from(0.5, above=True)},
     "migrate-report": {
         "baseline": str,
         "treatment": str,

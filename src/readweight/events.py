@@ -10,15 +10,16 @@ caller asks for it (or in "auto" mode, where a first line that is exactly
 ``LOG_HEADER`` once stripped is skipped).
 
 In memory a log is one ``EventTable``: parallel columns, not one object per
-row.  ``read_log`` splits the whole file once into columns and checks every
-line with masks; ``parse_event`` runs only on the line it reports.
+row.  ``read_log`` reads the file in blocks of whole lines, splits each block
+into columns and checks every line with masks, so its peak memory is the
+columns plus one block; ``parse_event`` runs only on the line it reports.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -28,6 +29,9 @@ from ._fileio import atomic_write_text
 LOG_COLUMNS = ("user_id", "item_id", "timestamp", "clicked", "dwell_time_s")
 LOG_HEADER = ",".join(LOG_COLUMNS)
 _TIMESTAMP_LIMIT = 2**63
+# Characters a reader takes from the file at a time; each read is cut after
+# its last newline, so a block holds whole lines.
+BLOCK_CHARS = 1 << 18
 
 
 class LogFormatError(ValueError):
@@ -153,6 +157,22 @@ class EventTable:
             np.fromiter((e.dwell_time_s for e in events), dtype=np.float64, count=n),
         )
 
+    @classmethod
+    def concat(cls, tables: list["EventTable"]) -> "EventTable":
+        """The rows of ``tables``, one table after another."""
+        return cls(
+            list(chain.from_iterable(t.user_id for t in tables)),
+            list(chain.from_iterable(t.item_id for t in tables)),
+            concat_arrays([t.timestamp for t in tables], np.int64),
+            concat_arrays([t.clicked for t in tables], bool),
+            concat_arrays([t.dwell_time_s for t in tables], np.float64),
+        )
+
+
+def concat_arrays(arrays: list[np.ndarray], dtype) -> np.ndarray:
+    """``arrays`` end to end, as ``dtype``; an empty array when there are none."""
+    return np.concatenate([np.empty(0, dtype), *arrays])
+
 
 @dataclass(slots=True)
 class ScanCounts:
@@ -197,15 +217,35 @@ def _parse_column(texts: list[str], parse: Callable[[str], object], dtype, bad: 
 _CLICKED_CODE = {"0": 0, "1": 1}
 
 
+def _blocks(path: str | os.PathLike[str]) -> Iterator[str]:
+    """The text of ``path`` in blocks of whole lines, each about
+    ``BLOCK_CHARS`` long, in file order.  Joined with newlines, the blocks
+    are the whole text; a line longer than a block is one block, and a
+    zero-byte file has none."""
+    with open(path, "r", encoding="utf-8") as handle:
+        pending: list[str] = []
+        while chunk := handle.read(BLOCK_CHARS):
+            cut = chunk.rfind("\n")
+            if cut < 0:
+                pending.append(chunk)
+                continue
+            pending.append(chunk[:cut])
+            yield "".join(pending)
+            pending = [chunk[cut + 1 :]]
+    if tail := "".join(pending):
+        yield tail
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class LogScan:
     """A log's text split once into rows, with every line checked.
 
-    ``lines[i]`` is line i + 1 of the file.  ``rows`` holds the index in
-    ``lines`` of each line of ``width`` comma-separated fields, ``fields``
-    their fields (row-major), ``events`` the columns of their first five
-    fields, and ``bad`` marks the rows ``parse_event`` rejects.
-    ``misshapen`` lists the non-blank lines with another field count.
+    ``lines[i]`` is line ``offset`` + i + 1 of the file.  ``rows`` holds
+    the index in ``lines`` of each line of ``width`` comma-separated
+    fields, ``fields`` their fields (row-major), ``events`` the columns of
+    their first five fields, and ``bad`` marks the rows ``parse_event``
+    rejects.  ``misshapen`` lists the non-blank lines with another field
+    count.
     """
 
     lines: list[str]
@@ -214,13 +254,14 @@ class LogScan:
     events: EventTable
     bad: np.ndarray
     misshapen: list[int]
+    offset: int
 
     @classmethod
-    def of(cls, text: str, width: int, is_header: Callable[[str], bool]) -> "LogScan":
-        """Scan ``text``; a first line that ``is_header`` accepts and blank
-        lines are neither rows nor misshapen.  Numbers go through the same
-        ``int``/``float`` calls as ``parse_event``, so the values are the
-        same bit for bit.
+    def of(cls, text: str, width: int, is_header: Callable[[str], bool], offset: int) -> "LogScan":
+        """Scan ``text``, which starts at line ``offset`` + 1 of its file; a
+        first line that ``is_header`` accepts and blank lines are neither
+        rows nor misshapen.  Numbers go through the same ``int``/``float``
+        calls as ``parse_event``, so the values are the same bit for bit.
         """
         lines = text.split("\n")
         if is_header(lines[0]):
@@ -243,7 +284,18 @@ class LogScan:
         dwell = _parse_column(fields[4::width], float, np.float64, bad)
         bad |= (clicked_code > 1) | (timestamp <= 0) | ~((dwell >= 0.0) & (dwell < np.inf))
         bad |= ~clicked & (dwell > 0.0)
-        return cls(lines, rows, fields, EventTable(users, items, timestamp, clicked, dwell), bad, misshapen)
+        return cls(lines, rows, fields, EventTable(users, items, timestamp, clicked, dwell), bad, misshapen, offset)
+
+    @classmethod
+    def blocks(
+        cls, path: str | os.PathLike[str], width: int, is_header: Callable[[str], bool]
+    ) -> Iterator["LogScan"]:
+        """The scans of ``path``'s blocks of whole lines, in file order.
+        Only line 1 of the file goes to ``is_header``."""
+        offset = 0
+        for text in _blocks(path):
+            yield cls.of(text, width, is_header if offset == 0 else _HEADER_RULES["absent"], offset)
+            offset += text.count("\n") + 1
 
     def bad_lines(self, bad: np.ndarray) -> list[int]:
         """Indices into ``lines``, in file order, of the misshapen lines and
@@ -252,11 +304,12 @@ class LogScan:
 
     def error(self, index: int, parse: Callable[[str, int], object]) -> LogFormatError:
         """The LogFormatError that ``parse`` raises for ``lines[index]``."""
+        line_number = self.offset + index + 1
         try:
-            parse(self.lines[index], index + 1)
+            parse(self.lines[index], line_number)
         except LogFormatError as err:
             return err
-        raise RuntimeError(f"line {index + 1}: the column checks reject a line {parse.__name__} accepts")
+        raise RuntimeError(f"line {line_number}: the column checks reject a line {parse.__name__} accepts")
 
 
 def read_log(
@@ -265,7 +318,8 @@ def read_log(
     header: str = "auto",
     bad_line_budget: int = 0,
 ) -> tuple[EventTable, ScanCounts]:
-    """Read a whole log as columns; returns (table, counts).
+    """Read a whole log as columns, one block of lines at a time; returns
+    (table, counts).
 
     ``header`` is one of "auto" (skip a first line that is exactly
     ``LOG_HEADER`` once stripped), "present" (always skip one line), or
@@ -276,15 +330,23 @@ def read_log(
     is_header = _header_rule(header)
     if bad_line_budget < 0:
         raise ValueError(f"bad_line_budget must be >= 0, got {bad_line_budget}")
-    with open(path, "r", encoding="utf-8") as handle:
-        scan = LogScan.of(handle.read(), len(LOG_COLUMNS), is_header)
-    at_fault = scan.bad_lines(scan.bad)
-    if len(at_fault) > bad_line_budget:
-        err = scan.error(at_fault[bad_line_budget], parse_event)
-        message = f"bad-line budget {bad_line_budget} exceeded: {err}"
-        raise BadLineBudgetExceeded(message, err.line_number) from err
-    table = scan.events.take(np.flatnonzero(~scan.bad)) if at_fault else scan.events
-    return table, ScanCounts(total=len(table), skipped=len(at_fault))
+    counts = ScanCounts()
+
+    def good_rows(scan: LogScan) -> EventTable:
+        """The rows of one block that parse; its bad lines count against
+        the budget."""
+        at_fault = scan.bad_lines(scan.bad)
+        if counts.skipped + len(at_fault) > bad_line_budget:
+            err = scan.error(at_fault[bad_line_budget - counts.skipped], parse_event)
+            message = f"bad-line budget {bad_line_budget} exceeded: {err}"
+            raise BadLineBudgetExceeded(message, err.line_number) from err
+        counts.skipped += len(at_fault)
+        return scan.events.take(np.flatnonzero(~scan.bad)) if at_fault else scan.events
+
+    # ``map`` holds no block's scan past its call, so one is alive at a time.
+    table = EventTable.concat(list(map(good_rows, LogScan.blocks(path, len(LOG_COLUMNS), is_header))))
+    counts.total = len(table)
+    return table, counts
 
 
 def write_log(path: str | os.PathLike[str], table: EventTable, *, header: bool = False) -> int:

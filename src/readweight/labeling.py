@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .dwell_stats import DwellStats
-from .events import EventTable, InteractionEvent, LogFormatError, LogScan, log_lines, parse_event
+from .events import EventTable, InteractionEvent, LogFormatError, LogScan, concat_arrays, log_lines, parse_event
 from .profiles import ItemDwellProfile, ProfileStore, UserActivityProfile
 
 NOISE_FLOOR_S = 5.0
@@ -149,6 +149,15 @@ class LabeledLog:
         return LabeledLog(self.events.take(rows), self.kind[rows], self.source[rows])
 
     @classmethod
+    def concat(cls, logs: list["LabeledLog"]) -> "LabeledLog":
+        """The rows of ``logs``, one log after another."""
+        return cls(
+            EventTable.concat([log.events for log in logs]),
+            concat_arrays([log.kind for log in logs], np.int8),
+            concat_arrays([log.source for log in logs], np.int8),
+        )
+
+    @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[InteractionEvent, ValidReadLabel]]) -> "LabeledLog":
         """Columns of (event, label) pairs, such as ``label_log`` yields."""
         pairs = list(pairs)
@@ -226,13 +235,18 @@ def _is_header(line: str) -> bool:
 def read_labeled_log(path: str | os.PathLike[str]) -> LabeledLog:
     """Read a labeled log as columns.
 
-    The file is split once and every line checked column by column.  Blank
-    lines and header lines are skipped wherever they appear, and there is
-    no bad-line budget: a line ``parse_labeled`` rejects fails the read with
-    that call's LogFormatError, for the first such line.
+    The file is read in blocks of whole lines and every line checked column
+    by column.  Blank lines and header lines are skipped wherever they
+    appear, and there is no bad-line budget: a line ``parse_labeled``
+    rejects fails the read with that call's LogFormatError, for the first
+    such line.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        scan = LogScan.of(handle.read(), 7, _is_header)
+    # ``map`` holds no block's scan past its call, so one is alive at a time.
+    return LabeledLog.concat(list(map(_labeled_rows, LogScan.blocks(path, 7, _is_header))))
+
+
+def _labeled_rows(scan: LogScan) -> LabeledLog:
+    """The labeled rows of one block; raises for its first bad line."""
     kind = _codes(_KIND_CODE, scan.fields[5::7])
     source = _codes(_SOURCE_CODE, scan.fields[6::7])
     skip = scan.bad | (kind < 0) | (source < 0) | ((kind == _VALID_READ) != (source > 0))

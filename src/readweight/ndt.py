@@ -142,6 +142,13 @@ def tail_gap(offset: float, tau: float, t_max: float, x_h: float) -> float:
     return a * logistic(-(x_h - offset) / tau)
 
 
+def check_precision(precision: float = DEFAULT_PRECISION, t_max: float = DEFAULT_T_MAX) -> None:
+    """Raise ValueError unless 0 < precision < t_max: a tail gap no curve of
+    range t_max can meet otherwise."""
+    if precision <= 0 or precision >= t_max:
+        raise ValueError(f"precision must be in (0, t_max = {t_max}), got {precision}")
+
+
 def solve_tau(
     offset: float,
     x_h: float,
@@ -156,8 +163,7 @@ def solve_tau(
     """
     if x_h <= offset:
         raise ValueError(f"x_h = {x_h} must exceed offset = {offset}")
-    if precision <= 0 or precision >= t_max:
-        raise ValueError(f"precision must be in (0, t_max), got {precision}")
+    check_precision(precision, t_max)
     lo = 1e-9
     hi = max(x_h - offset, 1.0)
     while tail_gap(offset, hi, t_max, x_h) <= precision:

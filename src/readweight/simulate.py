@@ -114,7 +114,7 @@ def sidecar_csv(events: EventTable, sidecar: Sidecar) -> str:
 
 
 def _norm_cdf(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
+    return 0.5 * (1.0 + np.vectorize(math.erf, otypes=[float])(x / math.sqrt(2.0)))
 
 
 def generate(cfg: SimConfig) -> tuple[EventTable, Sidecar]:
@@ -196,6 +196,8 @@ class RuleMixConfig:
     def __post_init__(self):
         if abs(sum(self.mix) - 1.0) > 1e-9:
             raise ValueError("rule mix must sum to 1")
+        if round(self.mix[0] * self.n_valid_reads) < 7:
+            raise ValueError("rule mix needs at least 7 T1 events to warm the heavy pool")
 
 
 @dataclass(slots=True)
@@ -242,8 +244,6 @@ def generate_rule_mix(cfg: RuleMixConfig) -> RuleMixCorpus:
     # T1-band dwell times and count toward the planted T1 total.
     n_heavy_clicks = n1 + n3_planted + n_noise
     n_heavy = max(1, min(n_heavy_clicks // HEAVY_CLICKS_PER_USER, n1 // 7))
-    if n1 < 7:
-        raise ValueError("rule mix needs at least 7 T1 events to warm the heavy pool")
     n_light = max(1, math.ceil(n2 / LIGHT_CLICKS_PER_USER)) if n2 else 0
     n_generic_items = max(1, (n1 + n2 + n_noise) // 50)
 
@@ -333,16 +333,27 @@ def short_read_lift(dwell_s: float, shift_s: float, scale_s: float) -> float:
     return dwell_s + shift_s * math.exp(-dwell_s / scale_s)
 
 
+# The default planted lift: ``short_read_lift``'s shift and scale, seconds.
+DEFAULT_SHIFT_S = 8.0
+DEFAULT_SHIFT_SCALE_S = 40.0
+
+
+def check_lift(shift_s: float = DEFAULT_SHIFT_S, shift_scale_s: float = DEFAULT_SHIFT_SCALE_S) -> None:
+    """Raise ValueError unless shift_s < shift_scale_s, which keeps
+    ``short_read_lift`` increasing."""
+    if shift_s >= shift_scale_s:
+        raise ValueError("shift must stay below the scale to keep the lift monotone")
+
+
 def generate_migration_pair(
     cfg: SimConfig,
-    shift_s: float = 8.0,
-    shift_scale_s: float = 40.0,
+    shift_s: float = DEFAULT_SHIFT_S,
+    shift_scale_s: float = DEFAULT_SHIFT_SCALE_S,
     max_level: int = 3,
 ) -> MigrationPair:
     """Baseline log plus a treatment where users at activeness levels
     1..max_level read short items longer."""
-    if shift_s >= shift_scale_s:
-        raise ValueError("shift must stay below the scale to keep the lift monotone")
+    check_lift(shift_s, shift_scale_s)
     baseline, _ = generate(cfg)
     levels, boundaries = row_levels(baseline)
     is_lifted = levels <= max_level

@@ -40,6 +40,9 @@ from .model import ModelConfig, MtlNetwork, PackedBatch, SlotSpec
 from .ndt import NEG_MODES, NdtParams, ndt, tower_weights
 
 OBJECTIVES = ("single_ctr", "ctr_logdt", "vr_logdt", "vr_ndt")
+# Rows the final catch-up brings up to date at a time, so its temporaries
+# scale with this, not with the table.
+CATCH_UP_ROWS = 1024
 
 
 class TrainingDivergedError(RuntimeError):
@@ -203,25 +206,30 @@ class Adam:
         """Apply the steps that row-sparse rows skipped since their last update.
 
         ``rows`` maps each row-sparse parameter to the rows about to be
-        read; None brings every row up to date.
+        read; None brings every row up to date, ``CATCH_UP_ROWS`` rows at a
+        time.  The update is row by row, so the chunks give the same bits.
         """
         for name, last in self.last.items():
-            idx = np.arange(last.size) if rows is None else rows[name]
-            idx = idx[last[idx] < self.t]
-            if idx.size == 0:
-                continue
-            t0 = last[idx]
-            gap = self.t - t0
-            moved = self._recent[np.minimum(gap, self.horizon)]
-            beyond = gap > self.horizon
-            moved[beyond] = self._settled[t0[beyond]]
-            m = self.m[name][idx]
-            v = self.v[name][idx]
-            ratio = np.divide(m, np.sqrt(v), out=np.zeros_like(m), where=v > 0)
-            params[name][idx] -= ratio * moved[:, None]
-            self.m[name][idx] = m * np.power(self.b1, gap)[:, None]
-            self.v[name][idx] = v * np.power(self.b2, gap)[:, None]
-            last[idx] = self.t
+            n = last.size
+            chunks = [rows[name]] if rows is not None else (
+                np.arange(at, min(at + CATCH_UP_ROWS, n)) for at in range(0, n, CATCH_UP_ROWS)
+            )
+            for idx in chunks:
+                idx = idx[last[idx] < self.t]
+                if idx.size == 0:
+                    continue
+                t0 = last[idx]
+                gap = self.t - t0
+                moved = self._recent[np.minimum(gap, self.horizon)]
+                beyond = gap > self.horizon
+                moved[beyond] = self._settled[t0[beyond]]
+                m = self.m[name][idx]
+                v = self.v[name][idx]
+                ratio = np.divide(m, np.sqrt(v), out=np.zeros_like(m), where=v > 0)
+                params[name][idx] -= ratio * moved[:, None]
+                self.m[name][idx] = m * np.power(self.b1, gap)[:, None]
+                self.v[name][idx] = v * np.power(self.b2, gap)[:, None]
+                last[idx] = self.t
 
     def step(self, params: dict[str, np.ndarray], grads: dict) -> None:
         self.t += 1

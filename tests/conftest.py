@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+import tracemalloc
 from bisect import insort
 from typing import Iterable, Iterator
 
@@ -46,6 +47,18 @@ def assert_same_events(a: EventTable, b: EventTable) -> None:
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
     assert a.dwell_time_s.tobytes() == b.dwell_time_s.tobytes()
+
+
+def traced_transient(fn) -> int:
+    """Bytes ``fn()`` held at its peak beyond what it still holds on return
+    (its result), under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn()  # held, so that ``current`` counts it
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - current
 
 
 def random_events(rng, n: int, n_users: int = 40, n_items: int = 15) -> list[InteractionEvent]:

@@ -286,6 +286,14 @@ class TestHappyPath:
         )
         assert len(lines) == doc["n_events"] + 1
 
+    def test_simulate_writes_an_empty_log(self, capsys, tmp_path):
+        """No impressions at any level: a zero-byte log, which reads back empty."""
+        log = tmp_path / "events.csv"
+        code, doc = run_cli(capsys, "simulate", "--impressions-per-level", "0,0,0,0,0,0,0", "--out", str(log))
+        assert (code, doc["n_events"], doc["n_clicks"]) == (0, 0, 0)
+        assert log.read_bytes() == b""
+        assert len(read_log(log)[0]) == 0
+
     def test_rule_mix_mode(self, capsys, tmp_path):
         out = tmp_path / "mix.csv"
         stats = tmp_path / "planted.json"
@@ -802,6 +810,7 @@ class TestUsageErrors:
             ("ndt-params", "precision", "-1"),
             ("stats-report", "bins", str(MAX_BINS + 1)),
             ("eval", "base-auc", "high"),
+            ("eval", "base-auc", "0.5"),
             ("migrate-report", "boundaries", "1,x"),
             ("migrate-report", "header", "bogus"),
         ],
@@ -819,6 +828,36 @@ class TestUsageErrors:
         config = tmp_path / "bad.cfg"
         config.write_text(f"{name} = {value}\n", encoding="utf-8")
         code, doc = run_cli(capsys, *argv, "--config", str(config))
+        assert (code, doc["error"]) == (1, "invalid-config")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, flags, name",
+        [
+            ("simulate", ["--activeness-mix", "1"], "activeness-mix"),
+            ("simulate", ["--impressions-per-level", "5,5"], "impressions-per-level"),
+            ("simulate", ["--activeness-mix", "0.5,0.5", "--impressions-per-level", "1,2,3"], "activeness-mix"),
+            ("simulate", ["--mode", "rule-mix", "--stats-out", "{out}/stats.json", "--mix", "0.5,0.2,0.2"], "mix"),
+            ("simulate", ["--mode", "rule-mix", "--stats-out", "{out}/stats.json", "--valid-reads", "8"], "valid-reads"),
+            ("simulate", ["--mode", "migration", "--treatment-out", "{out}/b.csv", "--shift", "50"], "shift"),
+            ("simulate", ["--mode", "migration", "--treatment-out", "{out}/b.csv", "--shift-scale", "2"], "shift-scale"),
+            ("ndt-params", ["--precision", "2"], "precision"),
+            ("ndt-params", ["--t-max", "1e-6"], "t-max"),
+            ("ndt-params", ["--precision", "2", "--t-max", "1"], "precision"),
+        ],
+    )
+    def test_options_wrong_together(self, capsys, monkeypatch, tmp_path, inputs, out, command, flags, name):
+        """Options that each parse but do not fit together fail with exit 1,
+        naming the one whose default makes them fit, before any input is read."""
+        monkeypatch.setattr(cli_module, "_load_stats", lambda path: pytest.fail("read the stats"))
+        flags = [flag.format(out=out) for flag in flags]
+        code, doc = run_cli(capsys, *self.argv(command, inputs, out), *flags)
+        assert (code, doc["error"]) == (1, f"invalid-flag:{name}")
+        assert list(out.iterdir()) == []
+        # From a config file, the same values fail as invalid-config.
+        config = tmp_path / "bad.cfg"
+        config.write_text("".join(f"{k[2:]} = {v}\n" for k, v in zip(flags[::2], flags[1::2])), encoding="utf-8")
+        code, doc = run_cli(capsys, *self.argv(command, inputs, out), "--config", str(config))
         assert (code, doc["error"]) == (1, "invalid-config")
         assert list(out.iterdir()) == []
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from readweight import events as events_module
@@ -18,8 +21,9 @@ from readweight.events import (
     read_log,
     write_log,
 )
+from readweight.labeling import LABELED_HEADER, LabeledLog, read_labeled_log
 
-from conftest import assert_same_events, iter_log, make_event, serialize_event
+from conftest import assert_same_events, iter_log, make_event, read_labeled_lines, serialize_event, traced_transient
 
 
 class TestParse:
@@ -291,3 +295,145 @@ class TestColumnarEventReader:
         path.write_text("u1,i1,1700000000,1,12.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="unknown header mode"):
             read_log(path, header="sometimes")
+
+
+# Lines for logs that cross block boundaries.  The long row is longer than
+# any of the small blocks below; every kind of line both readers must handle
+# is here: rows, blank lines, misshapen lines and rows with bad values.
+_LONG_ID = "u" * 60
+EVENT_LINES = [
+    "u1,i1,1700000000,1,12.5", "u22,i7,1700000123,0,0.0", "uu,i3,1700000999,1,300.0",
+    f"{_LONG_ID},i2,1700000001,1,7.25", "", " \t",
+    "garbage", "u1,i1,1700000000,1", "u1,i1,1700000000,1,2.0,extra",
+    "u1,i1,0,1,3.0", "u1,i1,1700000000,2,0.0", "u1,i1,1700000000,1,nan",
+    ",i1,1700000000,0,0.0", "u1,i1,1700000000,0,3.0",
+]
+LABELED_LINES = [
+    "u1,i1,1700000000,1,12.5,ValidRead,T1", "u22,i7,1700000123,0,0.0,NotClicked,",
+    "uu,i3,1700000999,1,300.0,InvalidClick,", f"{_LONG_ID},i2,1700000001,1,2.5,NoiseClick,",
+    "", " \t", LABELED_HEADER, " " + LABELED_HEADER + "\t",
+    "garbage", "u1,i1,1700000000,1,12.5", "u1,i1,1700000000,1,12.5,ValidRead,",
+    "u1,i1,1700000000,1,12.5,Bogus,", "u1,i1,1700000000,0,0.0,ValidRead,T2",
+    "u1,i1,0,1,3.0,InvalidClick,",
+]
+
+
+def log_texts(lines: list[str], header: str):
+    """Log texts from ``lines``: an optional line-1 header, rows mostly
+    good, LF or CRLF line ends, with or without a final newline."""
+    good = st.sampled_from(lines[:4])
+    return st.builds(
+        lambda first, rows, newline, final: newline.join(first + rows) + (newline if final else ""),
+        st.sampled_from([[], [header], [" " + header + "\t"]]),
+        st.lists(st.one_of(good, good, st.sampled_from(lines)), max_size=24),
+        st.sampled_from(["\n", "\r\n"]),
+        st.booleans(),
+    )
+
+
+def read_in_blocks(read, path: Path, block_chars: int):
+    """What ``read(path)`` returns or raises with blocks of ``block_chars``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(events_module, "BLOCK_CHARS", block_chars)
+        try:
+            return read(path)
+        except LogFormatError as err:
+            return type(err), str(err), err.line_number
+
+
+def event_columns(table: EventTable) -> tuple:
+    return (
+        table.user_id, table.item_id, table.timestamp.tolist(), table.clicked.tolist(),
+        table.dwell_time_s.tobytes(), table.timestamp.dtype, table.clicked.dtype, table.dwell_time_s.dtype,
+    )
+
+
+class TestBlockReads:
+    """A read in small blocks, with lines cut at every place, gives the same
+    columns and counts, or the same error, as a read in one block."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=log_texts(EVENT_LINES, LOG_HEADER),
+        block=st.integers(1, 40),
+        header=st.sampled_from(HEADER_MODES),
+        budget=st.integers(0, 3),
+    )
+    def test_read_log(self, text, block, header, budget):
+        def read(path):
+            table, counts = read_log(path, header=header, bad_line_budget=budget)
+            return event_columns(table), (counts.total, counts.skipped)
+
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "log.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            small = read_in_blocks(read, path, block)
+            assert small == read_in_blocks(read, path, 1 << 30)
+            counts = ScanCounts()
+            try:
+                oracle = list(iter_log(path, header=header, bad_line_budget=budget, counts=counts))
+            except LogFormatError as err:
+                assert small == (type(err), str(err), err.line_number)
+            else:
+                assert small == (event_columns(EventTable.of(oracle)), (counts.total, counts.skipped))
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=log_texts(LABELED_LINES, LABELED_HEADER), block=st.integers(1, 40))
+    def test_read_labeled_log(self, text, block):
+        def labeled_columns(log):
+            return event_columns(log.events), log.kind.tolist(), log.source.tolist(), log.kind.dtype
+
+        def read(path):
+            return labeled_columns(read_labeled_log(path))
+
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "labeled.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            small = read_in_blocks(read, path, block)
+            assert small == read_in_blocks(read, path, 1 << 30)
+            try:
+                oracle = read_labeled_lines(path)
+            except LogFormatError as err:
+                assert small == (LogFormatError, str(err), err.line_number)
+            else:
+                reference = LabeledLog.from_pairs(oracle)
+                assert small == labeled_columns(reference)
+
+    def test_error_past_the_first_block_names_its_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(events_module, "BLOCK_CHARS", 64)
+        path = tmp_path / "log.csv"
+        lines = [serialize_event(make_event(timestamp=1_700_000_000 + i)) for i in range(50)]
+        lines[37] = "u1,i1,1700000000,2,0.0"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(LogFormatError) as raised:
+            read_log(path)
+        assert raised.value.line_number == 38
+        assert str(raised.value).startswith("line 38: bad-line budget 0 exceeded: line 38: clicked must be 0 or 1")
+
+    def test_zero_byte_file_reads_as_empty_columns(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        for header in HEADER_MODES:
+            table, counts = read_log(path, header=header)
+            assert (len(table), counts.total, counts.skipped) == (0, 0, 0)
+            assert_same_events(table, EventTable.of([]))
+        log = read_labeled_log(path)
+        assert len(log) == 0
+        assert_same_events(log.events, EventTable.of([]))
+        assert log.kind.dtype == log.source.dtype == np.int8
+
+
+def test_read_log_transient_memory_is_one_block(tmp_path):
+    """A 4x longer log needs no more than 1.5x the working memory: a read's
+    peak is its columns plus one block, not a copy of the whole text."""
+    rng = np.random.default_rng(3)
+    transient = {}
+    for n in (20_000, 80_000):
+        clicked = rng.random(n) < 0.3
+        dwell = np.where(clicked, np.round(rng.exponential(30.0, n), 2), 0.0)
+        rows = zip(rng.integers(0, 5000, n).tolist(), rng.integers(0, 800, n).tolist(),
+                   rng.integers(0, 10**6, n).tolist(), clicked.tolist(), dwell.tolist())
+        path = tmp_path / f"{n}.csv"
+        path.write_text("".join(f"u{u},i{i},{1_700_000_000 + t},{int(c)},{d!r}\n" for u, i, t, c, d in rows))
+        transient[n] = traced_transient(lambda: read_log(path))
+    assert transient[80_000] <= 1.5 * transient[20_000], transient

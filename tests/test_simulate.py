@@ -17,6 +17,7 @@ from readweight.simulate import (
     generate,
     generate_migration_pair,
     generate_rule_mix,
+    _norm_cdf,
     short_read_lift,
     sidecar_csv,
 )
@@ -30,6 +31,13 @@ from conftest import (
 )
 
 SINGLE_CLASS = (ItemClass("only", 1.0, 4.003, 1.295),)
+
+
+def test_norm_cdf_takes_empty_input():
+    x = np.array([-3.0, -0.5, 0.0, 0.7, 4.0])
+    assert _norm_cdf(x).tolist() == [0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x.tolist()]
+    empty = _norm_cdf(np.array([]))
+    assert empty.shape == (0,) and empty.dtype == np.float64
 
 
 class TestOrganicGenerator:

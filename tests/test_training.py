@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from readweight.labeling import LabeledLog, LabelKind, ValidReadLabel, ValidRead
 from readweight.model import MtlNetwork, PackedBatch
 from readweight.ndt import ndt, paper_default_params
 from readweight.training import (
+    CATCH_UP_ROWS,
     Adam,
     FeatureSpace,
     TrainConfig,
@@ -23,7 +25,7 @@ from readweight.training import (
     train,
 )
 
-from conftest import make_event
+from conftest import make_event, traced_transient
 
 PARAMS = paper_default_params()
 
@@ -303,6 +305,27 @@ class TestRowSparseAdam:
             v = 0.999 * v + 0.001 * g * g
             ref = ref - lr * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
         assert worst <= 1e-5
+
+    def test_final_catch_up_is_chunked(self, rng):
+        """Catching up every row gives the bits of one pass over all rows,
+        with working memory near one chunk of rows, not the table."""
+        n_rows, dim = 50_000, 16
+        params = {"emb": rng.normal(size=(n_rows, dim)), "dense": rng.normal(size=(5, 3))}
+        opt = Adam(params, lr=0.01, row_sparse=["emb"])
+        # Past the horizon, so some rows catch up through the settled sums.
+        for _ in range(opt.horizon + 50):
+            rows = np.unique(rng.integers(0, n_rows, 64))
+            opt.catch_up(params, {"emb": rows})
+            opt.step(params, {"emb": (rows, rng.normal(size=(rows.size, dim))), "dense": rng.normal(size=(5, 3))})
+        one_pass, one_pass_params = copy.deepcopy(opt), copy.deepcopy(params)
+        one_pass.catch_up(one_pass_params, {"emb": np.arange(n_rows)})
+        transient = traced_transient(lambda: opt.catch_up(params))
+        for name in ("emb", "dense"):
+            assert params[name].tobytes() == one_pass_params[name].tobytes(), name
+        for state in ("m", "v", "last"):
+            assert getattr(opt, state)["emb"].tobytes() == getattr(one_pass, state)["emb"].tobytes(), state
+        chunk_bytes = CATCH_UP_ROWS * dim * 8
+        assert transient <= 8 * chunk_bytes, (transient, chunk_bytes)
 
     def test_rejects_float32_parameters(self):
         with pytest.raises(TypeError):
