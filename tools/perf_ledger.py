@@ -85,10 +85,10 @@ def calibration_s() -> float:
 
 def git_sha(src: Path) -> str | None:
     """HEAD of the checkout holding ``src``, with ``-dirty`` when tracked
-    files differ from it; None outside a git checkout."""
+    files under ``src`` differ from it; None outside a git checkout."""
     try:
         head = subprocess.run(["git", "-C", str(src), "rev-parse", "HEAD"], capture_output=True, text=True)
-        status = subprocess.run(["git", "-C", str(src), "status", "--porcelain", "--untracked-files=no"],
+        status = subprocess.run(["git", "-C", str(src), "status", "--porcelain", "--untracked-files=no", "--", "."],
                                 capture_output=True, text=True)
     except OSError:
         return None
