@@ -7,7 +7,6 @@ two-pass pipeline recovers the mix from the raw log alone.
 """
 
 from readweight import (
-    LabeledLog,
     RuleMixConfig,
     build_profiles,
     composition_report,
@@ -21,7 +20,7 @@ print(f"analytic mix: { {k: round(v, 4) for k, v in corpus.analytic_mix.items()}
 print()
 
 store = build_profiles(corpus.events)          # statistics pass
-labeled = LabeledLog.from_pairs(label_log(corpus.events, corpus.stats, store))  # labeling pass
+labeled = label_log(corpus.events, corpus.stats, store)  # labeling pass
 report = composition_report(labeled)
 
 print("label counts:")

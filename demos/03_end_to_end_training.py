@@ -9,7 +9,6 @@ The dwell-reweighted objective wins at predicting valid reads.
 import numpy as np
 
 from readweight import (
-    LabeledLog,
     NdtParams,
     SimConfig,
     TrainConfig,
@@ -34,7 +33,7 @@ cfg = SimConfig(
 events, _ = generate(cfg)
 stats = fit_log_normal(events)
 store = build_profiles(events)
-labeled = LabeledLog.from_pairs(label_log(events, stats, store))
+labeled = label_log(events, stats, store)
 params = NdtParams.solve(offset=stats.x_l, x_h=stats.x_h)
 print(f"{len(events)} events, {labeled.valid_read.sum()} valid reads")
 print(f"heavy clickbait widens the dwell spread: x_l collapses to {stats.x_l:.2f}s,")

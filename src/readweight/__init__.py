@@ -37,7 +37,6 @@ from .labeling import (
     ValidReadLabel,
     ValidReadSource,
     composition_report,
-    label_event,
     label_log,
     read_labeled_log,
 )
@@ -47,7 +46,6 @@ from .profiles import (
     STORE_VERSION,
     ItemDwellProfile,
     ProfileStore,
-    UserActivityProfile,
     build_profiles,
 )
 from .quantiles import GKSummary, QuantileEstimator
@@ -91,7 +89,6 @@ __all__ = [
     "SlotSpec",
     "TrainConfig",
     "UndefinedAucError",
-    "UserActivityProfile",
     "ValidReadLabel",
     "ValidReadSource",
     "auc",
@@ -105,7 +102,6 @@ __all__ = [
     "generate_migration_pair",
     "generate_rule_mix",
     "histogram_lnT",
-    "label_event",
     "label_log",
     "migration_report",
     "ndt",

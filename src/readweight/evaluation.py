@@ -124,11 +124,12 @@ def row_levels(table: EventTable, boundaries: Sequence[int] | None = None) -> tu
     clicks in the trailing 7-day window ending at the log's last timestamp,
     so a user seen only as impressions is at level 1.  Boundaries default
     to the equal-frequency septiles of those counts and must ascend
-    strictly.  The table must not be empty.
+    strictly.  An empty table has no users, so it has no default
+    boundaries.
     """
     codes = {user: code for code, user in enumerate(dict.fromkeys(table.user_id))}
     row_user = np.fromiter(map(codes.__getitem__, table.user_id), dtype=np.intp, count=len(table))
-    horizon = table.timestamp.max()
+    horizon = table.timestamp.max(initial=0)
     in_week = table.clicked & (table.timestamp > horizon - WEEK_SECONDS) & (table.timestamp <= horizon)
     counts = np.bincount(row_user[in_week], minlength=len(codes))
     if boundaries is None:

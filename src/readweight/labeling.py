@@ -8,9 +8,10 @@ order:
   T3  dwell time strictly longer than the item's historical P10.
 
 Clicks under the noise floor (5 seconds unless configured) are wiped before
-any rule applies.  Labeling is a pure function of the event, the fitted
-stats, and the profile store, which nothing changes once it is built or
-loaded, so shards can be labeled independently.
+any rule applies.  ``label_log`` applies the rules to a log's columns as
+masks.  A row's label depends only on that row, the fitted stats and the
+profile store, which nothing changes once it is built or loaded, so shards
+can be labeled independently.
 
 A labeled log on disk is read back as one ``LabeledLog``: parallel columns,
 not one object per row.
@@ -21,14 +22,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .dwell_stats import DwellStats
 from .events import EventTable, InteractionEvent, LogFormatError, LogScan, concat_arrays, log_lines, parse_event
-from .profiles import ItemDwellProfile, ProfileStore, UserActivityProfile
+from .profiles import WEEK_SECONDS, ProfileStore, _coded
 
 NOISE_FLOOR_S = 5.0
 LIGHT_USER_MAX_CLICKS = 7
@@ -63,48 +64,6 @@ class ValidReadLabel:
 class LabelingConfig:
     noise_floor_s: float = NOISE_FLOOR_S
     light_user_max_clicks: int = LIGHT_USER_MAX_CLICKS
-
-
-def label_event(
-    event: InteractionEvent,
-    stats: DwellStats,
-    item: ItemDwellProfile | None,
-    user: UserActivityProfile | None,
-    cfg: LabelingConfig = LabelingConfig(),
-) -> ValidReadLabel:
-    """Label one event against the fitted statistics and its profiles.
-
-    A click under ``cfg.noise_floor_s`` is a NoiseClick whatever the rules
-    say.  A missing item profile makes T3 non-matching; a missing user
-    profile counts as zero clicks (light user).  Both threshold comparisons
-    are strict: dwell equal to x_l or to the item P10 fails the rule.
-    """
-    if not event.clicked:
-        return ValidReadLabel(LabelKind.NOT_CLICKED, None)
-    dwell = event.dwell_time_s
-    if dwell < cfg.noise_floor_s:
-        return ValidReadLabel(LabelKind.NOISE_CLICK, None)
-    if dwell > stats.x_l:
-        return ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T1)
-    in_window = user.window_size(event.timestamp) if user is not None else 0
-    if in_window < cfg.light_user_max_clicks:
-        return ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T2)
-    if item is not None and item.n_records and dwell > item.p10():
-        return ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T3)
-    return ValidReadLabel(LabelKind.INVALID_CLICK, None)
-
-
-def label_log(
-    events: Iterable[InteractionEvent],
-    stats: DwellStats,
-    store: ProfileStore,
-    cfg: LabelingConfig = LabelingConfig(),
-) -> Iterator[tuple[InteractionEvent, ValidReadLabel]]:
-    """Label a stream of events against one profile store, in input order."""
-    for event in events:
-        yield event, label_event(
-            event, stats, store.items.get(event.item_id), store.users.get(event.user_id), cfg
-        )
 
 
 # Labeled-log lines are the event columns plus `label,source`.
@@ -176,6 +135,61 @@ class LabeledLog:
         kind = np.array(list(_KIND_CODE))[self.kind].tolist()
         source = np.array(list(_SOURCE_CODE))[self.source].tolist()
         return LABELED_HEADER + "\n" + log_lines(self.events, kind, source)
+
+
+def label_log(
+    events: EventTable,
+    stats: DwellStats,
+    store: ProfileStore,
+    cfg: LabelingConfig = LabelingConfig(),
+) -> LabeledLog:
+    """Label every row of ``events`` against the fitted statistics and the
+    profile store, with one mask per rule.
+
+    A click under ``cfg.noise_floor_s`` is a NoiseClick whatever the rules
+    say.  T2 counts the user's stored clicks in ``(ts - WEEK_SECONDS, ts]``;
+    a user the store lacks has none (light).  T3 looks up each distinct
+    item's P10 once; an item the store lacks, or one with no records, never
+    passes T3.  Both threshold comparisons are strict: dwell equal to x_l or
+    to the item P10 fails the rule.
+    """
+    clicked, dwell = events.clicked, events.dwell_time_s
+    noise = clicked & (dwell < cfg.noise_floor_s)
+    t1 = clicked & ~noise & (dwell > stats.x_l)
+    rest = np.flatnonzero(clicked & ~noise & ~t1)
+    candidates = events.take(rest)
+    light = _week_clicks(store.users, candidates.user_id, candidates.timestamp) < cfg.light_user_max_clicks
+    heavy = candidates.take(np.flatnonzero(~light))
+    tokens, item = _coded(heavy.item_id)
+    # NaN fails every comparison, so an item without a P10 never passes T3.
+    profiles = map(store.items.get, tokens)
+    p10 = np.array([p.p10() if p is not None and p.n_records else np.nan for p in profiles])
+    source = np.zeros(len(events), np.int8)
+    source[t1] = _SOURCE_CODE[ValidReadSource.T1]
+    source[rest[light]] = _SOURCE_CODE[ValidReadSource.T2]
+    source[rest[~light][heavy.dwell_time_s > p10[item]]] = _SOURCE_CODE[ValidReadSource.T3]
+    kind = np.full(len(events), _NOT_CLICKED, np.int8)
+    kind[clicked] = _KIND_CODE[LabelKind.INVALID_CLICK]
+    kind[noise] = _KIND_CODE[LabelKind.NOISE_CLICK]
+    kind[source > 0] = _VALID_READ
+    return LabeledLog(events, kind, source)
+
+
+def _week_clicks(users: dict[str, list[int]], user_ids: list[str], ts: np.ndarray) -> np.ndarray:
+    """For each (user, ts), how many of the user's stamps in ``users`` lie
+    in ``(ts - WEEK_SECONDS, ts]``; a user ``users`` lacks has none.
+
+    Every stamp and bound is ranked among all of them, so (user, rank) packs
+    into one int64 key that ascends with (user, stamp) and cannot overflow,
+    and each count is two ``searchsorted`` calls over the sorted keys."""
+    tokens, user = _coded(user_ids)
+    runs = [users.get(token, ()) for token in tokens]
+    sizes = np.fromiter(map(len, runs), np.intp, len(runs))
+    stamps = np.fromiter(chain.from_iterable(runs), np.int64, int(sizes.sum()))
+    values, rank = np.unique(np.concatenate([stamps, ts - WEEK_SECONDS, ts]), return_inverse=True)
+    keys = np.repeat(np.arange(len(runs)), sizes) * len(values) + rank[: len(stamps)]
+    lo, hi = user * len(values) + rank[len(stamps) :].reshape(2, -1)
+    return np.searchsorted(keys, hi, "right") - np.searchsorted(keys, lo, "right")
 
 
 def composition_report(log: LabeledLog) -> dict:

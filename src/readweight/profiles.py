@@ -1,10 +1,10 @@
-"""Per-item dwell-time profiles and per-user sliding-week click windows.
+"""Per-item dwell-time profiles and per-user click timestamps.
 
 Profiles come from one statistics pass over the training log's columns
 (``build_profiles``) or from a saved store (``ProfileStore.load``), and the
-labeling pass only reads them, so labeling is a pure function of the store.
-An event's own click is part of the profiles it is labeled against (the
-simplest two-pass semantics).
+labeling pass only reads them, so labels depend on nothing but the log, the
+stats and the store.  An event's own click is part of the profiles it is
+labeled against (the simplest two-pass semantics).
 
 Store format 4 is a header ``<4sIdIII`` (magic ``VRPF``, version, eps,
 switch threshold, item count, user count) followed by little-endian arrays,
@@ -17,7 +17,7 @@ each sized by what came before it:
 - f64 sorted dwell values of the exact items;
 - u32 entry count of each sketch item;
 - GK entries (f64 value, u64 g, u64 delta) of the sketch items;
-- u64 sorted click timestamps of the users;
+- u64 sorted click timestamps of the users, each below 2^63 as a log's are;
 
 then the little-endian CRC-32 (``zlib.crc32``) of every byte before it.
 An item is in sketch mode exactly when its record count is above the switch
@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Iterable, Iterator, Sequence
 
@@ -76,29 +75,11 @@ class ItemDwellProfile:
         return self.estimator.query(0.10)
 
 
-@dataclass(slots=True)
-class UserActivityProfile:
-    """Ascending click timestamps of one user, queried over a trailing
-    7-day window.
-
-    Expiry is applied at query time: a query at time ``at`` only sees clicks
-    in ``(at - WEEK_SECONDS, at]``, so out-of-order queries stay correct.
-    """
-
-    user_id: str
-    click_timestamps: list[int] = field(default_factory=list)
-
-    def window_size(self, at: int) -> int:
-        """Number of clicks in (at - WEEK_SECONDS, at]."""
-        lo = bisect_right(self.click_timestamps, at - WEEK_SECONDS)
-        hi = bisect_right(self.click_timestamps, at)
-        return hi - lo
-
-
 class ProfileStore:
     """All item and user profiles for one training window.
 
-    ``items`` and ``users`` map tokens to profiles.  ``eps`` must lie in
+    ``items`` maps item tokens to profiles, and ``users`` maps user tokens
+    to their ascending click timestamps.  ``eps`` must lie in
     (0, 1), and ``switch_threshold`` in 1 .. 2^32 - 1 (a u32 in the header).
     """
 
@@ -114,7 +95,7 @@ class ProfileStore:
         self.eps = eps
         self.switch_threshold = switch_threshold
         self.items: dict[str, ItemDwellProfile] = {}
-        self.users: dict[str, UserActivityProfile] = {}
+        self.users: dict[str, list[int]] = {}
 
     def _fill(
         self,
@@ -140,8 +121,7 @@ class ProfileStore:
                 estimator = QuantileEstimator(eps=self.eps, switch_threshold=self.switch_threshold)
                 estimator._exact = next(exact)
             self.items[token] = ItemDwellProfile(token, estimator)
-        for token, run in zip(tokens[len(counts) :], _runs(stamps.tolist(), clicks.tolist())):
-            self.users[token] = UserActivityProfile(token, run)
+        self.users.update(zip(tokens[len(counts) :], _runs(stamps.tolist(), clicks.tolist())))
         return self
 
     def to_bytes(self) -> bytes:
@@ -155,11 +135,11 @@ class ProfileStore:
             np.array([len(t) for t in tokens], "<u2"),
             np.frombuffer(b"".join(tokens), "u1"),
             np.array([p.n_records for p in items], "<u8"),
-            np.array([len(p.click_timestamps) for p in users], "<u4"),
+            np.array([len(stamps) for stamps in users], "<u4"),
             np.array(list(chain.from_iterable(exact)), "<f8"),
             np.array([len(s.entries) for s in sketches], "<u4"),
             np.fromiter(chain.from_iterable(s.entries for s in sketches), _GK_ENTRY),
-            np.array(list(chain.from_iterable(p.click_timestamps for p in users)), "<u8"),
+            np.array(list(chain.from_iterable(users)), "<u8"),
         ]
         header = _HEADER.pack(
             STORE_MAGIC, STORE_VERSION, self.eps, self.switch_threshold, len(items), len(users)
@@ -203,6 +183,8 @@ class ProfileStore:
                 raise ValueError("checksum mismatch")
             _check_ascending(values, counts[~sketchy], "dwell values")
             _check_ascending(stamps, clicks, "click timestamps")
+            if (stamps > np.iinfo(np.int64).max).any():
+                raise ValueError("click timestamp past 2^63 - 1")
             if not sizes.all():
                 raise ValueError("sketch item with no GK entries")
             _check_ascending(entries["value"], sizes, "GK values")

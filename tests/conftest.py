@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 import os
 import tracemalloc
-from bisect import insort
+from bisect import bisect_right, insort
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -19,8 +19,18 @@ from readweight.events import (
     parse_event,
 )
 from readweight.dwell_stats import DwellStats, InsufficientDataError
-from readweight.labeling import LABELED_HEADER, ValidReadLabel, parse_labeled
-from readweight.profiles import WEEK_SECONDS, ItemDwellProfile, ProfileStore, UserActivityProfile
+from readweight.labeling import (
+    LABEL_SOURCES,
+    LABELED_HEADER,
+    LabeledLog,
+    LabelKind,
+    LabelingConfig,
+    ValidReadLabel,
+    ValidReadSource,
+    label_log,
+    parse_labeled,
+)
+from readweight.profiles import WEEK_SECONDS, ItemDwellProfile, ProfileStore
 from readweight.quantiles import DEFAULT_EPS, DEFAULT_SWITCH_THRESHOLD, QuantileEstimator
 from readweight.simulate import DAY_SECONDS, SimConfig
 
@@ -187,9 +197,96 @@ def profiles_per_click(
             item = ItemDwellProfile(event.item_id, QuantileEstimator(eps, switch_threshold))
             store.items[event.item_id] = item
         item.estimator.observe(event.dwell_time_s)
-        user = store.users.setdefault(event.user_id, UserActivityProfile(event.user_id))
-        insort(user.click_timestamps, event.timestamp)
+        insort(store.users.setdefault(event.user_id, []), event.timestamp)
     return store
+
+
+# The per-row labeler: one call per event, the rules in priority order.
+# ``label_log`` must give every row the label this gives it.
+
+
+def label_event(
+    event: InteractionEvent,
+    stats: DwellStats,
+    item: ItemDwellProfile | None,
+    stamps: list[int] | None,
+    cfg: LabelingConfig = LabelingConfig(),
+) -> ValidReadLabel:
+    """Label one event against the fitted statistics, its item's profile and
+    its user's ascending click stamps.
+
+    A missing item profile makes T3 non-matching; missing stamps count as
+    zero clicks (light user).  T2 counts the stamps in (ts - week, ts].
+    """
+    if not event.clicked:
+        return ValidReadLabel(LabelKind.NOT_CLICKED, None)
+    dwell = event.dwell_time_s
+    if dwell < cfg.noise_floor_s:
+        return ValidReadLabel(LabelKind.NOISE_CLICK, None)
+    if dwell > stats.x_l:
+        return ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T1)
+    stamps = stamps or []
+    in_window = bisect_right(stamps, event.timestamp) - bisect_right(stamps, event.timestamp - WEEK_SECONDS)
+    if in_window < cfg.light_user_max_clicks:
+        return ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T2)
+    if item is not None and item.n_records and dwell > item.p10():
+        return ValidReadLabel(LabelKind.VALID_READ, ValidReadSource.T3)
+    return ValidReadLabel(LabelKind.INVALID_CLICK, None)
+
+
+def label_rows(
+    events: Iterable[InteractionEvent],
+    stats: DwellStats,
+    store: ProfileStore,
+    cfg: LabelingConfig = LabelingConfig(),
+) -> LabeledLog:
+    """``label_event`` on each event against its profiles in ``store``."""
+    return LabeledLog.from_pairs(
+        (e, label_event(e, stats, store.items.get(e.item_id), store.users.get(e.user_id), cfg))
+        for e in events
+    )
+
+
+def label_one(
+    event: InteractionEvent,
+    stats: DwellStats,
+    item: ItemDwellProfile | None,
+    stamps: list[int] | None,
+    cfg: LabelingConfig = LabelingConfig(),
+) -> ValidReadLabel:
+    """``label_log`` on a one-row table, against a store that holds only
+    ``item`` (as the event's item) and ``stamps`` (as its user's clicks),
+    each left out when None: ``label_event``'s arguments."""
+    store = ProfileStore()
+    if item is not None:
+        store.items[event.item_id] = item
+    if stamps is not None:
+        store.users[event.user_id] = stamps
+    [(_, label)] = label_log(EventTable.of([event]), stats, store, cfg)
+    return label
+
+
+def week_clicks(
+    store: ProfileStore, stats: DwellStats, events: list[InteractionEvent], most: int
+) -> list[int]:
+    """How many clicks ``label_log`` counts in each event's trailing week,
+    capped at ``most``, read off its labels: with the floor at 0, a click
+    that fails T1 is T2 exactly while the light-user bound is above it."""
+    table = EventTable.of(events)
+    t2 = LABEL_SOURCES.index(ValidReadSource.T2)
+    heavy = [
+        label_log(table, stats, store, LabelingConfig(noise_floor_s=0.0, light_user_max_clicks=bound)).source != t2
+        for bound in range(1, most + 1)
+    ]
+    return np.sum(heavy, axis=0).tolist()
+
+
+def assert_same_columns(a: LabeledLog, b: LabeledLog) -> None:
+    """Equal events, and equal kind and source codes on every row."""
+    assert_same_events(a.events, b.events)
+    for name in ("kind", "source"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
 # The per-user activeness path: one weekly count per user, then one level per

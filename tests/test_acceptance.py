@@ -24,12 +24,11 @@ from readweight.labeling import (
     LabelKind,
         ValidReadSource,
     composition_report,
-    label_event,
     label_log,
 )
 from readweight.model import ModelConfig, MtlNetwork
 from readweight.ndt import NdtParams, derive_scale, ndt, paper_default_params
-from readweight.profiles import ItemDwellProfile, UserActivityProfile, build_profiles
+from readweight.profiles import ItemDwellProfile, build_profiles
 from readweight.quantiles import QuantileEstimator, nearest_rank
 from readweight.simulate import (
     ItemClass,
@@ -42,7 +41,7 @@ from readweight.simulate import (
 )
 from readweight.training import FeatureSpace, TrainConfig, build_instances, score_events, train
 
-from conftest import activeness_level, make_event, weekly_click_counts
+from conftest import activeness_level, label_one, make_event, weekly_click_counts
 from test_model import fd_gradient_check
 
 
@@ -118,8 +117,8 @@ def _stats_with_xl(x_l: float, sigma: float = 1.3):
 
 def test_c04_labeler_goldens_and_planted_mix():
     stats = _stats_with_xl(15.0)
-    heavy = UserActivityProfile("u", sorted(1_700_000_000 - k * 3600 for k in range(10)))
-    light = UserActivityProfile("u", sorted(1_700_000_000 - k * 3600 for k in range(3)))
+    heavy = sorted(1_700_000_000 - k * 3600 for k in range(10))
+    light = sorted(1_700_000_000 - k * 3600 for k in range(3))
 
     def item_with(records):
         estimator = QuantileEstimator()
@@ -143,7 +142,7 @@ def test_c04_labeler_goldens_and_planted_mix():
     ]
     goldens_ok = all(
         (lambda l: l.kind is kind and l.source is source)(
-            label_event(event, stats, item, user)
+            label_one(event, stats, item, user)
         )
         for event, item, user, kind, source in goldens
     )
@@ -152,8 +151,7 @@ def test_c04_labeler_goldens_and_planted_mix():
     # pipeline (profiles built from the corpus, stats as planted).
     corpus = generate_rule_mix(RuleMixConfig(n_valid_reads=48_000, mix=(0.8, 0.1, 0.1), seed=4))
     store = build_profiles(corpus.events)
-    labeled = LabeledLog.from_pairs(label_log(corpus.events, corpus.stats, store))
-    rep = composition_report(labeled)
+    rep = composition_report(label_log(corpus.events, corpus.stats, store))
     mix_dev = max(
         abs(rep["valid_read_source_fractions"][s] - corpus.analytic_mix[s])
         for s in ("T1", "T2", "T3")
@@ -161,12 +159,8 @@ def test_c04_labeler_goldens_and_planted_mix():
 
     t1_counts = []
     for x_l in (5.0, 10.0, 15.0, 20.0, 40.0):
-        shifted = _stats_with_xl(x_l)
-        labels = (
-            label_event(e, shifted, store.items.get(e.item_id), store.users.get(e.user_id))
-            for e in corpus.events
-        )
-        t1_counts.append(sum(1 for l in labels if l.source is ValidReadSource.T1))
+        labeled = label_log(corpus.events, _stats_with_xl(x_l), store)
+        t1_counts.append(composition_report(labeled)["valid_read_source_counts"]["T1"])
     monotone = all(a >= b for a, b in zip(t1_counts, t1_counts[1:]))
 
     ok = goldens_ok and mix_dev <= 0.01 and monotone
@@ -358,7 +352,7 @@ def test_c09_planted_signal_orders_objectives():
         events, _ = generate(cfg)
         stats = fit_log_normal(events)
         store = build_profiles(events)
-        labeled = LabeledLog.from_pairs(label_log(events, stats, store))
+        labeled = label_log(events, stats, store)
         params = NdtParams.solve(offset=stats.x_l, x_h=stats.x_h, precision=1e-5)
         order = np.random.default_rng([seed, 999]).permutation(len(labeled))
         cut = int(0.8 * len(labeled))

@@ -443,6 +443,19 @@ class TestErrors:
         assert code == 2
         assert doc["error"] == "insufficient-data"
 
+    @pytest.mark.parametrize(
+        "flags", [["--users", "3"], ["--impressions-per-level", "0,0,0,0,0,0,0"]], ids=["3-users", "no-rows"]
+    )
+    def test_migration_without_seven_users_is_runtime_failure(self, capsys, tmp_path, flags):
+        """Fewer than 7 users in the baseline log, none at all included,
+        cannot be cut into activeness levels, and neither log is written."""
+        base, treat = tmp_path / "base.csv", tmp_path / "treat.csv"
+        code, doc = run_cli(
+            capsys, "simulate", "--mode", "migration", *flags, "--out", str(base), "--treatment-out", str(treat)
+        )
+        assert (code, doc) == (2, {"error": "runtime-failure", "detail": "need at least 7 users to cut 7 levels"})
+        assert not base.exists() and not treat.exists()
+
     def test_malformed_log_is_runtime_failure(self, capsys, tmp_path):
         log = tmp_path / "bad.csv"
         log.write_text("not,a,log\n", encoding="utf-8")

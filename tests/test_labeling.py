@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from readweight import labeling as labeling_module
-from readweight.dwell_stats import DwellStats
+from readweight.dwell_stats import DwellStats, fit_log_normal
 from readweight.events import EventTable, InteractionEvent, LogFormatError
 from readweight.labeling import (
+    LABEL_SOURCES,
     LABELED_HEADER,
     LabeledLog,
     LabelKind,
@@ -18,15 +20,23 @@ from readweight.labeling import (
     ValidReadLabel,
     ValidReadSource,
     composition_report,
-    label_event,
     label_log,
     parse_labeled,
     read_labeled_log,
 )
-from readweight.profiles import WEEK_SECONDS, ItemDwellProfile, UserActivityProfile, build_profiles
+from readweight.profiles import WEEK_SECONDS, ItemDwellProfile, build_profiles
 from readweight.quantiles import QuantileEstimator
+from readweight.simulate import SimConfig, generate
 
-from conftest import assert_same_events, make_event, read_labeled_lines, serialize_labeled
+from conftest import (
+    assert_same_columns,
+    label_one,
+    label_rows,
+    make_event,
+    read_labeled_lines,
+    serialize_labeled,
+    week_clicks,
+)
 
 
 def stats_with_xl(x_l: float, sigma: float = 1.3) -> DwellStats:
@@ -42,8 +52,8 @@ def item_with_records(records) -> ItemDwellProfile:
     return ItemDwellProfile("i1", estimator)
 
 
-def user_with_clicks(n: int, at: int = 1_700_000_000) -> UserActivityProfile:
-    return UserActivityProfile("u1", sorted(at - k * 3600 for k in range(n)))
+def user_with_clicks(n: int, at: int = 1_700_000_000) -> list[int]:
+    return sorted(at - k * 3600 for k in range(n))
 
 
 STATS15 = stats_with_xl(15.0)
@@ -53,68 +63,72 @@ LIGHT3 = user_with_clicks(3)
 
 class TestLabelEvent:
     def test_t1_long_dwell(self):
-        label = label_event(make_event(dwell_time_s=20.0), STATS15, None, HEAVY)
+        label = label_one(make_event(dwell_time_s=20.0), STATS15, None, HEAVY)
         assert label.kind is LabelKind.VALID_READ
         assert label.source is ValidReadSource.T1
 
     def test_noise_floor(self):
-        label = label_event(
+        label = label_one(
             make_event(dwell_time_s=4.0), STATS15, item_with_records([1.0]), LIGHT3
         )
         assert label.kind is LabelKind.NOISE_CLICK
         assert label.source is None
 
     def test_t2_light_user(self):
-        label = label_event(make_event(dwell_time_s=8.0), STATS15, None, LIGHT3)
+        label = label_one(make_event(dwell_time_s=8.0), STATS15, None, LIGHT3)
         assert label.kind is LabelKind.VALID_READ
         assert label.source is ValidReadSource.T2
         # Light means fewer than 7 clicks in the trailing week: 6 is, 7 is not.
-        six = label_event(make_event(dwell_time_s=8.0), STATS15, None, user_with_clicks(6))
+        six = label_one(make_event(dwell_time_s=8.0), STATS15, None, user_with_clicks(6))
         assert six.source is ValidReadSource.T2
-        seven = label_event(make_event(dwell_time_s=8.0), STATS15, None, user_with_clicks(7))
+        seven = label_one(make_event(dwell_time_s=8.0), STATS15, None, user_with_clicks(7))
         assert seven.kind is LabelKind.INVALID_CLICK
 
     def test_t3_item_quantile(self):
         item = item_with_records([6.0] * 10)
-        label = label_event(make_event(dwell_time_s=8.0), STATS15, item, HEAVY)
+        label = label_one(make_event(dwell_time_s=8.0), STATS15, item, HEAVY)
         assert label.kind is LabelKind.VALID_READ
         assert label.source is ValidReadSource.T3
 
     def test_invalid_click(self):
         item = item_with_records([9.0] * 10)
-        label = label_event(make_event(dwell_time_s=8.0), STATS15, item, HEAVY)
+        label = label_one(make_event(dwell_time_s=8.0), STATS15, item, HEAVY)
         assert label.kind is LabelKind.INVALID_CLICK
 
     def test_not_clicked(self):
-        label = label_event(make_event(clicked=False, dwell_time_s=0.0), STATS15, None, None)
+        label = label_one(make_event(clicked=False, dwell_time_s=0.0), STATS15, None, None)
         assert label.kind is LabelKind.NOT_CLICKED
 
 
 class TestDecisionEdges:
     def test_priority_t1_beats_t2(self):
-        label = label_event(make_event(dwell_time_s=20.0), STATS15, None, LIGHT3)
+        label = label_one(make_event(dwell_time_s=20.0), STATS15, None, LIGHT3)
         assert label.source is ValidReadSource.T1
 
     def test_boundary_equality_fails_rules(self):
         # T == x_l is not "longer than" x_l; T == P10 is not longer either.
         high_item = item_with_records([20.0] * 10)
-        label = label_event(make_event(dwell_time_s=15.0), STATS15, high_item, HEAVY)
+        label = label_one(make_event(dwell_time_s=15.0), STATS15, high_item, HEAVY)
         assert label.kind is LabelKind.INVALID_CLICK
         item = item_with_records([8.0] * 10)
-        label = label_event(make_event(dwell_time_s=8.0), STATS15, item, HEAVY)
+        label = label_one(make_event(dwell_time_s=8.0), STATS15, item, HEAVY)
         assert label.kind is LabelKind.INVALID_CLICK
 
     def test_exact_noise_floor_is_not_noise(self):
-        label = label_event(make_event(dwell_time_s=5.0), STATS15, None, LIGHT3)
+        label = label_one(make_event(dwell_time_s=5.0), STATS15, None, LIGHT3)
         assert label.kind is LabelKind.VALID_READ
         assert label.source is ValidReadSource.T2
 
     def test_missing_user_profile_counts_as_light(self):
-        label = label_event(make_event(dwell_time_s=8.0), STATS15, None, None)
+        label = label_one(make_event(dwell_time_s=8.0), STATS15, None, None)
         assert label.source is ValidReadSource.T2
 
     def test_missing_item_profile_skips_t3(self):
-        label = label_event(make_event(dwell_time_s=8.0), STATS15, None, HEAVY)
+        label = label_one(make_event(dwell_time_s=8.0), STATS15, None, HEAVY)
+        assert label.kind is LabelKind.INVALID_CLICK
+
+    def test_item_without_records_skips_t3(self):
+        label = label_one(make_event(dwell_time_s=8.0), STATS15, item_with_records([]), HEAVY)
         assert label.kind is LabelKind.INVALID_CLICK
 
     def test_raising_xl_never_adds_t1(self):
@@ -122,7 +136,7 @@ class TestDecisionEdges:
         counts = []
         for x_l in (5.0, 10.0, 15.0, 25.0, 50.0):
             stats = stats_with_xl(x_l)
-            labels = [label_event(e, stats, None, HEAVY) for e in events]
+            labels = [label_one(e, stats, None, HEAVY) for e in events]
             counts.append(sum(1 for l in labels if l.source is ValidReadSource.T1))
         assert counts == sorted(counts, reverse=True)
 
@@ -140,7 +154,8 @@ class TestDecisionEdges:
             for k in range(cfg.light_user_max_clicks)
         ]
         store = build_profiles(EventTable.of(history))
-        [(_, label)] = label_log([make_event("u1", "i-new", ts, True, 8.0)], STATS15, store, cfg)
+        probe = EventTable.of([make_event("u1", "i-new", ts, True, 8.0)])
+        [(_, label)] = label_log(probe, STATS15, store, cfg)
         assert (label.kind, label.source) == expected
 
     @pytest.mark.parametrize("switch_threshold, mode", [(4096, "exact"), (16, "sketch")])
@@ -157,20 +172,101 @@ class TestDecisionEdges:
         p10 = store.items["hot"].p10()
         assert LabelingConfig().noise_floor_s <= p10 < STATS15.x_l
         probes = [make_event("u1", "hot", ts, True, t) for t in (p10, math.nextafter(p10, math.inf))]
-        labels = [(label.kind, label.source) for _, label in label_log(probes, STATS15, store)]
+        labels = [(label.kind, label.source) for _, label in label_log(EventTable.of(probes), STATS15, store)]
         assert labels == [(LabelKind.INVALID_CLICK, None), (LabelKind.VALID_READ, ValidReadSource.T3)]
 
     @given(st.floats(min_value=0, max_value=500), st.integers(min_value=0, max_value=12))
     def test_pure_function(self, dwell, clicks):
         event = make_event(dwell_time_s=dwell)
         user = user_with_clicks(clicks)
-        a = label_event(event, STATS15, None, user)
-        b = label_event(event, STATS15, None, user)
+        a = label_one(event, STATS15, None, user)
+        b = label_one(event, STATS15, None, user)
         assert a == b
         if a.kind is LabelKind.VALID_READ:
             assert dwell >= 5.0
         if dwell > STATS15.x_l and dwell >= 5.0:
             assert a.source is ValidReadSource.T1
+
+
+TOP = 2**63 - 1  # the largest timestamp the log reader accepts
+T3_CODE = LABEL_SOURCES.index(ValidReadSource.T3)
+
+
+class TestTrailingWeekExtremes:
+    def test_counts_at_the_ends_of_int64(self):
+        """Stamps at 1 and at 2^63 - 1, weeks that start below 1, clicks at
+        exactly ts - week (out) and at ts (in), and repeated seconds: each
+        count equals the per-row oracle's, and the counts stated here."""
+        ts = 1_700_000_000
+        stamps = {
+            "u": [1, 1, 2, WEEK_SECONDS, WEEK_SECONDS + 1, ts - WEEK_SECONDS, ts - WEEK_SECONDS, ts, ts, ts + 1,
+                  TOP - WEEK_SECONDS, TOP - WEEK_SECONDS + 1, TOP, TOP],
+            "v": [1, TOP],
+        }
+        history = [make_event(user, "i", at, True, 8.0) for user, ats in stamps.items() for at in ats]
+        store = build_profiles(EventTable.of(history))
+        assert store.users == stamps
+        expected = {
+            1: 2, 2: 3, WEEK_SECONDS: 4, WEEK_SECONDS + 1: 3, WEEK_SECONDS + 2: 2, ts - 1: 2, ts: 2,
+            ts + WEEK_SECONDS - 1: 3, TOP - WEEK_SECONDS: 1, TOP - 1: 2, TOP: 3,
+        }
+        probes = [make_event("u", "i", at, True, 8.0) for at in expected]
+        probes += [make_event("v", "i", at, True, 8.0) for at in (1, WEEK_SECONDS, TOP - WEEK_SECONDS, TOP)]
+        counts = week_clicks(store, STATS15, probes, 15)
+        assert counts == [*expected.values(), 1, 1, 0, 1]
+        for bound in range(1, 16):
+            cfg = LabelingConfig(noise_floor_s=0.0, light_user_max_clicks=bound)
+            table = EventTable.of(probes)
+            assert_same_columns(label_log(table, STATS15, store, cfg), label_rows(probes, STATS15, store, cfg))
+
+
+class TestLabelLogMatchesPerRowOracle:
+    @pytest.mark.parametrize("switch_threshold", [4096, 16])
+    def test_organic_log_row_by_row(self, switch_threshold):
+        """Every row of an organic log, labeled against the store built from
+        it, and every row of a second log whose users and items the store
+        lacks, gets ``label_event``'s label."""
+        events, _ = generate(SimConfig(n_users=300, n_items=40, seed=11))
+        stats = fit_log_normal(events)
+        store = build_profiles(events, switch_threshold=switch_threshold)
+        sketched = any(p.estimator.mode == "sketch" for p in store.items.values())
+        assert sketched == (switch_threshold == 16)
+        labeled = label_log(events, stats, store)
+        assert labeled.events is events
+        assert_same_columns(labeled, label_rows(events, stats, store))
+        sources = set(composition_report(labeled)["valid_read_source_counts"].items())
+        assert all(count > 0 for _, count in sources), sources
+        other, _ = generate(SimConfig(n_users=100, n_items=20, seed=12))
+        strangers = EventTable(
+            [f"new-{u}" for u in other.user_id], [f"new-{i}" for i in other.item_id],
+            other.timestamp, other.clicked, other.dwell_time_s,
+        )
+        labeled = label_log(strangers, stats, store)
+        assert_same_columns(labeled, label_rows(strangers, stats, store))
+        assert not (labeled.source == T3_CODE).any()
+
+    def test_empty_log(self):
+        store = build_profiles(EventTable.of([make_event()]))
+        labeled = label_log(EventTable.of([]), STATS15, store)
+        assert len(labeled) == 0 and labeled.kind.dtype == labeled.source.dtype == np.int8
+
+    def test_one_p10_query_per_item(self, monkeypatch):
+        """T3 looks up each distinct item's P10 once, not once per row."""
+        events, _ = generate(SimConfig(n_users=300, n_items=40, seed=11))
+        stats = fit_log_normal(events)
+        store = build_profiles(events, switch_threshold=16)
+        queries = Counter()
+        query = QuantileEstimator.query
+
+        def counting_query(self, p):
+            queries[id(self)] += 1
+            return query(self, p)
+
+        monkeypatch.setattr(QuantileEstimator, "query", counting_query)
+        labeled = label_log(events, stats, store)
+        assert (labeled.source == T3_CODE).sum() > len(queries) > 0
+        assert max(queries.values()) == 1
+        assert len(queries) <= len(set(events.item_id))
 
 
 class TestLabelType:
@@ -181,11 +277,11 @@ class TestLabelType:
             ValidReadLabel(LabelKind.VALID_READ, None)
 
     def test_floor_comes_from_the_config(self):
-        # The label holds no floor of its own: label_event applies cfg's.
+        # The label holds no floor of its own: label_log applies cfg's.
         event = make_event(dwell_time_s=4.0)
-        low = label_event(event, STATS15, None, None, LabelingConfig(noise_floor_s=3.0))
+        low = label_one(event, STATS15, None, None, LabelingConfig(noise_floor_s=3.0))
         assert (low.kind, low.source) == (LabelKind.VALID_READ, ValidReadSource.T2)
-        assert label_event(event, STATS15, None, None).kind is LabelKind.NOISE_CLICK
+        assert label_one(event, STATS15, None, None).kind is LabelKind.NOISE_CLICK
 
 
 def paper_labels(
@@ -279,7 +375,7 @@ class TestLabelLogMatchesPaperRules:
         store = build_profiles(EventTable.of(history), eps=eps, switch_threshold=switch_threshold)
         cfg = LabelingConfig(noise_floor_s=noise_floor, light_user_max_clicks=light)
         log = history + unseen
-        pairs = list(label_log(log, stats_with_xl(x_l), store, cfg))
+        pairs = list(label_log(EventTable.of(log), stats_with_xl(x_l), store, cfg))
         assert [event for event, _ in pairs] == log
         expected = paper_labels(history, log, x_l, cfg, eps, switch_threshold)
         assert [(label.kind, label.source) for _, label in pairs] == expected
@@ -339,13 +435,6 @@ class TestLabeledFormat:
         line = serialize_labeled(event, label)
         assert line.endswith(",NotClicked,")
         assert parse_labeled(line)[1] == label
-
-
-def assert_same_columns(a: LabeledLog, b: LabeledLog) -> None:
-    assert_same_events(a.events, b.events)
-    for name in ("kind", "source"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
 def random_labeled_lines(rng, n: int) -> list[str]:

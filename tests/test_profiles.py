@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from readweight.dwell_stats import fit_log_normal
-from readweight.labeling import ValidReadSource, label_event, label_log
+from readweight.labeling import ValidReadSource, label_log
 from readweight.profiles import (
     ItemDwellProfile,
     NoProfileDataError,
     ProfileStore,
     WEEK_SECONDS,
-    UserActivityProfile,
     build_profiles,
 )
 from readweight.quantiles import DEFAULT_SWITCH_THRESHOLD, QuantileEstimator
@@ -23,7 +22,7 @@ from readweight.simulate import SimConfig, generate
 
 from readweight.events import EventTable
 
-from conftest import make_event, profiles_per_click, random_events
+from conftest import assert_same_columns, label_one, make_event, profiles_per_click, random_events, week_clicks
 from test_labeling import STATS15
 
 DAY = 86400
@@ -62,43 +61,46 @@ class TestItemProfile:
         assert profile.p10() == pytest.approx(10.0, abs=0.5)
 
 
+def user_week_clicks(stamps: list[int], *ats: int) -> list[int]:
+    """``label_log``'s count of ``stamps`` in the trailing week of each of
+    ``ats``, as one user's clicks."""
+    store = ProfileStore()
+    store.users["u1"] = stamps
+    probes = [make_event("u1", "i1", at, True, 8.0) for at in ats]
+    return week_clicks(store, STATS15, probes, len(stamps) + 1)
+
+
 class TestUserProfile:
     def test_first_click(self):
-        user = UserActivityProfile("u1", [1000])
-        assert user.window_size(1000) == 1
+        assert user_week_clicks([1000], 1000) == [1]
 
     def test_ten_clicks_one_day(self):
         base = 1_700_000_000
-        user = UserActivityProfile("u1", [base + k * 3600 for k in range(10)])
-        assert user.window_size(base + DAY) == 10
+        assert user_week_clicks([base + k * 3600 for k in range(10)], base + DAY) == [10]
 
     def test_seven_day_expiry(self):
         day0 = 1_700_000_000
         day8 = day0 + 8 * DAY
-        user = UserActivityProfile("u1", [day0, day8])
-        assert user.window_size(day8) == 1
+        assert user_week_clicks([day0, day8], day8) == [1]
 
     def test_zero_clicks_is_light(self):
         event = make_event(timestamp=123456, dwell_time_s=8.0)
-        label = label_event(event, STATS15, None, UserActivityProfile("u1"))
+        label = label_one(event, STATS15, None, [])
         assert label.source is ValidReadSource.T2
 
     def test_monotone_in_window_count(self):
         base = 1_700_000_000
         previous = True
         for n in range(0, 12):
-            user = UserActivityProfile("u1", [base + k for k in range(n)])
             event = make_event(timestamp=base + 50, dwell_time_s=8.0)
-            light = label_event(event, STATS15, None, user).source is ValidReadSource.T2
+            light = label_one(event, STATS15, None, [base + k for k in range(n)]).source is ValidReadSource.T2
             assert not (light and not previous), "lightness regained as clicks grew"
             previous = light
 
     def test_out_of_order_queries_stay_correct(self):
         day0 = 1_700_000_000
-        user = UserActivityProfile("u1", [day0, day0 + 9 * DAY])
         # Late query first, then an earlier one; both see their own windows.
-        assert user.window_size(day0 + 9 * DAY) == 1
-        assert user.window_size(day0 + DAY) == 1
+        assert user_week_clicks([day0, day0 + 9 * DAY], day0 + 9 * DAY, day0 + DAY) == [1, 1]
 
 
 class TestStore:
@@ -119,7 +121,8 @@ class TestStore:
         assert set(store.users) == {"u1", "u2"}
         assert store.items["i1"].n_records == 3
         assert store.items["i2"].n_records == 1
-        assert store.users["u1"].window_size(1_700_000_100) == 2
+        assert store.users["u1"] == [1_700_000_000, 1_700_000_010]
+        assert user_week_clicks(store.users["u1"], 1_700_000_100) == [2]
 
     def test_round_trip(self, tmp_path):
         store, _ = self.build_store()
@@ -132,7 +135,7 @@ class TestStore:
         assert item.estimator.mode == "exact" and item.n_records == 3
         for p in (0.1, 0.5, 1.0):
             assert item.estimator.query(p) == store.items["i1"].estimator.query(p)
-        assert loaded.users["u2"].click_timestamps == store.users["u2"].click_timestamps
+        assert loaded.users["u2"] == store.users["u2"]
         assert loaded.to_bytes() == path.read_bytes()
 
     def test_bytes_deterministic(self, rng):
@@ -211,12 +214,22 @@ class TestStore:
     def test_descending_values_or_stamps_raise_value_error(self):
         for mangle in (
             lambda store: store.items["cold"].estimator._exact.reverse(),
-            lambda store: store.users["u0"].click_timestamps.reverse(),
+            lambda store: store.users["u0"].reverse(),
         ):
             store = small_store()
             mangle(store)
             with pytest.raises(ValueError, match="out of order"):
                 ProfileStore.from_bytes(store.to_bytes())
+
+    def test_stamp_past_int64_raises_value_error(self):
+        """No log holds a stamp past 2^63 - 1, and the labeler counts stamps
+        as int64."""
+        store = small_store()
+        store.users["u0"].append(2**63)
+        with pytest.raises(ValueError, match="past 2\\^63"):
+            ProfileStore.from_bytes(store.to_bytes())
+        store.users["u0"][-1] = 2**63 - 1
+        assert ProfileStore.from_bytes(store.to_bytes()).users["u0"][-1] == 2**63 - 1
 
     def test_corrupt_gk_entries_raise_value_error(self):
         def bump_g(entries):
@@ -290,14 +303,14 @@ def stores(draw) -> ProfileStore:
     stamp = st.integers(1_700_000_000, 1_700_000_000 + 3 * WEEK_SECONDS)
     for token in draw(st.sets(TOKENS, max_size=5)):
         stamps = draw(st.lists(stamp, max_size=12).map(lambda xs: xs + xs[:2]))
-        store.users[token] = UserActivityProfile(token, sorted(stamps))
+        store.users[token] = sorted(stamps)
     return store
 
 
 class TestStoreRoundTripProperty:
     @settings(max_examples=60, deadline=None)
-    @given(stores(), st.lists(st.integers(1_700_000_000, 1_700_000_000 + 4 * WEEK_SECONDS), max_size=4))
-    def test_bytes_and_answers_survive(self, store, probes):
+    @given(stores())
+    def test_bytes_and_answers_survive(self, store):
         data = store.to_bytes()
         loaded = ProfileStore.from_bytes(data)
         assert loaded.to_bytes() == data
@@ -308,9 +321,7 @@ class TestStoreRoundTripProperty:
             assert again.estimator.mode == item.estimator.mode
             assert again.n_records == item.n_records
             assert again.p10() == item.p10()
-        for token, user in store.users.items():
-            for at in probes + user.click_timestamps:
-                assert loaded.users[token].window_size(at) == user.window_size(at)
+        assert loaded.users == store.users
 
 
 # Ties, signed zeros, subnormals, a value past 2^53, and non-ASCII ids
@@ -385,6 +396,4 @@ class TestLabelsSurviveStoreRoundTrip:
         stats = fit_log_normal(events)
         store = build_profiles(events, switch_threshold=switch_threshold)
         reloaded = ProfileStore.from_bytes(store.to_bytes())
-        in_memory = [label for _, label in label_log(events, stats, store)]
-        from_disk = [label for _, label in label_log(events, stats, reloaded)]
-        assert from_disk == in_memory
+        assert_same_columns(label_log(events, stats, reloaded), label_log(events, stats, store))

@@ -7,7 +7,7 @@ import pytest
 
 from readweight.dwell_stats import fit_log_normal
 from readweight.evaluation import row_levels
-from readweight.labeling import LabeledLog, composition_report, label_log
+from readweight.labeling import composition_report, label_log
 from readweight.profiles import build_profiles
 from readweight.simulate import (
     SIDECAR_HEADER,
@@ -151,7 +151,7 @@ class TestRuleMixGenerator:
         cfg = RuleMixConfig(n_valid_reads=10_000, mix=(0.8, 0.1, 0.1), seed=3)
         corpus = generate_rule_mix(cfg)
         store = build_profiles(corpus.events)
-        labeled = LabeledLog.from_pairs(label_log(corpus.events, corpus.stats, store))
+        labeled = label_log(corpus.events, corpus.stats, store)
         report = composition_report(labeled)
         for source in ("T1", "T2", "T3"):
             assert report["valid_read_source_fractions"][source] == pytest.approx(
@@ -165,7 +165,7 @@ class TestRuleMixGenerator:
         cfg = RuleMixConfig(n_valid_reads=6_000, mix=(0.6, 0.25, 0.15), seed=8)
         corpus = generate_rule_mix(cfg)
         store = build_profiles(corpus.events)
-        labeled = LabeledLog.from_pairs(label_log(corpus.events, corpus.stats, store))
+        labeled = label_log(corpus.events, corpus.stats, store)
         report = composition_report(labeled)
         for source in ("T1", "T2", "T3"):
             assert report["valid_read_source_fractions"][source] == pytest.approx(
