@@ -249,6 +249,13 @@ def _list_of(parse: Callable[[str], object], count: int | None = None) -> Callab
     return parse_list
 
 
+def _ascending_ints(text: str) -> tuple[int, ...]:
+    values = _list_of(int)(text)
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError("must ascend strictly")
+    return values
+
+
 def _parse_classes(text: str) -> tuple[ItemClass, ...]:
     """name:prob:ln_mean:ln_std entries separated by `;`."""
     classes = []
@@ -465,8 +472,8 @@ def _handle_train(opts: Options) -> dict:
         "embedding-dim", "bottom-dim", "tower-dims",
     )
     params = _load_ndt_params(params_path, **opts.given("params-mode"))
-    labeled = _read_labeled_checked(labeled_path)
-    batch, space = build_instances(labeled, params, cfg)
+    # Only the batch and the vocabularies, not the labeled log, live through training.
+    batch, space = build_instances(_read_labeled_checked(labeled_path), params, cfg)
     try:
         result = train(cfg, batch, space)
     except TrainingDivergedError as err:
@@ -614,7 +621,7 @@ _COMMAND_FLAGS: dict[str, dict[str, Callable]] = {
         "baseline": str,
         "treatment": str,
         "out": str,
-        "boundaries": _list_of(int),
+        "boundaries": _ascending_ints,
         **_LOG_FLAGS,
     },
 }

@@ -14,8 +14,12 @@ stores raw float32 tensors, so save/load is bit-exact); training keeps a
 float64 copy (see ``training``).  All arithmetic runs in float64, which
 keeps finite-difference gradient checks meaningful.
 
-``backward`` returns each embedding table's gradient row-sparse, as the
-batch's distinct rows and their gradient rows, so its cost follows the
+The forward pass keeps only what ``backward`` reads: x0, the post-ReLU
+activations and the two probabilities, 290 float64 (2.3 KB) a row at the
+default dims.  ``backward`` takes each ReLU's mask from its output, which
+is positive exactly where its input is (NaN in neither), so the gradients
+keep their bits.  It returns each embedding table's gradient row-sparse, as
+the batch's distinct rows and their gradient rows, so its cost follows the
 batch, not the vocabulary.  ``score_batch`` runs the forward pass over
 SCORE_CHUNK_ROWS rows at a time, so scoring holds one chunk's activations
 whatever the batch size.
@@ -38,7 +42,7 @@ import numpy as np
 from .ndt import logistic
 
 PROB_CLAMP = 1e-7
-# Rows per forward pass when scoring; activations take about 4.5 KB a row.
+# Rows per forward pass when scoring; activations take about 2.3 KB a row.
 # A power of two keeps each row at the offset within the BLAS kernels' row
 # blocks that it has in one whole-batch pass, so the scores match that pass
 # bit for bit (a 333-row chunk moved some by 1 ulp).
@@ -84,12 +88,15 @@ class PackedBatch:
         return PackedBatch(self.idx[rows], self.y[rows], self.w[rows])
 
 
-def _relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
-
-
 def _f64(a: np.ndarray) -> np.ndarray:
     return a.astype(np.float64, copy=False)
+
+
+def _dense_relu(x: np.ndarray, params: dict[str, np.ndarray], layer: str) -> np.ndarray:
+    """``max(x @ W + b, 0)`` of ``layer``; the bias and the ReLU apply in place."""
+    h = x @ _f64(params[f"{layer}.W"])
+    h += _f64(params[f"{layer}.b"])
+    return np.maximum(h, 0.0, out=h)
 
 
 class MtlNetwork:
@@ -156,23 +163,18 @@ class MtlNetwork:
     def _forward_arrays(self, batch: PackedBatch) -> dict[str, np.ndarray]:
         self._check_indices(batch.idx)
         p = self.params
-        pieces = [
-            _f64(p[f"emb.{slot.name}"][batch.idx[:, col]])
-            for col, slot in enumerate(self.config.slots)
-        ]
-        x0 = np.concatenate(pieces, axis=1)
-        zb = x0 @ _f64(p["bottom.W"]) + _f64(p["bottom.b"])
-        hb = _relu(zb)
-        cache: dict[str, np.ndarray] = {"x0": x0, "zb": zb, "hb": hb}
+        x0 = np.concatenate(
+            [_f64(p[f"emb.{slot.name}"][batch.idx[:, col]]) for col, slot in enumerate(self.config.slots)],
+            axis=1,
+        )
+        hb = _dense_relu(x0, p, "bottom")
+        cache: dict[str, np.ndarray] = {"x0": x0, "hb": hb}
         for tower in ("tower_v", "tower_w"):
             h = hb
             for layer in (1, 2):
-                z = h @ _f64(p[f"{tower}.{layer}.W"]) + _f64(p[f"{tower}.{layer}.b"])
-                cache[f"{tower}.z{layer}"] = z
-                h = _relu(z)
+                h = _dense_relu(h, p, f"{tower}.{layer}")
                 cache[f"{tower}.h{layer}"] = h
             z3 = h @ _f64(p[f"{tower}.3.W"]) + _f64(p[f"{tower}.3.b"])
-            cache[f"{tower}.z3"] = z3[:, 0]
             cache[f"{tower}.prob"] = logistic(z3[:, 0])
         return cache
 
@@ -221,26 +223,25 @@ class MtlNetwork:
         p = self.params
         grads: dict = {}
 
-        d_hb = np.zeros_like(cache["hb"])
+        dzb = np.zeros_like(cache["hb"])  # d L / d hb, masked to d L / d zb below
         for tower, scale in (("tower_v", None), ("tower_w", batch.w)):
             dz3 = cache[f"{tower}.prob"] - batch.y
             if scale is not None:
-                dz3 = dz3 * scale
-            h2 = cache[f"{tower}.h2"]
+                dz3 *= scale
+            h1, h2 = cache[f"{tower}.h1"], cache[f"{tower}.h2"]
             grads[f"{tower}.3.W"] = h2.T @ dz3[:, None]
             grads[f"{tower}.3.b"] = np.array([dz3.sum()])
-            dh2 = dz3[:, None] @ _f64(p[f"{tower}.3.W"]).T
-            dz2 = dh2 * (cache[f"{tower}.z2"] > 0)
-            h1 = cache[f"{tower}.h1"]
+            dz2 = dz3[:, None] @ _f64(p[f"{tower}.3.W"]).T
+            dz2 *= h2 > 0
             grads[f"{tower}.2.W"] = h1.T @ dz2
             grads[f"{tower}.2.b"] = dz2.sum(axis=0)
-            dh1 = dz2 @ _f64(p[f"{tower}.2.W"]).T
-            dz1 = dh1 * (cache[f"{tower}.z1"] > 0)
+            dz1 = dz2 @ _f64(p[f"{tower}.2.W"]).T
+            dz1 *= h1 > 0
             grads[f"{tower}.1.W"] = cache["hb"].T @ dz1
             grads[f"{tower}.1.b"] = dz1.sum(axis=0)
-            d_hb += dz1 @ _f64(p[f"{tower}.1.W"]).T
+            dzb += dz1 @ _f64(p[f"{tower}.1.W"]).T
 
-        dzb = d_hb * (cache["zb"] > 0)
+        dzb *= cache["hb"] > 0
         grads["bottom.W"] = cache["x0"].T @ dzb
         grads["bottom.b"] = dzb.sum(axis=0)
         dx0 = dzb @ _f64(p["bottom.W"]).T

@@ -28,7 +28,7 @@ two runs produce byte-identical checkpoints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Sequence
 
@@ -76,12 +76,6 @@ class FeatureSpace:
 
     user_vocab: tuple[str, ...]
     item_vocab: tuple[str, ...]
-    _user_index: dict = field(default_factory=dict, compare=False, repr=False)
-    _item_index: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self):
-        self._user_index.update({u: i + 1 for i, u in enumerate(self.user_vocab)})
-        self._item_index.update({t: i + 1 for i, t in enumerate(self.item_vocab)})
 
     @classmethod
     def of(cls, events: EventTable) -> "FeatureSpace":
@@ -89,12 +83,15 @@ class FeatureSpace:
         return cls(tuple(sorted(set(events.user_id))), tuple(sorted(set(events.item_id))))
 
     def encode(self, user_ids: Sequence[str], item_ids: Sequence[str]) -> np.ndarray:
-        """(n, 2) int32 token indices of parallel id sequences; unseen ids map to 0."""
+        """(n, 2) int32 token indices of parallel id sequences; unseen ids map to 0.
 
-        def codes(index: dict, ids: Sequence[str]) -> np.ndarray:
+        The id -> token maps are built per call, so none outlives it."""
+
+        def codes(vocab: tuple[str, ...], ids: Sequence[str]) -> np.ndarray:
+            index = dict(zip(vocab, range(1, len(vocab) + 1)))
             return np.fromiter(map(index.get, ids, repeat(0)), dtype=np.int32, count=len(ids))
 
-        return np.stack([codes(self._user_index, user_ids), codes(self._item_index, item_ids)], axis=1)
+        return np.stack([codes(self.user_vocab, user_ids), codes(self.item_vocab, item_ids)], axis=1)
 
     def slots(self) -> tuple[SlotSpec, SlotSpec]:
         return (

@@ -753,6 +753,26 @@ def inputs(tmp_path_factory):
     return paths
 
 
+def test_trained_bits_match_golden_sha256(capsys, tmp_path, inputs):
+    """sha256 of a one-epoch checkpoint and its eval.json on the 3,630-event
+    log of ``inputs`` (eight 512-row steps, so the row-sparse Adam catch-up
+    runs), pinned across versions: a change to the forward or backward pass,
+    the optimizer or the vocabulary encoding that moves one bit shows here.
+    The hashes come from x86-64 Linux with Python 3.11 and numpy 2.4's
+    bundled OpenBLAS; a BLAS whose kernels sum in another order may not
+    match."""
+    ckpt, report = tmp_path / "model.ckpt", tmp_path / "eval.json"
+    argv = ["--labeled", inputs["labeled"], "--ndt-params", inputs["params"], "--checkpoint", str(ckpt), "--epochs", "1"]
+    assert run_cli(capsys, "train", *argv)[0] == 0
+    argv = ["--labeled", inputs["labeled"], "--checkpoint", str(ckpt), "--out", str(report)]
+    assert run_cli(capsys, "eval", *argv)[0] == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (ckpt, report)}
+    assert digests == {
+        "model.ckpt": "ca9c5ad22e0a32ef2e413feed56a3ea645cf72ede3b903249772e3e8b0befee0",
+        "eval.json": "05dbcfe8f73742ab01e7349f2c54f8c0e68190db8438cf94200041359a7b5752",
+    }
+
+
 # A valid argv per command; outputs go under {out}.
 VALID_ARGV = {
     "simulate": ["--users", "60", "--items", "20", "--out", "{out}/log.csv"],
@@ -825,6 +845,8 @@ class TestUsageErrors:
             ("eval", "base-auc", "high"),
             ("eval", "base-auc", "0.5"),
             ("migrate-report", "boundaries", "1,x"),
+            ("migrate-report", "boundaries", "3,2,1"),
+            ("migrate-report", "boundaries", "1,1"),
             ("migrate-report", "header", "bogus"),
         ],
     )

@@ -7,6 +7,8 @@ import pytest
 
 from readweight.model import SCORE_CHUNK_ROWS, ModelConfig, MtlNetwork, PackedBatch, SlotSpec
 
+from conftest import traced_transient
+
 TINY_CONFIG = ModelConfig(
     slots=(SlotSpec("user_id", 2), SlotSpec("item_id", 2)),
     embedding_dim=3,
@@ -156,6 +158,31 @@ class TestScoring:
             extra.append(peak - 8 * n)
         assert abs(extra[1] - extra[0]) < 1e6, extra
         assert max(extra) < 16e6, extra
+
+
+class TestActivationMemory:
+    """Bytes a row costs at a pass's peak beyond its result, at the default
+    dims.  The forward pass keeps x0, the post-ReLU activations and the two
+    probabilities, 290 float64 a row.  The bounds sit below what a cache
+    that also keeps the pre-activations (548 float64 a row) costs: about
+    7.2 KB a row in ``backward`` and 4.7 KB in scoring."""
+
+    NET = TestScoring.SCORING_NET
+
+    def test_backward_transient_per_row(self, rng):
+        net = self.NET.astype(np.float64)  # training's master weights
+        n = 512
+        batch = batch_of(random_batch(rng, net, n).idx, rng.integers(0, 2, n), rng.uniform(0, 3, n))
+        net.backward(batch)
+        per_row = traced_transient(lambda: net.backward(batch)) / n
+        assert per_row < 4500, per_row
+
+    def test_score_chunk_transient_per_row(self, rng):
+        n = SCORE_CHUNK_ROWS
+        batch = random_batch(rng, self.NET, n)
+        self.NET.score_batch(batch)
+        per_row = traced_transient(lambda: self.NET.score_batch(batch)) / n
+        assert per_row < 3000, per_row
 
 
 class TestLoss:
