@@ -755,9 +755,10 @@ def inputs(tmp_path_factory):
 
 def test_trained_bits_match_golden_sha256(capsys, tmp_path, inputs):
     """sha256 of a one-epoch checkpoint and its eval.json on the 3,630-event
-    log of ``inputs`` (eight 512-row steps, so the row-sparse Adam catch-up
-    runs), pinned across versions: a change to the forward or backward pass,
-    the optimizer or the vocabulary encoding that moves one bit shows here.
+    log of ``inputs`` (eight steps of up to 512 rows, so the row-sparse Adam
+    catch-up runs), pinned across versions: a change to the forward or
+    backward pass, the optimizer or the vocabulary encoding that moves one
+    bit shows here.
     The hashes come from x86-64 Linux with Python 3.11 and numpy 2.4's
     bundled OpenBLAS; a BLAS whose kernels sum in another order may not
     match."""
