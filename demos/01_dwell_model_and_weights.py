@@ -8,13 +8,14 @@ modes (deployed constants vs tau solved from the fitted thresholds).
 
 import numpy as np
 
-from readweight import EventTable, NdtParams, fit_log_normal, ndt, paper_default_params
+from readweight import EventTable, IdCoder, NdtParams, fit_log_normal, ndt, paper_default_params
 
 n = 200_000
 rng = np.random.default_rng(42)
 dwell = np.exp(4.0 + 1.3 * rng.standard_normal(n))
-events = EventTable([f"u{i}" for i in range(n)], [f"i{i % 500}" for i in range(n)],
-                    1_700_000_000 + np.arange(n), np.ones(n, dtype=bool), dwell)
+coder = IdCoder()
+users, items = coder.code([f"u{i}" for i in range(n)], [f"i{i % 500}" for i in range(n)])
+events = coder.table([EventTable(users, items, 1_700_000_000 + np.arange(n), np.ones(n, dtype=bool), dwell)])
 
 stats = fit_log_normal(events)
 print(f"fitted ln T: mu={stats.mu:.4f} sigma={stats.sigma:.4f} over n={stats.n}")

@@ -15,6 +15,7 @@ from .dwell_stats import (
 )
 from .events import (
     EventTable,
+    IdCoder,
     InteractionEvent,
     LogFormatError,
     parse_event,
@@ -71,6 +72,7 @@ __all__ = [
     "EventTable",
     "FeatureSpace",
     "GKSummary",
+    "IdCoder",
     "InsufficientDataError",
     "InteractionEvent",
     "ItemDwellProfile",

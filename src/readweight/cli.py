@@ -34,6 +34,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from typing import Callable, Sequence
 
 from . import FORMAT_VERSIONS, __version__
@@ -356,11 +357,7 @@ def _handle_fit_stats(opts: Options) -> dict:
         atomic_write_text(out, stats.to_json() + "\n")
     return {
         "command": "fit-stats",
-        "mu": stats.mu,
-        "sigma": stats.sigma,
-        "n": stats.n,
-        "x_l": stats.x_l,
-        "x_h": stats.x_h,
+        **asdict(stats),
         "n_events": counts.total,
         "n_skipped": counts.skipped,
         "out": out,
@@ -511,11 +508,7 @@ def _handle_eval(opts: Options) -> dict:
         atomic_write_text(out, report.to_json() + "\n")
     return {
         "command": "eval",
-        "auc": report.auc,
-        "base_auc": report.base_auc,
-        "relaimpr": report.relaimpr,
-        "n_pos": report.n_pos,
-        "n_neg": report.n_neg,
+        **asdict(report),
         "out": out,
     }
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,30 +33,23 @@ class DwellStats:
     x_l: float
     x_h: float
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.mu, self.sigma, self.x_l, self.x_h))) or self.sigma < 0:
+            raise ValueError(f"stats need finite mu, sigma, x_l and x_h, and sigma >= 0; got {self}")
+
     def to_json(self) -> str:
-        return json.dumps(
-            {"mu": self.mu, "sigma": self.sigma, "n": self.n, "x_l": self.x_l, "x_h": self.x_h},
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "DwellStats":
         doc = json.loads(text)
         try:
-            return cls(
-                mu=float(doc["mu"]),
-                sigma=float(doc["sigma"]),
-                n=int(doc["n"]),
-                x_l=float(doc["x_l"]),
-                x_h=float(doc["x_h"]),
-            )
-        except (KeyError, TypeError) as err:
-            raise ValueError(f"stats JSON lacks a numeric field: {err}") from err
+            return cls(float(doc["mu"]), float(doc["sigma"]), int(doc["n"]), float(doc["x_l"]), float(doc["x_h"]))
+        except (KeyError, TypeError, OverflowError) as err:
+            raise ValueError(f"stats JSON needs numeric mu, sigma, n, x_l and x_h: {err}") from err
 
     @classmethod
     def from_moments(cls, mu: float, sigma: float, n: int) -> "DwellStats":
-        if sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {sigma}")
         return cls(mu=mu, sigma=sigma, n=n, x_l=math.exp(mu - sigma), x_h=math.exp(mu + sigma))
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,10 +47,17 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
             f"need both classes, got {n_pos} positives and {n_neg} negatives"
         )
     # Midranks: tied scores share the average of their 1-based rank range.
-    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    start = np.cumsum(counts) - counts  # ranks before each tie group
-    midrank = start + (counts + 1) / 2.0
-    rank_sum = float(midrank[inverse][pos].sum())
+    # The tie groups are ``np.unique``'s (NaNs sort last, as one group); the
+    # rank sum adds half-integers far below 2^52, so it is exact in any order.
+    order = np.argsort(scores, kind="stable")
+    ranked, hits = scores[order], pos[order]
+    del order  # so the sort's 8 bytes a row do not live through the rest
+    new = np.ones(len(ranked), bool)
+    new[1:] = ranked[1:] != ranked[:-1]
+    new[np.searchsorted(ranked, np.nan) + 1 :] = False
+    start = np.flatnonzero(new)  # ranks before each tie group
+    midrank = start + (np.diff(start, append=len(new)) + 1) / 2.0
+    rank_sum = float(np.add.reduceat(hits, start, dtype=np.float64) @ midrank)
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 
@@ -88,16 +95,7 @@ class EvalReport:
         )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "auc": self.auc,
-                "base_auc": self.base_auc,
-                "relaimpr": self.relaimpr,
-                "n_pos": self.n_pos,
-                "n_neg": self.n_neg,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def equal_frequency_boundaries(counts: Iterable[int], n_levels: int = N_LEVELS) -> tuple[int, ...]:
@@ -127,11 +125,10 @@ def row_levels(table: EventTable, boundaries: Sequence[int] | None = None) -> tu
     strictly.  An empty table has no users, so it has no default
     boundaries.
     """
-    codes = {user: code for code, user in enumerate(dict.fromkeys(table.user_id))}
-    row_user = np.fromiter(map(codes.__getitem__, table.user_id), dtype=np.intp, count=len(table))
+    users, row_user = np.unique(table.user, return_inverse=True)
     horizon = table.timestamp.max(initial=0)
     in_week = table.clicked & (table.timestamp > horizon - WEEK_SECONDS) & (table.timestamp <= horizon)
-    counts = np.bincount(row_user[in_week], minlength=len(codes))
+    counts = np.bincount(row_user[in_week], minlength=len(users))
     if boundaries is None:
         boundaries = equal_frequency_boundaries(counts.tolist())
     bounds = tuple(boundaries)

@@ -10,16 +10,18 @@ caller asks for it (or in "auto" mode, where a first line that is exactly
 ``LOG_HEADER`` once stripped is skipped).
 
 In memory a log is one ``EventTable``: parallel columns, not one object per
-row.  ``read_log`` reads the file in blocks of whole lines, splits each block
-into columns and checks every line with masks, so its peak memory is the
-columns plus one block; ``parse_event`` runs only on the line it reports.
+row, whose ids are int32 codes into sorted vocabularies (``IdCoder`` makes
+every code).  ``read_log`` reads the file in blocks of whole lines, splits
+each block into columns, codes its ids through one dict for the whole file
+and checks every line with masks, so its peak memory is the columns plus one
+block; ``parse_event`` runs only on the line it reports.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from dataclasses import dataclass, replace
+from itertools import chain, compress, count, repeat
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -109,64 +111,98 @@ _LOG_LINE = "{},{},{},{:d},{!r}"
 class EventTable:
     """A log as parallel columns, row i across all of them, in file order.
 
-    ``user_id``/``item_id`` are id lists; ``timestamp`` is int64,
-    ``clicked`` bool and ``dwell_time_s`` float64.  Iterating yields the
-    rows as InteractionEvents.
+    ``user``/``item`` are int32 codes into ``user_vocab``/``item_vocab``,
+    each a tuple of distinct ids in ``sorted()`` order that may hold ids no
+    row does; ``timestamp`` is int64, ``clicked`` bool and ``dwell_time_s``
+    float64.  Only an ``IdCoder`` makes the codes, and a table it has not
+    finished has empty vocabularies.  Iterating yields the rows as
+    InteractionEvents.
     """
 
-    user_id: list[str]
-    item_id: list[str]
+    user: np.ndarray
+    item: np.ndarray
     timestamp: np.ndarray
     clicked: np.ndarray
     dwell_time_s: np.ndarray
+    user_vocab: tuple[str, ...] = ()
+    item_vocab: tuple[str, ...] = ()
 
     def __len__(self) -> int:
-        return len(self.user_id)
+        return len(self.user)
 
     def __iter__(self) -> Iterator[InteractionEvent]:
         return map(
             InteractionEvent,
-            self.user_id,
-            self.item_id,
+            *self.ids(),
             self.timestamp.tolist(),
             self.clicked.tolist(),
             self.dwell_time_s.tolist(),
         )
 
+    def ids(self) -> tuple[Iterator[str], Iterator[str]]:
+        """Each row's user and item id, looked up 2^16 rows at a time, so no column of ids is held."""
+        users, items = np.array(self.user_vocab, object), np.array(self.item_vocab, object)
+        spans = [slice(at, at + 2**16) for at in range(0, len(self), 2**16)]
+        return (chain.from_iterable(users[self.user[span]] for span in spans),
+                chain.from_iterable(items[self.item[span]] for span in spans))
+
     def take(self, rows: np.ndarray) -> "EventTable":
-        """The rows at the indices ``rows``, in that order."""
-        pick = rows.tolist()
-        return EventTable(
-            list(map(self.user_id.__getitem__, pick)),
-            list(map(self.item_id.__getitem__, pick)),
-            self.timestamp[rows],
-            self.clicked[rows],
-            self.dwell_time_s[rows],
-        )
+        """The rows at the indices ``rows``, in that order, over the same vocabularies."""
+        return replace(self, **{name: getattr(self, name)[rows] for name, _ in _COLUMNS})
 
     @classmethod
     def of(cls, events: Iterable[InteractionEvent]) -> "EventTable":
         """The rows of ``events`` as columns."""
         events = list(events)
         n = len(events)
-        return cls(
-            [e.user_id for e in events],
-            [e.item_id for e in events],
+        coder = IdCoder()
+        return coder.table([cls(
+            *coder.code([e.user_id for e in events], [e.item_id for e in events]),
             np.fromiter((e.timestamp for e in events), dtype=np.int64, count=n),
             np.fromiter((e.clicked for e in events), dtype=bool, count=n),
             np.fromiter((e.dwell_time_s for e in events), dtype=np.float64, count=n),
-        )
+        )])
 
-    @classmethod
-    def concat(cls, tables: list["EventTable"]) -> "EventTable":
-        """The rows of ``tables``, one table after another."""
-        return cls(
-            list(chain.from_iterable(t.user_id for t in tables)),
-            list(chain.from_iterable(t.item_id for t in tables)),
-            concat_arrays([t.timestamp for t in tables], np.int64),
-            concat_arrays([t.clicked for t in tables], bool),
-            concat_arrays([t.dwell_time_s for t in tables], np.float64),
-        )
+
+_COLUMNS = (("user", np.int32), ("item", np.int32), ("timestamp", np.int64), ("clicked", bool),
+            ("dwell_time_s", np.float64))
+
+
+class IdCoder:
+    """The one place ids become codes.  ``code`` codes id columns through one
+    dict per column that lasts across calls, each id as the place among all
+    the ids of its column where this coder first saw it; ``table`` re-codes
+    into ``sorted()`` vocabularies, so codes do not depend on id order."""
+
+    def __init__(self) -> None:
+        self.index: tuple[dict[str, int], dict[str, int]] = ({}, {})
+        self.seen = [0, 0]
+
+    def code(self, *columns: list[str]) -> list[np.ndarray]:
+        """The codes of a user and an item id column."""
+        codes = [np.fromiter(map(index.setdefault, ids, count(seen)), np.int32, len(ids))
+                 for index, ids, seen in zip(self.index, columns, self.seen)]
+        self.seen = [seen + len(ids) for seen, ids in zip(self.seen, columns)]
+        return codes
+
+    def table(self, blocks: list[EventTable]) -> EventTable:
+        """The rows of ``blocks``, whose codes this coder gave, one block
+        after another, as one table over the sorted vocabularies."""
+        columns = [concat_arrays([getattr(b, name) for b in blocks], dtype) for name, dtype in _COLUMNS]
+        vocabs = []
+        for at, index in enumerate(self.index):
+            vocab = sorted(index)
+            rank = np.empty(self.seen[at], np.int32)
+            rank[np.fromiter(map(index.__getitem__, vocab), np.intp, len(vocab))] = np.arange(len(vocab))
+            columns[at] = rank[columns[at]]
+            vocabs.append(tuple(vocab))
+        return EventTable(*columns, *vocabs)
+
+
+def distinct_ids(vocab: tuple[str, ...], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The ids that ``codes`` hold, in ``sorted()`` order, and each code's index among them."""
+    held, inverse = np.unique(codes, return_inverse=True)
+    return list(map(vocab.__getitem__, held.tolist())), inverse
 
 
 def concat_arrays(arrays: list[np.ndarray], dtype) -> np.ndarray:
@@ -243,9 +279,9 @@ class LogScan:
     ``lines[i]`` is line ``offset`` + i + 1 of the file.  ``rows`` holds
     the index in ``lines`` of each line of ``width`` comma-separated
     fields, ``fields`` their fields (row-major), ``events`` the columns of
-    their first five fields, and ``bad`` marks the rows ``parse_event``
-    rejects.  ``misshapen`` lists the non-blank lines with another field
-    count.
+    their first five fields, their ids coded but not finished by the
+    reader's IdCoder, and ``bad`` marks the rows ``parse_event`` rejects.
+    ``misshapen`` lists the non-blank lines with another field count.
     """
 
     lines: list[str]
@@ -257,7 +293,9 @@ class LogScan:
     offset: int
 
     @classmethod
-    def of(cls, text: str, width: int, is_header: Callable[[str], bool], offset: int) -> "LogScan":
+    def of(
+        cls, text: str, width: int, is_header: Callable[[str], bool], offset: int, coder: IdCoder
+    ) -> "LogScan":
         """Scan ``text``, which starts at line ``offset`` + 1 of its file; a
         first line that ``is_header`` accepts and blank lines are neither
         rows nor misshapen.  Numbers go through the same ``int``/``float``
@@ -284,17 +322,18 @@ class LogScan:
         dwell = _parse_column(fields[4::width], float, np.float64, bad)
         bad |= (clicked_code > 1) | (timestamp <= 0) | ~((dwell >= 0.0) & (dwell < np.inf))
         bad |= ~clicked & (dwell > 0.0)
-        return cls(lines, rows, fields, EventTable(users, items, timestamp, clicked, dwell), bad, misshapen, offset)
+        events = EventTable(*coder.code(users, items), timestamp, clicked, dwell)
+        return cls(lines, rows, fields, events, bad, misshapen, offset)
 
     @classmethod
     def blocks(
-        cls, path: str | os.PathLike[str], width: int, is_header: Callable[[str], bool]
+        cls, path: str | os.PathLike[str], width: int, is_header: Callable[[str], bool], coder: IdCoder
     ) -> Iterator["LogScan"]:
-        """The scans of ``path``'s blocks of whole lines, in file order.
-        Only line 1 of the file goes to ``is_header``."""
+        """The scans of ``path``'s blocks of whole lines, in file order, all
+        coded by ``coder``.  Only line 1 of the file goes to ``is_header``."""
         offset = 0
         for text in _blocks(path):
-            yield cls.of(text, width, is_header if offset == 0 else _HEADER_RULES["absent"], offset)
+            yield cls.of(text, width, is_header if offset == 0 else _HEADER_RULES["absent"], offset, coder)
             offset += text.count("\n") + 1
 
     def bad_lines(self, bad: np.ndarray) -> list[int]:
@@ -331,6 +370,7 @@ def read_log(
     if bad_line_budget < 0:
         raise ValueError(f"bad_line_budget must be >= 0, got {bad_line_budget}")
     counts = ScanCounts()
+    coder = IdCoder()
 
     def good_rows(scan: LogScan) -> EventTable:
         """The rows of one block that parse; its bad lines count against
@@ -344,7 +384,7 @@ def read_log(
         return scan.events.take(np.flatnonzero(~scan.bad)) if at_fault else scan.events
 
     # ``map`` holds no block's scan past its call, so one is alive at a time.
-    table = EventTable.concat(list(map(good_rows, LogScan.blocks(path, len(LOG_COLUMNS), is_header))))
+    table = coder.table(list(map(good_rows, LogScan.blocks(path, len(LOG_COLUMNS), is_header, coder))))
     counts.total = len(table)
     return table, counts
 
@@ -361,7 +401,6 @@ def log_lines(table: EventTable, *extra: list[str]) -> str:
     of ``extra`` is a text column appended to every line after a comma."""
     return "".join(map(
         (_LOG_LINE + ",{}" * len(extra) + "\n").format,
-        table.user_id, table.item_id,
-        table.timestamp.tolist(), table.clicked.tolist(), table.dwell_time_s.tolist(),
+        *table.ids(), table.timestamp.tolist(), table.clicked.tolist(), table.dwell_time_s.tolist(),
         *extra,
     ))

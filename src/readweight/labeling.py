@@ -28,8 +28,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .dwell_stats import DwellStats
-from .events import EventTable, InteractionEvent, LogFormatError, LogScan, concat_arrays, log_lines, parse_event
-from .profiles import WEEK_SECONDS, ProfileStore, _coded
+from .events import (
+    EventTable, IdCoder, InteractionEvent, LogFormatError, LogScan, concat_arrays, distinct_ids, log_lines, parse_event,
+)
+from .profiles import WEEK_SECONDS, ProfileStore
 
 NOISE_FLOOR_S = 5.0
 LIGHT_USER_MAX_CLICKS = 7
@@ -108,15 +110,6 @@ class LabeledLog:
         return LabeledLog(self.events.take(rows), self.kind[rows], self.source[rows])
 
     @classmethod
-    def concat(cls, logs: list["LabeledLog"]) -> "LabeledLog":
-        """The rows of ``logs``, one log after another."""
-        return cls(
-            EventTable.concat([log.events for log in logs]),
-            concat_arrays([log.kind for log in logs], np.int8),
-            concat_arrays([log.source for log in logs], np.int8),
-        )
-
-    @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[InteractionEvent, ValidReadLabel]]) -> "LabeledLog":
         """Columns of (event, label) pairs, such as ``label_log`` yields."""
         pairs = list(pairs)
@@ -158,9 +151,9 @@ def label_log(
     t1 = clicked & ~noise & (dwell > stats.x_l)
     rest = np.flatnonzero(clicked & ~noise & ~t1)
     candidates = events.take(rest)
-    light = _week_clicks(store.users, candidates.user_id, candidates.timestamp) < cfg.light_user_max_clicks
+    light = _week_clicks(store.users, candidates) < cfg.light_user_max_clicks
     heavy = candidates.take(np.flatnonzero(~light))
-    tokens, item = _coded(heavy.item_id)
+    tokens, item = distinct_ids(heavy.item_vocab, heavy.item)
     # NaN fails every comparison, so an item without a P10 never passes T3.
     profiles = map(store.items.get, tokens)
     p10 = np.array([p.p10() if p is not None and p.n_records else np.nan for p in profiles])
@@ -175,18 +168,18 @@ def label_log(
     return LabeledLog(events, kind, source)
 
 
-def _week_clicks(users: dict[str, list[int]], user_ids: list[str], ts: np.ndarray) -> np.ndarray:
-    """For each (user, ts), how many of the user's stamps in ``users`` lie
-    in ``(ts - WEEK_SECONDS, ts]``; a user ``users`` lacks has none.
+def _week_clicks(users: dict[str, list[int]], table: EventTable) -> np.ndarray:
+    """For each row (user, ts) of ``table``, how many of the user's stamps in
+    ``users`` lie in ``(ts - WEEK_SECONDS, ts]``; a user ``users`` lacks has none.
 
     Every stamp and bound is ranked among all of them, so (user, rank) packs
     into one int64 key that ascends with (user, stamp) and cannot overflow,
     and each count is two ``searchsorted`` calls over the sorted keys."""
-    tokens, user = _coded(user_ids)
+    tokens, user = distinct_ids(table.user_vocab, table.user)
     runs = [users.get(token, ()) for token in tokens]
     sizes = np.fromiter(map(len, runs), np.intp, len(runs))
     stamps = np.fromiter(chain.from_iterable(runs), np.int64, int(sizes.sum()))
-    values, rank = np.unique(np.concatenate([stamps, ts - WEEK_SECONDS, ts]), return_inverse=True)
+    values, rank = np.unique(np.concatenate([stamps, table.timestamp - WEEK_SECONDS, table.timestamp]), return_inverse=True)
     keys = np.repeat(np.arange(len(runs)), sizes) * len(values) + rank[: len(stamps)]
     lo, hi = user * len(values) + rank[len(stamps) :].reshape(2, -1)
     return np.searchsorted(keys, hi, "right") - np.searchsorted(keys, lo, "right")
@@ -255,8 +248,14 @@ def read_labeled_log(path: str | os.PathLike[str]) -> LabeledLog:
     rejects fails the read with that call's LogFormatError, for the first
     such line.
     """
+    coder = IdCoder()
     # ``map`` holds no block's scan past its call, so one is alive at a time.
-    return LabeledLog.concat(list(map(_labeled_rows, LogScan.blocks(path, 7, _is_header))))
+    logs = list(map(_labeled_rows, LogScan.blocks(path, 7, _is_header, coder)))
+    return LabeledLog(
+        coder.table([log.events for log in logs]),
+        concat_arrays([log.kind for log in logs], np.int8),
+        concat_arrays([log.source for log in logs], np.int8),
+    )
 
 
 def _labeled_rows(scan: LogScan) -> LabeledLog:

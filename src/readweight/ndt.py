@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -86,30 +86,13 @@ class NdtParams:
         return cls.derive(offset=offset, tau=tau, t_max=t_max, precision=precision)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "offset": self.offset,
-                "tau": self.tau,
-                "a": self.a,
-                "b": self.b,
-                "t_max": self.t_max,
-                "precision": self.precision,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "NdtParams":
         doc = json.loads(text)
         try:
-            return cls(
-                offset=float(doc["offset"]),
-                tau=float(doc["tau"]),
-                a=float(doc["a"]),
-                b=float(doc["b"]),
-                t_max=float(doc["t_max"]),
-                precision=float(doc["precision"]),
-            )
+            return cls(**{field.name: float(doc[field.name]) for field in fields(cls)})
         except (KeyError, TypeError) as err:
             raise ValueError(f"NDT params JSON lacks a numeric field: {err}") from err
 
@@ -158,11 +141,11 @@ def solve_tau(
     """Largest tau whose tail gap at x_h is within ``precision``.
 
     The gap grows with tau, so bisection brackets the boundary; the result
-    is accurate to 1e-3 in tau.  Requires x_h > offset and a feasible
-    precision (< t_max).
+    is accurate to 1e-3 in tau.  Requires a finite x_h > offset and a
+    feasible precision (< t_max).
     """
-    if x_h <= offset:
-        raise ValueError(f"x_h = {x_h} must exceed offset = {offset}")
+    if not offset < x_h < math.inf:
+        raise ValueError(f"x_h = {x_h} must be finite and exceed offset = {offset}")
     check_precision(precision, t_max)
     lo = 1e-9
     hi = max(x_h - offset, 1.0)

@@ -35,12 +35,12 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .events import EventTable
+from .events import EventTable, distinct_ids
 from .quantiles import DEFAULT_EPS, DEFAULT_SWITCH_THRESHOLD, QuantileEstimator
 
 WEEK_SECONDS = 7 * 86400
@@ -129,6 +129,8 @@ class ProfileStore:
         items = [self.items[token] for token in item_ids]
         users = [self.users[token] for token in user_ids]
         tokens = [token.encode("utf-8") for token in item_ids + user_ids]
+        if max(map(len, tokens), default=0) > 0xFFFF:
+            raise ValueError("an id is longer than the store's limit of 65,535 UTF-8 bytes")
         exact = [p.estimator._exact for p in items if p.estimator.mode == "exact"]
         sketches = [p.estimator._as_sketch() for p in items if p.estimator.mode == "sketch"]
         arrays = [
@@ -233,14 +235,6 @@ def _check_ascending(values: np.ndarray, counts: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} out of order")
 
 
-def _coded(ids: Iterable[str]) -> tuple[list[str], np.ndarray]:
-    """The sorted distinct ids, and each id's index among them."""
-    ids = list(ids)
-    tokens = sorted(set(ids))
-    code = dict(zip(tokens, range(len(tokens))))
-    return tokens, np.fromiter(map(code.__getitem__, ids), np.intp, len(ids))
-
-
 def build_profiles(
     table: EventTable,
     eps: float = DEFAULT_EPS,
@@ -262,8 +256,8 @@ def build_profiles(
         raise ValueError("a click's dwell time must be >= 0")
     if not (stamps > 0).all():
         raise ValueError("a click's timestamp must be positive")
-    item_tokens, item = _coded(compress(table.item_id, clicked))
-    user_tokens, user = _coded(compress(table.user_id, clicked))
+    item_tokens, item = distinct_ids(table.item_vocab, table.item[clicked])
+    user_tokens, user = distinct_ids(table.user_vocab, table.user[clicked])
     counts = np.bincount(item, minlength=len(item_tokens))
     sketchy = counts > switch_threshold
     by_item = np.lexsort((dwell, item))

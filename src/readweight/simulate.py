@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import compress
 
 import numpy as np
 
 from .dwell_stats import DwellStats
-from .events import EventTable
+from .events import EventTable, IdCoder, distinct_ids
 from .evaluation import row_levels
 from .ndt import logistic
 
@@ -106,7 +105,7 @@ def sidecar_csv(events: EventTable, sidecar: Sidecar) -> str:
     """The sidecar as CSV, keyed by the log's user, item, timestamp and click."""
     lines = map(
         "{},{},{},{:d},{!r},{},{},{!r}\n".format,
-        events.user_id, events.item_id, events.timestamp.tolist(), events.clicked.tolist(),
+        *events.ids(), events.timestamp.tolist(), events.clicked.tolist(),
         sidecar.affinity.tolist(), sidecar.user_level.tolist(), sidecar.item_class,
         sidecar.vr_propensity.tolist(),
     )
@@ -157,11 +156,10 @@ def generate(cfg: SimConfig) -> tuple[EventTable, Sidecar]:
         (ln_mean > math.log(VALID_READ_REF_S)).astype(np.float64),
     )
 
-    users = [f"u{u:06d}" for u in range(cfg.n_users)]
-    items = [f"i{i:06d}" for i in range(cfg.n_items)]
     class_names = [c.name for c in cfg.item_classes]
-    user_ids, item_ids = [users[u] for u in user_idx.tolist()], [items[i] for i in item_idx.tolist()]
-    events = EventTable(user_ids, item_ids, timestamps, clicked, dwell)
+    coder = IdCoder()
+    users, items = coder.code([f"u{u:06d}" for u in range(cfg.n_users)], [f"i{i:06d}" for i in range(cfg.n_items)])
+    events = coder.table([EventTable(users[user_idx], items[item_idx], timestamps, clicked, dwell)])
     sidecar = Sidecar(
         affinity=affinity,
         user_level=levels[user_idx] + 1,
@@ -281,13 +279,13 @@ def generate_rule_mix(cfg: RuleMixConfig) -> RuleMixCorpus:
     users, items, dwell_time_s, intended, pinned = (
         [column[r] for r in order.tolist()] for column in zip(*rows)
     )
-    events = EventTable(
-        users,
-        items,
+    coder = IdCoder()
+    events = coder.table([EventTable(
+        *coder.code(users, items),
         np.where(pinned, START_TS, drawn_ts[order]),
         np.array([intent != "unclicked" for intent in intended], dtype=bool),
         np.array(dwell_time_s, dtype=np.float64),
-    )
+    )])
 
     analytic_counts = {
         "T1": n1,
@@ -367,7 +365,7 @@ def generate_migration_pair(
         baseline=baseline,
         treatment=treatment,
         boundaries=boundaries,
-        lifted_users=set(compress(baseline.user_id, is_lifted)),
+        lifted_users=set(distinct_ids(baseline.user_vocab, baseline.user[is_lifted])[0]),
         shift_s=shift_s,
         shift_scale_s=shift_scale_s,
     )

@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .events import EventTable
+from .events import EventTable, distinct_ids
 from .labeling import LabeledLog
 from .model import ModelConfig, MtlNetwork, PackedBatch, SlotSpec
 from .ndt import NEG_MODES, NdtParams, ndt, tower_weights
@@ -79,19 +79,21 @@ class FeatureSpace:
 
     @classmethod
     def of(cls, events: EventTable) -> "FeatureSpace":
-        """The sorted distinct user and item ids of ``events``."""
-        return cls(tuple(sorted(set(events.user_id))), tuple(sorted(set(events.item_id))))
+        """The sorted distinct user and item ids of ``events``' rows."""
+        users, _ = distinct_ids(events.user_vocab, events.user)
+        items, _ = distinct_ids(events.item_vocab, events.item)
+        return cls(tuple(users), tuple(items))
 
-    def encode(self, user_ids: Sequence[str], item_ids: Sequence[str]) -> np.ndarray:
-        """(n, 2) int32 token indices of parallel id sequences; unseen ids map to 0.
+    def encode(self, events: EventTable) -> np.ndarray:
+        """(n, 2) int32 token indices of ``events``' rows, 0 for an unseen id;
+        each id in the table's vocabularies is looked up once, in dicts built per call."""
 
-        The id -> token maps are built per call, so none outlives it."""
-
-        def codes(vocab: tuple[str, ...], ids: Sequence[str]) -> np.ndarray:
+        def codes(vocab: tuple[str, ...], ids: tuple[str, ...], rows: np.ndarray) -> np.ndarray:
             index = dict(zip(vocab, range(1, len(vocab) + 1)))
-            return np.fromiter(map(index.get, ids, repeat(0)), dtype=np.int32, count=len(ids))
+            return np.fromiter(map(index.get, ids, repeat(0)), dtype=np.int32, count=len(ids))[rows]
 
-        return np.stack([codes(self.user_vocab, user_ids), codes(self.item_vocab, item_ids)], axis=1)
+        return np.stack([codes(self.user_vocab, events.user_vocab, events.user),
+                         codes(self.item_vocab, events.item_vocab, events.item)], axis=1)
 
     def slots(self) -> tuple[SlotSpec, SlotSpec]:
         return (
@@ -106,7 +108,7 @@ def pack_instances(
     """The batch of ``log``'s rows under ``space``, with labels ``y`` and
     weights ``w`` (float64, zeros when omitted)."""
     n = len(log)
-    idx = space.encode(log.events.user_id, log.events.item_id)
+    idx = space.encode(log.events)
     return PackedBatch(idx, np.zeros(n) if y is None else y, np.zeros(n) if w is None else w)
 
 

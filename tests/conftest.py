@@ -50,9 +50,31 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def table_of_ids(users: list[str], items: list[str]) -> EventTable:
+    """A table whose rows hold these user and item ids."""
+    return EventTable.of(make_event(user, item) for user, item in zip(users, items, strict=True))
+
+
+def row_ids(table: EventTable) -> tuple[list[str], list[str]]:
+    """Each row's user id and item id, decoded through the vocabularies."""
+    return [table.user_vocab[c] for c in table.user.tolist()], [table.item_vocab[c] for c in table.item.tolist()]
+
+
+def assert_coded(table: EventTable) -> None:
+    """int32 codes into vocabularies of distinct ids in ``sorted()`` order."""
+    for codes, vocab in ((table.user, table.user_vocab), (table.item, table.item_vocab)):
+        assert codes.dtype == np.int32 and isinstance(vocab, tuple)
+        assert list(vocab) == sorted(set(vocab))
+        assert len(codes) == 0 or 0 <= codes.min() <= codes.max() < len(vocab)
+
+
 def assert_same_events(a: EventTable, b: EventTable) -> None:
-    """Equal columns of equal dtypes; floats bit for bit, signed zeros included."""
-    assert a.user_id == b.user_id and a.item_id == b.item_id
+    """Equal rows: the same ids, whatever ids the vocabularies hold beyond
+    the rows', and equal columns of equal dtypes; floats bit for bit, signed
+    zeros included."""
+    assert_coded(a)
+    assert_coded(b)
+    assert row_ids(a) == row_ids(b)
     for name in ("timestamp", "clicked", "dwell_time_s"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import struct
 import tempfile
@@ -522,6 +523,39 @@ class TestErrors:
             code, doc = run_cli(capsys, *argv)
             assert (code, doc["error"]) == (2, "runtime-failure"), argv
         assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.json"]
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"mu": math.nan, "sigma": 1.0, "n": 5, "x_l": math.nan, "x_h": math.inf},
+            {"mu": 3.0, "sigma": 1.0, "n": 5, "x_l": 7.38905609893065, "x_h": math.inf},
+            {"mu": 3.0, "sigma": -0.5, "n": 5, "x_l": 33.11545195869231, "x_h": 12.182493960703473},
+        ],
+        ids=["nan-mu", "inf-x_h", "negative-sigma"],
+    )
+    def test_unusable_stats_are_runtime_failures(self, inputs, capsys, tmp_path, fields):
+        """A stats file must hold finite values and sigma >= 0: otherwise no
+        click passes T1, and ``label`` writes a quietly different file."""
+        bad = tmp_path / "stats.json"
+        bad.write_text(json.dumps(fields), encoding="utf-8")
+        argvs = [
+            ["ndt-params", "--stats", str(bad), "--out", str(tmp_path / "params.json")],
+            ["label", "--log", inputs["log"], "--stats", str(bad), "--profiles", inputs["profiles"],
+             "--out", str(tmp_path / "labeled.csv"), "--report", str(tmp_path / "report.json")],
+        ]
+        for argv in argvs:
+            code, doc = run_cli(capsys, *argv)
+            assert (code, doc["error"]) == (2, "runtime-failure"), argv
+            assert "finite" in doc["detail"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["stats.json"]
+
+    def test_id_past_the_store_limit_is_runtime_failure(self, capsys, tmp_path):
+        log, store = tmp_path / "long.csv", tmp_path / "profiles.bin"
+        log.write_text(f"{'u' * 70_001},i1,1700000000,1,12.0\nu2,i1,1700000001,1,13.0\n", encoding="utf-8")
+        code, doc = run_cli(capsys, "build-profiles", "--log", str(log), "--out", str(store))
+        assert (code, doc["error"]) == (2, "runtime-failure")
+        assert "65,535" in doc["detail"]
+        assert not store.exists()
 
     @pytest.mark.parametrize("drop", ["dense_dim", "slots", "user_vocab"])
     def test_checkpoint_config_without_a_key_is_runtime_failure(self, inputs, capsys, tmp_path, drop):

@@ -77,6 +77,17 @@ class TestAccumulator:
         with pytest.raises(ValueError):
             DwellStats.from_moments(mu=1.0, sigma=-0.1, n=10)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"mu": NaN, "sigma": 1.0, "n": 5, "x_l": NaN, "x_h": Infinity}',
+            '{"mu": 1.0, "sigma": 1.0, "n": Infinity, "x_l": 1.0, "x_h": 7.0}',
+        ],
+    )
+    def test_from_json_rejects_non_finite_fields(self, text):
+        with pytest.raises(ValueError):
+            DwellStats.from_json(text)
+
     def test_json_round_trip(self):
         stats = DwellStats.from_moments(mu=4.0, sigma=1.25, n=123)
         assert DwellStats.from_json(stats.to_json()) == stats

@@ -21,7 +21,7 @@ from readweight.evaluation import (
 
 from readweight.events import EventTable
 
-from conftest import activeness_level, make_event, random_events, weekly_click_counts
+from conftest import activeness_level, make_event, random_events, row_ids, traced_transient, weekly_click_counts
 
 DAY = 86400
 
@@ -38,6 +38,14 @@ def brute_force_auc(scores, labels) -> float:
             elif p == q:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def brute_force_rank_auc(scores: np.ndarray, labels: np.ndarray) -> float:
+    """For distinct scores: each positive beats the negatives ranked below it."""
+    order = np.argsort(scores)
+    below = np.cumsum(~labels[order])
+    n_pos = int(labels.sum())
+    return float(below[labels[order]].sum()) / (n_pos * (len(labels) - n_pos))
 
 
 class TestAuc:
@@ -73,6 +81,37 @@ class TestAuc:
         if not (0 < sum(labels) < len(labels)):
             return
         assert auc(scores, labels) == brute_force_auc(scores, labels)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 0.5, 0.5, 2.0, math.inf, math.nan, math.nan]),
+                st.integers(min_value=0, max_value=1),
+            ),
+            min_size=2,
+            max_size=120,
+        )
+    )
+    @settings(max_examples=200)
+    def test_nans_rank_last_as_one_tie_group(self, pairs):
+        """NaNs rank above every number and tie with each other, as one
+        ``np.unique`` group; -0.0 ties 0.0."""
+        scores = [s for s, _ in pairs]
+        labels = [y for _, y in pairs]
+        if not (0 < sum(labels) < len(labels)):
+            return
+        keys = [(1, 0.0) if math.isnan(s) else (0, s) for s in scores]
+        assert auc(scores, labels) == brute_force_auc(keys, labels)
+
+    def test_transient_bytes_per_row(self, rng):
+        """One stable sort and per-group sums: distinct scores, the worst
+        case, hold at most 50 bytes a row beyond the inputs."""
+        n = 200_000
+        scores, labels = rng.random(n), rng.random(n) < 0.3
+        value = auc(scores, labels)
+        assert value == brute_force_rank_auc(scores, labels)
+        per_row = traced_transient(lambda: auc(scores, labels)) / n
+        assert per_row <= 50, per_row
 
     def test_invariant_under_increasing_transform(self, rng):
         scores = rng.normal(size=500)
@@ -123,7 +162,7 @@ def user_levels(counts, boundaries) -> list[int]:
     """``row_levels`` of ``table_with_week_clicks(counts)``, one per user."""
     table = table_with_week_clicks(counts)
     levels, _ = row_levels(table, boundaries)
-    by_user = dict(zip(table.user_id, levels.tolist()))
+    by_user = dict(zip(row_ids(table)[0], levels.tolist()))
     return [by_user[f"u{k}"] for k in range(len(counts))]
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from readweight.events import (
     LOG_HEADER,
     BadLineBudgetExceeded,
     EventTable,
+    IdCoder,
     InteractionEvent,
     LogFormatError,
     ScanCounts,
@@ -21,9 +23,24 @@ from readweight.events import (
     read_log,
     write_log,
 )
-from readweight.labeling import LABELED_HEADER, LabeledLog, read_labeled_log
+from readweight.dwell_stats import fit_log_normal
+from readweight.evaluation import row_levels
+from readweight.labeling import LABELED_HEADER, LabeledLog, label_log, read_labeled_log
+from readweight.profiles import build_profiles
+from readweight.simulate import SimConfig, generate
+from readweight.training import FeatureSpace
 
-from conftest import assert_same_events, iter_log, make_event, read_labeled_lines, serialize_event, traced_transient
+from conftest import (
+    assert_coded,
+    assert_same_columns,
+    assert_same_events,
+    iter_log,
+    make_event,
+    read_labeled_lines,
+    row_ids,
+    serialize_event,
+    traced_transient,
+)
 
 
 class TestParse:
@@ -281,7 +298,7 @@ class TestColumnarEventReader:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         table, counts = read_log(path)
         assert (len(table), counts.total, counts.skipped) == (40, 40, 0)
-        assert isinstance(table.user_id, list) and isinstance(table.item_id, list)
+        assert_coded(table)
         assert table.timestamp.dtype == np.int64
         assert table.clicked.dtype == bool
         assert table.dwell_time_s.dtype == np.float64
@@ -342,8 +359,9 @@ def read_in_blocks(read, path: Path, block_chars: int):
 
 
 def event_columns(table: EventTable) -> tuple:
+    assert_coded(table)
     return (
-        table.user_id, table.item_id, table.timestamp.tolist(), table.clicked.tolist(),
+        *row_ids(table), table.timestamp.tolist(), table.clicked.tolist(),
         table.dwell_time_s.tobytes(), table.timestamp.dtype, table.clicked.dtype, table.dwell_time_s.dtype,
     )
 
@@ -437,3 +455,78 @@ def test_read_log_transient_memory_is_one_block(tmp_path):
         path.write_text("".join(f"u{u},i{i},{1_700_000_000 + t},{int(c)},{d!r}\n" for u, i, t, c, d in rows))
         transient[n] = traced_transient(lambda: read_log(path))
     assert transient[80_000] <= 1.5 * transient[20_000], transient
+
+
+# Ids that sort and compare in every way a coded table must keep apart:
+# non-ASCII, a trailing NUL, case, and one id a prefix of another.
+TRICKY_IDS = ["a", "a\x00", "A", "é", "É", "日本", "ß", "SS", "ss", "u 1", "\x00", "ab"]
+
+
+class TestCodedTable:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(TRICKY_IDS), st.sampled_from(TRICKY_IDS),
+                st.integers(1, 2**63 - 1), st.booleans(), st.floats(0.0, 1e6, allow_subnormal=True),
+            ),
+            max_size=40,
+        )
+    )
+    def test_write_read_write_keeps_the_bytes(self, rows):
+        table = EventTable.of(InteractionEvent(u, i, t, c, d if c else 0.0) for u, i, t, c, d in rows)
+        assert_coded(table)
+        with tempfile.TemporaryDirectory() as root:
+            first, second = Path(root) / "first.csv", Path(root) / "second.csv"
+            write_log(first, table)
+            back, counts = read_log(first)
+            write_log(second, back)
+            assert first.read_bytes() == second.read_bytes()
+        assert (counts.total, counts.skipped) == (len(rows), 0)
+        assert_same_events(back, table)
+        assert back.user_vocab == tuple(sorted({u for u, *_ in rows}))
+        assert back.item_vocab == tuple(sorted({i for _, i, *_ in rows}))
+
+    def test_stages_ignore_ids_beyond_the_rows(self, tmp_path):
+        """A ``take`` keeps the whole vocabulary; every stage that reads
+        ids gives the same result as on the same rows read back from a file,
+        whose vocabularies hold only their ids."""
+        events, _ = generate(SimConfig(n_users=300, n_items=60, seed=21))
+        stats, store = fit_log_normal(events), build_profiles(events, switch_threshold=16)
+        rows = np.sort(np.random.default_rng(21).choice(len(events), len(events) // 3, replace=False))
+        subset = events.take(rows)
+        write_log(tmp_path / "subset.csv", subset)
+        read_back, _ = read_log(tmp_path / "subset.csv")
+        assert len(read_back.user_vocab) < len(subset.user_vocab)
+        assert_same_events(subset, read_back)
+        assert FeatureSpace.of(subset) == FeatureSpace.of(read_back)
+        space = FeatureSpace.of(events)
+        assert np.array_equal(space.encode(subset), space.encode(read_back))
+        assert build_profiles(subset).to_bytes() == build_profiles(read_back).to_bytes()
+        (levels, bounds), (levels_back, bounds_back) = row_levels(subset), row_levels(read_back)
+        assert np.array_equal(levels, levels_back) and bounds == bounds_back
+        assert_same_columns(label_log(subset, stats, store), label_log(read_back, stats, store))
+
+    def test_ids_decode_across_lookup_spans(self):
+        """``ids`` looks ids up 2^16 rows at a time; every row decodes,
+        on both sides of each span's end."""
+        n = 2**18 + 3
+        coder = IdCoder()
+        users, items = coder.code([f"u{k % 1009}" for k in range(n)], [f"i{k % 7}" for k in range(n)])
+        table = coder.table([EventTable(users, items, np.ones(n, np.int64), np.zeros(n, bool), np.zeros(n))])
+        assert tuple(map(list, table.ids())) == row_ids(table)
+        assert row_ids(table)[0][2**16 - 1 : 2**16 + 1] == [f"u{(2**16 - 1) % 1009}", f"u{2**16 % 1009}"]
+
+    def test_read_keeps_at_most_40_bytes_a_row(self, tmp_path):
+        """At size S a read keeps its five columns, about 25 bytes a row,
+        and one copy of each distinct id, not one str per row."""
+        events, _ = generate(SimConfig(n_users=2000, n_items=300, seed=0))
+        write_log(tmp_path / "log.csv", events)
+        tracemalloc.start()
+        try:
+            table, _ = read_log(tmp_path / "log.csv")
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == len(events) > 40_000
+        assert kept / len(table) <= 40, kept / len(table)

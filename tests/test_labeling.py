@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -237,9 +238,11 @@ class TestLabelLogMatchesPerRowOracle:
         sources = set(composition_report(labeled)["valid_read_source_counts"].items())
         assert all(count > 0 for _, count in sources), sources
         other, _ = generate(SimConfig(n_users=100, n_items=20, seed=12))
-        strangers = EventTable(
-            [f"new-{u}" for u in other.user_id], [f"new-{i}" for i in other.item_id],
-            other.timestamp, other.clicked, other.dwell_time_s,
+        # A common prefix keeps each vocabulary in sorted() order.
+        strangers = replace(
+            other,
+            user_vocab=tuple(f"new-{u}" for u in other.user_vocab),
+            item_vocab=tuple(f"new-{i}" for i in other.item_vocab),
         )
         labeled = label_log(strangers, stats, store)
         assert_same_columns(labeled, label_rows(strangers, stats, store))
@@ -266,7 +269,7 @@ class TestLabelLogMatchesPerRowOracle:
         labeled = label_log(events, stats, store)
         assert (labeled.source == T3_CODE).sum() > len(queries) > 0
         assert max(queries.values()) == 1
-        assert len(queries) <= len(set(events.item_id))
+        assert len(queries) <= len(np.unique(events.item))
 
 
 class TestLabelType:

@@ -124,6 +124,12 @@ class TestSolveTau:
         with pytest.raises(ValueError):
             solve_tau(15.0, 10.0, 1e-5, 1.575)
 
+    @pytest.mark.parametrize("x_h", [math.inf, math.nan])
+    def test_x_h_must_be_finite(self, x_h):
+        """An infinite x_h would never end the bisection."""
+        with pytest.raises(ValueError, match="must be finite"):
+            solve_tau(15.0, x_h, 1e-5, 1.575)
+
     def test_tail_flatness_of_solved_params(self):
         params = NdtParams.solve(offset=15.0, x_h=200.0, precision=1e-5, t_max=1.575)
         base = float(ndt(200.0, params))

@@ -124,6 +124,16 @@ class TestStore:
         assert store.users["u1"] == [1_700_000_000, 1_700_000_010]
         assert user_week_clicks(store.users["u1"], 1_700_000_100) == [2]
 
+    def test_id_length_limit_is_in_utf8_bytes(self):
+        """Token lengths are u16: an id of 65,535 UTF-8 bytes round-trips,
+        and one of 65,536 (32,768 two-byte characters) raises ValueError."""
+        at_limit = "u" * 65_535
+        store = build_profiles(EventTable.of([make_event(at_limit, "é" * 100)]))
+        assert ProfileStore.from_bytes(store.to_bytes()).users == {at_limit: [1_700_000_000]}
+        past = build_profiles(EventTable.of([make_event("u1", "é" * 32_768)]))
+        with pytest.raises(ValueError, match="65,535"):
+            past.to_bytes()
+
     def test_round_trip(self, tmp_path):
         store, _ = self.build_store()
         path = tmp_path / "profiles.bin"

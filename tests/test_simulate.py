@@ -26,6 +26,7 @@ from conftest import (
     analytic_click_rate,
     analytic_light_user_fraction,
     assert_same_events,
+    row_ids,
     serialize_event,
     weekly_click_counts,
 )
@@ -96,7 +97,7 @@ class TestOrganicGenerator:
         events, _ = generate(cfg)
         # Level 1 under the one boundary 7: fewer than 7 clicks in the week.
         levels, _ = row_levels(events, (7,))
-        user_level = dict(zip(events.user_id, levels.tolist()))
+        user_level = dict(zip(row_ids(events)[0], levels.tolist()))
         empirical = sum(1 for level in user_level.values() if level == 1) / len(user_level)
         assert empirical == pytest.approx(analytic_light_user_fraction(cfg), abs=0.01)
 
@@ -131,8 +132,9 @@ class TestOrganicGenerator:
             assert row.split(",")[:4] == serialize_event(event).split(",")[:4]
         assert ((0.0 <= sidecar.vr_propensity) & (sidecar.vr_propensity <= 1.0)).all()
         assert ((1 <= sidecar.user_level) & (sidecar.user_level <= 7)).all()
-        level_of = dict(zip(events.user_id, sidecar.user_level.tolist()))
-        assert all(level_of[u] == level for u, level in zip(events.user_id, sidecar.user_level.tolist()))
+        users, _ = row_ids(events)
+        level_of = dict(zip(users, sidecar.user_level.tolist()))
+        assert all(level_of[u] == level for u, level in zip(users, sidecar.user_level.tolist()))
         # Single class, no affinity shift: propensity = P(lnT > ln 15).
         expected = 1 - 0.5 * (1 + math.erf((math.log(15) - 4.003) / (1.295 * math.sqrt(2))))
         assert sidecar.vr_propensity == pytest.approx(np.full(len(events), expected), abs=1e-9)
@@ -201,10 +203,10 @@ class TestMigrationPair:
         base, treat = pair.baseline, pair.treatment
         assert len(base) == len(treat)
         assert pair.lifted_users
-        assert (base.user_id, base.item_id) == (treat.user_id, treat.item_id)
+        assert row_ids(base) == row_ids(treat)
         assert np.array_equal(base.timestamp, treat.timestamp)
         assert np.array_equal(base.clicked, treat.clicked)
-        lifted = base.clicked & np.array([u in pair.lifted_users for u in base.user_id])
+        lifted = base.clicked & np.array([u in pair.lifted_users for u in row_ids(base)[0]])
         assert lifted.any()
         assert np.array_equal(treat.dwell_time_s[~lifted], base.dwell_time_s[~lifted])
         short = lifted & (base.dwell_time_s < 300.0)

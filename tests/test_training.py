@@ -25,7 +25,7 @@ from readweight.training import (
     train,
 )
 
-from conftest import make_event, traced_transient
+from conftest import make_event, table_of_ids, traced_transient
 
 PARAMS = paper_default_params()
 
@@ -107,7 +107,7 @@ class TestBuildInstances:
         assert space.user_vocab == ("aa", "zz")
         assert space.item_vocab == ("a", "b")
         assert batch.idx.tolist() == [[2, 2], [1, 1]]
-        assert space.encode(["zz", "unknown"], ["a", "a"]).tolist() == [[2, 1], [0, 1]]
+        assert space.encode(table_of_ids(["zz", "unknown"], ["a", "a"])).tolist() == [[2, 1], [0, 1]]
 
     def test_encode_matches_dict_lookup(self, rng):
         vocab = ["a", "a\x00", "b", "ab", "\x00", "é", "u000001"]
@@ -117,17 +117,17 @@ class TestBuildInstances:
         items = [pool[k] for k in rng.integers(len(pool), size=300)]
         user_index = {u: i + 1 for i, u in enumerate(space.user_vocab)}
         item_index = {t: i + 1 for i, t in enumerate(space.item_vocab)}
-        idx = space.encode(users, items)
+        idx = space.encode(table_of_ids(users, items))
         assert idx.dtype == np.int32 and idx.shape == (300, 2)
         assert idx[:, 0].tolist() == [user_index.get(u, 0) for u in users]
         assert idx[:, 1].tolist() == [item_index.get(t, 0) for t in items]
         # A trailing NUL makes a different id, never the same token.
-        pair = space.encode(["a", "a\x00"], ["b", "b\x00"])
+        pair = space.encode(table_of_ids(["a", "a\x00"], ["b", "b\x00"]))
         assert pair.tolist() == [[user_index["a"], item_index["b"]], [user_index["a\x00"], 0]]
         assert user_index["a"] != user_index["a\x00"]
         empty = FeatureSpace((), ())
-        assert empty.encode(users, items).tolist() == [[0, 0]] * 300
-        assert empty.encode([], []).shape == (0, 2)
+        assert empty.encode(table_of_ids(users, items)).tolist() == [[0, 0]] * 300
+        assert empty.encode(table_of_ids([], [])).shape == (0, 2)
 
 
 def toy_rows(n_per_class=40):
