@@ -474,6 +474,9 @@ class TestCodedTable:
         )
     )
     def test_write_read_write_keeps_the_bytes(self, rows):
+        """Non-ASCII, trailing-NUL and case-only ids survive write, read and
+        write byte for byte, and the read's vocabularies are its distinct
+        ids in ``sorted()`` order."""
         table = EventTable.of(InteractionEvent(u, i, t, c, d if c else 0.0) for u, i, t, c, d in rows)
         assert_coded(table)
         with tempfile.TemporaryDirectory() as root:
