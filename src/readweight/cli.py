@@ -389,7 +389,7 @@ def _handle_build_profiles(opts: Options) -> dict:
         "command": "build-profiles",
         "n_events": counts.total,
         "n_items": len(store.items),
-        "n_users": len(store.users),
+        "n_users": len(store.user_ids),
         "out": out,
     }
 
@@ -402,7 +402,8 @@ def _handle_label(opts: Options) -> dict:
     out = opts.required("out")
     stats = _load_stats(stats_path)
     store = ProfileStore.load(profiles_path)
-    labeled = LabeledLog.from_pairs(label_log(events, stats, store, cfg))
+    # Whatever yields the (event, label) pairs, the rows written are ``events``.
+    labeled = LabeledLog.from_labels(events, [label for _, label in label_log(events, stats, store, cfg)])
     atomic_write_text(out, labeled.to_text())
     report = composition_report(labeled)
     report_path = opts.get("report")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from itertools import chain, compress, count, repeat
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -149,19 +149,6 @@ class EventTable:
     def take(self, rows: np.ndarray) -> "EventTable":
         """The rows at the indices ``rows``, in that order, over the same vocabularies."""
         return replace(self, **{name: getattr(self, name)[rows] for name, _ in _COLUMNS})
-
-    @classmethod
-    def of(cls, events: Iterable[InteractionEvent]) -> "EventTable":
-        """The rows of ``events`` as columns."""
-        events = list(events)
-        n = len(events)
-        coder = IdCoder()
-        return coder.table([cls(
-            *coder.code([e.user_id for e in events], [e.item_id for e in events]),
-            np.fromiter((e.timestamp for e in events), dtype=np.int64, count=n),
-            np.fromiter((e.clicked for e in events), dtype=bool, count=n),
-            np.fromiter((e.dwell_time_s for e in events), dtype=np.float64, count=n),
-        )])
 
 
 _COLUMNS = (("user", np.int32), ("item", np.int32), ("timestamp", np.int64), ("clicked", bool),

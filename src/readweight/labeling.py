@@ -22,8 +22,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat
-from typing import Iterable, Iterator
+from itertools import repeat
+from typing import Iterator
 
 import numpy as np
 
@@ -79,6 +79,9 @@ _KIND_CODE = {kind.value: code for code, kind in enumerate(LABEL_KINDS)}
 _SOURCE_CODE = {"": 0, **{source.value: code for code, source in enumerate(LABEL_SOURCES) if source}}
 _NOT_CLICKED = _KIND_CODE[LabelKind.NOT_CLICKED.value]
 _VALID_READ = _KIND_CODE[LabelKind.VALID_READ.value]
+# The six labels a row can carry, built once, by their (kind, source) codes.
+_LABELS = {(k, s): ValidReadLabel(kind, source) for k, kind in enumerate(LABEL_KINDS)
+           for s, source in enumerate(LABEL_SOURCES) if (kind is LabelKind.VALID_READ) == (source is not None)}
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -87,7 +90,8 @@ class LabeledLog:
 
     ``events`` holds the event columns; ``kind`` and ``source`` are int8
     codes into LABEL_KINDS and LABEL_SOURCES.  Iterating yields the rows as
-    (InteractionEvent, ValidReadLabel) pairs.
+    (InteractionEvent, ValidReadLabel) pairs, each label one of the six
+    built once; a row whose codes no label has raises ValueError.
     """
 
     events: EventTable
@@ -98,8 +102,10 @@ class LabeledLog:
         return len(self.events)
 
     def __iter__(self) -> Iterator[tuple[InteractionEvent, ValidReadLabel]]:
-        for event, kind, source in zip(self.events, self.kind.tolist(), self.source.tolist()):
-            yield event, ValidReadLabel(LABEL_KINDS[kind], LABEL_SOURCES[source])
+        labels = list(map(_LABELS.get, zip(self.kind.tolist(), self.source.tolist())))
+        if not all(labels):
+            raise ValueError(f"row {labels.index(None)}'s kind and source codes are no label's")
+        return zip(self.events, labels)
 
     @property
     def valid_read(self) -> np.ndarray:
@@ -110,16 +116,13 @@ class LabeledLog:
         return LabeledLog(self.events.take(rows), self.kind[rows], self.source[rows])
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[InteractionEvent, ValidReadLabel]]) -> "LabeledLog":
-        """Columns of (event, label) pairs, such as ``label_log`` yields."""
-        pairs = list(pairs)
-        n = len(pairs)
-        labels = [label for _, label in pairs]
+    def from_labels(cls, events: EventTable, labels: list[ValidReadLabel]) -> "LabeledLog":
+        """``events`` with one label per row, in row order."""
         # Kinds and sources are str enums, so they look up their own codes.
         return cls(
-            EventTable.of(event for event, _ in pairs),
-            np.fromiter((_KIND_CODE[l.kind] for l in labels), dtype=np.int8, count=n),
-            np.fromiter((_SOURCE_CODE[l.source or ""] for l in labels), dtype=np.int8, count=n),
+            events,
+            np.fromiter((_KIND_CODE[l.kind] for l in labels), dtype=np.int8, count=len(labels)),
+            np.fromiter((_SOURCE_CODE[l.source or ""] for l in labels), dtype=np.int8, count=len(labels)),
         )
 
     def to_text(self) -> str:
@@ -151,7 +154,7 @@ def label_log(
     t1 = clicked & ~noise & (dwell > stats.x_l)
     rest = np.flatnonzero(clicked & ~noise & ~t1)
     candidates = events.take(rest)
-    light = _week_clicks(store.users, candidates) < cfg.light_user_max_clicks
+    light = _week_clicks(store, candidates) < cfg.light_user_max_clicks
     heavy = candidates.take(np.flatnonzero(~light))
     tokens, item = distinct_ids(heavy.item_vocab, heavy.item)
     # NaN fails every comparison, so an item without a P10 never passes T3.
@@ -168,20 +171,22 @@ def label_log(
     return LabeledLog(events, kind, source)
 
 
-def _week_clicks(users: dict[str, list[int]], table: EventTable) -> np.ndarray:
+def _week_clicks(store: ProfileStore, table: EventTable) -> np.ndarray:
     """For each row (user, ts) of ``table``, how many of the user's stamps in
-    ``users`` lie in ``(ts - WEEK_SECONDS, ts]``; a user ``users`` lacks has none.
+    ``store`` lie in ``(ts - WEEK_SECONDS, ts]``; a user the store lacks has none.
 
-    Every stamp and bound is ranked among all of them, so (user, rank) packs
-    into one int64 key that ascends with (user, stamp) and cannot overflow,
-    and each count is two ``searchsorted`` calls over the sorted keys."""
+    Each stamp and bound is ranked among all of them, so (the user's place in
+    ``store.user_ids``, rank) is one int64 key that ascends with the stamps and
+    cannot overflow; a user the store lacks takes the place after the last,
+    which ``None`` holds.  Each count is two ``searchsorted`` calls."""
     tokens, user = distinct_ids(table.user_vocab, table.user)
-    runs = [users.get(token, ()) for token in tokens]
-    sizes = np.fromiter(map(len, runs), np.intp, len(runs))
-    stamps = np.fromiter(chain.from_iterable(runs), np.int64, int(sizes.sum()))
+    tokens, ids = np.array(tokens, object), np.array((*store.user_ids, None), object)
+    at = np.searchsorted(ids[:-1], tokens)
+    at[ids[at] != tokens] = len(ids) - 1
+    stamps = store.user_stamps
     values, rank = np.unique(np.concatenate([stamps, table.timestamp - WEEK_SECONDS, table.timestamp]), return_inverse=True)
-    keys = np.repeat(np.arange(len(runs)), sizes) * len(values) + rank[: len(stamps)]
-    lo, hi = user * len(values) + rank[len(stamps) :].reshape(2, -1)
+    keys = np.repeat(np.arange(len(ids) - 1), store.user_clicks) * len(values) + rank[: len(stamps)]
+    lo, hi = at[user] * len(values) + rank[len(stamps) :].reshape(2, -1)
     return np.searchsorted(keys, hi, "right") - np.searchsorted(keys, lo, "right")
 
 

@@ -21,8 +21,9 @@ is positive exactly where its input is (NaN in neither), so the gradients
 keep their bits.  It returns each embedding table's gradient row-sparse, as
 the batch's distinct rows and their gradient rows, so its cost follows the
 batch, not the vocabulary.  ``score_batch`` runs the forward pass over
-SCORE_CHUNK_ROWS rows at a time, so scoring holds one chunk's activations
-whatever the batch size.
+SCORE_CHUNK_ROWS rows at a time, keeping only ``hb`` and the layer being
+computed, so scoring holds part of one chunk's activations whatever the
+batch size.
 
 Checkpoint format (magic ``VRMT``): version u32, u32 JSON config length +
 config JSON (dims, slots with vocabularies, seed), u32 tensor count, then
@@ -42,7 +43,7 @@ import numpy as np
 from .ndt import logistic
 
 PROB_CLAMP = 1e-7
-# Rows per forward pass when scoring; activations take about 2.3 KB a row.
+# Rows per forward pass when scoring; its activations take about 1.3 KB a row.
 # A power of two keeps each row at the offset within the BLAS kernels' row
 # blocks that it has in one whole-batch pass, so the scores match that pass
 # bit for bit (a 333-row chunk moved some by 1 ulp).
@@ -105,47 +106,34 @@ class MtlNetwork:
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray] | None = None):
         self.config = config
         self.params = params if params is not None else self._init_params(config)
-        expected = set(self.param_names(config))
-        if set(self.params) != expected:
-            raise ValueError("parameter set does not match the configuration")
+        expected = self.param_shapes(config)
+        if {name: np.shape(value) for name, value in self.params.items()} != expected:
+            raise ValueError(f"parameters do not have the configuration's shapes {expected}")
 
     @staticmethod
-    def param_names(config: ModelConfig) -> list[str]:
-        names = [f"emb.{slot.name}" for slot in config.slots]
-        names += ["bottom.W", "bottom.b"]
+    def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+        """Each parameter's shape, in checkpoint order: one (cardinality, embedding_dim)
+        table per slot, then each layer's (fan in, fan out) W and its b."""
+        d_bot, (d1, d2) = config.bottom_dim, config.tower_dims
+        shapes = {f"emb.{slot.name}": (slot.cardinality, config.embedding_dim) for slot in config.slots}
+        layers = [("bottom", len(config.slots) * config.embedding_dim, d_bot)]
         for tower in ("tower_v", "tower_w"):
-            for layer in (1, 2, 3):
-                names += [f"{tower}.{layer}.W", f"{tower}.{layer}.b"]
-        return names
+            layers += [(f"{tower}.1", d_bot, d1), (f"{tower}.2", d1, d2), (f"{tower}.3", d2, 1)]
+        for layer, fan_in, fan_out in layers:
+            shapes[f"{layer}.W"], shapes[f"{layer}.b"] = (fan_in, fan_out), (fan_out,)
+        return shapes
 
     @staticmethod
     def _init_params(config: ModelConfig) -> dict[str, np.ndarray]:
         rng = np.random.default_rng(config.seed)
-
-        def glorot(fan_in: int, fan_out: int, shape: tuple[int, ...]) -> np.ndarray:
-            s = np.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-s, s, size=shape).astype(np.float32)
-
-        d_emb = config.embedding_dim
-        d_in = len(config.slots) * d_emb
-        d_bot = config.bottom_dim
-        d1, d2 = config.tower_dims
+        shapes = MtlNetwork.param_shapes(config)
         params: dict[str, np.ndarray] = {}
-        for slot in config.slots:
-            params[f"emb.{slot.name}"] = glorot(
-                slot.cardinality, d_emb, (slot.cardinality, d_emb)
-            )
-        # Biases share their layer's uniform law: a layer whose inputs die
-        # then sits off the rectifier kink instead of exactly on it.
-        params["bottom.W"] = glorot(d_in, d_bot, (d_in, d_bot))
-        params["bottom.b"] = glorot(d_in, d_bot, (d_bot,))
-        for tower in ("tower_v", "tower_w"):
-            params[f"{tower}.1.W"] = glorot(d_bot, d1, (d_bot, d1))
-            params[f"{tower}.1.b"] = glorot(d_bot, d1, (d1,))
-            params[f"{tower}.2.W"] = glorot(d1, d2, (d1, d2))
-            params[f"{tower}.2.b"] = glorot(d1, d2, (d2,))
-            params[f"{tower}.3.W"] = glorot(d2, 1, (d2, 1))
-            params[f"{tower}.3.b"] = glorot(d2, 1, (1,))
+        for name, shape in shapes.items():
+            # Biases share their layer's uniform law: a layer whose inputs die
+            # then sits off the rectifier kink instead of exactly on it.
+            fan_in, fan_out = shapes[name[:-1] + "W"] if name.endswith(".b") else shape
+            s = np.sqrt(6.0 / (fan_in + fan_out))
+            params[name] = rng.uniform(-s, s, size=shape).astype(np.float32)
         return params
 
     def astype(self, dtype) -> "MtlNetwork":
@@ -160,27 +148,32 @@ class MtlNetwork:
                     f"(cardinality {slot.cardinality})"
                 )
 
-    def _forward_arrays(self, batch: PackedBatch) -> dict[str, np.ndarray]:
+    def _forward_arrays(self, batch: PackedBatch, keep: bool = True) -> dict[str, np.ndarray]:
+        """The layers' outputs by name, as ``backward`` reads them; unless
+        ``keep``, only ``hb`` and the probabilities, each tower layer's
+        input dropped once its output exists."""
         self._check_indices(batch.idx)
         p = self.params
         x0 = np.concatenate(
             [_f64(p[f"emb.{slot.name}"][batch.idx[:, col]]) for col, slot in enumerate(self.config.slots)],
             axis=1,
         )
-        hb = _dense_relu(x0, p, "bottom")
-        cache: dict[str, np.ndarray] = {"x0": x0, "hb": hb}
+        cache: dict[str, np.ndarray] = {"x0": x0} if keep else {}
+        hb = cache["hb"] = _dense_relu(x0, p, "bottom")
+        del x0
         for tower in ("tower_v", "tower_w"):
             h = hb
             for layer in (1, 2):
                 h = _dense_relu(h, p, f"{tower}.{layer}")
-                cache[f"{tower}.h{layer}"] = h
+                if keep:
+                    cache[f"{tower}.h{layer}"] = h
             z3 = h @ _f64(p[f"{tower}.3.W"]) + _f64(p[f"{tower}.3.b"])
             cache[f"{tower}.prob"] = logistic(z3[:, 0])
         return cache
 
     def forward_batch(self, batch: PackedBatch) -> tuple[np.ndarray, np.ndarray]:
         """Probabilities (P, P') for every row; shared bottom runs once."""
-        cache = self._forward_arrays(batch)
+        cache = self._forward_arrays(batch, keep=False)
         return cache["tower_v.prob"], cache["tower_w.prob"]
 
     def score_batch(self, batch: PackedBatch) -> np.ndarray:
@@ -193,7 +186,7 @@ class MtlNetwork:
 
     def batch_loss(self, batch: PackedBatch) -> tuple[float, float, float]:
         """(L_v, L_w, L) summed over the batch, probabilities clamped."""
-        cache = self._forward_arrays(batch)
+        cache = self._forward_arrays(batch, keep=False)
         l_v, l_w = self._losses_from_cache(batch, cache)
         return l_v, l_w, l_v + l_w
 
@@ -270,7 +263,7 @@ class MtlNetwork:
 
     def to_bytes(self, extra_config: dict | None = None) -> bytes:
         config_blob = json.dumps(self.config_doc(extra_config), sort_keys=True).encode("utf-8")
-        names = self.param_names(self.config)
+        names = list(self.param_shapes(self.config))
         parts = [
             CHECKPOINT_MAGIC,
             struct.pack("<I", CHECKPOINT_VERSION),

@@ -78,9 +78,11 @@ class ItemDwellProfile:
 class ProfileStore:
     """All item and user profiles for one training window.
 
-    ``items`` maps item tokens to profiles, and ``users`` maps user tokens
-    to their ascending click timestamps.  ``eps`` must lie in
-    (0, 1), and ``switch_threshold`` in 1 .. 2^32 - 1 (a u32 in the header).
+    ``items`` maps item tokens to profiles.  The users are three arrays laid
+    out as in the file: ``user_ids`` (sorted tokens), ``user_clicks`` (each
+    one's click count) and ``user_stamps`` (int64, each one's ascending click
+    timestamps, user after user).  ``eps`` must lie in (0, 1), and
+    ``switch_threshold`` in 1 .. 2^32 - 1 (a u32 in the header).
     """
 
     def __init__(
@@ -95,7 +97,8 @@ class ProfileStore:
         self.eps = eps
         self.switch_threshold = switch_threshold
         self.items: dict[str, ItemDwellProfile] = {}
-        self.users: dict[str, list[int]] = {}
+        self.user_ids: tuple[str, ...] = ()
+        self.user_clicks = self.user_stamps = np.zeros(0, np.int64)
 
     def _fill(
         self,
@@ -121,14 +124,13 @@ class ProfileStore:
                 estimator = QuantileEstimator(eps=self.eps, switch_threshold=self.switch_threshold)
                 estimator._exact = next(exact)
             self.items[token] = ItemDwellProfile(token, estimator)
-        self.users.update(zip(tokens[len(counts) :], _runs(stamps.tolist(), clicks.tolist())))
+        self.user_ids, self.user_clicks, self.user_stamps = tuple(tokens[len(counts) :]), clicks, stamps
         return self
 
     def to_bytes(self) -> bytes:
-        item_ids, user_ids = sorted(self.items), sorted(self.users)
+        item_ids = sorted(self.items)
         items = [self.items[token] for token in item_ids]
-        users = [self.users[token] for token in user_ids]
-        tokens = [token.encode("utf-8") for token in item_ids + user_ids]
+        tokens = [token.encode("utf-8") for token in (*item_ids, *self.user_ids)]
         if max(map(len, tokens), default=0) > 0xFFFF:
             raise ValueError("an id is longer than the store's limit of 65,535 UTF-8 bytes")
         exact = [p.estimator._exact for p in items if p.estimator.mode == "exact"]
@@ -137,14 +139,14 @@ class ProfileStore:
             np.array([len(t) for t in tokens], "<u2"),
             np.frombuffer(b"".join(tokens), "u1"),
             np.array([p.n_records for p in items], "<u8"),
-            np.array([len(stamps) for stamps in users], "<u4"),
+            np.asarray(self.user_clicks, "<u4"),
             np.array(list(chain.from_iterable(exact)), "<f8"),
             np.array([len(s.entries) for s in sketches], "<u4"),
             np.fromiter(chain.from_iterable(s.entries for s in sketches), _GK_ENTRY),
-            np.array(list(chain.from_iterable(users)), "<u8"),
+            np.asarray(self.user_stamps, "<u8"),
         ]
         header = _HEADER.pack(
-            STORE_MAGIC, STORE_VERSION, self.eps, self.switch_threshold, len(items), len(users)
+            STORE_MAGIC, STORE_VERSION, self.eps, self.switch_threshold, len(items), len(self.user_ids)
         )
         body = header + b"".join(a.tobytes() for a in arrays)
         return body + _CRC.pack(zlib.crc32(body))
@@ -194,6 +196,8 @@ class ProfileStore:
             if (np.add.reduceat(entries["g"], starts) != counts[sketchy]).any():
                 raise ValueError("GK gaps do not sum to the record count")
             tokens = [t.decode("utf-8") for t in _runs(token_bytes, token_lens.tolist())]
+            if any(a >= b for a, b in zip(tokens[n_items:], tokens[n_items + 1 :])):
+                raise ValueError("user ids out of order")
         except (ValueError, OverflowError) as err:
             raise ValueError(f"truncated or corrupt profile store: {err}") from None
 
@@ -205,7 +209,7 @@ class ProfileStore:
             estimator._to_sketch()
             estimator._sketch.n, estimator._sketch.entries = n, run
             sketches.append(estimator)
-        return store._fill(tokens, counts, values, sketches, clicks, stamps)
+        return store._fill(tokens, counts, values, sketches, clicks, stamps.view("<i8"))
 
     def save(self, path: str) -> None:
         from ._fileio import atomic_write_bytes

@@ -341,10 +341,15 @@ def checkpoint_extra_config(result: TrainResult) -> dict:
 
 
 def space_from_checkpoint(doc: dict) -> FeatureSpace:
+    """The vocabularies of a checkpoint's config ``doc``, whose slots they must fit."""
     try:
-        return FeatureSpace(tuple(doc["user_vocab"]), tuple(doc["item_vocab"]))
+        space = FeatureSpace(tuple(doc["user_vocab"]), tuple(doc["item_vocab"]))
+        slots = tuple(SlotSpec(slot["name"], int(slot["cardinality"])) for slot in doc["slots"])
     except (KeyError, TypeError) as err:
         raise ValueError(f"checkpoint lacks its vocabularies: {err}") from err
+    if space.slots() != slots:
+        raise ValueError(f"checkpoint vocabularies do not fit its slots: {space.slots()} against {slots}")
+    return space
 
 
 def score_events(net: MtlNetwork, space: FeatureSpace, log: LabeledLog) -> np.ndarray:

@@ -12,6 +12,7 @@ import pytest
 from readweight.events import (
     BadLineBudgetExceeded,
     EventTable,
+    IdCoder,
     InteractionEvent,
     LogFormatError,
     ScanCounts,
@@ -20,6 +21,7 @@ from readweight.events import (
 )
 from readweight.dwell_stats import DwellStats, InsufficientDataError
 from readweight.labeling import (
+    LABEL_KINDS,
     LABEL_SOURCES,
     LABELED_HEADER,
     LabeledLog,
@@ -50,9 +52,57 @@ def rng():
     return np.random.default_rng(12345)
 
 
+# Tables and labeled logs built from per-row objects, one row at a time.
+
+
+def event_table(events: Iterable[InteractionEvent]) -> EventTable:
+    """The rows of ``events`` as columns, coded through one ``IdCoder``."""
+    events = list(events)
+    n = len(events)
+    coder = IdCoder()
+    return coder.table([EventTable(
+        *coder.code([e.user_id for e in events], [e.item_id for e in events]),
+        np.fromiter((e.timestamp for e in events), dtype=np.int64, count=n),
+        np.fromiter((e.clicked for e in events), dtype=bool, count=n),
+        np.fromiter((e.dwell_time_s for e in events), dtype=np.float64, count=n),
+    )])
+
+
+def labeled_of(pairs: Iterable[tuple[InteractionEvent, ValidReadLabel]]) -> LabeledLog:
+    """Columns of (event, label) pairs, each label's codes its kind's and
+    its source's places in LABEL_KINDS and LABEL_SOURCES."""
+    pairs = list(pairs)
+    n = len(pairs)
+    return LabeledLog(
+        event_table(event for event, _ in pairs),
+        np.fromiter((LABEL_KINDS.index(label.kind) for _, label in pairs), dtype=np.int8, count=n),
+        np.fromiter((LABEL_SOURCES.index(label.source) for _, label in pairs), dtype=np.int8, count=n),
+    )
+
+
 def table_of_ids(users: list[str], items: list[str]) -> EventTable:
     """A table whose rows hold these user and item ids."""
-    return EventTable.of(make_event(user, item) for user, item in zip(users, items, strict=True))
+    return event_table(make_event(user, item) for user, item in zip(users, items, strict=True))
+
+
+# A store's users as a dict of per-user stamp lists, and back.
+
+
+def with_users(store: ProfileStore, users: dict[str, list[int]]) -> ProfileStore:
+    """``store`` holding ``users``, each with its stamps in the order given,
+    in the store's arrays: ids sorted, counts, stamps user after user."""
+    ids = sorted(users)
+    store.user_ids = tuple(ids)
+    store.user_clicks = np.array([len(users[token]) for token in ids], np.int64)
+    store.user_stamps = np.array([at for token in ids for at in users[token]], np.int64)
+    return store
+
+
+def users_of(store: ProfileStore) -> dict[str, list[int]]:
+    """Each of the store's users' stamps, by user id."""
+    ends = np.cumsum(store.user_clicks).tolist()
+    clicks = store.user_clicks.tolist()
+    return {token: store.user_stamps[end - n : end].tolist() for token, n, end in zip(store.user_ids, clicks, ends)}
 
 
 def row_ids(table: EventTable) -> tuple[list[str], list[str]]:
@@ -211,6 +261,7 @@ def profiles_per_click(
     """Each click's dwell into its item's estimator and its stamp into its
     user's stamps with ``insort``, so equal values land in file order."""
     store = ProfileStore(eps=eps, switch_threshold=switch_threshold)
+    users: dict[str, list[int]] = {}
     for event in events:
         if not event.clicked:
             continue
@@ -219,8 +270,8 @@ def profiles_per_click(
             item = ItemDwellProfile(event.item_id, QuantileEstimator(eps, switch_threshold))
             store.items[event.item_id] = item
         item.estimator.observe(event.dwell_time_s)
-        insort(store.users.setdefault(event.user_id, []), event.timestamp)
-    return store
+        insort(users.setdefault(event.user_id, []), event.timestamp)
+    return with_users(store, users)
 
 
 # The per-row labeler: one call per event, the rules in priority order.
@@ -263,8 +314,9 @@ def label_rows(
     cfg: LabelingConfig = LabelingConfig(),
 ) -> LabeledLog:
     """``label_event`` on each event against its profiles in ``store``."""
-    return LabeledLog.from_pairs(
-        (e, label_event(e, stats, store.items.get(e.item_id), store.users.get(e.user_id), cfg))
+    users = users_of(store)
+    return labeled_of(
+        (e, label_event(e, stats, store.items.get(e.item_id), users.get(e.user_id), cfg))
         for e in events
     )
 
@@ -283,8 +335,8 @@ def label_one(
     if item is not None:
         store.items[event.item_id] = item
     if stamps is not None:
-        store.users[event.user_id] = stamps
-    [(_, label)] = label_log(EventTable.of([event]), stats, store, cfg)
+        with_users(store, {event.user_id: stamps})
+    [(_, label)] = label_log(event_table([event]), stats, store, cfg)
     return label
 
 
@@ -294,7 +346,7 @@ def week_clicks(
     """How many clicks ``label_log`` counts in each event's trailing week,
     capped at ``most``, read off its labels: with the floor at 0, a click
     that fails T1 is T2 exactly while the light-user bound is above it."""
-    table = EventTable.of(events)
+    table = event_table(events)
     t2 = LABEL_SOURCES.index(ValidReadSource.T2)
     heavy = [
         label_log(table, stats, store, LabelingConfig(noise_floor_s=0.0, light_user_max_clicks=bound)).source != t2

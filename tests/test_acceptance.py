@@ -18,9 +18,7 @@ import pytest
 from readweight.cli import main as cli_main
 from readweight.dwell_stats import fit_log_normal
 from readweight.evaluation import auc, migration_report, relaimpr
-from readweight.events import EventTable
 from readweight.labeling import (
-    LabeledLog,
     LabelKind,
         ValidReadSource,
     composition_report,
@@ -41,7 +39,7 @@ from readweight.simulate import (
 )
 from readweight.training import FeatureSpace, TrainConfig, build_instances, score_events, train
 
-from conftest import activeness_level, label_one, make_event, weekly_click_counts
+from conftest import activeness_level, event_table, label_one, labeled_of, make_event, weekly_click_counts
 from test_model import fd_gradient_check
 
 
@@ -231,7 +229,7 @@ def test_c06_gradient_check_all_objectives():
         event = make_event(user_id=user, item_id=item, clicked=clicked, dwell_time_s=dwell)
         rows.append((event, ValidReadLabel(kind, source)))
 
-    log = LabeledLog.from_pairs(rows)
+    log = labeled_of(rows)
     space = FeatureSpace.of(log.events)
     config = ModelConfig(slots=space.slots(), embedding_dim=3, bottom_dim=4, tower_dims=(4, 4), seed=402)
     worst = 0.0
@@ -385,7 +383,7 @@ def test_c10_migration_report():
     identical = migration_report(pair.baseline, pair.baseline, boundaries)
     zeros_ok = all(c.delta == 0.0 for c in identical if c.delta is not None)
 
-    shifted = EventTable.of(
+    shifted = event_table(
         make_event(e.user_id, e.item_id, e.timestamp, e.clicked, e.dwell_time_s + 10.0)
         if e.clicked
         else e

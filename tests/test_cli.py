@@ -570,6 +570,34 @@ class TestErrors:
         assert (code, doc["error"]) == (2, "runtime-failure")
         assert drop in doc["detail"]
 
+    def test_vocabulary_longer_than_its_slot_is_runtime_failure(self, inputs, capsys, tmp_path):
+        """A user vocabulary with one id more than its slot's cardinality
+        allows fails when the checkpoint's space loads, not in the gather."""
+        data = Path(inputs["checkpoint"]).read_bytes()
+        (length,) = struct.unpack_from("<I", data, 8)
+        config = json.loads(data[12 : 12 + length])
+        config["user_vocab"].append("~" + config["user_vocab"][-1])
+        blob = json.dumps(config).encode()
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + length :])
+        code, doc = run_cli(capsys, "eval", "--labeled", inputs["labeled"], "--checkpoint", str(ckpt))
+        assert (code, doc["error"]) == (2, "runtime-failure")
+        assert "do not fit its slots" in doc["detail"]
+
+    def test_embedding_table_shorter_than_its_slot_is_runtime_failure(self, inputs, capsys, tmp_path):
+        """An embedding table one row short of its slot's cardinality fails
+        when the checkpoint loads, not in the gather."""
+        data = Path(inputs["checkpoint"]).read_bytes()
+        name = b"emb.user_id"
+        at = data.index(name) + len(name) + 4  # past the name and the rank
+        rows, dim = struct.unpack_from("<2I", data, at)
+        end = at + 8 + 4 * rows * dim
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(data[:at] + struct.pack("<2I", rows - 1, dim) + data[at + 8 : end - 4 * dim] + data[end:])
+        code, doc = run_cli(capsys, "eval", "--labeled", inputs["labeled"], "--checkpoint", str(ckpt))
+        assert (code, doc["error"]) == (2, "runtime-failure")
+        assert "shapes" in doc["detail"]
+
     def test_missing_flag(self, capsys, tmp_path):
         code, doc = run_cli(capsys, "simulate", "--mode", "organic", "--seed", "1")
         assert code == 1
@@ -806,6 +834,32 @@ def test_trained_bits_match_golden_sha256(capsys, tmp_path, inputs):
         "model.ckpt": "ca9c5ad22e0a32ef2e413feed56a3ea645cf72ede3b903249772e3e8b0befee0",
         "eval.json": "05dbcfe8f73742ab01e7349f2c54f8c0e68190db8438cf94200041359a7b5752",
     }
+
+
+def test_label_writes_the_same_bytes_from_yielded_pairs(capsys, tmp_path, inputs, monkeypatch):
+    """``label`` takes only the labels from the (event, label) pairs that
+    ``label_log`` returns, so a generator function that yields them, as a
+    tracer wrapping ``label_log`` may be, writes the same files."""
+
+    def label(out):
+        out.mkdir()
+        argv = ["label", "--log", inputs["log"], "--stats", inputs["stats"], "--profiles", inputs["profiles"],
+                "--out", str(out / "labeled.csv"), "--report", str(out / "composition.json")]
+        code, doc = run_cli(capsys, *argv)
+        assert code == 0
+        return {key: value for key, value in doc.items() if key not in ("out", "report")}, {
+            name: (out / name).read_bytes() for name in ("labeled.csv", "composition.json")
+        }
+
+    plain = label(tmp_path / "plain")
+    library = cli_module.label_log
+
+    def yielded_pairs(*args, **kwargs):
+        yield from library(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "label_log", yielded_pairs)
+    assert label(tmp_path / "pairs") == plain
+    assert plain[1]["labeled.csv"] == Path(inputs["labeled"]).read_bytes()
 
 
 # A valid argv per command; outputs go under {out}.

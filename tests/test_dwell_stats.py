@@ -12,20 +12,19 @@ from readweight.dwell_stats import (
     histogram_lnT,
 )
 
-from readweight.events import EventTable
 
-from conftest import fit_per_click, make_event, random_events
+from conftest import event_table, fit_per_click, make_event, random_events
 
 
 def lognormal_events(n, mu, sigma, seed):
     rng = np.random.default_rng(seed)
     dwell = np.exp(mu + sigma * rng.standard_normal(n))
-    return EventTable.of(make_event(item_id=f"i{k}", dwell_time_s=float(t)) for k, t in enumerate(dwell))
+    return event_table(make_event(item_id=f"i{k}", dwell_time_s=float(t)) for k, t in enumerate(dwell))
 
 
 class TestFit:
     def test_degenerate_all_equal(self):
-        events = EventTable.of(make_event(dwell_time_s=math.exp(2.0)) for _ in range(50))
+        events = event_table(make_event(dwell_time_s=math.exp(2.0)) for _ in range(50))
         stats = fit_log_normal(events)
         assert stats.mu == pytest.approx(2.0, abs=1e-12)
         assert stats.sigma == pytest.approx(0.0, abs=1e-7)
@@ -42,7 +41,7 @@ class TestFit:
         assert stats.n == 100_000
 
     def test_unclicked_and_zero_dwell_ignored(self):
-        events = EventTable.of([
+        events = event_table([
             make_event(dwell_time_s=math.e),
             make_event(dwell_time_s=math.e),
             make_event(clicked=False, dwell_time_s=0.0),
@@ -54,9 +53,9 @@ class TestFit:
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
-            fit_log_normal(EventTable.of([make_event()]))
+            fit_log_normal(event_table([make_event()]))
         with pytest.raises(InsufficientDataError):
-            fit_log_normal(EventTable.of([make_event(clicked=False, dwell_time_s=0.0)] * 10))
+            fit_log_normal(event_table([make_event(clicked=False, dwell_time_s=0.0)] * 10))
 
     def test_threshold_ordering_and_product(self):
         events = lognormal_events(5000, 3.0, 0.8, seed=3)
@@ -95,14 +94,14 @@ class TestAccumulator:
 
 class TestHistogram:
     def test_single_click_single_bin(self):
-        hist = histogram_lnT(EventTable.of([make_event(dwell_time_s=math.e)]), n_bins=1)
+        hist = histogram_lnT(event_table([make_event(dwell_time_s=math.e)]), n_bins=1)
         assert len(hist) == 1
         center, count = hist[0]
         assert count == 1
         assert center == pytest.approx(1.0)
 
     def test_two_clicks_two_bins(self):
-        events = EventTable.of([make_event(dwell_time_s=math.e), make_event(dwell_time_s=math.e**3)])
+        events = event_table([make_event(dwell_time_s=math.e), make_event(dwell_time_s=math.e**3)])
         hist = histogram_lnT(events, n_bins=2)
         assert [count for _, count in hist] == [1, 1]
         assert hist[0][0] == pytest.approx(1.5)
@@ -121,9 +120,9 @@ class TestHistogram:
         assert 0.14 < below / 100_000 < 0.18
 
     def test_empty_and_invalid(self):
-        assert histogram_lnT(EventTable.of([]), n_bins=3) == []
+        assert histogram_lnT(event_table([]), n_bins=3) == []
         with pytest.raises(ValueError):
-            histogram_lnT(EventTable.of([make_event()]), n_bins=0)
+            histogram_lnT(event_table([make_event()]), n_bins=0)
 
 
 class TestColumnFitEqualsPerEventLoop:
@@ -133,6 +132,6 @@ class TestColumnFitEqualsPerEventLoop:
         logs = [math.log(e.dwell_time_s) for e in events if e.clicked and e.dwell_time_s > 0]
         counts, edges = np.histogram(np.array(logs), bins=25)
         centers = ((edges[:-1] + edges[1:]) / 2.0).tolist()
-        table = EventTable.of(events)
+        table = event_table(events)
         assert fit_log_normal(table) == fit_per_click(events)
         assert histogram_lnT(table, 25) == list(zip(centers, counts.tolist()))

@@ -21,7 +21,7 @@ from readweight.evaluation import (
 
 from readweight.events import EventTable
 
-from conftest import activeness_level, make_event, random_events, row_ids, traced_transient, weekly_click_counts
+from conftest import activeness_level, event_table, make_event, random_events, row_ids, traced_transient, weekly_click_counts
 
 DAY = 86400
 
@@ -155,7 +155,7 @@ def table_with_week_clicks(counts) -> EventTable:
     for k, c in enumerate(counts):
         events.append(make_event(f"u{k}", "i1", base, False, 0.0))
         events += [make_event(f"u{k}", "i1", base + j, True, 10.0) for j in range(c)]
-    return EventTable.of(events)
+    return event_table(events)
 
 
 def user_levels(counts, boundaries) -> list[int]:
@@ -213,7 +213,7 @@ def migration_logs(shift=0.0):
             events.append(
                 make_event(f"h{u}", "i2", base_ts + k * 3600, True, 40.0 + u + k + shift)
             )
-    return EventTable.of(events)
+    return event_table(events)
 
 
 class TestMigration:
@@ -226,7 +226,7 @@ class TestMigration:
 
     def test_uniform_shift_recovered(self):
         base = migration_logs()
-        treat = EventTable.of(
+        treat = event_table(
             make_event(e.user_id, e.item_id, e.timestamp, e.clicked, e.dwell_time_s + 10.0)
             for e in base
         )
@@ -238,7 +238,7 @@ class TestMigration:
 
     def test_antisymmetric_with_fixed_boundaries(self):
         base = migration_logs()
-        treat = EventTable.of(
+        treat = event_table(
             make_event(e.user_id, e.item_id, e.timestamp, e.clicked, e.dwell_time_s * 1.1)
             for e in base
         )
@@ -263,7 +263,7 @@ class TestMigration:
         assert text.splitlines()[0] == "level,decile,mean_base,mean_treat,delta"
 
     def test_requires_clicks(self):
-        empty = EventTable.of([make_event(clicked=False, dwell_time_s=0.0)])
+        empty = event_table([make_event(clicked=False, dwell_time_s=0.0)])
         with pytest.raises(ValueError):
             migration_report(empty, empty)
 
@@ -282,7 +282,7 @@ class TestMigration:
         """A cell's mean is the left-to-right sum of its ascending dwells
         over their count, the same bits on every Python version; an all
         ``-0.0`` cell reads ``0.0``.  One level and one decile: one cell."""
-        table = EventTable.of(make_event(timestamp=1_700_000_000 + k) for k in range(len(chunk)))
+        table = event_table(make_event(timestamp=1_700_000_000 + k) for k in range(len(chunk)))
         table.dwell_time_s[:] = chunk
         [cell] = migration_report(table, table, boundaries=(), n_deciles=1)
         total = 0
@@ -301,7 +301,7 @@ class TestWeeklyClicks:
         ]
         assert weekly_click_counts(events) == {"u1": 1, "u2": 0}
         # One click in the week puts u1 at level 2; two would put it at 3.
-        levels, _ = row_levels(EventTable.of(events), (1, 2, 3, 4, 5, 6))
+        levels, _ = row_levels(event_table(events), (1, 2, 3, 4, 5, 6))
         assert levels.tolist() == [2, 2, 1]
 
 
@@ -343,7 +343,7 @@ class TestColumnReportEqualsPerEventLoop:
         treat = random_events(rng, int(rng.integers(200, 800)), n_users=50)
         bounds = None if seed % 2 else tuple(sorted(rng.choice(np.arange(1, 30), 6, replace=False).tolist()))
         expected = reference_migration_report(base, treat, bounds)
-        cells = migration_report(EventTable.of(base), EventTable.of(treat), bounds)
+        cells = migration_report(event_table(base), event_table(treat), bounds)
         assert cells == expected
         # repr per value: the same floats bit for bit.
         assert migration_csv(cells) == migration_csv(expected)
@@ -354,11 +354,11 @@ class TestColumnReportEqualsPerEventLoop:
         events = random_events(rng, 500)
         counts = weekly_click_counts(events)
         given = None if seed % 2 else tuple(sorted(rng.choice(np.arange(1, 30), 6, replace=False).tolist()))
-        levels, bounds = row_levels(EventTable.of(events), given)
+        levels, bounds = row_levels(event_table(events), given)
         assert bounds == (given or equal_frequency_boundaries(counts.values()))
         assert levels.tolist() == [activeness_level(counts[e.user_id], bounds) for e in events]
 
     def test_unsorted_boundaries_rejected(self):
-        events = EventTable.of(random_events(np.random.default_rng(0), 100))
+        events = event_table(random_events(np.random.default_rng(0), 100))
         with pytest.raises(ValueError, match="strictly ascending"):
             migration_report(events, events, (1, 3, 2, 4, 5, 6))

@@ -34,7 +34,9 @@ from conftest import (
     assert_coded,
     assert_same_columns,
     assert_same_events,
+    event_table,
     iter_log,
+    labeled_of,
     make_event,
     read_labeled_lines,
     row_ids,
@@ -176,8 +178,8 @@ class TestScanLog:
         a_events = [make_event(user_id=f"a{k}", dwell_time_s=k + 1.0) for k in range(5)]
         b_events = [make_event(user_id=f"b{k}", dwell_time_s=k + 2.0) for k in range(7)]
         log_a, log_b, log_ab = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "ab.csv"
-        write_log(log_a, EventTable.of(a_events))
-        write_log(log_b, EventTable.of(b_events))
+        write_log(log_a, event_table(a_events))
+        write_log(log_b, event_table(b_events))
         log_ab.write_text(
             log_a.read_text(encoding="utf-8") + log_b.read_text(encoding="utf-8"),
             encoding="utf-8",
@@ -286,7 +288,7 @@ class TestColumnarEventReader:
                         continue
                     table, got = read_log(path, header=header, bad_line_budget=budget)
                     assert parsed == [], (header, budget)
-                    assert_same_events(table, EventTable.of(expected))
+                    assert_same_events(table, event_table(expected))
                     assert (got.total, got.skipped) == (counts.total, counts.skipped)
                     assert list(table) == expected
                     if corruption == "two bad lines" and budget == 2:
@@ -393,7 +395,7 @@ class TestBlockReads:
             except LogFormatError as err:
                 assert small == (type(err), str(err), err.line_number)
             else:
-                assert small == (event_columns(EventTable.of(oracle)), (counts.total, counts.skipped))
+                assert small == (event_columns(event_table(oracle)), (counts.total, counts.skipped))
 
     @settings(max_examples=300, deadline=None)
     @given(text=log_texts(LABELED_LINES, LABELED_HEADER), block=st.integers(1, 40))
@@ -414,7 +416,7 @@ class TestBlockReads:
             except LogFormatError as err:
                 assert small == (LogFormatError, str(err), err.line_number)
             else:
-                reference = LabeledLog.from_pairs(oracle)
+                reference = labeled_of(oracle)
                 assert small == labeled_columns(reference)
 
     def test_error_past_the_first_block_names_its_line(self, tmp_path, monkeypatch):
@@ -434,10 +436,10 @@ class TestBlockReads:
         for header in HEADER_MODES:
             table, counts = read_log(path, header=header)
             assert (len(table), counts.total, counts.skipped) == (0, 0, 0)
-            assert_same_events(table, EventTable.of([]))
+            assert_same_events(table, event_table([]))
         log = read_labeled_log(path)
         assert len(log) == 0
-        assert_same_events(log.events, EventTable.of([]))
+        assert_same_events(log.events, event_table([]))
         assert log.kind.dtype == log.source.dtype == np.int8
 
 
@@ -477,7 +479,7 @@ class TestCodedTable:
         """Non-ASCII, trailing-NUL and case-only ids survive write, read and
         write byte for byte, and the read's vocabularies are its distinct
         ids in ``sorted()`` order."""
-        table = EventTable.of(InteractionEvent(u, i, t, c, d if c else 0.0) for u, i, t, c, d in rows)
+        table = event_table(InteractionEvent(u, i, t, c, d if c else 0.0) for u, i, t, c, d in rows)
         assert_coded(table)
         with tempfile.TemporaryDirectory() as root:
             first, second = Path(root) / "first.csv", Path(root) / "second.csv"

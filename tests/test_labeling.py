@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
 
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 
 from readweight import labeling as labeling_module
 from readweight.dwell_stats import DwellStats, fit_log_normal
-from readweight.events import EventTable, InteractionEvent, LogFormatError
+from readweight.events import InteractionEvent, LogFormatError
 from readweight.labeling import (
+    LABEL_KINDS,
     LABEL_SOURCES,
     LABELED_HEADER,
     LabeledLog,
@@ -25,18 +27,22 @@ from readweight.labeling import (
     parse_labeled,
     read_labeled_log,
 )
-from readweight.profiles import WEEK_SECONDS, ItemDwellProfile, build_profiles
+from readweight.profiles import WEEK_SECONDS, ItemDwellProfile, ProfileStore, build_profiles
 from readweight.quantiles import QuantileEstimator
 from readweight.simulate import SimConfig, generate
 
 from conftest import (
     assert_same_columns,
+    event_table,
     label_one,
     label_rows,
+    labeled_of,
     make_event,
     read_labeled_lines,
     serialize_labeled,
+    users_of,
     week_clicks,
+    with_users,
 )
 
 
@@ -154,8 +160,8 @@ class TestDecisionEdges:
             make_event("u1", f"i{k}", ts - WEEK_SECONDS + past_edge, True, 8.0)
             for k in range(cfg.light_user_max_clicks)
         ]
-        store = build_profiles(EventTable.of(history))
-        probe = EventTable.of([make_event("u1", "i-new", ts, True, 8.0)])
+        store = build_profiles(event_table(history))
+        probe = event_table([make_event("u1", "i-new", ts, True, 8.0)])
         [(_, label)] = label_log(probe, STATS15, store, cfg)
         assert (label.kind, label.source) == expected
 
@@ -168,12 +174,12 @@ class TestDecisionEdges:
             make_event("u1", "hot", ts - 3600 - k, True, 6.0 + (k * 7 % 40) / 5)
             for k in range(60)
         ]
-        store = build_profiles(EventTable.of(history), switch_threshold=switch_threshold)
+        store = build_profiles(event_table(history), switch_threshold=switch_threshold)
         assert store.items["hot"].estimator.mode == mode
         p10 = store.items["hot"].p10()
         assert LabelingConfig().noise_floor_s <= p10 < STATS15.x_l
         probes = [make_event("u1", "hot", ts, True, t) for t in (p10, math.nextafter(p10, math.inf))]
-        labels = [(label.kind, label.source) for _, label in label_log(EventTable.of(probes), STATS15, store)]
+        labels = [(label.kind, label.source) for _, label in label_log(event_table(probes), STATS15, store)]
         assert labels == [(LabelKind.INVALID_CLICK, None), (LabelKind.VALID_READ, ValidReadSource.T3)]
 
     @given(st.floats(min_value=0, max_value=500), st.integers(min_value=0, max_value=12))
@@ -205,8 +211,8 @@ class TestTrailingWeekExtremes:
             "v": [1, TOP],
         }
         history = [make_event(user, "i", at, True, 8.0) for user, ats in stamps.items() for at in ats]
-        store = build_profiles(EventTable.of(history))
-        assert store.users == stamps
+        store = build_profiles(event_table(history))
+        assert users_of(store) == stamps
         expected = {
             1: 2, 2: 3, WEEK_SECONDS: 4, WEEK_SECONDS + 1: 3, WEEK_SECONDS + 2: 2, ts - 1: 2, ts: 2,
             ts + WEEK_SECONDS - 1: 3, TOP - WEEK_SECONDS: 1, TOP - 1: 2, TOP: 3,
@@ -217,8 +223,38 @@ class TestTrailingWeekExtremes:
         assert counts == [*expected.values(), 1, 1, 0, 1]
         for bound in range(1, 16):
             cfg = LabelingConfig(noise_floor_s=0.0, light_user_max_clicks=bound)
-            table = EventTable.of(probes)
+            table = event_table(probes)
             assert_same_columns(label_log(table, STATS15, store, cfg), label_rows(probes, STATS15, store, cfg))
+
+
+class TestWeekClicksMatchesPerRowOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_stores(self, seed):
+        """``_week_clicks`` counts what ``bisect`` over each user's stamps
+        counts, before and after a save and load, on stores that hold users
+        no row has, with rows whose users the store lacks, tied stamps,
+        bounds exactly a week from a stamp, and a table whose vocabulary
+        holds an id no row does."""
+        rng = np.random.default_rng(seed)
+        marks = (1_700_000_000 + WEEK_SECONDS * rng.integers(0, 4, 10) + rng.integers(0, 3, 10)).tolist()
+        users = {f"u{k}": sorted(rng.choice(marks, int(rng.integers(1, 12))).tolist()) for k in range(8)}
+        # The last of these has its week's lower bound exactly at u4's first stamp.
+        first = users["u4"][0]
+        probes = [make_event("u4", "i", at, True, 8.0) for at in (first, first + WEEK_SECONDS - 1, first + WEEK_SECONDS)]
+        probes += [
+            make_event(f"u{rng.integers(4, 12)}", "i", int(rng.choice(marks)) + int(rng.integers(-1, 2)), True, 8.0)
+            for _ in range(80)
+        ]
+        table = event_table([*probes, make_event("u-none", "i")]).take(np.arange(len(probes)))
+        expected = []
+        for event in probes:
+            stamps = users.get(event.user_id, [])
+            expected.append(bisect_right(stamps, event.timestamp) - bisect_right(stamps, event.timestamp - WEEK_SECONDS))
+        assert {e.user_id for e in probes} - users.keys() and users.keys() - {e.user_id for e in probes}
+        store = with_users(ProfileStore(), users)
+        for loaded in (store, ProfileStore.from_bytes(store.to_bytes())):
+            assert labeling_module._week_clicks(loaded, table).tolist() == expected
+        assert labeling_module._week_clicks(ProfileStore(), table).tolist() == [0] * len(probes)
 
 
 class TestLabelLogMatchesPerRowOracle:
@@ -249,8 +285,8 @@ class TestLabelLogMatchesPerRowOracle:
         assert not (labeled.source == T3_CODE).any()
 
     def test_empty_log(self):
-        store = build_profiles(EventTable.of([make_event()]))
-        labeled = label_log(EventTable.of([]), STATS15, store)
+        store = build_profiles(event_table([make_event()]))
+        labeled = label_log(event_table([]), STATS15, store)
         assert len(labeled) == 0 and labeled.kind.dtype == labeled.source.dtype == np.int8
 
     def test_one_p10_query_per_item(self, monkeypatch):
@@ -278,6 +314,28 @@ class TestLabelType:
             ValidReadLabel(LabelKind.INVALID_CLICK, ValidReadSource.T1)
         with pytest.raises(ValueError):
             ValidReadLabel(LabelKind.VALID_READ, None)
+
+    def test_iteration_hands_out_one_label_per_code_pair(self):
+        """Each of the six (kind, source) code pairs a label has yields a
+        label equal to the one built for the row, the same object on every
+        row; any other pair, out-of-range codes included, raises ValueError."""
+        table = event_table([make_event(), make_event("u2")])
+        valid = 0
+        for kind in range(-1, len(LABEL_KINDS) + 1):
+            for source in range(-1, len(LABEL_SOURCES) + 1):
+                log = LabeledLog(table, np.full(2, kind, np.int8), np.full(2, source, np.int8))
+                try:
+                    expected = ValidReadLabel(LABEL_KINDS[kind], LABEL_SOURCES[source]) if kind >= 0 and source >= 0 else None
+                except (IndexError, ValueError):
+                    expected = None
+                if expected is None:
+                    with pytest.raises(ValueError):
+                        list(log)
+                    continue
+                [(_, a), (_, b)] = log
+                assert a == expected and a is b
+                valid += 1
+        assert valid == 6
 
     def test_floor_comes_from_the_config(self):
         # The label holds no floor of its own: label_log applies cfg's.
@@ -375,10 +433,10 @@ class TestLabelLogMatchesPaperRules:
         """``label_log`` against a built store labels each event of the log
         it was built from, and of events with ids the store does not hold,
         as the paper's three rules do."""
-        store = build_profiles(EventTable.of(history), eps=eps, switch_threshold=switch_threshold)
+        store = build_profiles(event_table(history), eps=eps, switch_threshold=switch_threshold)
         cfg = LabelingConfig(noise_floor_s=noise_floor, light_user_max_clicks=light)
         log = history + unseen
-        pairs = list(label_log(EventTable.of(log), stats_with_xl(x_l), store, cfg))
+        pairs = list(label_log(event_table(log), stats_with_xl(x_l), store, cfg))
         assert [event for event, _ in pairs] == log
         expected = paper_labels(history, log, x_l, cfg, eps, switch_threshold)
         assert [(label.kind, label.source) for _, label in pairs] == expected
@@ -387,7 +445,7 @@ class TestLabelLogMatchesPaperRules:
 def log_of(labels: list[ValidReadLabel]) -> LabeledLog:
     """Each label on an unclicked row if it is NotClicked, else on a 20 s click."""
     unclicked = make_event(clicked=False, dwell_time_s=0.0)
-    return LabeledLog.from_pairs(
+    return labeled_of(
         (unclicked if l.kind is LabelKind.NOT_CLICKED else make_event(), l) for l in labels
     )
 
@@ -536,7 +594,7 @@ class TestColumnarReader:
             path.write_text(text, encoding="utf-8", newline="")
             parsed.clear()
             try:
-                reference = LabeledLog.from_pairs(read_labeled_lines(path))
+                reference = labeled_of(read_labeled_lines(path))
             except LogFormatError as err:
                 with pytest.raises(LogFormatError) as raised:
                     read_labeled_log(path)
@@ -554,10 +612,11 @@ class TestColumnarReader:
         log = read_labeled_log(path)
         pairs = list(log)
         assert [serialize_labeled(e, l) for e, l in pairs] == lines
-        assert_same_columns(LabeledLog.from_pairs(pairs), log)
+        assert_same_columns(labeled_of(pairs), log)
+        assert_same_columns(LabeledLog.from_labels(log.events, [label for _, label in pairs]), log)
         assert log.valid_read.tolist() == [l.kind is LabelKind.VALID_READ for _, l in pairs]
         order = rng.permutation(50)[:30]
-        assert_same_columns(log.take(order), LabeledLog.from_pairs(pairs[i] for i in order))
+        assert_same_columns(log.take(order), labeled_of(pairs[i] for i in order))
 
     def test_text_and_composition_match_per_row_oracle(self, tmp_path, rng):
         for n in (0, 1, 60):

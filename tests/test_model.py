@@ -182,7 +182,7 @@ class TestActivationMemory:
         batch = random_batch(rng, self.NET, n)
         self.NET.score_batch(batch)
         per_row = traced_transient(lambda: self.NET.score_batch(batch)) / n
-        assert per_row < 3000, per_row
+        assert per_row < 1600, per_row
 
 
 class TestLoss:

@@ -20,9 +20,17 @@ from readweight.profiles import (
 from readweight.quantiles import DEFAULT_SWITCH_THRESHOLD, QuantileEstimator
 from readweight.simulate import SimConfig, generate
 
-from readweight.events import EventTable
-
-from conftest import assert_same_columns, label_one, make_event, profiles_per_click, random_events, week_clicks
+from conftest import (
+    assert_same_columns,
+    event_table,
+    label_one,
+    make_event,
+    profiles_per_click,
+    random_events,
+    users_of,
+    week_clicks,
+    with_users,
+)
 from test_labeling import STATS15
 
 DAY = 86400
@@ -50,7 +58,7 @@ class TestItemProfile:
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            build_profiles(EventTable.of([make_event(dwell_time_s=-0.5)]))
+            build_profiles(event_table([make_event(dwell_time_s=-0.5)]))
 
     def test_empty_p10_errors(self):
         with pytest.raises(NoProfileDataError):
@@ -64,8 +72,7 @@ class TestItemProfile:
 def user_week_clicks(stamps: list[int], *ats: int) -> list[int]:
     """``label_log``'s count of ``stamps`` in the trailing week of each of
     ``ats``, as one user's clicks."""
-    store = ProfileStore()
-    store.users["u1"] = stamps
+    store = with_users(ProfileStore(), {"u1": stamps})
     probes = [make_event("u1", "i1", at, True, 8.0) for at in ats]
     return week_clicks(store, STATS15, probes, len(stamps) + 1)
 
@@ -113,24 +120,24 @@ class TestStore:
             make_event("u2", "i2", base + 30, True, 3.0),
             make_event("u3", "i2", base + 40, False, 0.0),
         ]
-        return build_profiles(EventTable.of(events)), events
+        return build_profiles(event_table(events)), events
 
     def test_only_clicks_recorded(self):
         store, _ = self.build_store()
         assert set(store.items) == {"i1", "i2"}
-        assert set(store.users) == {"u1", "u2"}
+        assert store.user_ids == ("u1", "u2")
         assert store.items["i1"].n_records == 3
         assert store.items["i2"].n_records == 1
-        assert store.users["u1"] == [1_700_000_000, 1_700_000_010]
-        assert user_week_clicks(store.users["u1"], 1_700_000_100) == [2]
+        assert users_of(store)["u1"] == [1_700_000_000, 1_700_000_010]
+        assert user_week_clicks(users_of(store)["u1"], 1_700_000_100) == [2]
 
     def test_id_length_limit_is_in_utf8_bytes(self):
         """Token lengths are u16: an id of 65,535 UTF-8 bytes round-trips,
         and one of 65,536 (32,768 two-byte characters) raises ValueError."""
         at_limit = "u" * 65_535
-        store = build_profiles(EventTable.of([make_event(at_limit, "é" * 100)]))
-        assert ProfileStore.from_bytes(store.to_bytes()).users == {at_limit: [1_700_000_000]}
-        past = build_profiles(EventTable.of([make_event("u1", "é" * 32_768)]))
+        store = build_profiles(event_table([make_event(at_limit, "é" * 100)]))
+        assert users_of(ProfileStore.from_bytes(store.to_bytes())) == {at_limit: [1_700_000_000]}
+        past = build_profiles(event_table([make_event("u1", "é" * 32_768)]))
         with pytest.raises(ValueError, match="65,535"):
             past.to_bytes()
 
@@ -140,12 +147,12 @@ class TestStore:
         store.save(str(path))
         loaded = ProfileStore.load(str(path))
         assert set(loaded.items) == set(store.items)
-        assert set(loaded.users) == set(store.users)
+        assert loaded.user_ids == store.user_ids
         item = loaded.items["i1"]
         assert item.estimator.mode == "exact" and item.n_records == 3
         for p in (0.1, 0.5, 1.0):
             assert item.estimator.query(p) == store.items["i1"].estimator.query(p)
-        assert loaded.users["u2"] == store.users["u2"]
+        assert users_of(loaded)["u2"] == users_of(store)["u2"]
         assert loaded.to_bytes() == path.read_bytes()
 
     def test_bytes_deterministic(self, rng):
@@ -156,7 +163,7 @@ class TestStore:
 
         def sketchy():
             events = [make_event("u1", "hot", 1_700_000_000 + k, True, v) for k, v in enumerate(values)]
-            return build_profiles(EventTable.of(events), eps=0.01, switch_threshold=128).to_bytes()
+            return build_profiles(event_table(events), eps=0.01, switch_threshold=128).to_bytes()
 
         assert sketchy() == sketchy()
 
@@ -164,7 +171,7 @@ class TestStore:
         base = 1_700_000_000
         values = rng.uniform(0, 100, 2000).tolist()
         events = [make_event("u1", "hot", base + k, True, v) for k, v in enumerate(values)]
-        store = build_profiles(EventTable.of(events), eps=0.01, switch_threshold=256)
+        store = build_profiles(event_table(events), eps=0.01, switch_threshold=256)
         assert store.items["hot"].estimator.mode == "sketch"
         path = tmp_path / "profiles.bin"
         store.save(str(path))
@@ -183,7 +190,7 @@ class TestStore:
         with pytest.raises(ValueError):
             ProfileStore(**settings)
         with pytest.raises(ValueError):
-            build_profiles(EventTable.of([make_event()]), **settings)
+            build_profiles(event_table([make_event()]), **settings)
 
     def test_out_of_range_header_rejected(self):
         """A header eps outside (0, 1) fails to load behind a matching checksum."""
@@ -224,7 +231,7 @@ class TestStore:
     def test_descending_values_or_stamps_raise_value_error(self):
         for mangle in (
             lambda store: store.items["cold"].estimator._exact.reverse(),
-            lambda store: store.users["u0"].reverse(),
+            lambda store: with_users(store, {user: stamps[::-1] for user, stamps in users_of(store).items()}),
         ):
             store = small_store()
             mangle(store)
@@ -234,12 +241,22 @@ class TestStore:
     def test_stamp_past_int64_raises_value_error(self):
         """No log holds a stamp past 2^63 - 1, and the labeler counts stamps
         as int64."""
-        store = small_store()
-        store.users["u0"].append(2**63)
+        body = bytearray(small_store().to_bytes()[:-4])
+        # The last stamp is the last user's latest, so either value keeps the order.
+        struct.pack_into("<Q", body, len(body) - 8, 2**63)
         with pytest.raises(ValueError, match="past 2\\^63"):
-            ProfileStore.from_bytes(store.to_bytes())
-        store.users["u0"][-1] = 2**63 - 1
-        assert ProfileStore.from_bytes(store.to_bytes()).users["u0"][-1] == 2**63 - 1
+            ProfileStore.from_bytes(sealed(bytes(body)))
+        struct.pack_into("<Q", body, len(body) - 8, 2**63 - 1)
+        assert ProfileStore.from_bytes(sealed(bytes(body))).user_stamps[-1] == 2**63 - 1
+
+    def test_user_ids_out_of_order_raise_value_error(self):
+        """T2 finds a store's users by their ids' sorted order, so ids that
+        do not strictly ascend fail to load behind a matching checksum."""
+        body = small_store().to_bytes()[:-4]
+        at = body.index(b"u0u1u2")
+        for tokens in (b"u1u0u2", b"u0u0u2"):
+            with pytest.raises(ValueError, match="user ids out of order"):
+                ProfileStore.from_bytes(sealed(body[:at] + tokens + body[at + 6 :]))
 
     def test_corrupt_gk_entries_raise_value_error(self):
         def bump_g(entries):
@@ -289,7 +306,7 @@ def small_store() -> ProfileStore:
         make_event("u0", "cold", base + 21, True, 2.0),
         make_event("u1", "warm", base + 22, True, 1.0),
     ]
-    store = build_profiles(EventTable.of(events), eps=0.05, switch_threshold=8)
+    store = build_profiles(event_table(events), eps=0.05, switch_threshold=8)
     assert store.items["hot"].estimator.mode == "sketch"
     return store
 
@@ -311,10 +328,11 @@ def stores(draw) -> ProfileStore:
             estimator.observe(value)
         store.items[token] = ItemDwellProfile(token, estimator)
     stamp = st.integers(1_700_000_000, 1_700_000_000 + 3 * WEEK_SECONDS)
+    users = {}
     for token in draw(st.sets(TOKENS, max_size=5)):
         stamps = draw(st.lists(stamp, max_size=12).map(lambda xs: xs + xs[:2]))
-        store.users[token] = sorted(stamps)
-    return store
+        users[token] = sorted(stamps)
+    return with_users(store, users)
 
 
 class TestStoreRoundTripProperty:
@@ -325,13 +343,13 @@ class TestStoreRoundTripProperty:
         loaded = ProfileStore.from_bytes(data)
         assert loaded.to_bytes() == data
         assert (loaded.eps, loaded.switch_threshold) == (store.eps, store.switch_threshold)
-        assert loaded.items.keys() == store.items.keys() and loaded.users.keys() == store.users.keys()
+        assert loaded.items.keys() == store.items.keys() and loaded.user_ids == store.user_ids
         for token, item in store.items.items():
             again = loaded.items[token]
             assert again.estimator.mode == item.estimator.mode
             assert again.n_records == item.n_records
             assert again.p10() == item.p10()
-        assert loaded.users == store.users
+        assert users_of(loaded) == users_of(store)
 
 
 # Ties, signed zeros, subnormals, a value past 2^53, and non-ASCII ids
@@ -363,7 +381,7 @@ class TestColumnBuildEqualsPerEventLoop:
         expected = reference.to_bytes()
         modes = {p.estimator.mode for p in reference.items.values()}
         assert modes == ({"sketch"} if switch_threshold == 16 else {"exact"})
-        store = build_profiles(EventTable.of(events), switch_threshold=switch_threshold)
+        store = build_profiles(event_table(events), switch_threshold=switch_threshold)
         assert store.to_bytes() == expected
 
     @pytest.mark.parametrize("switch_threshold", [1, 7, 30, DEFAULT_SWITCH_THRESHOLD])
@@ -374,7 +392,7 @@ class TestColumnBuildEqualsPerEventLoop:
         between -0.0 and 0.0 that lands in another order shows."""
         events = tie_heavy_events(np.random.default_rng(100 + seed), 300)
         reference = profiles_per_click(events, eps=0.05, switch_threshold=switch_threshold)
-        store = build_profiles(EventTable.of(events), eps=0.05, switch_threshold=switch_threshold)
+        store = build_profiles(event_table(events), eps=0.05, switch_threshold=switch_threshold)
         assert store.to_bytes() == reference.to_bytes()
         sketched = any(p.estimator.mode == "sketch" for p in reference.items.values())
         assert sketched == (switch_threshold < DEFAULT_SWITCH_THRESHOLD)

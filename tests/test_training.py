@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from readweight.labeling import LabeledLog, LabelKind, ValidReadLabel, ValidReadSource
+from readweight.labeling import LabelKind, ValidReadLabel, ValidReadSource
 from readweight.model import MtlNetwork, PackedBatch
 from readweight.ndt import ndt, paper_default_params
 from readweight.training import (
@@ -25,7 +25,7 @@ from readweight.training import (
     train,
 )
 
-from conftest import make_event, table_of_ids, traced_transient
+from conftest import labeled_of, make_event, table_of_ids, traced_transient
 
 PARAMS = paper_default_params()
 
@@ -42,7 +42,7 @@ UNCLICKED = labeled(LabelKind.NOT_CLICKED, None, False, 0.0)
 
 
 def log_of(*rows):
-    return LabeledLog.from_pairs(rows)
+    return labeled_of(rows)
 
 
 class TestBuildInstances:

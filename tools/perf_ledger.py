@@ -10,6 +10,9 @@ every tree alike.  Every repetition simulates the size-M log
 (``SimConfig(n_users=20000, n_items=2000, seed=7)``, 470,208 events) and
 runs the pipeline on it, one subprocess per command (one BLAS thread),
 taking each command's wall time and ``ru_maxrss`` from ``os.wait4``.
+A child's ``ru_maxrss`` starts at its spawner's peak, so this script
+imports no numpy, and each repetition starts with a ``python -c pass``
+control row that shows the floor every command's peak stands on.
 The run appends one entry per tree to the ``runs`` list of ``--out``:
 the median and the samples of each command, the tree's git sha, and the
 host (Python and numpy versions, nproc, bytecode caching, and a fixed
@@ -19,6 +22,7 @@ calibration loop's time before and after).  Nothing here is a gate.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
 import platform
@@ -29,15 +33,16 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
 SIZE_M = ["--users", "20000", "--items", "2000", "--seed", "7"]
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+CONTROL = "python -c pass"
+
+
 def pipeline(work: Path) -> list[list[str]]:
-    """The commands of one repetition, in order; each reads what the ones
-    before it wrote under ``work``."""
+    """The commands of one repetition after the control row, in order; each
+    reads what the ones before it wrote under ``work``."""
     f = {name: str(work / name) for name in
          ("log.csv", "stats.json", "hist.csv", "profiles.bin", "labeled.csv", "params.json",
           "model.ckpt", "eval.json", "cells.csv")}
@@ -56,12 +61,12 @@ def pipeline(work: Path) -> list[list[str]]:
     ]
 
 
-def run_command(argv: list[str], src: Path) -> tuple[float, float, dict]:
-    """(wall s, peak RSS MB, JSON summary) of one command in a subprocess."""
+def run_command(argv: list[str], src: Path) -> tuple[float, float, str]:
+    """(wall s, peak RSS MB, stdout) of ``python argv`` in a subprocess."""
     env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in BLAS_THREAD_VARS})
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-m", "readweight.cli", *argv], env=env,
+        proc = subprocess.Popen([sys.executable, *argv], env=env,
                                 stdin=subprocess.DEVNULL, stdout=out, stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
@@ -70,8 +75,8 @@ def run_command(argv: list[str], src: Path) -> tuple[float, float, dict]:
         stdout, stderr = out.read().decode(), err.read().decode()
     code = os.waitstatus_to_exitcode(status)
     if code != 0:
-        raise RuntimeError(f"{argv[0]} exited {code}: {stdout} {stderr}")
-    return wall, usage.ru_maxrss / 1024.0, json.loads(stdout.splitlines()[-1])
+        raise RuntimeError(f"{argv} exited {code}: {stdout} {stderr}")
+    return wall, usage.ru_maxrss / 1024.0, stdout
 
 
 def calibration_s() -> float:
@@ -110,16 +115,18 @@ def main(argv: list[str] | None = None) -> int:
         order = list(trees) if rep % 2 == 0 else list(reversed(trees))
         for label in order:
             src = Path(trees[label]).resolve()
+            wall, rss, _ = run_command(["-c", "pass"], src)
+            samples[label].setdefault(CONTROL, []).append((wall, rss))
             with tempfile.TemporaryDirectory() as work:
                 for command in pipeline(Path(work)):
-                    wall, rss, summary = run_command(command, src)
+                    wall, rss, stdout = run_command(["-m", "readweight.cli", *command], src)
                     samples[label].setdefault(command[0], []).append((wall, rss))
                     if command[0] == "simulate":
-                        n_events[label] = summary["n_events"]
+                        n_events[label] = json.loads(stdout)["n_events"]
     calibration.append(calibration_s())
     host = {
         "python": platform.python_version(),
-        "numpy": np.__version__,
+        "numpy": importlib.metadata.version("numpy"),
         "nproc": os.cpu_count(),
         "dont_write_bytecode": sys.dont_write_bytecode,
         "calibration_s": calibration,
