@@ -15,14 +15,17 @@ every code).  ``read_log`` reads the file in blocks of whole lines, splits
 each block into columns, codes its ids through one dict for the whole file
 and checks every line with masks, so its peak memory is the columns plus one
 block; ``parse_event`` runs only on the line it reports.
+Rows leave a table one span of 2^16 at a time (``spans``); every writer
+joins one span's ``log_columns`` at a time into lines (``text_rows``).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from itertools import chain, compress, count, repeat
-from typing import Callable, Iterator
+from functools import partial
+from itertools import compress, count, repeat
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -101,12 +104,6 @@ def parse_event(record: str, line_number: int | None = None) -> InteractionEvent
     return InteractionEvent(user_id, item_id, timestamp, clicked, dwell)
 
 
-# The canonical log line: timestamps as plain integers, clicked as 0/1, dwell
-# time via ``repr(float)`` (the shortest decimal that round-trips), so
-# ``parse_event`` of a line reproduces its row exactly.
-_LOG_LINE = "{},{},{},{:d},{!r}"
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class EventTable:
     """A log as parallel columns, row i across all of them, in file order.
@@ -116,7 +113,7 @@ class EventTable:
     row does; ``timestamp`` is int64, ``clicked`` bool and ``dwell_time_s``
     float64.  Only an ``IdCoder`` makes the codes, and a table it has not
     finished has empty vocabularies.  Iterating yields the rows as
-    InteractionEvents.
+    InteractionEvents, built one span of rows at a time.
     """
 
     user: np.ndarray
@@ -131,20 +128,14 @@ class EventTable:
         return len(self.user)
 
     def __iter__(self) -> Iterator[InteractionEvent]:
-        return map(
-            InteractionEvent,
-            *self.ids(),
-            self.timestamp.tolist(),
-            self.clicked.tolist(),
-            self.dwell_time_s.tolist(),
-        )
+        for span in spans(len(self)):
+            yield from map(InteractionEvent, *self.ids(span), self.timestamp[span].tolist(),
+                           self.clicked[span].tolist(), self.dwell_time_s[span].tolist())
 
-    def ids(self) -> tuple[Iterator[str], Iterator[str]]:
-        """Each row's user and item id, looked up 2^16 rows at a time, so no column of ids is held."""
-        users, items = np.array(self.user_vocab, object), np.array(self.item_vocab, object)
-        spans = [slice(at, at + 2**16) for at in range(0, len(self), 2**16)]
-        return (chain.from_iterable(users[self.user[span]] for span in spans),
-                chain.from_iterable(items[self.item[span]] for span in spans))
+    def ids(self, span: slice) -> tuple[list[str], list[str]]:
+        """The user and the item id of each row in ``span``."""
+        return (list(map(self.user_vocab.__getitem__, self.user[span].tolist())),
+                list(map(self.item_vocab.__getitem__, self.item[span].tolist())))
 
     def take(self, rows: np.ndarray) -> "EventTable":
         """The rows at the indices ``rows``, in that order, over the same vocabularies."""
@@ -379,15 +370,24 @@ def read_log(
 def write_log(path: str | os.PathLike[str], table: EventTable, *, header: bool = False) -> int:
     """Write a table as canonical log lines, atomically; returns the number
     of rows written."""
-    atomic_write_text(path, (LOG_HEADER + "\n" if header else "") + log_lines(table))
+    atomic_write_text(path, text_rows(len(table), partial(log_columns, table), LOG_HEADER + "\n" if header else ""))
     return len(table)
 
 
-def log_lines(table: EventTable, *extra: list[str]) -> str:
-    """A table's rows as canonical log lines, each ending in a newline; each
-    of ``extra`` is a text column appended to every line after a comma."""
-    return "".join(map(
-        (_LOG_LINE + ",{}" * len(extra) + "\n").format,
-        *table.ids(), table.timestamp.tolist(), table.clicked.tolist(), table.dwell_time_s.tolist(),
-        *extra,
-    ))
+def spans(n: int) -> Iterator[slice]:
+    """Rows 0..n-1 as consecutive slices of 2^16 rows, the last one shorter."""
+    return (slice(at, min(at + 2**16, n)) for at in range(0, n, 2**16))
+
+
+def log_columns(table: EventTable, span: slice) -> list[Iterable[str]]:
+    """The canonical log text of the rows in ``span``, column by column:
+    timestamps as integers, clicked as 0/1, dwell via ``repr`` (the shortest
+    decimal that round-trips), so ``parse_event`` reproduces each row."""
+    return [*table.ids(span), map(str, table.timestamp[span].tolist()),
+            map("01".__getitem__, table.clicked[span].tolist()), map(repr, table.dwell_time_s[span].tolist())]
+
+
+def text_rows(n: int, columns: Callable[[slice], list[Iterable[str]]], head: str) -> str:
+    """``head``, then rows 0..n-1 as lines, span by span: each row's fields
+    from ``columns(span)`` joined by commas, each line ending in a newline."""
+    return "".join([head, *("\n".join(map(",".join, zip(*columns(span)))) + "\n" for span in spans(n))])

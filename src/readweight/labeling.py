@@ -22,15 +22,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterator
 
 import numpy as np
 
 from .dwell_stats import DwellStats
-from .events import (
-    EventTable, IdCoder, InteractionEvent, LogFormatError, LogScan, concat_arrays, distinct_ids, log_lines, parse_event,
-)
+from .events import EventTable, IdCoder, InteractionEvent, LogFormatError, LogScan, concat_arrays, distinct_ids
+from .events import log_columns, parse_event, spans, text_rows
 from .profiles import WEEK_SECONDS, ProfileStore
 
 NOISE_FLOOR_S = 5.0
@@ -77,6 +76,7 @@ LABEL_KINDS = tuple(LabelKind)
 LABEL_SOURCES = (None, *ValidReadSource)
 _KIND_CODE = {kind.value: code for code, kind in enumerate(LABEL_KINDS)}
 _SOURCE_CODE = {"": 0, **{source.value: code for code, source in enumerate(LABEL_SOURCES) if source}}
+_KIND_TEXT, _SOURCE_TEXT = np.array(list(_KIND_CODE), object), np.array(list(_SOURCE_CODE), object)
 _NOT_CLICKED = _KIND_CODE[LabelKind.NOT_CLICKED.value]
 _VALID_READ = _KIND_CODE[LabelKind.VALID_READ.value]
 # The six labels a row can carry, built once, by their (kind, source) codes.
@@ -90,8 +90,8 @@ class LabeledLog:
 
     ``events`` holds the event columns; ``kind`` and ``source`` are int8
     codes into LABEL_KINDS and LABEL_SOURCES.  Iterating yields the rows as
-    (InteractionEvent, ValidReadLabel) pairs, each label one of the six
-    built once; a row whose codes no label has raises ValueError.
+    (InteractionEvent, ValidReadLabel) pairs a span at a time, each label one
+    of the six built once; a row whose codes no label has raises ValueError.
     """
 
     events: EventTable
@@ -102,10 +102,12 @@ class LabeledLog:
         return len(self.events)
 
     def __iter__(self) -> Iterator[tuple[InteractionEvent, ValidReadLabel]]:
-        labels = list(map(_LABELS.get, zip(self.kind.tolist(), self.source.tolist())))
-        if not all(labels):
-            raise ValueError(f"row {labels.index(None)}'s kind and source codes are no label's")
-        return zip(self.events, labels)
+        known = np.logical_or.reduce([(self.kind == kind) & (self.source == source) for kind, source in _LABELS])
+        if not known.all():
+            raise ValueError(f"row {int(np.argmin(known))}'s kind and source codes are no label's")
+        labels = (map(_LABELS.__getitem__, zip(self.kind[span].tolist(), self.source[span].tolist()))
+                  for span in spans(len(self)))
+        return zip(self.events, chain.from_iterable(labels))
 
     @property
     def valid_read(self) -> np.ndarray:
@@ -127,10 +129,10 @@ class LabeledLog:
 
     def to_text(self) -> str:
         """The log as labeled-log text: the header, then each row's event
-        line plus ``,label,source``, formatted from the columns."""
-        kind = np.array(list(_KIND_CODE))[self.kind].tolist()
-        source = np.array(list(_SOURCE_CODE))[self.source].tolist()
-        return LABELED_HEADER + "\n" + log_lines(self.events, kind, source)
+        line plus ``,label,source``, formatted from the columns span by span."""
+        return text_rows(len(self), lambda span: [
+            *log_columns(self.events, span), _KIND_TEXT[self.kind[span]], _SOURCE_TEXT[self.source[span]],
+        ], LABELED_HEADER + "\n")
 
 
 def label_log(

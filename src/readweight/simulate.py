@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dwell_stats import DwellStats
-from .events import EventTable, IdCoder, distinct_ids
+from .events import EventTable, IdCoder, distinct_ids, log_columns, spans, text_rows
 from .evaluation import row_levels
 from .ndt import logistic
 
@@ -103,13 +103,11 @@ SIDECAR_HEADER = "user_id,item_id,timestamp,clicked,affinity,user_level,item_cla
 
 def sidecar_csv(events: EventTable, sidecar: Sidecar) -> str:
     """The sidecar as CSV, keyed by the log's user, item, timestamp and click."""
-    lines = map(
-        "{},{},{},{:d},{!r},{},{},{!r}\n".format,
-        *events.ids(), events.timestamp.tolist(), events.clicked.tolist(),
-        sidecar.affinity.tolist(), sidecar.user_level.tolist(), sidecar.item_class,
-        sidecar.vr_propensity.tolist(),
-    )
-    return SIDECAR_HEADER + "\n" + "".join(lines)
+    return text_rows(len(events), lambda span: [
+        *log_columns(events, span)[:4], map(repr, sidecar.affinity[span].tolist()),
+        map(str, sidecar.user_level[span].tolist()), sidecar.item_class[span],
+        map(repr, sidecar.vr_propensity[span].tolist()),
+    ], SIDECAR_HEADER + "\n")
 
 
 def _norm_cdf(x: np.ndarray) -> np.ndarray:
@@ -137,24 +135,24 @@ def generate(cfg: SimConfig) -> tuple[EventTable, Sidecar]:
     total = int(imp_counts.sum())
     user_idx = np.repeat(np.arange(cfg.n_users), imp_counts)
     item_idx = rng.integers(0, cfg.n_items, size=total)
-    span_s = cfg.span_days * DAY_SECONDS
-    timestamps = START_TS + rng.integers(0, span_s, size=total)
-    affinity = np.einsum("ij,ij->i", user_vecs[user_idx], item_vecs[item_idx])
-    logit = cfg.click_bias + affinity + cfg.bait_click_coef * bait[item_idx]
-    clicked = rng.random(total) < logistic(logit)
+    timestamps = START_TS + rng.integers(0, cfg.span_days * DAY_SECONDS, size=total)
+    coins, noise = rng.random(total), rng.standard_normal(total)
 
-    class_mean = np.asarray([c.ln_dt_mean for c in cfg.item_classes])[item_class[item_idx]]
-    class_std = np.asarray([c.ln_dt_std for c in cfg.item_classes])[item_class[item_idx]]
-    ln_mean = class_mean + cfg.affinity_dt_coef * affinity - cfg.bait_dt_coef * bait[item_idx]
-    ln_dt = ln_mean + class_std * rng.standard_normal(total)
-    dwell = np.where(clicked, np.exp(ln_dt), 0.0)
-
-    z = (math.log(VALID_READ_REF_S) - ln_mean) / np.where(class_std > 0, class_std, 1.0)
-    propensity = np.where(
-        class_std > 0,
-        1.0 - _norm_cdf(z),
-        (ln_mean > math.log(VALID_READ_REF_S)).astype(np.float64),
-    )
+    item_ln_mean = np.asarray([c.ln_dt_mean for c in cfg.item_classes])[item_class]
+    item_ln_std = np.asarray([c.ln_dt_std for c in cfg.item_classes])[item_class]
+    affinity, dwell, propensity, clicked = np.empty(total), np.empty(total), np.empty(total), np.empty(total, bool)
+    # Row by row, a span at a time, so no per-row temporary outlives its span.
+    for span in spans(total):
+        item = item_idx[span]
+        np.einsum("ij,ij->i", user_vecs[user_idx[span]], item_vecs[item], out=affinity[span])
+        logit = cfg.click_bias + affinity[span] + cfg.bait_click_coef * bait[item]
+        clicked[span] = coins[span] < logistic(logit)
+        ln_mean = item_ln_mean[item] + cfg.affinity_dt_coef * affinity[span] - cfg.bait_dt_coef * bait[item]
+        ln_std = item_ln_std[item]
+        dwell[span] = np.where(clicked[span], np.exp(ln_mean + ln_std * noise[span]), 0.0)
+        z = (math.log(VALID_READ_REF_S) - ln_mean) / np.where(ln_std > 0, ln_std, 1.0)
+        step = (ln_mean > math.log(VALID_READ_REF_S)).astype(np.float64)
+        propensity[span] = np.where(ln_std > 0, 1.0 - _norm_cdf(z), step)
 
     class_names = [c.name for c in cfg.item_classes]
     coder = IdCoder()
@@ -162,8 +160,8 @@ def generate(cfg: SimConfig) -> tuple[EventTable, Sidecar]:
     events = coder.table([EventTable(users[user_idx], items[item_idx], timestamps, clicked, dwell)])
     sidecar = Sidecar(
         affinity=affinity,
-        user_level=levels[user_idx] + 1,
-        item_class=[class_names[c] for c in item_class[item_idx].tolist()],
+        user_level=(levels + 1)[user_idx],
+        item_class=list(map(class_names.__getitem__, item_class[item_idx].tolist())),
         vr_propensity=propensity,
     )
     return events, sidecar

@@ -235,22 +235,15 @@ class Adam:
         bc1 = 1.0 - self.b1**self.t
         bc2 = 1.0 - self.b2**self.t
         for name, grad in grads.items():
+            # A dense tensor's gradient covers all of its rows.
+            rows, grad = grad if name in self.last else (slice(None), grad)
+            m = self.b1 * self.m[name][rows] + (1.0 - self.b1) * grad
+            v = self.b2 * self.v[name][rows] + (1.0 - self.b2) * np.square(grad)
+            self.m[name][rows] = m
+            self.v[name][rows] = v
+            params[name][rows] -= (self.lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
             if name in self.last:
-                rows, grad = grad
-                m = self.b1 * self.m[name][rows] + (1.0 - self.b1) * grad
-                v = self.b2 * self.v[name][rows] + (1.0 - self.b2) * np.square(grad)
-                self.m[name][rows] = m
-                self.v[name][rows] = v
-                params[name][rows] -= (self.lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
                 self.last[name][rows] = self.t
-            else:
-                m = self.m[name]
-                v = self.v[name]
-                m *= self.b1
-                m += (1.0 - self.b1) * grad
-                v *= self.b2
-                v += (1.0 - self.b2) * np.square(grad)
-                params[name] -= (self.lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
         if self.last:
             c = self.lr * math.sqrt(bc2) / bc1
             self._recent[1:] = self._recent[:-1] + c * self._r_powers

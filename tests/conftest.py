@@ -34,7 +34,7 @@ from readweight.labeling import (
 )
 from readweight.profiles import WEEK_SECONDS, ItemDwellProfile, ProfileStore
 from readweight.quantiles import DEFAULT_EPS, DEFAULT_SWITCH_THRESHOLD, QuantileEstimator
-from readweight.simulate import DAY_SECONDS, SimConfig
+from readweight.simulate import DAY_SECONDS, SIDECAR_HEADER, Sidecar, SimConfig
 
 
 def make_event(
@@ -172,6 +172,63 @@ def serialize_labeled(event: InteractionEvent, label: ValidReadLabel) -> str:
     """An (event, label) pair as its labeled-log line (no trailing newline)."""
     source = label.source.value if label.source is not None else ""
     return f"{serialize_event(event)},{label.kind.value},{source}"
+
+
+# The per-row writers: one format call per row, over whole columns.
+# ``write_log``, ``LabeledLog.to_text`` and ``sidecar_csv`` must give their
+# text byte for byte.
+LOG_LINE = "{},{},{},{:d},{!r}"
+SIDECAR_LINE = "{},{},{},{:d},{!r},{},{},{!r}\n"
+# Row counts on both sides of a 2^16-row span's end.
+SPAN_EDGES = (0, 1, 2**16 - 1, 2**16, 2**16 + 1)
+
+
+def log_text(table: EventTable, *extra: list[str]) -> str:
+    """A table's rows as ``LOG_LINE``s, each ending in a newline; each of
+    ``extra`` is a text column appended to every line after a comma."""
+    return "".join(map(
+        (LOG_LINE + ",{}" * len(extra) + "\n").format,
+        *row_ids(table), table.timestamp.tolist(), table.clicked.tolist(), table.dwell_time_s.tolist(), *extra,
+    ))
+
+
+def labeled_text(log: LabeledLog) -> str:
+    """A labeled log's text: the header, then each row's ``LOG_LINE`` plus its kind and source."""
+    kinds = [LABEL_KINDS[k].value for k in log.kind.tolist()]
+    sources = [LABEL_SOURCES[s].value if s else "" for s in log.source.tolist()]
+    return LABELED_HEADER + "\n" + log_text(log.events, kinds, sources)
+
+
+def sidecar_text(events: EventTable, sidecar: Sidecar) -> str:
+    """A sidecar's CSV: the header, then one ``SIDECAR_LINE`` per row."""
+    return SIDECAR_HEADER + "\n" + "".join(map(
+        SIDECAR_LINE.format,
+        *row_ids(events), events.timestamp.tolist(), events.clicked.tolist(), sidecar.affinity.tolist(),
+        sidecar.user_level.tolist(), sidecar.item_class, sidecar.vr_propensity.tolist(),
+    ))
+
+
+# Floats whose text is easy to get wrong: signed zero, the smallest
+# subnormal, and the exponents at which ``repr`` switches notation.
+EDGE_FLOATS = (0.0, -0.0, 5e-324, 1e-5, 1e-4, 1e16, 1e15 + 0.5, 12.5)
+
+
+def edge_table(n: int, rng) -> EventTable:
+    """``n`` rows with non-ASCII ids, over vocabularies that also hold ids no
+    row does; unclicked rows' dwell is 0.0 or -0.0, clicked rows' any of
+    ``EDGE_FLOATS`` or a random one."""
+    clicked = rng.random(n) < 0.5
+    dwell = np.where(rng.random(n) < 0.5, np.array(EDGE_FLOATS)[rng.integers(len(EDGE_FLOATS), size=n)],
+                     rng.lognormal(3.0, 2.0, n))
+    dwell[~clicked] = np.where(rng.random((~clicked).sum()) < 0.5, 0.0, -0.0)
+    users = [("u", "ü", "用户", "u\u00e9")[k % 4] + str(k) for k in rng.integers(500, size=n).tolist()]
+    items = [("i", "é", "项目")[k % 3] + str(k) for k in rng.integers(90, size=n).tolist()]
+    coder = IdCoder()
+    # The last row's ids are held by the vocabularies alone once it is dropped.
+    codes = coder.code([*users, "zz-unheld-user"], [*items, "zz-unheld-item"])
+    stamps = rng.integers(1, 2**63 - 1, size=n + 1)
+    table = coder.table([EventTable(*codes, stamps, np.append(clicked, True), np.append(dwell, 1.0))])
+    return table.take(np.arange(n))
 
 
 # The per-line readers: one ``parse_event`` or ``parse_labeled`` call per

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import tempfile
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from readweight.events import (
     ScanCounts,
     parse_event,
     read_log,
+    spans,
     write_log,
 )
 from readweight.dwell_stats import fit_log_normal
@@ -31,12 +33,15 @@ from readweight.simulate import SimConfig, generate
 from readweight.training import FeatureSpace
 
 from conftest import (
+    SPAN_EDGES,
     assert_coded,
     assert_same_columns,
     assert_same_events,
+    edge_table,
     event_table,
     iter_log,
     labeled_of,
+    log_text,
     make_event,
     read_labeled_lines,
     row_ids,
@@ -513,14 +518,16 @@ class TestCodedTable:
         assert_same_columns(label_log(subset, stats, store), label_log(read_back, stats, store))
 
     def test_ids_decode_across_lookup_spans(self):
-        """``ids`` looks ids up 2^16 rows at a time; every row decodes,
-        on both sides of each span's end."""
+        """``ids(span)`` decodes the rows of one span; over ``spans(n)``
+        every row decodes, on both sides of each span's end."""
         n = 2**18 + 3
         coder = IdCoder()
         users, items = coder.code([f"u{k % 1009}" for k in range(n)], [f"i{k % 7}" for k in range(n)])
         table = coder.table([EventTable(users, items, np.ones(n, np.int64), np.zeros(n, bool), np.zeros(n))])
-        assert tuple(map(list, table.ids())) == row_ids(table)
+        user_spans, item_spans = zip(*(table.ids(span) for span in spans(n)))
+        assert (list(chain.from_iterable(user_spans)), list(chain.from_iterable(item_spans))) == row_ids(table)
         assert row_ids(table)[0][2**16 - 1 : 2**16 + 1] == [f"u{(2**16 - 1) % 1009}", f"u{2**16 % 1009}"]
+        assert table.ids(slice(2**16 - 1, 2**16 + 1)) == ([f"u{(2**16 - 1) % 1009}", f"u{2**16 % 1009}"], ["i1", "i2"])
 
     def test_read_keeps_at_most_40_bytes_a_row(self, tmp_path):
         """At size S a read keeps its five columns, about 25 bytes a row,
@@ -535,3 +542,34 @@ class TestCodedTable:
             tracemalloc.stop()
         assert len(table) == len(events) > 40_000
         assert kept / len(table) <= 40, kept / len(table)
+
+
+class TestSpans:
+    """Rows leave a table 2^16 at a time; what leaves matches the
+    per-row formatter and the columns on both sides of a span's end."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 5])
+    def test_spans_tile_the_rows(self, n):
+        bounds = [(span.start, span.stop) for span in spans(n)]
+        assert [start for start, _ in bounds] == list(range(0, n, 2**16))
+        assert [stop for _, stop in bounds] == [min(start + 2**16, n) for start, _ in bounds]
+
+    @pytest.mark.parametrize("n", SPAN_EDGES)
+    def test_write_log_matches_per_row_oracle(self, tmp_path, n):
+        """Non-ASCII ids, ids only the vocabularies hold, -0.0 on unclicked
+        rows, subnormal and large dwell: the same bytes as ``LOG_LINE``."""
+        table = edge_table(n, np.random.default_rng(n))
+        assert "zz-unheld-user" in table.user_vocab and "zz-unheld-item" in table.item_vocab
+        assert write_log(tmp_path / "log.csv", table) == n
+        assert (tmp_path / "log.csv").read_bytes() == log_text(table).encode("utf-8")
+        write_log(tmp_path / "log.csv", table, header=True)
+        assert (tmp_path / "log.csv").read_bytes() == (LOG_HEADER + "\n" + log_text(table)).encode("utf-8")
+        read_back, _ = read_log(tmp_path / "log.csv")
+        assert_same_events(read_back, table)
+
+    @pytest.mark.parametrize("n", SPAN_EDGES)
+    def test_iteration_matches_the_columns(self, n):
+        table = edge_table(n, np.random.default_rng(n))
+        rows = [(e.user_id, e.item_id, e.timestamp, e.clicked, repr(e.dwell_time_s)) for e in table]
+        columns = (table.timestamp.tolist(), table.clicked.tolist(), list(map(repr, table.dwell_time_s.tolist())))
+        assert rows == list(zip(*row_ids(table), *columns))
