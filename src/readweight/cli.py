@@ -428,8 +428,8 @@ def _handle_ndt_params(opts: Options) -> dict:
     except ValueError as err:
         raise CliError("infeasible-ndt", str(err), exit_code=2)
     doc = {
-        "paper_default": json.loads(paper.to_json()),
-        "solved": json.loads(solved.to_json()),
+        "paper_default": asdict(paper),
+        "solved": asdict(solved),
         "stats": {"x_l": stats.x_l, "x_h": stats.x_h},
     }
     out = opts.get("out")

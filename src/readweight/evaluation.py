@@ -98,14 +98,14 @@ class EvalReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def equal_frequency_boundaries(counts: Iterable[int], n_levels: int = N_LEVELS) -> tuple[int, ...]:
+def equal_frequency_boundaries(counts: Iterable[int]) -> tuple[int, ...]:
     """Septile boundaries of weekly click counts: nearest-rank cuts, forced
     strictly ascending and >= 1 so zero-click users always land at level 1."""
     values = sorted(counts)
-    if len(values) < n_levels:
-        raise ValueError(f"need at least {n_levels} users to cut {n_levels} levels")
+    if len(values) < N_LEVELS:
+        raise ValueError(f"need at least {N_LEVELS} users to cut {N_LEVELS} levels")
     n = len(values)
-    raw = [values[min(math.ceil(j * n / n_levels), n) - 1] for j in range(1, n_levels)]
+    raw = [values[min(math.ceil(j * n / N_LEVELS), n) - 1] for j in range(1, N_LEVELS)]
     boundaries: list[int] = []
     for value in raw:
         bumped = max(int(value), 1)
@@ -158,7 +158,7 @@ def _mean(chunk: np.ndarray) -> float:
     return (float(np.cumsum(chunk)[-1]) + 0.0) / len(chunk)
 
 
-def _level_means(table: EventTable, levels: np.ndarray, n_levels: int, n_deciles: int) -> list[list[float | None]]:
+def _level_means(table: EventTable, levels: np.ndarray, n_levels: int) -> list[list[float | None]]:
     """Per activeness level, the per-decile mean dwell time of one arm."""
     clicked = table.clicked
     row_level = levels[clicked]
@@ -167,16 +167,13 @@ def _level_means(table: EventTable, levels: np.ndarray, n_levels: int, n_deciles
     for level in range(1, n_levels + 1):
         dwells = np.sort(dwell[row_level == level], kind="stable")
         m = len(dwells)
-        cuts = [min(math.ceil(d * m / n_deciles), m) for d in range(n_deciles + 1)]
+        cuts = [min(math.ceil(d * m / N_DECILES), m) for d in range(N_DECILES + 1)]
         means.append([_mean(dwells[lo:hi]) if hi > lo else None for lo, hi in zip(cuts, cuts[1:])])
     return means
 
 
 def migration_report(
-    baseline: EventTable,
-    treatment: EventTable,
-    boundaries: Sequence[int] | None = None,
-    n_deciles: int = N_DECILES,
+    baseline: EventTable, treatment: EventTable, boundaries: Sequence[int] | None = None
 ) -> list[MigrationCell]:
     """Dwell-time change per (activeness level x within-level DT decile).
 
@@ -190,12 +187,12 @@ def migration_report(
     base_levels, bounds = row_levels(baseline, boundaries)
     treat_levels, _ = row_levels(treatment, bounds)
     n_levels = len(bounds) + 1
-    base_means = _level_means(baseline, base_levels, n_levels, n_deciles)
-    treat_means = _level_means(treatment, treat_levels, n_levels, n_deciles)
+    base_means = _level_means(baseline, base_levels, n_levels)
+    treat_means = _level_means(treatment, treat_levels, n_levels)
     return [
         MigrationCell(level, d, base_means[level - 1][d - 1], treat_means[level - 1][d - 1])
         for level in range(1, n_levels + 1)
-        for d in range(1, n_deciles + 1)
+        for d in range(1, N_DECILES + 1)
     ]
 
 

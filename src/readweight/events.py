@@ -367,10 +367,10 @@ def read_log(
     return table, counts
 
 
-def write_log(path: str | os.PathLike[str], table: EventTable, *, header: bool = False) -> int:
-    """Write a table as canonical log lines, atomically; returns the number
-    of rows written."""
-    atomic_write_text(path, text_rows(len(table), partial(log_columns, table), LOG_HEADER + "\n" if header else ""))
+def write_log(path: str | os.PathLike[str], table: EventTable) -> int:
+    """Write a table as canonical log lines, without a header, atomically;
+    returns the number of rows written."""
+    atomic_write_text(path, text_rows(len(table), partial(log_columns, table), ""))
     return len(table)
 
 

@@ -68,10 +68,10 @@ class SlotSpec:
 @dataclass(frozen=True, slots=True)
 class ModelConfig:
     slots: tuple[SlotSpec, ...]
-    embedding_dim: int = 16
-    bottom_dim: int = 64
-    tower_dims: tuple[int, int] = (64, 32)
-    seed: int = 0
+    embedding_dim: int
+    bottom_dim: int
+    tower_dims: tuple[int, int]
+    seed: int
 
 
 @dataclass(slots=True)
@@ -184,27 +184,11 @@ class MtlNetwork:
             np.add(p, pw, out=scores[start : start + SCORE_CHUNK_ROWS])
         return scores
 
-    def batch_loss(self, batch: PackedBatch) -> tuple[float, float, float]:
-        """(L_v, L_w, L) summed over the batch, probabilities clamped."""
-        cache = self._forward_arrays(batch, keep=False)
-        l_v, l_w = self._losses_from_cache(batch, cache)
-        return l_v, l_w, l_v + l_w
-
-    @staticmethod
-    def _losses_from_cache(
-        batch: PackedBatch, cache: dict[str, np.ndarray]
-    ) -> tuple[float, float]:
-        y, w = batch.y, batch.w
-        p = np.clip(cache["tower_v.prob"], PROB_CLAMP, 1.0 - PROB_CLAMP)
-        pw = np.clip(cache["tower_w.prob"], PROB_CLAMP, 1.0 - PROB_CLAMP)
-        l_v = -float(np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-        l_w = -float(np.sum(w * (y * np.log(pw) + (1.0 - y) * np.log(1.0 - pw))))
-        return l_v, l_w
-
     def backward(self, batch: PackedBatch) -> tuple[tuple[float, float, float], dict]:
         """Analytic gradient of L over every parameter.
 
-        Returns ((L_v, L_w, L), grads).  Dense parameters get a float64
+        Returns ((L_v, L_w, L), grads), the losses summed over the batch
+        with probabilities clamped.  Dense parameters get a float64
         array of their own shape.  An embedding table gets a row-sparse pair
         ``(rows, values)``: the distinct rows the batch reads, ascending, and
         their ``(len(rows), embedding_dim)`` gradient; every other row's
@@ -212,7 +196,10 @@ class MtlNetwork:
         accumulate both towers' contributions.
         """
         cache = self._forward_arrays(batch)
-        l_v, l_w = self._losses_from_cache(batch, cache)
+        y, w = batch.y, batch.w
+        pv, pw = (np.clip(cache[f"{tower}.prob"], PROB_CLAMP, 1.0 - PROB_CLAMP) for tower in ("tower_v", "tower_w"))
+        l_v = -float(np.sum(y * np.log(pv) + (1.0 - y) * np.log(1.0 - pv)))
+        l_w = -float(np.sum(w * (y * np.log(pw) + (1.0 - y) * np.log(1.0 - pw))))
         p = self.params
         grads: dict = {}
 

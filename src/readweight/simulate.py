@@ -29,6 +29,7 @@ import numpy as np
 from .dwell_stats import DwellStats
 from .events import EventTable, IdCoder, distinct_ids, log_columns, spans, text_rows
 from .evaluation import row_levels
+from .labeling import LIGHT_USER_MAX_CLICKS
 from .ndt import logistic
 
 DAY_SECONDS = 86400
@@ -137,10 +138,12 @@ def generate(cfg: SimConfig) -> tuple[EventTable, Sidecar]:
     item_idx = rng.integers(0, cfg.n_items, size=total)
     timestamps = START_TS + rng.integers(0, cfg.span_days * DAY_SECONDS, size=total)
     coins, noise = rng.random(total), rng.standard_normal(total)
+    # A span's propensity and dwell overwrite its coins and noise, once read.
+    propensity, dwell = coins, noise
 
     item_ln_mean = np.asarray([c.ln_dt_mean for c in cfg.item_classes])[item_class]
     item_ln_std = np.asarray([c.ln_dt_std for c in cfg.item_classes])[item_class]
-    affinity, dwell, propensity, clicked = np.empty(total), np.empty(total), np.empty(total), np.empty(total, bool)
+    affinity, clicked = np.empty(total), np.empty(total, bool)
     # Row by row, a span at a time, so no per-row temporary outlives its span.
     for span in spans(total):
         item = item_idx[span]
@@ -171,11 +174,11 @@ def generate(cfg: SimConfig) -> tuple[EventTable, Sidecar]:
 
 
 # The planted corpus's shape: its stats (x_l, sigma of ln T), clicks per
-# user (light users stay under 7 a week), events per T3 item, and a span
-# inside one week window.
+# user (light users stay under the labeler's LIGHT_USER_MAX_CLICKS a week),
+# events per T3 item, and a span inside one week window.
 RULE_MIX_X_L = 15.0
 RULE_MIX_SIGMA = 1.295
-LIGHT_CLICKS_PER_USER = 6
+LIGHT_CLICKS_PER_USER = LIGHT_USER_MAX_CLICKS - 1
 HEAVY_CLICKS_PER_USER = 40
 T3_RECORDS_PER_ITEM = 20
 RULE_MIX_SPAN_S = 3 * DAY_SECONDS
@@ -192,8 +195,8 @@ class RuleMixConfig:
     def __post_init__(self):
         if abs(sum(self.mix) - 1.0) > 1e-9:
             raise ValueError("rule mix must sum to 1")
-        if round(self.mix[0] * self.n_valid_reads) < 7:
-            raise ValueError("rule mix needs at least 7 T1 events to warm the heavy pool")
+        if round(self.mix[0] * self.n_valid_reads) < LIGHT_USER_MAX_CLICKS:
+            raise ValueError(f"rule mix needs at least {LIGHT_USER_MAX_CLICKS} T1 events to warm the heavy pool")
 
 
 @dataclass(slots=True)
@@ -202,7 +205,6 @@ class RuleMixCorpus:
     stats: DwellStats
     analytic_mix: dict[str, float]
     analytic_counts: dict[str, int]
-    intended: list[str]
 
 
 def generate_rule_mix(cfg: RuleMixConfig) -> RuleMixCorpus:
@@ -210,13 +212,13 @@ def generate_rule_mix(cfg: RuleMixConfig) -> RuleMixCorpus:
 
     All events sit inside one 7-day window, so a user's in-window click
     count is just their total clicks: "heavy" users carry enough clicks to
-    never be light, "light" users carry at most six.  Each T3 item holds
-    exactly its own planted events, so with nearest-rank P10 and a strict
-    comparison, exactly ceil(0.1 * k) of its k events fail the rule and
-    become invalid clicks; the analytic mix accounts for that exactly.
-    The returned stats are the ones the corpus was planted against (fitting
-    stats from this corpus would not reproduce them; threshold recovery is
-    the organic generator's job).
+    never be light, "light" users carry fewer than LIGHT_USER_MAX_CLICKS.
+    Each T3 item holds exactly its own planted events, so with nearest-rank
+    P10 and a strict comparison, exactly ceil(0.1 * k) of its k events fail
+    the rule and become invalid clicks; the analytic mix accounts for that
+    exactly.  The returned stats are the ones the corpus was planted against
+    (fitting stats from this corpus would not reproduce them; threshold
+    recovery is the organic generator's job).
     """
     rng = np.random.default_rng(cfg.seed)
     mu = math.log(RULE_MIX_X_L) + RULE_MIX_SIGMA
@@ -235,55 +237,42 @@ def generate_rule_mix(cfg: RuleMixConfig) -> RuleMixCorpus:
     n_unclicked = round(cfg.unclicked_frac * cfg.n_valid_reads)
 
     # The light-user window looks backward from each event, so a heavy user
-    # must already hold 7 clicks when their first rule-bearing event lands.
-    # Seven warm-up clicks per heavy user sit at the span start; they carry
-    # T1-band dwell times and count toward the planted T1 total.
+    # must already hold LIGHT_USER_MAX_CLICKS clicks when their first
+    # rule-bearing event lands.  That many warm-up clicks per heavy user sit
+    # at the span start; they carry T1-band dwell times and count toward the
+    # planted T1 total.
     n_heavy_clicks = n1 + n3_planted + n_noise
-    n_heavy = max(1, min(n_heavy_clicks // HEAVY_CLICKS_PER_USER, n1 // 7))
+    n_heavy = max(1, min(n_heavy_clicks // HEAVY_CLICKS_PER_USER, n1 // LIGHT_USER_MAX_CLICKS))
     n_light = max(1, math.ceil(n2 / LIGHT_CLICKS_PER_USER)) if n2 else 0
-    n_generic_items = max(1, (n1 + n2 + n_noise) // 50)
-
-    # (user, item, dwell, intent, pinned to START_TS)
-    rows: list[tuple[str, str, float, str, bool]] = []
-
-    heavy_user = lambda j: f"h{j % n_heavy:06d}"  # noqa: E731
-    generic_item = lambda j: f"g{j % n_generic_items:06d}"  # noqa: E731
-
-    n_warmup = 7 * n_heavy
-    for j in range(n1):
-        dwell = float(rng.uniform(RULE_MIX_X_L + 1.0, 300.0))
-        rows.append((heavy_user(j), generic_item(j), dwell, "T1", j < n_warmup))
-    for j in range(n2):
-        dwell = float(rng.uniform(5.5, RULE_MIX_X_L - 1.0))
-        rows.append(
-            (f"l{j // LIGHT_CLICKS_PER_USER:06d}", generic_item(n1 + j), dwell, "T2", False)
-        )
-    for item in range(m_items):
-        for j in range(k):
-            dwell = float(rng.uniform(5.5, RULE_MIX_X_L - 1.0))
-            rows.append(
-                (heavy_user(n1 + item * k + j), f"t{item:06d}", dwell, "T3_planted", False)
-            )
-    for j in range(n_noise):
-        dwell = float(rng.uniform(0.5, 4.5))
-        rows.append(
-            (heavy_user(n1 + n3_planted + j), generic_item(n1 + n2 + j), dwell, "noise", False)
-        )
-    for j in range(n_unclicked):
-        rows.append((heavy_user(j), generic_item(j), 0.0, "unclicked", False))
-
-    drawn_ts = START_TS + rng.integers(0, RULE_MIX_SPAN_S, size=len(rows))
-    order = rng.permutation(len(rows))
-    users, items, dwell_time_s, intended, pinned = (
-        [column[r] for r in order.tolist()] for column in zip(*rows)
-    )
+    n_generic = max(1, (n1 + n2 + n_noise) // 50)
     coder = IdCoder()
-    events = coder.table([EventTable(
-        *coder.code(users, items),
-        np.where(pinned, START_TS, drawn_ts[order]),
-        np.array([intent != "unclicked" for intent in intended], dtype=bool),
-        np.array(dwell_time_s, dtype=np.float64),
-    )])
+    heavy, generic = coder.code([f"h{j:06d}" for j in range(n_heavy)], [f"g{j:06d}" for j in range(n_generic)])
+    light, t3_item = coder.code([f"l{j:06d}" for j in range(n_light)], [f"t{j:06d}" for j in range(m_items)])
+
+    # Five parts, in row and draw order: T1, T2, T3 planted, noise, unclicked.
+    # Heavy users are dealt round-robin on through T1, T3 and noise, generic
+    # items on through T1, T2 and noise, and both again from the first for
+    # the unclicked part; the warm-up clicks are the first T1 rows.
+    j1, j2, j3, jn, ju = map(np.arange, (n1, n2, n3_planted, n_noise, n_unclicked))
+    user = np.concatenate([
+        heavy[j1 % n_heavy], light[j2 // LIGHT_CLICKS_PER_USER], heavy[(n1 + j3) % n_heavy],
+        heavy[(n1 + n3_planted + jn) % n_heavy], heavy[ju % n_heavy],
+    ])
+    item = np.concatenate([
+        generic[j1 % n_generic], generic[(n1 + j2) % n_generic], t3_item[j3 // k],
+        generic[(n1 + n2 + jn) % n_generic], generic[ju % n_generic],
+    ])
+    dwell = np.concatenate([
+        rng.uniform(RULE_MIX_X_L + 1.0, 300.0, n1), rng.uniform(5.5, RULE_MIX_X_L - 1.0, n2),
+        rng.uniform(5.5, RULE_MIX_X_L - 1.0, n3_planted), rng.uniform(0.5, 4.5, n_noise), np.zeros(n_unclicked),
+    ])
+    n = len(user)
+    row = np.arange(n)
+    drawn_ts = START_TS + rng.integers(0, RULE_MIX_SPAN_S, size=n)
+    order = rng.permutation(n)
+    timestamp = np.where(row < LIGHT_USER_MAX_CLICKS * n_heavy, START_TS, drawn_ts)
+    clicked = row < n - n_unclicked
+    events = coder.table([EventTable(user[order], item[order], timestamp[order], clicked[order], dwell[order])])
 
     analytic_counts = {
         "T1": n1,
@@ -298,13 +287,7 @@ def generate_rule_mix(cfg: RuleMixConfig) -> RuleMixCorpus:
         "T2": n2 / n_vr,
         "T3": n3_eff / n_vr,
     }
-    return RuleMixCorpus(
-        events=events,
-        stats=stats,
-        analytic_mix=analytic_mix,
-        analytic_counts=analytic_counts,
-        intended=intended,
-    )
+    return RuleMixCorpus(events=events, stats=stats, analytic_mix=analytic_mix, analytic_counts=analytic_counts)
 
 
 # -- planted migration pair --------------------------------------------------
@@ -316,8 +299,6 @@ class MigrationPair:
     treatment: EventTable
     boundaries: tuple[int, ...]
     lifted_users: set[str]
-    shift_s: float
-    shift_scale_s: float
 
 
 def short_read_lift(dwell_s: float, shift_s: float, scale_s: float) -> float:
@@ -364,6 +345,4 @@ def generate_migration_pair(
         treatment=treatment,
         boundaries=boundaries,
         lifted_users=set(distinct_ids(baseline.user_vocab, baseline.user[is_lifted])[0]),
-        shift_s=shift_s,
-        shift_scale_s=shift_scale_s,
     )

@@ -10,15 +10,15 @@ Four objectives cover the ablation grid:
 Log dwell time is ln(1 + T) so unclicked rows (T = 0) are well defined in
 literal negative mode.
 
-The optimizer is Adam (0.9 / 0.999, eps 1e-8).  Training runs on float64
+The optimizer is Adam (``B1, B2, EPS`` = 0.9, 0.999, 1e-8).  Training runs on float64
 master weights with float64 moments; the network is cast to float32 once,
 after the last step, and that float32 network is what ``train`` returns and
 a checkpoint stores.  The MLP takes the textbook dense step.  An embedding
 table is stepped only on the rows a batch reads: each row records the last
 step that updated it, and before a batch's forward pass its rows are
 brought up to date in closed form.  A row with no gradient for k steps
-follows dense Adam exactly (m <- b1^k m, v <- b2^k v, and the parameter
-moves by m / sqrt(v) times a sum of per-step factors), except that eps is
+follows dense Adam exactly (m <- B1^k m, v <- B2^k v, and the parameter
+moves by m / sqrt(v) times a sum of per-step factors), except that EPS is
 left out of those skipped steps.  Every row is caught up once more after
 the last step, so the result tracks dense Adam to about 1e-5 relative while
 a step costs O(batch), not O(vocabulary).  Given the same config and seed,
@@ -43,6 +43,8 @@ OBJECTIVES = ("single_ctr", "ctr_logdt", "vr_logdt", "vr_ndt")
 # Rows the final catch-up brings up to date at a time, so its temporaries
 # scale with this, not with the table.
 CATCH_UP_ROWS = 1024
+# Adam's moment decays and the floor under its step's denominator.
+B1, B2, EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
@@ -167,35 +169,22 @@ class Adam:
     docstring for the semantics.
     """
 
-    def __init__(
-        self,
-        params: dict[str, np.ndarray],
-        lr: float,
-        b1=0.9,
-        b2=0.999,
-        eps=1e-8,
-        row_sparse: Iterable[str] = (),
-    ):
+    def __init__(self, params: dict[str, np.ndarray], lr: float, row_sparse: Iterable[str] = ()):
         if any(v.dtype != np.float64 for v in params.values()):
             raise TypeError("Adam updates float64 master weights in place")
         self.lr = lr
-        self.b1 = b1
-        self.b2 = b2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros(v.shape, dtype=np.float64) for k, v in params.items()}
         self.v = {k: np.zeros(v.shape, dtype=np.float64) for k, v in params.items()}
         self.last = {k: np.zeros(params[k].shape[0], dtype=np.int64) for k in row_sparse}
         # A row skipped since step t0 has moved by m / sqrt(v) times
-        # sum_{j=1..k} c_{t0+j} r^j, with r = b1 / sqrt(b2) and
-        # c_s = lr sqrt(1 - b2^s) / (1 - b1^s).  _recent[k] holds that sum
+        # sum_{j=1..k} c_{t0+j} r^j, with r = B1 / sqrt(B2) < 1 and
+        # c_s = lr sqrt(1 - B2^s) / (1 - B1^s).  _recent[k] holds that sum
         # for a gap of k <= horizon steps, ending now; terms past the
         # horizon are below 1e-18 of the first, so _settled[t0] freezes the
         # sum for gaps longer than the horizon.  Every term is positive:
         # nothing cancels.
-        r = b1 / math.sqrt(b2)
-        if self.last and not r < 1.0:
-            raise ValueError("row-sparse catch-up needs b1 < sqrt(b2)")
+        r = B1 / math.sqrt(B2)
         self.horizon = max(1, math.ceil(math.log(1e-18) / math.log(r))) if self.last else 0
         self._r_powers = r ** np.arange(1, self.horizon + 1)
         self._recent = np.zeros(self.horizon + 1)
@@ -226,22 +215,22 @@ class Adam:
                 v = self.v[name][idx]
                 ratio = np.divide(m, np.sqrt(v), out=np.zeros_like(m), where=v > 0)
                 params[name][idx] -= ratio * moved[:, None]
-                self.m[name][idx] = m * np.power(self.b1, gap)[:, None]
-                self.v[name][idx] = v * np.power(self.b2, gap)[:, None]
+                self.m[name][idx] = m * np.power(B1, gap)[:, None]
+                self.v[name][idx] = v * np.power(B2, gap)[:, None]
                 last[idx] = self.t
 
     def step(self, params: dict[str, np.ndarray], grads: dict) -> None:
         self.t += 1
-        bc1 = 1.0 - self.b1**self.t
-        bc2 = 1.0 - self.b2**self.t
+        bc1 = 1.0 - B1**self.t
+        bc2 = 1.0 - B2**self.t
         for name, grad in grads.items():
             # A dense tensor's gradient covers all of its rows.
             rows, grad = grad if name in self.last else (slice(None), grad)
-            m = self.b1 * self.m[name][rows] + (1.0 - self.b1) * grad
-            v = self.b2 * self.v[name][rows] + (1.0 - self.b2) * np.square(grad)
+            m = B1 * self.m[name][rows] + (1.0 - B1) * grad
+            v = B2 * self.v[name][rows] + (1.0 - B2) * np.square(grad)
             self.m[name][rows] = m
             self.v[name][rows] = v
-            params[name][rows] -= (self.lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
+            params[name][rows] -= (self.lr / bc1) * m / (np.sqrt(v / bc2) + EPS)
             if name in self.last:
                 self.last[name][rows] = self.t
         if self.last:

@@ -375,8 +375,9 @@ def test_c09_planted_signal_orders_objectives():
 
 
 def test_c10_migration_report():
+    shift_s, shift_scale_s = 10.0, 60.0
     pair = generate_migration_pair(
-        SimConfig(n_users=1500, n_items=300, seed=23), shift_s=10.0, shift_scale_s=60.0
+        SimConfig(n_users=1500, n_items=300, seed=23), shift_s=shift_s, shift_scale_s=shift_scale_s
     )
     boundaries = pair.boundaries
 
@@ -411,7 +412,7 @@ def test_c10_migration_report():
             hi = min(math.ceil(d * m / 10), m)
             chunk = dwells[prev:hi]
             prev = hi
-            lift = [short_read_lift(t, pair.shift_s, pair.shift_scale_s) - t for t in chunk]
+            lift = [short_read_lift(t, shift_s, shift_scale_s) - t for t in chunk]
             expected[(level, d)] = sum(lift) / len(lift)
 
     planted = migration_report(pair.baseline, pair.treatment, boundaries)

@@ -281,10 +281,12 @@ class TestMigration:
     def test_cell_means_sum_left_to_right(self, chunk):
         """A cell's mean is the left-to-right sum of its ascending dwells
         over their count, the same bits on every Python version; an all
-        ``-0.0`` cell reads ``0.0``.  One level and one decile: one cell."""
-        table = event_table(make_event(timestamp=1_700_000_000 + k) for k in range(len(chunk)))
-        table.dwell_time_s[:] = chunk
-        [cell] = migration_report(table, table, boundaries=(), n_deciles=1)
+        ``-0.0`` cell reads ``0.0``.  One level; nine times as many longer
+        dwells after the chunk, so the chunk is decile 1."""
+        table = event_table(make_event(timestamp=1_700_000_000 + k) for k in range(10 * len(chunk)))
+        table.dwell_time_s[:] = chunk + [1e300] * (9 * len(chunk))
+        cell = migration_report(table, table, boundaries=())[0]
+        assert (cell.activeness_level, cell.dt_decile) == (1, 1)
         total = 0
         for t in sorted(chunk):
             total = total + t

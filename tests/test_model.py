@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from readweight.model import SCORE_CHUNK_ROWS, ModelConfig, MtlNetwork, PackedBatch, SlotSpec
+from readweight.training import TrainConfig
 
 from conftest import traced_transient
 
@@ -31,6 +32,11 @@ def batch_of(idx, y=None, w=None) -> PackedBatch:
 
 def tiny_batch():
     return batch_of([(0, 1), (1, 0), (1, 1), (0, 0)], [1, 0, 1, 0], [0.4155, 1.0, 2.7726, 0.3])
+
+
+def loss(net: MtlNetwork, batch: PackedBatch) -> tuple[float, float, float]:
+    """(L_v, L_w, L) as training reads them, from ``backward``."""
+    return net.backward(batch)[0]
 
 
 def forward_one(net: MtlNetwork, slots) -> tuple[float, float]:
@@ -70,9 +76,9 @@ def fd_gradient_check(net: MtlNetwork, batch, h=1e-4, tol=1e-4) -> float:
         for idx in range(flat.size):
             keep = flat[idx]
             flat[idx] = keep + h
-            _, _, up = net64.batch_loss(batch)
+            _, _, up = loss(net64, batch)
             flat[idx] = keep - h
-            _, _, down = net64.batch_loss(batch)
+            _, _, down = loss(net64, batch)
             flat[idx] = keep
             fd = (up - down) / (2 * h)
             an = grad_flat[idx]
@@ -131,7 +137,10 @@ def random_batch(rng, net: MtlNetwork, n: int) -> PackedBatch:
 
 
 class TestScoring:
-    SCORING_NET = MtlNetwork(ModelConfig(slots=(SlotSpec("user_id", 400), SlotSpec("item_id", 90)), seed=8))
+    DIMS = TrainConfig()  # training's default dims
+    SCORING_NET = MtlNetwork(ModelConfig(
+        (SlotSpec("user_id", 400), SlotSpec("item_id", 90)), DIMS.embedding_dim, DIMS.bottom_dim, DIMS.tower_dims, seed=8
+    ))
 
     def test_chunks_match_one_forward_pass(self, rng):
         n = 5003
@@ -189,7 +198,7 @@ class TestLoss:
     def test_hand_arithmetic_example(self):
         net = zero_net()
         batch = batch_of([(0, 0), (1, 1)], [1, 0], [0.4155, 1.0])
-        l_v, l_w, l = net.batch_loss(batch)
+        l_v, l_w, l = loss(net, batch)
         assert l_v == pytest.approx(1.3863, abs=1e-4)
         assert l_w == pytest.approx(0.9811, abs=1e-4)
         assert l == pytest.approx(2.3674, abs=1e-4)
@@ -199,24 +208,24 @@ class TestLoss:
         net.params["tower_v.3.b"] = np.array([30.0], dtype=np.float32)
         net.params["tower_w.3.b"] = np.array([30.0], dtype=np.float32)
         batch = batch_of([(0, 0)] * 4, [1] * 4, [1.0] * 4)
-        _, _, l = net.batch_loss(batch)
+        _, _, l = loss(net, batch)
         assert l < 1e-6
 
     def test_weight_linearity(self):
         net = MtlNetwork(TINY_CONFIG)
         batch = tiny_batch()
-        l_v1, l_w1, _ = net.batch_loss(batch)
+        l_v1, l_w1, _ = loss(net, batch)
         doubled = batch_of(
             [(0, 1), (1, 0), (1, 1), (0, 0)], [1, 0, 1, 0], [2 * 0.4155, 2 * 1.0, 2 * 2.7726, 2 * 0.3]
         )
-        l_v2, l_w2, _ = net.batch_loss(doubled)
+        l_v2, l_w2, _ = loss(net, doubled)
         assert l_v2 == l_v1
         assert l_w2 == pytest.approx(2 * l_w1, rel=1e-12)
 
     def test_weight_one_degenerates_to_bce(self):
         net = MtlNetwork(TINY_CONFIG)
         batch = batch_of([(i % 2, (i + 1) % 2) for i in range(6)], [i % 2 for i in range(6)], [1.0] * 6)
-        _, l_w, _ = net.batch_loss(batch)
+        _, l_w, _ = loss(net, batch)
         _, pw = net.forward_batch(batch)
         manual = -float(
             np.sum(batch.y * np.log(pw) + (1 - batch.y) * np.log(1 - pw))
