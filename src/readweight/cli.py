@@ -284,7 +284,7 @@ def _handle_simulate(opts: Options) -> dict:
         opts.reject_unread()
         corpus = generate_rule_mix(cfg)
         write_log(out, corpus.events)
-        atomic_write_text(stats_out, corpus.stats.to_json() + "\n")
+        _write_json(stats_out, asdict(corpus.stats))
         return {
             "command": "simulate",
             "mode": mode,
@@ -341,9 +341,19 @@ def _read_log_checked(opts: Options, flag: str = "log"):
         raise CliError("malformed-log", str(err), exit_code=2)
 
 
-def _load_stats(path: str) -> DwellStats:
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return DwellStats.from_json(handle.read())
+        return json.load(handle)
+
+
+def _write_json(path: str | None, doc) -> None:
+    """``doc`` as one line of sorted-key JSON at ``path``, if one is given."""
+    if path:
+        atomic_write_text(path, json.dumps(doc, sort_keys=True) + "\n")
+
+
+def _load_stats(path: str) -> DwellStats:
+    return DwellStats.from_doc(_read_json(path))
 
 
 def _handle_fit_stats(opts: Options) -> dict:
@@ -353,8 +363,7 @@ def _handle_fit_stats(opts: Options) -> dict:
         stats = fit_log_normal(events)
     except InsufficientDataError as err:
         raise CliError("insufficient-data", str(err), exit_code=2)
-    if out:
-        atomic_write_text(out, stats.to_json() + "\n")
+    _write_json(out, asdict(stats))
     return {
         "command": "fit-stats",
         **asdict(stats),
@@ -407,8 +416,7 @@ def _handle_label(opts: Options) -> dict:
     atomic_write_text(out, labeled.to_text())
     report = composition_report(labeled)
     report_path = opts.get("report")
-    if report_path:
-        atomic_write_text(report_path, json.dumps(report, sort_keys=True) + "\n")
+    _write_json(report_path, report)
     return {
         "command": "label",
         "n_events": counts.total,
@@ -433,21 +441,17 @@ def _handle_ndt_params(opts: Options) -> dict:
         "stats": {"x_l": stats.x_l, "x_h": stats.x_h},
     }
     out = opts.get("out")
-    if out:
-        atomic_write_text(out, json.dumps(doc, sort_keys=True) + "\n")
+    _write_json(out, doc)
     doc["command"] = "ndt-params"
     doc["out"] = out
     return doc
 
 
 def _load_ndt_params(path: str, params_mode: str = "paper_default") -> NdtParams:
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    if isinstance(doc, dict) and ("paper_default" in doc or "solved" in doc):
-        if params_mode not in doc:
-            raise CliError("invalid-flag:params-mode", f"params file lacks mode {params_mode!r}")
-        doc = doc[params_mode]
-    return NdtParams.from_json(json.dumps(doc))
+    doc = _read_json(path)
+    if not isinstance(doc, dict) or params_mode not in doc:
+        raise ValueError(f"params file lacks mode {params_mode!r}")
+    return NdtParams.from_doc(doc[params_mode])
 
 
 def _read_labeled_checked(path: str):
@@ -505,8 +509,7 @@ def _handle_eval(opts: Options) -> dict:
     except ValueError as err:
         raise CliError("undefined-metric", str(err), exit_code=2)
     out = opts.get("out")
-    if out:
-        atomic_write_text(out, report.to_json() + "\n")
+    _write_json(out, asdict(report))
     return {
         "command": "eval",
         **asdict(report),
@@ -581,7 +584,7 @@ _COMMAND_FLAGS: dict[str, dict[str, Callable]] = {
     "fit-stats": {"log": str, "out": str, **_LOG_FLAGS},
     "stats-report": {"log": str, "out": str, "bins": _int_from(1, MAX_BINS), **_LOG_FLAGS},
     "build-profiles": {
-        "log": str, "out": str, "eps": _open_unit, "switch-threshold": _int_from(1), **_LOG_FLAGS,
+        "log": str, "out": str, "eps": _open_unit, "switch-threshold": _int_from(1, 2**32 - 1), **_LOG_FLAGS,
     },
     "label": {
         "log": str,

@@ -9,9 +9,8 @@ normalized dwell-time curve.  Sigma uses the population convention
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -37,12 +36,8 @@ class DwellStats:
         if not all(map(math.isfinite, (self.mu, self.sigma, self.x_l, self.x_h))) or self.sigma < 0:
             raise ValueError(f"stats need finite mu, sigma, x_l and x_h, and sigma >= 0; got {self}")
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
     @classmethod
-    def from_json(cls, text: str) -> "DwellStats":
-        doc = json.loads(text)
+    def from_doc(cls, doc) -> "DwellStats":
         try:
             return cls(float(doc["mu"]), float(doc["sigma"]), int(doc["n"]), float(doc["x_l"]), float(doc["x_h"]))
         except (KeyError, TypeError, OverflowError) as err:

@@ -14,9 +14,8 @@ levels (1..7, 7 most active) crossed with within-level dwell-time deciles.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -93,9 +92,6 @@ class EvalReport:
             base_auc=base_auc,
             relaimpr=rel,
         )
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 def equal_frequency_boundaries(counts: Iterable[int]) -> tuple[int, ...]:

@@ -9,10 +9,10 @@ a per-instance-weighted binary cross entropy:
     L_w = -sum_pos w log P' - sum_neg w log(1 - P')
     L   = L_v + L_w
 
-Parameters are initialised and checkpointed as float32 (the checkpoint
-stores raw float32 tensors, so save/load is bit-exact); training keeps a
-float64 copy (see ``training``).  All arithmetic runs in float64, which
-keeps finite-difference gradient checks meaningful.
+Parameters are float64 arrays holding float32 values (drawn as float32;
+``train`` rounds its result), and a checkpoint stores raw float32 tensors,
+so save/load is bit-exact.  All arithmetic runs in float64, which keeps
+finite-difference gradient checks meaningful.
 
 The forward pass keeps only what ``backward`` reads: x0, the post-ReLU
 activations and the two probabilities, 290 float64 (2.3 KB) a row at the
@@ -27,9 +27,9 @@ batch size.
 
 Checkpoint format (magic ``VRMT``): version u32, u32 JSON config length +
 config JSON (dims, slots with vocabularies, seed), u32 tensor count, then
-per tensor: u32 name length + name, u32 rank, u32 dims, row-major
-little-endian float32 data.  The config's ``dense_dim`` is always 0 (version
-1 keeps the key); a checkpoint with any other value is rejected.
+per tensor, in ``param_shapes`` order (a record off it is rejected): u32
+name length + name, u32 rank, u32 dims, row-major little-endian float32
+data.  The config's ``dense_dim`` key is always 0; another value is rejected.
 """
 
 from __future__ import annotations
@@ -89,15 +89,17 @@ class PackedBatch:
         return PackedBatch(self.idx[rows], self.y[rows], self.w[rows])
 
 
-def _f64(a: np.ndarray) -> np.ndarray:
-    return a.astype(np.float64, copy=False)
-
-
 def _dense_relu(x: np.ndarray, params: dict[str, np.ndarray], layer: str) -> np.ndarray:
     """``max(x @ W + b, 0)`` of ``layer``; the bias and the ReLU apply in place."""
-    h = x @ _f64(params[f"{layer}.W"])
-    h += _f64(params[f"{layer}.b"])
+    h = x @ params[f"{layer}.W"]
+    h += params[f"{layer}.b"]
     return np.maximum(h, 0.0, out=h)
+
+
+def _record_head(name: str, shape: tuple[int, ...]) -> bytes:
+    """A tensor record's bytes before its data: name length, name, rank, dims."""
+    encoded = name.encode("utf-8")
+    return struct.pack(f"<I{len(encoded)}sI{len(shape)}I", len(encoded), encoded, len(shape), *shape)
 
 
 class MtlNetwork:
@@ -105,7 +107,9 @@ class MtlNetwork:
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray] | None = None):
         self.config = config
-        self.params = params if params is not None else self._init_params(config)
+        params = self._init_params(config) if params is None else params
+        # A float64 array is kept as it is (Adam updates it in place); float32 upcasts exactly.
+        self.params = {name: np.asarray(value, dtype=np.float64) for name, value in params.items()}
         expected = self.param_shapes(config)
         if {name: np.shape(value) for name, value in self.params.items()} != expected:
             raise ValueError(f"parameters do not have the configuration's shapes {expected}")
@@ -136,9 +140,6 @@ class MtlNetwork:
             params[name] = rng.uniform(-s, s, size=shape).astype(np.float32)
         return params
 
-    def astype(self, dtype) -> "MtlNetwork":
-        return MtlNetwork(self.config, {k: v.astype(dtype) for k, v in self.params.items()})
-
     def _check_indices(self, idx: np.ndarray) -> None:
         for col, slot in enumerate(self.config.slots):
             column = idx[:, col]
@@ -155,7 +156,7 @@ class MtlNetwork:
         self._check_indices(batch.idx)
         p = self.params
         x0 = np.concatenate(
-            [_f64(p[f"emb.{slot.name}"][batch.idx[:, col]]) for col, slot in enumerate(self.config.slots)],
+            [p[f"emb.{slot.name}"][batch.idx[:, col]] for col, slot in enumerate(self.config.slots)],
             axis=1,
         )
         cache: dict[str, np.ndarray] = {"x0": x0} if keep else {}
@@ -167,7 +168,7 @@ class MtlNetwork:
                 h = _dense_relu(h, p, f"{tower}.{layer}")
                 if keep:
                     cache[f"{tower}.h{layer}"] = h
-            z3 = h @ _f64(p[f"{tower}.3.W"]) + _f64(p[f"{tower}.3.b"])
+            z3 = h @ p[f"{tower}.3.W"] + p[f"{tower}.3.b"]
             cache[f"{tower}.prob"] = logistic(z3[:, 0])
         return cache
 
@@ -211,20 +212,20 @@ class MtlNetwork:
             h1, h2 = cache[f"{tower}.h1"], cache[f"{tower}.h2"]
             grads[f"{tower}.3.W"] = h2.T @ dz3[:, None]
             grads[f"{tower}.3.b"] = np.array([dz3.sum()])
-            dz2 = dz3[:, None] @ _f64(p[f"{tower}.3.W"]).T
+            dz2 = dz3[:, None] @ p[f"{tower}.3.W"].T
             dz2 *= h2 > 0
             grads[f"{tower}.2.W"] = h1.T @ dz2
             grads[f"{tower}.2.b"] = dz2.sum(axis=0)
-            dz1 = dz2 @ _f64(p[f"{tower}.2.W"]).T
+            dz1 = dz2 @ p[f"{tower}.2.W"].T
             dz1 *= h1 > 0
             grads[f"{tower}.1.W"] = cache["hb"].T @ dz1
             grads[f"{tower}.1.b"] = dz1.sum(axis=0)
-            dzb += dz1 @ _f64(p[f"{tower}.1.W"]).T
+            dzb += dz1 @ p[f"{tower}.1.W"].T
 
         dzb *= cache["hb"] > 0
         grads["bottom.W"] = cache["x0"].T @ dzb
         grads["bottom.b"] = dzb.sum(axis=0)
-        dx0 = dzb @ _f64(p["bottom.W"]).T
+        dx0 = dzb @ p["bottom.W"].T
         d_emb = self.config.embedding_dim
         for col, slot in enumerate(self.config.slots):
             rows, inverse = np.unique(batch.idx[:, col], return_inverse=True)
@@ -250,22 +251,17 @@ class MtlNetwork:
 
     def to_bytes(self, extra_config: dict | None = None) -> bytes:
         config_blob = json.dumps(self.config_doc(extra_config), sort_keys=True).encode("utf-8")
-        names = list(self.param_shapes(self.config))
+        shapes = self.param_shapes(self.config)
         parts = [
             CHECKPOINT_MAGIC,
             struct.pack("<I", CHECKPOINT_VERSION),
             struct.pack("<I", len(config_blob)),
             config_blob,
-            struct.pack("<I", len(names)),
+            struct.pack("<I", len(shapes)),
         ]
-        for name in names:
-            tensor = np.ascontiguousarray(self.params[name], dtype="<f4")
-            encoded = name.encode("utf-8")
-            parts.append(struct.pack("<I", len(encoded)))
-            parts.append(encoded)
-            parts.append(struct.pack("<I", tensor.ndim))
-            parts.append(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-            parts.append(tensor.tobytes())
+        for name, shape in shapes.items():
+            parts.append(_record_head(name, shape))
+            parts.append(np.ascontiguousarray(self.params[name], dtype="<f4").tobytes())
         return b"".join(parts)
 
     @classmethod
@@ -290,22 +286,20 @@ class MtlNetwork:
                 tower_dims=tuple(doc["tower_dims"]),
                 seed=int(doc["seed"]),
             )
+            shapes = cls.param_shapes(config)
             (n_tensors,) = struct.unpack_from("<I", data, offset)
             offset += 4
+            if n_tensors != len(shapes):
+                raise ValueError(f"{n_tensors} tensors, but the configuration has {len(shapes)} shapes")
             params: dict[str, np.ndarray] = {}
-            for _ in range(n_tensors):
-                (name_len,) = struct.unpack_from("<I", data, offset)
-                offset += 4
-                name = data[offset : offset + name_len].decode("utf-8")
-                offset += name_len
-                (rank,) = struct.unpack_from("<I", data, offset)
-                offset += 4
-                shape = struct.unpack_from(f"<{rank}I", data, offset)
-                offset += 4 * rank
-                count = int(np.prod(shape)) if rank else 1
-                tensor = np.frombuffer(data, dtype="<f4", count=count, offset=offset).reshape(shape)
+            for name, shape in shapes.items():
+                head = _record_head(name, shape)
+                if data[offset : offset + len(head)] != head:
+                    raise ValueError(f"tensor record does not match {name} in the configuration's shapes {shapes}")
+                offset += len(head)
+                count = int(np.prod(shape))
+                params[name] = np.frombuffer(data, dtype="<f4", count=count, offset=offset).reshape(shape)
                 offset += 4 * count
-                params[name] = tensor.copy()
             if offset != len(data):
                 raise ValueError(f"truncated or corrupt checkpoint: {len(data) - offset} trailing bytes")
             return cls(config, params), doc

@@ -18,9 +18,8 @@ Both parameterizations are supported.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -85,12 +84,8 @@ class NdtParams:
         tau = solve_tau(offset, x_h, precision, t_max)
         return cls.derive(offset=offset, tau=tau, t_max=t_max, precision=precision)
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
     @classmethod
-    def from_json(cls, text: str) -> "NdtParams":
-        doc = json.loads(text)
+    def from_doc(cls, doc) -> "NdtParams":
         try:
             return cls(**{field.name: float(doc[field.name]) for field in fields(cls)})
         except (KeyError, TypeError) as err:

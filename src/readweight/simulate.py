@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dwell_stats import DwellStats
-from .events import EventTable, IdCoder, distinct_ids, log_columns, spans, text_rows
+from .events import _TIMESTAMP_LIMIT, EventTable, IdCoder, distinct_ids, log_columns, spans, text_rows
 from .evaluation import row_levels
 from .labeling import LIGHT_USER_MAX_CLICKS
 from .ndt import logistic
@@ -84,6 +84,8 @@ class SimConfig:
             raise ValueError("item class probabilities must sum to 1")
         if self.span_days < 1 or self.latent_dim < 1:
             raise ValueError("span_days and latent_dim must be >= 1")
+        if START_TS + self.span_days * DAY_SECONDS > _TIMESTAMP_LIMIT:
+            raise ValueError(f"span_days {self.span_days} puts timestamps past int64")
 
 
 @dataclass(frozen=True, slots=True, eq=False)

@@ -10,19 +10,19 @@ Four objectives cover the ablation grid:
 Log dwell time is ln(1 + T) so unclicked rows (T = 0) are well defined in
 literal negative mode.
 
-The optimizer is Adam (``B1, B2, EPS`` = 0.9, 0.999, 1e-8).  Training runs on float64
-master weights with float64 moments; the network is cast to float32 once,
-after the last step, and that float32 network is what ``train`` returns and
-a checkpoint stores.  The MLP takes the textbook dense step.  An embedding
-table is stepped only on the rows a batch reads: each row records the last
-step that updated it, and before a batch's forward pass its rows are
-brought up to date in closed form.  A row with no gradient for k steps
-follows dense Adam exactly (m <- B1^k m, v <- B2^k v, and the parameter
-moves by m / sqrt(v) times a sum of per-step factors), except that EPS is
-left out of those skipped steps.  Every row is caught up once more after
-the last step, so the result tracks dense Adam to about 1e-5 relative while
-a step costs O(batch), not O(vocabulary).  Given the same config and seed,
-two runs produce byte-identical checkpoints.
+The optimizer is Adam (``B1, B2, EPS`` = 0.9, 0.999, 1e-8).  Training runs
+on float64 master weights with float64 moments; after the last step each
+weight is rounded to its float32 value in place, and that network is what
+``train`` returns and a checkpoint stores.  The MLP takes the textbook dense
+step.  An embedding table is stepped only on the rows a batch reads: each
+row records the last step that updated it, and before a batch's forward pass
+its rows are brought up to date in closed form.  A row with no gradient for
+k steps follows dense Adam exactly (m <- B1^k m, v <- B2^k v, and the
+parameter moves by m / sqrt(v) times a sum of per-step factors), except that
+EPS is left out of those skipped steps.  Every row is caught up once more
+after the last step, so the result tracks dense Adam to about 1e-5 relative
+while a step costs O(batch), not O(vocabulary).  Given the same config and
+seed, two runs produce byte-identical checkpoints.
 """
 
 from __future__ import annotations
@@ -253,8 +253,8 @@ def train(cfg: TrainConfig, batch: PackedBatch, space: FeatureSpace) -> TrainRes
 
     Every row needs y in {0, 1} and w >= 0 (NaN fails).  The loss trace
     records per-instance mean losses per epoch.  Non-finite loss aborts
-    with TrainingDivergedError.  The returned network is the float32 cast
-    of the float64 master weights.
+    with TrainingDivergedError.  The returned network's float64 weights
+    hold float32 values.
     """
     if len(batch) == 0:
         raise ValueError("cannot train on an empty instance set")
@@ -271,7 +271,7 @@ def train(cfg: TrainConfig, batch: PackedBatch, space: FeatureSpace) -> TrainRes
         tower_dims=cfg.tower_dims,
         seed=cfg.seed,
     )
-    net = MtlNetwork(config).astype(np.float64)
+    net = MtlNetwork(config)
     tables = [f"emb.{slot.name}" for slot in config.slots]
     optimizer = Adam(net.params, lr=cfg.learning_rate, row_sparse=tables)
     n = len(batch)
@@ -298,7 +298,9 @@ def train(cfg: TrainConfig, batch: PackedBatch, space: FeatureSpace) -> TrainRes
             epoch_lw += l_w
         trace.append(EpochLoss(epoch=epoch, l_v=epoch_lv / n, l_w=epoch_lw / n))
     optimizer.catch_up(net.params)
-    return TrainResult(network=net.astype(np.float32), trace=trace, space=space, config=cfg)
+    for value in net.params.values():
+        value[...] = value.astype(np.float32)
+    return TrainResult(network=net, trace=trace, space=space, config=cfg)
 
 
 def trace_csv(trace: Sequence[EpochLoss]) -> str:

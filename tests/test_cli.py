@@ -8,6 +8,7 @@ import math
 import os
 import struct
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -341,13 +342,13 @@ class TestHappyPath:
 
     def test_ndt_params_defaults_come_from_ndt(self, workspace):
         doc = json.loads(workspace["params"].read_text())
-        stats = DwellStats.from_json(workspace["stats"].read_text())
-        assert doc["paper_default"] == json.loads(paper_default_params().to_json())
-        assert doc["solved"] == json.loads(NdtParams.solve(stats.x_l, stats.x_h).to_json())
+        stats = DwellStats.from_doc(json.loads(workspace["stats"].read_text()))
+        assert doc["paper_default"] == asdict(paper_default_params())
+        assert doc["solved"] == asdict(NdtParams.solve(stats.x_l, stats.x_h))
 
     def test_label_defaults_come_from_labeling_config(self, workspace):
         table, _ = read_log(workspace["log"])
-        stats = DwellStats.from_json(workspace["stats"].read_text())
+        stats = DwellStats.from_doc(json.loads(workspace["stats"].read_text()))
         store = ProfileStore.load(str(workspace["profiles"]))
         rows = label_log(table, stats, store, LabelingConfig())
         expected = [LABELED_HEADER, *(serialize_labeled(event, label) for event, label in rows)]
@@ -508,7 +509,12 @@ class TestErrors:
         )
         assert (code, doc["detail"]) == (2, "line 3: expected 5 comma-separated fields, got 4")
 
-    @pytest.mark.parametrize("text", ["{}", "5", '{"mu": [1]}', '{"paper_default": {"offset": 1}}'])
+    @pytest.mark.parametrize(
+        "text",
+        ["{}", "5", '{"mu": [1]}', '{"paper_default": {"offset": 1}}',
+         # train reads only the two-mode document that ndt-params writes.
+         pytest.param(json.dumps(asdict(paper_default_params())), id="bare-params")],
+    )
     def test_malformed_json_inputs_are_runtime_failures(self, inputs, capsys, tmp_path, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text, encoding="utf-8")
@@ -548,6 +554,19 @@ class TestErrors:
             assert (code, doc["error"]) == (2, "runtime-failure"), argv
             assert "finite" in doc["detail"]
         assert sorted(path.name for path in tmp_path.iterdir()) == ["stats.json"]
+
+    def test_params_file_without_the_mode_is_runtime_failure(self, inputs, capsys, tmp_path):
+        """The flag's value is valid; the file lacks it."""
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"paper_default": asdict(paper_default_params())}), encoding="utf-8")
+        ckpt = tmp_path / "model.ckpt"
+        code, doc = run_cli(
+            capsys, "train", "--labeled", inputs["labeled"], "--ndt-params", str(params),
+            "--params-mode", "solved", "--checkpoint", str(ckpt),
+        )
+        assert (code, doc["error"]) == (2, "runtime-failure")
+        assert "'solved'" in doc["detail"]
+        assert not ckpt.exists()
 
     def test_id_past_the_store_limit_is_runtime_failure(self, capsys, tmp_path):
         log, store = tmp_path / "long.csv", tmp_path / "profiles.bin"
@@ -908,6 +927,7 @@ class TestUsageErrors:
             ("stats-report", "bins", "0"),
             ("build-profiles", "switch-threshold", "big"),
             ("build-profiles", "switch-threshold", "-5"),
+            ("build-profiles", "switch-threshold", "4294967296"),
             ("build-profiles", "eps", "tiny"),
             ("build-profiles", "eps", "0"),
             ("build-profiles", "eps", "2"),
@@ -929,6 +949,7 @@ class TestUsageErrors:
             ("train", "learning-rate", "nan"),
             ("simulate", "users", "0"),
             ("simulate", "span-days", "0"),
+            ("simulate", "span-days", "200000000000000"),
             ("ndt-params", "precision", "-1"),
             ("stats-report", "bins", str(MAX_BINS + 1)),
             ("eval", "base-auc", "high"),
@@ -968,6 +989,8 @@ class TestUsageErrors:
             ("ndt-params", ["--precision", "2"], "precision"),
             ("ndt-params", ["--t-max", "1e-6"], "t-max"),
             ("ndt-params", ["--precision", "2", "--t-max", "1"], "precision"),
+            ("simulate", ["--mode", "migration", "--treatment-out", "{out}/b.csv", "--span-days", "200000000000000"],
+             "span-days"),
         ],
     )
     def test_options_wrong_together(self, capsys, monkeypatch, tmp_path, inputs, out, command, flags, name):
@@ -1025,7 +1048,10 @@ class TestUsageErrors:
 # options whose parser has an upper bound, so nothing large is allocated.
 HOSTILE = ("nan", "inf", "-inf", "-1", "0", "", "5", "5,5", "1,2,3,4,5,6,7,8,9")
 HUGE = "1" + "0" * 30
-BOUNDED = {("stats-report", "bins"), ("build-profiles", "eps")}
+BOUNDED = {
+    ("stats-report", "bins"), ("build-profiles", "eps"), ("build-profiles", "switch-threshold"),
+    ("simulate", "span-days"),
+}
 OPTIONS = sorted((command, name) for command, flags in _COMMAND_FLAGS.items() for name in flags)
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -85,11 +87,11 @@ class TestAccumulator:
     )
     def test_from_json_rejects_non_finite_fields(self, text):
         with pytest.raises(ValueError):
-            DwellStats.from_json(text)
+            DwellStats.from_doc(json.loads(text))
 
     def test_json_round_trip(self):
         stats = DwellStats.from_moments(mu=4.0, sigma=1.25, n=123)
-        assert DwellStats.from_json(stats.to_json()) == stats
+        assert DwellStats.from_doc(json.loads(json.dumps(asdict(stats)))) == stats
 
 
 class TestHistogram:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -144,7 +146,7 @@ class TestRelaImpr:
         assert report.auc == 1.0
         assert report.relaimpr == pytest.approx(1.0, abs=1e-12)
         assert report.n_pos == 2 and report.n_neg == 1
-        assert '"auc"' in report.to_json()
+        assert '"auc"' in json.dumps(asdict(report))
 
 
 def table_with_week_clicks(counts) -> EventTable:

@@ -56,16 +56,16 @@ def zero_net(config=TINY_CONFIG) -> MtlNetwork:
 
 
 def fd_gradient_check(net: MtlNetwork, batch, h=1e-4, tol=1e-4) -> float:
-    """Central finite differences on a float64 clone of every parameter.
+    """Central finite differences on every (float64) parameter, each put
+    back exactly after its two probes.
 
     Returns the worst relative mismatch; a floor keeps near-zero entries
     from inflating the ratio beyond finite-difference noise.  Row-sparse
     embedding gradients are scattered into a dense array first.
     """
-    net64 = net.astype(np.float64)
-    _, grads = net64.backward(batch)
+    _, grads = net.backward(batch)
     worst = 0.0
-    for name, param in net64.params.items():
+    for name, param in net.params.items():
         flat = param.reshape(-1)
         grad = grads[name]
         if isinstance(grad, tuple):
@@ -76,9 +76,9 @@ def fd_gradient_check(net: MtlNetwork, batch, h=1e-4, tol=1e-4) -> float:
         for idx in range(flat.size):
             keep = flat[idx]
             flat[idx] = keep + h
-            _, _, up = loss(net64, batch)
+            _, _, up = loss(net, batch)
             flat[idx] = keep - h
-            _, _, down = loss(net64, batch)
+            _, _, down = loss(net, batch)
             flat[idx] = keep
             fd = (up - down) / (2 * h)
             an = grad_flat[idx]
@@ -179,7 +179,7 @@ class TestActivationMemory:
     NET = TestScoring.SCORING_NET
 
     def test_backward_transient_per_row(self, rng):
-        net = self.NET.astype(np.float64)  # training's master weights
+        net = self.NET
         n = 512
         batch = batch_of(random_batch(rng, net, n).idx, rng.integers(0, 2, n), rng.uniform(0, 3, n))
         net.backward(batch)
@@ -318,6 +318,24 @@ class TestCheckpoint:
         for cut in range(len(blob)):
             with pytest.raises(ValueError):
                 MtlNetwork.from_bytes(blob[:cut])
+
+    def test_records_out_of_config_order_are_rejected(self):
+        """Names and shapes come from the config, so two records swapped
+        (each well formed) do not load."""
+        net = MtlNetwork(TINY_CONFIG)
+        blob = net.to_bytes()
+        records = []
+        for name, shape in MtlNetwork.param_shapes(TINY_CONFIG).items():
+            encoded = name.encode()
+            start = blob.index(encoded) - 4
+            end = start + 4 + len(encoded) + 4 + 4 * len(shape) + 4 * int(np.prod(shape))
+            records.append(blob[start:end])
+        body = b"".join(records)
+        head = blob[: blob.index(body)]
+        swapped = head + b"".join([records[1], records[0], *records[2:]])
+        assert len(swapped) == len(blob)
+        with pytest.raises(ValueError, match="shapes"):
+            MtlNetwork.from_bytes(swapped)
 
     def test_trailing_bytes_raise_value_error(self):
         blob = MtlNetwork(TINY_CONFIG).to_bytes()

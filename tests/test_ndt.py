@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -151,11 +152,11 @@ class TestParams:
 
     def test_json_round_trip(self):
         params = NdtParams.solve(offset=12.0, x_h=150.0)
-        again = NdtParams.from_json(params.to_json())
+        again = NdtParams.from_doc(json.loads(json.dumps(asdict(params))))
         assert again == params
 
     def test_json_fields(self):
-        doc = json.loads(PAPER.to_json())
+        doc = asdict(PAPER)
         assert set(doc) == {"offset", "tau", "a", "b", "t_max", "precision"}
 
 

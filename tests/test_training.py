@@ -184,6 +184,21 @@ class TestTrain:
         reloaded = score_events(loaded, loaded_space, log)
         assert np.array_equal(original, reloaded)
 
+    def test_every_network_holds_float32_values_in_float64(self, tmp_path):
+        """A constructed, a trained and a loaded network each keep every
+        parameter as float64 holding its float32 rounding: one in-memory form."""
+        cfg = TrainConfig(epochs=1, batch_size=8, seed=4)
+        batch, space = build_instances(toy_rows(10), PARAMS, cfg)
+        trained = train(cfg, batch, space).network
+        path = tmp_path / "model.ckpt"
+        trained.save(str(path))
+        loaded, _ = MtlNetwork.load(str(path))
+        for net in (MtlNetwork(trained.config), trained, loaded):
+            for name, value in net.params.items():
+                assert value.dtype == np.float64, name
+                assert np.array_equal(value, value.astype(np.float32)), name
+        assert all(np.array_equal(trained.params[k], loaded.params[k]) for k in trained.params)
+
     def test_shuffle_is_pure_function_of_seed_epoch(self):
         a = epoch_order(7, 3, 1000)
         b = epoch_order(7, 3, 1000)

@@ -1,4 +1,4 @@
-"""Perf ledger: wall time and peak RSS of each CLI command at size M.
+"""Perf ledger: wall time, CPU time and peak RSS of each CLI command at size M.
 
 Run from the repository root::
 
@@ -9,14 +9,19 @@ or more, the repetitions alternate between them, so host drift falls on
 every tree alike.  Every repetition simulates the size-M log
 (``SimConfig(n_users=20000, n_items=2000, seed=7)``, 470,208 events) and
 runs the pipeline on it, one subprocess per command (one BLAS thread),
-taking each command's wall time and ``ru_maxrss`` from ``os.wait4``.
-A child's ``ru_maxrss`` starts at its spawner's peak, so this script
-imports no numpy, and each repetition starts with a ``python -c pass``
-control row that shows the floor every command's peak stands on.
-The run appends one entry per tree to the ``runs`` list of ``--out``:
-the median and the samples of each command, the tree's git sha, and the
-host (Python and numpy versions, nproc, bytecode caching, and a fixed
-calibration loop's time before and after).  Nothing here is a gate.
+taking each command's wall time, and its CPU time (``ru_utime +
+ru_stime``) and ``ru_maxrss`` from ``os.wait4``.  CPU time moves less with
+the host's load than wall time does.  A child's ``ru_maxrss`` starts at its
+spawner's peak, so this script imports no numpy, and each repetition starts
+with a ``python -c pass`` control row that shows the floor every command's
+peak stands on.  The run appends one entry per tree to the ``runs`` list of
+``--out``: the median and the samples of each command, the tree's git sha,
+and the host (Python and numpy versions, nproc, bytecode caching, and a
+fixed calibration loop's time before and after).  Nothing here is a gate.
+
+Reading rule: a per-command peak that differs between two trees by less
+than 2 MB is not put down to the code; trees with the same code have
+differed by about 1.4 MB.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 
 CONTROL = "python -c pass"
+# Each measure's ledger key and the digits its samples keep, in run_command's order.
+MEASURES = (("wall_s", 3), ("cpu_s", 3), ("peak_rss_mb", 1))
 
 
 def pipeline(work: Path) -> list[list[str]]:
@@ -61,8 +68,8 @@ def pipeline(work: Path) -> list[list[str]]:
     ]
 
 
-def run_command(argv: list[str], src: Path) -> tuple[float, float, str]:
-    """(wall s, peak RSS MB, stdout) of ``python argv`` in a subprocess."""
+def run_command(argv: list[str], src: Path) -> tuple[float, float, float, str]:
+    """(wall s, CPU s, peak RSS MB, stdout) of ``python argv`` in a subprocess."""
     env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in BLAS_THREAD_VARS})
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         start = time.perf_counter()
@@ -70,13 +77,23 @@ def run_command(argv: list[str], src: Path) -> tuple[float, float, str]:
                                 stdin=subprocess.DEVNULL, stdout=out, stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
+        # Reaped by wait4: tell Popen, which would otherwise warn that it still runs.
+        proc.returncode = code = os.waitstatus_to_exitcode(status)
         out.seek(0)
         err.seek(0)
         stdout, stderr = out.read().decode(), err.read().decode()
-    code = os.waitstatus_to_exitcode(status)
     if code != 0:
         raise RuntimeError(f"{argv} exited {code}: {stdout} {stderr}")
-    return wall, usage.ru_maxrss / 1024.0, stdout
+    return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0, stdout
+
+
+def summary(runs: list[tuple[float, float, float]]) -> dict:
+    """Each measure's median and samples over ``runs`` of one command."""
+    entry = {}
+    for (key, digits), column in zip(MEASURES, zip(*runs)):
+        entry[key] = statistics.median(column)
+        entry[f"{key}_samples"] = [round(x, digits) for x in column]
+    return entry
 
 
 def calibration_s() -> float:
@@ -108,19 +125,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--reps", type=int, default=3)
     args = parser.parse_args(argv)
     trees = dict(item.split("=", 1) for item in args.tree)
-    samples: dict[str, dict[str, list[tuple[float, float]]]] = {label: {} for label in trees}
+    # (wall s, CPU s, peak RSS MB) of each run of each command, by tree.
+    samples: dict[str, dict[str, list[tuple[float, float, float]]]] = {label: {} for label in trees}
     n_events = {}
     calibration = [calibration_s()]
     for rep in range(args.reps):
         order = list(trees) if rep % 2 == 0 else list(reversed(trees))
         for label in order:
             src = Path(trees[label]).resolve()
-            wall, rss, _ = run_command(["-c", "pass"], src)
-            samples[label].setdefault(CONTROL, []).append((wall, rss))
+            *measured, _ = run_command(["-c", "pass"], src)
+            samples[label].setdefault(CONTROL, []).append(tuple(measured))
             with tempfile.TemporaryDirectory() as work:
                 for command in pipeline(Path(work)):
-                    wall, rss, stdout = run_command(["-m", "readweight.cli", *command], src)
-                    samples[label].setdefault(command[0], []).append((wall, rss))
+                    *measured, stdout = run_command(["-m", "readweight.cli", *command], src)
+                    samples[label].setdefault(command[0], []).append(tuple(measured))
                     if command[0] == "simulate":
                         n_events[label] = json.loads(stdout)["n_events"]
     calibration.append(calibration_s())
@@ -142,20 +160,11 @@ def main(argv: list[str] | None = None) -> int:
             "n_events": n_events[label],
             "reps": args.reps,
             **host,
-            "commands": {
-                command: {
-                    "wall_s": statistics.median(w for w, _ in runs),
-                    "peak_rss_mb": statistics.median(r for _, r in runs),
-                    "wall_s_samples": [round(w, 3) for w, _ in runs],
-                    "peak_rss_mb_samples": [round(r, 1) for _, r in runs],
-                }
-                for command, runs in commands.items()
-            },
+            "commands": {command: summary(runs) for command, runs in commands.items()},
         })
     out.write_text(json.dumps(ledger, indent=1, sort_keys=True) + "\n")
     for label, commands in samples.items():
-        print(label, {c: (round(statistics.median(w for w, _ in r), 2), round(statistics.median(m for _, m in r), 1))
-                      for c, r in commands.items()})
+        print(label, {c: tuple(round(summary(r)[key], 2) for key, _ in MEASURES) for c, r in commands.items()})
     return 0
 
 
