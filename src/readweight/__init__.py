@@ -66,53 +66,8 @@ FORMAT_VERSIONS = {
     "checkpoint": CHECKPOINT_VERSION,
 }
 
+# The names imported from the submodules above, not the submodules or the version constants.
 __all__ = [
-    "DwellStats",
-    "EvalReport",
-    "EventTable",
-    "FeatureSpace",
-    "GKSummary",
-    "IdCoder",
-    "InsufficientDataError",
-    "InteractionEvent",
-    "ItemDwellProfile",
-    "LabeledLog",
-    "LabelKind",
-    "LabelingConfig",
-    "LogFormatError",
-    "MigrationCell",
-    "ModelConfig",
-    "MtlNetwork",
-    "NdtParams",
-    "ProfileStore",
-    "QuantileEstimator",
-    "RuleMixConfig",
-    "SimConfig",
-    "SlotSpec",
-    "TrainConfig",
-    "UndefinedAucError",
-    "ValidReadLabel",
-    "ValidReadSource",
-    "auc",
-    "build_instances",
-    "build_profiles",
-    "composition_report",
-    "derive_scale",
-    "equal_frequency_boundaries",
-    "fit_log_normal",
-    "generate",
-    "generate_migration_pair",
-    "generate_rule_mix",
-    "histogram_lnT",
-    "label_log",
-    "migration_report",
-    "ndt",
-    "parse_event",
-    "paper_default_params",
-    "read_labeled_log",
-    "read_log",
-    "relaimpr",
-    "solve_tau",
-    "train",
-    "write_log",
+    name for name, value in globals().items()
+    if not name.startswith("_") and getattr(value, "__module__", "").startswith("readweight.")
 ]

@@ -214,8 +214,8 @@ def _int_from(low: int, high: int | None = None) -> Callable[[str], int]:
     return parse
 
 
-def _float_from(low: float, above: bool = False) -> Callable[[str], float]:
-    """A finite float >= ``low`` (> ``low`` when ``above``)."""
+def _float_from(low: float, above: bool = False, high: float = math.inf) -> Callable[[str], float]:
+    """A finite float >= ``low`` (> ``low`` when ``above``) and <= ``high``."""
 
     def parse(text: str) -> float:
         value = float(text)
@@ -223,6 +223,8 @@ def _float_from(low: float, above: bool = False) -> Callable[[str], float]:
             raise ValueError("must be finite")
         if value < low or (above and value == low):
             raise ValueError(f"must be {'>' if above else '>='} {low}")
+        if value > high:
+            raise ValueError(f"must be <= {high}")
         return value
 
     return parse
@@ -286,7 +288,6 @@ def _handle_simulate(opts: Options) -> dict:
         write_log(out, corpus.events)
         _write_json(stats_out, asdict(corpus.stats))
         return {
-            "command": "simulate",
             "mode": mode,
             "seed": cfg.seed,
             "n_events": len(corpus.events),
@@ -304,7 +305,6 @@ def _handle_simulate(opts: Options) -> dict:
         write_log(out, pair.baseline)
         write_log(treatment_out, pair.treatment)
         return {
-            "command": "simulate",
             "mode": mode,
             "seed": cfg.seed,
             "n_events": len(pair.baseline),
@@ -321,7 +321,6 @@ def _handle_simulate(opts: Options) -> dict:
     if sidecar_path:
         atomic_write_text(sidecar_path, sidecar_csv(events, sidecar))
     return {
-        "command": "simulate",
         "mode": mode,
         "seed": cfg.seed,
         "n_events": len(events),
@@ -365,7 +364,6 @@ def _handle_fit_stats(opts: Options) -> dict:
         raise CliError("insufficient-data", str(err), exit_code=2)
     _write_json(out, asdict(stats))
     return {
-        "command": "fit-stats",
         **asdict(stats),
         "n_events": counts.total,
         "n_skipped": counts.skipped,
@@ -380,7 +378,6 @@ def _handle_stats_report(opts: Options) -> dict:
     histogram = histogram_lnT(events, bins)
     atomic_write_text(out, histogram_csv(histogram))
     return {
-        "command": "stats-report",
         "bins": bins,
         "n_events": counts.total,
         "n_counted": sum(count for _, count in histogram),
@@ -395,7 +392,6 @@ def _handle_build_profiles(opts: Options) -> dict:
     store = build_profiles(events, **settings)
     store.save(out)
     return {
-        "command": "build-profiles",
         "n_events": counts.total,
         "n_items": len(store.items),
         "n_users": len(store.user_ids),
@@ -418,7 +414,6 @@ def _handle_label(opts: Options) -> dict:
     report_path = opts.get("report")
     _write_json(report_path, report)
     return {
-        "command": "label",
         "n_events": counts.total,
         "counts": report["counts"],
         "out": out,
@@ -442,9 +437,7 @@ def _handle_ndt_params(opts: Options) -> dict:
     }
     out = opts.get("out")
     _write_json(out, doc)
-    doc["command"] = "ndt-params"
-    doc["out"] = out
-    return doc
+    return {**doc, "out": out}
 
 
 def _load_ndt_params(path: str, params_mode: str = "paper_default") -> NdtParams:
@@ -486,7 +479,6 @@ def _handle_train(opts: Options) -> dict:
         atomic_write_text(trace_path, trace_csv(result.trace))
     final = result.trace[-1]
     return {
-        "command": "train",
         "objective": cfg.objective,
         "neg_mode": cfg.neg_mode,
         "seed": cfg.seed,
@@ -511,7 +503,6 @@ def _handle_eval(opts: Options) -> dict:
     out = opts.get("out")
     _write_json(out, asdict(report))
     return {
-        "command": "eval",
         **asdict(report),
         "out": out,
     }
@@ -529,7 +520,6 @@ def _handle_migrate_report(opts: Options) -> dict:
     atomic_write_text(out, migration_csv(cells))
     n_missing = sum(1 for c in cells if c.delta is None)
     return {
-        "command": "migrate-report",
         "n_cells": len(cells),
         "n_missing": n_missing,
         "out": out,
@@ -613,7 +603,7 @@ _COMMAND_FLAGS: dict[str, dict[str, Callable]] = {
         "bottom-dim": _int_from(1),
         "tower-dims": _list_of(_int_from(1), 2),
     },
-    "eval": {"labeled": str, "checkpoint": str, "out": str, "base-auc": _float_from(0.5, above=True)},
+    "eval": {"labeled": str, "checkpoint": str, "out": str, "base-auc": _float_from(0.5, above=True, high=1)},
     "migrate-report": {
         "baseline": str,
         "treatment": str,
@@ -649,7 +639,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 print(json.dumps({"version": __version__, "formats": FORMAT_VERSIONS}, sort_keys=True))
                 return 0
             raise CliError("missing-command", "see --help")
-        summary = _HANDLERS[args.command](Options(args, _load_config_file(args.config)))
+        summary = {"command": args.command, **_HANDLERS[args.command](Options(args, _load_config_file(args.config)))}
     except CliError as err:
         print(json.dumps({"error": err.reason, "detail": err.detail}, sort_keys=True))
         return err.exit_code

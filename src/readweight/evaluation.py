@@ -63,8 +63,8 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
 
 def relaimpr(auc_value: float, base_auc: float) -> float:
     """Relative improvement above the 0.5 random floor."""
-    if base_auc <= 0.5:
-        raise ValueError(f"baseline AUC must exceed 0.5, got {base_auc}")
+    if not 0.5 < base_auc <= 1:
+        raise ValueError(f"baseline AUC must be in (0.5, 1], got {base_auc}")
     if auc_value < 0.5:
         raise ValueError(f"AUC below 0.5 ({auc_value}); RelaImpr undefined")
     return (auc_value - 0.5) / (base_auc - 0.5) - 1.0

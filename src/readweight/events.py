@@ -33,7 +33,7 @@ from ._fileio import atomic_write_text
 
 LOG_COLUMNS = ("user_id", "item_id", "timestamp", "clicked", "dwell_time_s")
 LOG_HEADER = ",".join(LOG_COLUMNS)
-_TIMESTAMP_LIMIT = 2**63
+TIMESTAMP_LIMIT = 2**63
 # Characters a reader takes from the file at a time; each read is cut after
 # its last newline, so a block holds whole lines.
 BLOCK_CHARS = 1 << 18
@@ -86,7 +86,7 @@ def parse_event(record: str, line_number: int | None = None) -> InteractionEvent
         raise LogFormatError(f"non-integer timestamp {ts_text!r}", line_number) from None
     if timestamp <= 0:
         raise LogFormatError(f"timestamp must be positive, got {timestamp}", line_number)
-    if timestamp >= _TIMESTAMP_LIMIT:
+    if timestamp >= TIMESTAMP_LIMIT:
         raise LogFormatError(f"timestamp {timestamp} does not fit int64", line_number)
     if clicked_text not in ("0", "1"):
         raise LogFormatError(f"clicked must be 0 or 1, got {clicked_text!r}", line_number)

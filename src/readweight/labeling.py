@@ -28,8 +28,8 @@ from typing import Iterator
 import numpy as np
 
 from .dwell_stats import DwellStats
-from .events import EventTable, IdCoder, InteractionEvent, LogFormatError, LogScan, concat_arrays, distinct_ids
-from .events import log_columns, parse_event, spans, text_rows
+from .events import LOG_COLUMNS, EventTable, IdCoder, InteractionEvent, LogFormatError, LogScan, concat_arrays
+from .events import distinct_ids, log_columns, parse_event, spans, text_rows
 from .profiles import WEEK_SECONDS, ProfileStore
 
 NOISE_FLOOR_S = 5.0
@@ -67,8 +67,9 @@ class LabelingConfig:
     light_user_max_clicks: int = LIGHT_USER_MAX_CLICKS
 
 
-# Labeled-log lines are the event columns plus `label,source`.
-LABELED_HEADER = "user_id,item_id,timestamp,clicked,dwell_time_s,label,source"
+LABELED_COLUMNS = (*LOG_COLUMNS, "label", "source")
+LABELED_HEADER = ",".join(LABELED_COLUMNS)
+_WIDTH, _LABEL_AT, _SOURCE_AT = len(LABELED_COLUMNS), LABELED_COLUMNS.index("label"), LABELED_COLUMNS.index("source")
 
 # Column codes: ``kind`` indexes LABEL_KINDS, ``source`` indexes
 # LABEL_SOURCES (0 is "no source").
@@ -257,7 +258,7 @@ def read_labeled_log(path: str | os.PathLike[str]) -> LabeledLog:
     """
     coder = IdCoder()
     # ``map`` holds no block's scan past its call, so one is alive at a time.
-    logs = list(map(_labeled_rows, LogScan.blocks(path, 7, _is_header, coder)))
+    logs = list(map(_labeled_rows, LogScan.blocks(path, _WIDTH, _is_header, coder)))
     return LabeledLog(
         coder.table([log.events for log in logs]),
         concat_arrays([log.kind for log in logs], np.int8),
@@ -267,8 +268,8 @@ def read_labeled_log(path: str | os.PathLike[str]) -> LabeledLog:
 
 def _labeled_rows(scan: LogScan) -> LabeledLog:
     """The labeled rows of one block; raises for its first bad line."""
-    kind = _codes(_KIND_CODE, scan.fields[5::7])
-    source = _codes(_SOURCE_CODE, scan.fields[6::7])
+    kind = _codes(_KIND_CODE, scan.fields[_LABEL_AT::_WIDTH])
+    source = _codes(_SOURCE_CODE, scan.fields[_SOURCE_AT::_WIDTH])
     skip = scan.bad | (kind < 0) | (source < 0) | ((kind == _VALID_READ) != (source > 0))
     skip |= (kind == _NOT_CLICKED) == scan.events.clicked
     # A header after line 1 fails the event checks, and is skipped.

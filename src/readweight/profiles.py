@@ -40,7 +40,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .events import EventTable, distinct_ids
+from .events import TIMESTAMP_LIMIT, EventTable, distinct_ids
 from .quantiles import DEFAULT_EPS, DEFAULT_SWITCH_THRESHOLD, QuantileEstimator
 
 WEEK_SECONDS = 7 * 86400
@@ -187,7 +187,7 @@ class ProfileStore:
                 raise ValueError("checksum mismatch")
             _check_ascending(values, counts[~sketchy], "dwell values")
             _check_ascending(stamps, clicks, "click timestamps")
-            if (stamps > np.iinfo(np.int64).max).any():
+            if (stamps >= TIMESTAMP_LIMIT).any():
                 raise ValueError("click timestamp past 2^63 - 1")
             if not sizes.all():
                 raise ValueError("sketch item with no GK entries")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dwell_stats import DwellStats
-from .events import _TIMESTAMP_LIMIT, EventTable, IdCoder, distinct_ids, log_columns, spans, text_rows
+from .events import LOG_COLUMNS, TIMESTAMP_LIMIT, EventTable, IdCoder, distinct_ids, log_columns, spans, text_rows
 from .evaluation import row_levels
 from .labeling import LIGHT_USER_MAX_CLICKS
 from .ndt import logistic
@@ -48,6 +48,8 @@ class ItemClass:
     ln_dt_std: float
 
     def __post_init__(self):
+        if not self.name or any(c in self.name for c in ",\n\r"):
+            raise ValueError(f"class name {self.name!r} must be one sidecar cell: non-empty, no comma or line break")
         if self.ln_dt_std < 0:
             raise ValueError(f"class {self.name}: ln_dt_std must be >= 0")
 
@@ -82,9 +84,11 @@ class SimConfig:
             raise ValueError("activeness mix must sum to 1")
         if abs(sum(c.prob for c in self.item_classes) - 1.0) > 1e-9:
             raise ValueError("item class probabilities must sum to 1")
+        if len({c.name for c in self.item_classes}) != len(self.item_classes):
+            raise ValueError("item class names must differ")
         if self.span_days < 1 or self.latent_dim < 1:
             raise ValueError("span_days and latent_dim must be >= 1")
-        if START_TS + self.span_days * DAY_SECONDS > _TIMESTAMP_LIMIT:
+        if START_TS + self.span_days * DAY_SECONDS > TIMESTAMP_LIMIT:
             raise ValueError(f"span_days {self.span_days} puts timestamps past int64")
 
 
@@ -101,7 +105,7 @@ class Sidecar:
     vr_propensity: np.ndarray
 
 
-SIDECAR_HEADER = "user_id,item_id,timestamp,clicked,affinity,user_level,item_class,vr_propensity"
+SIDECAR_HEADER = ",".join((*LOG_COLUMNS[:4], "affinity", "user_level", "item_class", "vr_propensity"))
 
 
 def sidecar_csv(events: EventTable, sidecar: Sidecar) -> str:
@@ -152,9 +156,12 @@ def generate(cfg: SimConfig) -> tuple[EventTable, Sidecar]:
         np.einsum("ij,ij->i", user_vecs[user_idx[span]], item_vecs[item], out=affinity[span])
         logit = cfg.click_bias + affinity[span] + cfg.bait_click_coef * bait[item]
         clicked[span] = coins[span] < logistic(logit)
-        ln_mean = item_ln_mean[item] + cfg.affinity_dt_coef * affinity[span] - cfg.bait_dt_coef * bait[item]
         ln_std = item_ln_std[item]
-        dwell[span] = np.where(clicked[span], np.exp(ln_mean + ln_std * noise[span]), 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ln_mean = item_ln_mean[item] + cfg.affinity_dt_coef * affinity[span] - cfg.bait_dt_coef * bait[item]
+            dwell[span] = np.where(clicked[span], np.exp(ln_mean + ln_std * noise[span]), 0.0)
+        if not np.isfinite(dwell[span]).all():
+            raise ValueError("a drawn dwell time is not finite: the dwell law overflows float64")
         z = (math.log(VALID_READ_REF_S) - ln_mean) / np.where(ln_std > 0, ln_std, 1.0)
         step = (ln_mean > math.log(VALID_READ_REF_S)).astype(np.float64)
         propensity[span] = np.where(ln_std > 0, 1.0 - _norm_cdf(z), step)

@@ -458,6 +458,22 @@ class TestErrors:
         assert (code, doc) == (2, {"error": "runtime-failure", "detail": "need at least 7 users to cut 7 levels"})
         assert not base.exists() and not treat.exists()
 
+    @pytest.mark.parametrize("mode", ["organic", "migration"])
+    @pytest.mark.parametrize(
+        "flags", [["--classes", "a:1:800:0"], ["--affinity-dt-coef", "400"], ["--affinity-dt-coef", "1e308"]],
+        ids=["classes", "affinity-dt-coef", "affinity-dt-coef-overflows-ln-mean"],
+    )
+    def test_overflowing_dwell_law_is_runtime_failure(self, capsys, tmp_path, flags, mode):
+        """A dwell law whose draws overflow float64 fails on the draws, with
+        no warning on stderr, and writes no log its own reader would reject."""
+        second = "--sidecar" if mode == "organic" else "--treatment-out"
+        code, doc = run_cli(
+            capsys, "simulate", "--mode", mode, *flags, "--out", str(tmp_path / "a.csv"), second, str(tmp_path / "b.csv")
+        )
+        assert (code, doc["error"]) == (2, "runtime-failure")
+        assert "dwell time" in doc["detail"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_log_is_runtime_failure(self, capsys, tmp_path):
         log = tmp_path / "bad.csv"
         log.write_text("not,a,log\n", encoding="utf-8")
@@ -958,6 +974,9 @@ class TestUsageErrors:
             ("migrate-report", "boundaries", "3,2,1"),
             ("migrate-report", "boundaries", "1,1"),
             ("migrate-report", "header", "bogus"),
+            ("eval", "base-auc", "1.5"),
+            ("simulate", "classes", "x,y:1:3:1"),
+            ("simulate", "classes", "a:0.5:3:1;a:0.5:4:1"),
         ],
     )
     def test_bad_value(self, capsys, tmp_path, inputs, out, command, name, value):

@@ -140,6 +140,8 @@ class TestRelaImpr:
             relaimpr(0.7, 0.5)
         with pytest.raises(ValueError):
             relaimpr(0.7, 0.49)
+        with pytest.raises(ValueError):
+            relaimpr(0.7, 1.01)
 
     def test_report_build(self):
         report = EvalReport.build([0.9, 0.2, 0.8], [1, 0, 1], base_auc=0.75)

@@ -195,6 +195,15 @@ class TestOrganicGenerator:
         with pytest.raises(ValueError):
             SimConfig(activeness_mix=(0.5, 0.2, 0.1, 0.1, 0.05, 0.03, 0.01))
 
+    @pytest.mark.parametrize("name", ["", "x,y", "x\ny", "x\ry"])
+    def test_class_name_must_fit_one_sidecar_cell(self, name):
+        with pytest.raises(ValueError, match="class name"):
+            ItemClass(name, 1.0, 3.0, 1.0)
+
+    def test_class_names_must_differ(self):
+        with pytest.raises(ValueError, match="names must differ"):
+            SimConfig(item_classes=(ItemClass("a", 0.5, 3.0, 1.0), ItemClass("a", 0.5, 4.0, 1.0)))
+
 
 class TestRuleMixGenerator:
     def test_exact_mix_recovered_by_pipeline(self):
