@@ -30,6 +30,7 @@ flag that its mode does not read.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -128,6 +129,7 @@ class Options:
 
     def __init__(self, args: argparse.Namespace, config: dict[str, str]):
         self.casts = _COMMAND_FLAGS[args.command]
+        self.names = {_KWARGS.get(name, name.replace("-", "_")): name for name in self.casts}  # keyword -> option
         self.flags = {
             name: text
             for name in self.casts
@@ -149,29 +151,29 @@ class Options:
         except (TypeError, ValueError) as err:
             raise CliError(reason, f"bad value for {name}: {text!r} ({err})")
 
-    def given(self, *names: str) -> dict:
-        """The options among ``names`` that are set, as the callee's keyword
-        arguments; an unset one is left out, so the callee's default applies."""
-        values = {_KWARGS.get(name, name.replace("-", "_")): self.get(name) for name in names}
+    def given(self, fn: Callable) -> dict:
+        """The set options whose keyword argument is a parameter of ``fn``, in
+        parameter order; an unset one is left out, so ``fn``'s default applies."""
+        values = {key: self.get(self.names[key]) for key in inspect.signature(fn).parameters if key in self.names}
         return {key: value for key, value in values.items() if value is not None}
 
-    def build(self, make: Callable, *names: str):
-        """``make`` called with ``given(*names)``.  Options that each parse
+    def build(self, make: Callable):
+        """``make`` called with ``given(make)``.  Options that each parse
         can still be wrong together: on a ValueError from ``make``, the set
-        options go back to their defaults one by one, from the last named,
-        and the one whose reset lets ``make`` pass is blamed."""
-        kwargs = self.given(*names)
+        options go back to their defaults one by one, from the last
+        parameter, and the one whose reset lets ``make`` pass is blamed."""
+        kwargs = self.given(make)
         try:
             return make(**kwargs)
         except ValueError as err:
             detail = str(err)
-        for name in reversed(names):
-            if kwargs.pop(_KWARGS.get(name, name.replace("-", "_")), None) is None:
-                continue
+        for key in reversed(list(kwargs)):
+            del kwargs[key]
             try:
                 make(**kwargs)
             except ValueError:
                 continue
+            name = self.names[key]
             raise CliError(f"invalid-flag:{name}" if name in self.flags else "invalid-config", detail)
         raise ValueError(detail)
 
@@ -270,19 +272,12 @@ def _parse_classes(text: str) -> tuple[ItemClass, ...]:
 
 # -- handlers ---------------------------------------------------------------
 
-_SIM_OPTIONS = (
-    "users", "items", "activeness-mix", "impressions-per-level", "latent-dim", "user-scale",
-    "item-scale", "click-bias", "affinity-dt-coef", "bait-click-coef", "bait-dt-coef",
-    "classes", "span-days", "seed",
-)
-
-
 def _handle_simulate(opts: Options) -> dict:
     mode = opts.get("mode", "organic")
     out = opts.required("out")
     if mode == "rule-mix":
         stats_out = opts.required("stats-out", "rule-mix mode writes planted stats")
-        cfg = opts.build(RuleMixConfig, "valid-reads", "mix", "noise-frac", "unclicked-frac", "seed")
+        cfg = opts.build(RuleMixConfig)
         opts.reject_unread()
         corpus = generate_rule_mix(cfg)
         write_log(out, corpus.events)
@@ -297,9 +292,9 @@ def _handle_simulate(opts: Options) -> dict:
         }
     if mode == "migration":
         treatment_out = opts.required("treatment-out", "migration mode writes two logs")
-        shift = opts.given("shift", "shift-scale", "max-level")
-        opts.build(check_lift, "shift", "shift-scale")
-        cfg = opts.build(SimConfig, *_SIM_OPTIONS)
+        shift = opts.given(generate_migration_pair)
+        opts.build(check_lift)
+        cfg = opts.build(SimConfig)
         opts.reject_unread()
         pair = generate_migration_pair(cfg, **shift)
         write_log(out, pair.baseline)
@@ -313,7 +308,7 @@ def _handle_simulate(opts: Options) -> dict:
             "out": out,
             "treatment_out": treatment_out,
         }
-    cfg = opts.build(SimConfig, *_SIM_OPTIONS)
+    cfg = opts.build(SimConfig)
     sidecar_path = opts.get("sidecar")
     opts.reject_unread()
     events, sidecar = generate(cfg)
@@ -333,7 +328,7 @@ def _handle_simulate(opts: Options) -> dict:
 def _read_log_checked(opts: Options, flag: str = "log"):
     path = opts.input(flag)
     try:
-        return read_log(path, **opts.given("header", "bad-line-budget"))
+        return read_log(path, **opts.given(read_log))
     except BadLineBudgetExceeded as err:
         raise CliError("bad-line-budget-exceeded", str(err), exit_code=2)
     except LogFormatError as err:
@@ -386,7 +381,7 @@ def _handle_stats_report(opts: Options) -> dict:
 
 
 def _handle_build_profiles(opts: Options) -> dict:
-    settings = opts.given("eps", "switch-threshold")
+    settings = opts.given(build_profiles)
     events, counts = _read_log_checked(opts)
     out = opts.required("out")
     store = build_profiles(events, **settings)
@@ -400,7 +395,7 @@ def _handle_build_profiles(opts: Options) -> dict:
 
 
 def _handle_label(opts: Options) -> dict:
-    cfg = opts.build(LabelingConfig, "noise-floor", "light-max-clicks")
+    cfg = opts.build(LabelingConfig)
     events, counts = _read_log_checked(opts)
     stats_path = opts.input("stats")
     profiles_path = opts.input("profiles")
@@ -422,12 +417,11 @@ def _handle_label(opts: Options) -> dict:
 
 
 def _handle_ndt_params(opts: Options) -> dict:
-    settings = opts.given("precision", "t-max")
-    opts.build(check_precision, "precision", "t-max")
+    opts.build(check_precision)
     stats = _load_stats(opts.input("stats"))
-    paper = paper_default_params(**opts.given("precision"))
+    paper = paper_default_params(**opts.given(paper_default_params))
     try:
-        solved = NdtParams.solve(offset=stats.x_l, x_h=stats.x_h, **settings)
+        solved = NdtParams.solve(offset=stats.x_l, x_h=stats.x_h, **opts.given(NdtParams.solve))
     except ValueError as err:
         raise CliError("infeasible-ndt", str(err), exit_code=2)
     doc = {
@@ -461,12 +455,8 @@ def _handle_train(opts: Options) -> dict:
     labeled_path = opts.input("labeled")
     params_path = opts.input("ndt-params")
     checkpoint_path = opts.required("checkpoint")
-    cfg = opts.build(
-        TrainConfig,
-        "objective", "neg-mode", "batch-size", "learning-rate", "epochs", "seed",
-        "embedding-dim", "bottom-dim", "tower-dims",
-    )
-    params = _load_ndt_params(params_path, **opts.given("params-mode"))
+    cfg = opts.build(TrainConfig)
+    params = _load_ndt_params(params_path, **opts.given(_load_ndt_params))
     # Only the batch and the vocabularies, not the labeled log, live through training.
     batch, space = build_instances(_read_labeled_checked(labeled_path), params, cfg)
     try:
@@ -650,5 +640,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 0
 
 
+def run() -> None:
+    """The console script: ``main``, then the process ends once its output is flushed,
+    skipping the interpreter's teardown.  Help (SystemExit) and uncaught errors exit normally."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        code = code or 120  # the status CPython exits with when its final flush fails
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

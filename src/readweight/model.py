@@ -14,11 +14,11 @@ Parameters are float64 arrays holding float32 values (drawn as float32;
 so save/load is bit-exact.  All arithmetic runs in float64, which keeps
 finite-difference gradient checks meaningful.
 
-The forward pass keeps only what ``backward`` reads: x0, the post-ReLU
-activations and the two probabilities, 290 float64 (2.3 KB) a row at the
-default dims.  ``backward`` takes each ReLU's mask from its output, which
-is positive exactly where its input is (NaN in neither), so the gradients
-keep their bits.  It returns each embedding table's gradient row-sparse, as
+``backward`` runs the shared bottom once, then one tower at a time, holding
+x0, hb and that tower's post-ReLU activations and probability: 193 float64
+(1.5 KB) a row at the default dims.  It takes each ReLU's mask from its
+output, which is positive exactly where its input is (NaN in neither), so
+the gradients keep their bits.  It returns each embedding table's gradient row-sparse, as
 the batch's distinct rows and their gradient rows, so its cost follows the
 batch, not the vocabulary.  ``score_batch`` runs the forward pass over
 SCORE_CHUNK_ROWS rows at a time, keeping only ``hb`` and the layer being
@@ -140,42 +140,30 @@ class MtlNetwork:
             params[name] = rng.uniform(-s, s, size=shape).astype(np.float32)
         return params
 
-    def _check_indices(self, idx: np.ndarray) -> None:
+    def _bottom(self, batch: PackedBatch) -> tuple[np.ndarray, np.ndarray]:
+        """x0, the batch's embedding rows side by side, and the shared bottom's
+        output hb; an index outside its slot raises IndexError."""
+        embedded = []
         for col, slot in enumerate(self.config.slots):
-            column = idx[:, col]
+            column = batch.idx[:, col]
             if column.min(initial=0) < 0 or column.max(initial=0) >= slot.cardinality:
-                raise IndexError(
-                    f"token index out of range for slot {slot.name} "
-                    f"(cardinality {slot.cardinality})"
-                )
+                raise IndexError(f"token index out of range for slot {slot.name} (cardinality {slot.cardinality})")
+            embedded.append(self.params[f"emb.{slot.name}"][column])
+        x0 = np.concatenate(embedded, axis=1)
+        return x0, _dense_relu(x0, self.params, "bottom")
 
-    def _forward_arrays(self, batch: PackedBatch, keep: bool = True) -> dict[str, np.ndarray]:
-        """The layers' outputs by name, as ``backward`` reads them; unless
-        ``keep``, only ``hb`` and the probabilities, each tower layer's
-        input dropped once its output exists."""
-        self._check_indices(batch.idx)
+    def _tower(self, hb: np.ndarray, tower: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``tower``'s two post-ReLU activations and its probability."""
         p = self.params
-        x0 = np.concatenate(
-            [p[f"emb.{slot.name}"][batch.idx[:, col]] for col, slot in enumerate(self.config.slots)],
-            axis=1,
-        )
-        cache: dict[str, np.ndarray] = {"x0": x0} if keep else {}
-        hb = cache["hb"] = _dense_relu(x0, p, "bottom")
-        del x0
-        for tower in ("tower_v", "tower_w"):
-            h = hb
-            for layer in (1, 2):
-                h = _dense_relu(h, p, f"{tower}.{layer}")
-                if keep:
-                    cache[f"{tower}.h{layer}"] = h
-            z3 = h @ p[f"{tower}.3.W"] + p[f"{tower}.3.b"]
-            cache[f"{tower}.prob"] = logistic(z3[:, 0])
-        return cache
+        h1 = _dense_relu(hb, p, f"{tower}.1")
+        h2 = _dense_relu(h1, p, f"{tower}.2")
+        z3 = h2 @ p[f"{tower}.3.W"] + p[f"{tower}.3.b"]
+        return h1, h2, logistic(z3[:, 0])
 
     def forward_batch(self, batch: PackedBatch) -> tuple[np.ndarray, np.ndarray]:
         """Probabilities (P, P') for every row; shared bottom runs once."""
-        cache = self._forward_arrays(batch, keep=False)
-        return cache["tower_v.prob"], cache["tower_w.prob"]
+        hb = self._bottom(batch)[1]
+        return self._tower(hb, "tower_v")[2], self._tower(hb, "tower_w")[2]
 
     def score_batch(self, batch: PackedBatch) -> np.ndarray:
         """Ranking scores P + P' for every row, SCORE_CHUNK_ROWS rows at a time."""
@@ -196,20 +184,21 @@ class MtlNetwork:
         gradient is zero.  The shared-bottom and embedding gradients
         accumulate both towers' contributions.
         """
-        cache = self._forward_arrays(batch)
-        y, w = batch.y, batch.w
-        pv, pw = (np.clip(cache[f"{tower}.prob"], PROB_CLAMP, 1.0 - PROB_CLAMP) for tower in ("tower_v", "tower_w"))
-        l_v = -float(np.sum(y * np.log(pv) + (1.0 - y) * np.log(1.0 - pv)))
-        l_w = -float(np.sum(w * (y * np.log(pw) + (1.0 - y) * np.log(1.0 - pw))))
+        x0, hb = self._bottom(batch)
+        y = batch.y
         p = self.params
         grads: dict = {}
-
-        dzb = np.zeros_like(cache["hb"])  # d L / d hb, masked to d L / d zb below
+        losses = []
+        dzb = np.zeros_like(hb)  # d L / d hb, masked to d L / d zb below
         for tower, scale in (("tower_v", None), ("tower_w", batch.w)):
-            dz3 = cache[f"{tower}.prob"] - batch.y
+            h1, h2, prob = self._tower(hb, tower)
+            clamped = np.clip(prob, PROB_CLAMP, 1.0 - PROB_CLAMP)
+            log_lik = y * np.log(clamped) + (1.0 - y) * np.log(1.0 - clamped)
+            dz3 = prob - y
             if scale is not None:
+                log_lik *= scale
                 dz3 *= scale
-            h1, h2 = cache[f"{tower}.h1"], cache[f"{tower}.h2"]
+            losses.append(-float(np.sum(log_lik)))
             grads[f"{tower}.3.W"] = h2.T @ dz3[:, None]
             grads[f"{tower}.3.b"] = np.array([dz3.sum()])
             dz2 = dz3[:, None] @ p[f"{tower}.3.W"].T
@@ -218,12 +207,13 @@ class MtlNetwork:
             grads[f"{tower}.2.b"] = dz2.sum(axis=0)
             dz1 = dz2 @ p[f"{tower}.2.W"].T
             dz1 *= h1 > 0
-            grads[f"{tower}.1.W"] = cache["hb"].T @ dz1
+            grads[f"{tower}.1.W"] = hb.T @ dz1
             grads[f"{tower}.1.b"] = dz1.sum(axis=0)
             dzb += dz1 @ p[f"{tower}.1.W"].T
+            del h1, h2, prob, clamped, log_lik, dz3, dz2, dz1  # before the next tower runs
 
-        dzb *= cache["hb"] > 0
-        grads["bottom.W"] = cache["x0"].T @ dzb
+        dzb *= hb > 0
+        grads["bottom.W"] = x0.T @ dzb
         grads["bottom.b"] = dzb.sum(axis=0)
         dx0 = dzb @ p["bottom.W"].T
         d_emb = self.config.embedding_dim
@@ -232,6 +222,7 @@ class MtlNetwork:
             values = np.zeros((rows.size, d_emb))
             np.add.at(values, inverse, dx0[:, col * d_emb : (col + 1) * d_emb])
             grads[f"emb.{slot.name}"] = (rows, values)
+        l_v, l_w = losses
         return (l_v, l_w, l_v + l_w), grads
 
     # -- checkpoint io ----------------------------------------------------
@@ -266,7 +257,8 @@ class MtlNetwork:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> tuple["MtlNetwork", dict]:
-        """Checkpoint from its bytes; a cut, extended or corrupt buffer raises ValueError."""
+        """Checkpoint from its bytes; a cut, extended or corrupt buffer, or a
+        non-finite weight, raises ValueError."""
         try:
             if data[:4] != CHECKPOINT_MAGIC:
                 raise ValueError("not a model checkpoint (bad magic)")
@@ -299,6 +291,8 @@ class MtlNetwork:
                 offset += len(head)
                 count = int(np.prod(shape))
                 params[name] = np.frombuffer(data, dtype="<f4", count=count, offset=offset).reshape(shape)
+                if not np.isfinite(params[name]).all():
+                    raise ValueError(f"tensor {name} holds a non-finite value")
                 offset += 4 * count
             if offset != len(data):
                 raise ValueError(f"truncated or corrupt checkpoint: {len(data) - offset} trailing bytes")

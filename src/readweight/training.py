@@ -48,7 +48,7 @@ B1, B2, EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite."""
+    """The loss, or a weight once rounded to float32, became non-finite."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,13 +248,15 @@ def epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     return np.random.default_rng([seed, epoch]).permutation(n)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(cfg: TrainConfig, batch: PackedBatch, space: FeatureSpace) -> TrainResult:
     """Run fixed-epoch training on ``batch``; deterministic given cfg.seed.
 
     Every row needs y in {0, 1} and w >= 0 (NaN fails).  The loss trace
-    records per-instance mean losses per epoch.  Non-finite loss aborts
-    with TrainingDivergedError.  The returned network's float64 weights
-    hold float32 values.
+    records per-instance mean losses per epoch.  A non-finite loss, or a
+    weight that is not finite once rounded to float32, aborts with
+    TrainingDivergedError, not a numpy warning.  The returned network's
+    float64 weights hold float32 values.
     """
     if len(batch) == 0:
         raise ValueError("cannot train on an empty instance set")
@@ -285,9 +287,7 @@ def train(cfg: TrainConfig, batch: PackedBatch, space: FeatureSpace) -> TrainRes
             optimizer.catch_up(
                 net.params, {name: np.unique(step.idx[:, col]) for col, name in enumerate(tables)}
             )
-            # Non-finite values surface as the divergence error below.
-            with np.errstate(over="ignore", invalid="ignore"):
-                (l_v, l_w, l_total), grads = net.backward(step)
+            (l_v, l_w, l_total), grads = net.backward(step)
             if not math.isfinite(l_total):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch offset {start}: "
@@ -300,6 +300,8 @@ def train(cfg: TrainConfig, batch: PackedBatch, space: FeatureSpace) -> TrainRes
     optimizer.catch_up(net.params)
     for value in net.params.values():
         value[...] = value.astype(np.float32)
+    if diverged := [name for name, value in net.params.items() if not np.isfinite(value).all()]:
+        raise TrainingDivergedError(f"non-finite weights after training in {', '.join(diverged)}")
     return TrainResult(network=net, trace=trace, space=space, config=cfg)
 
 

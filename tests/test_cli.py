@@ -7,6 +7,8 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
@@ -490,6 +492,31 @@ class TestErrors:
         assert (code, doc["error"]) == (2, "training-diverged")
         assert "non-finite loss" in doc["detail"]
         assert not checkpoint.exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--learning-rate", "1e40"], ["--batch-size", "4096", "--learning-rate", "1e308"]],
+        ids=["lr-1e40", "one-batch-lr-1e308"],
+    )
+    def test_non_finite_weights_are_training_divergence(self, capsys, inputs, tmp_path, flags):
+        """A step so large that the loss stays finite but the weights leave
+        float32's range writes no checkpoint."""
+        checkpoint = tmp_path / "model.ckpt"
+        code, doc = run_cli(
+            capsys, "train", "--labeled", inputs["labeled"], "--ndt-params", inputs["params"],
+            "--checkpoint", str(checkpoint), "--epochs", "1", *flags,
+        )
+        assert (code, doc["error"]) == (2, "training-diverged")
+        assert "non-finite weights" in doc["detail"]
+        assert not checkpoint.exists()
+
+    def test_checkpoint_with_a_non_finite_weight_is_runtime_failure(self, inputs, capsys, tmp_path):
+        net, config = MtlNetwork.load(inputs["checkpoint"])
+        net.params["tower_w.3.b"][0] = math.nan
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(net.to_bytes(config))
+        code, doc = run_cli(capsys, "eval", "--labeled", inputs["labeled"], "--checkpoint", str(ckpt))
+        assert (code, doc["error"]) == (2, "runtime-failure")
+        assert "tower_w.3.b" in doc["detail"] and "non-finite" in doc["detail"]
 
     def test_memory_error_is_runtime_failure(self, capsys, inputs, tmp_path, monkeypatch):
         def exhausted(*args):
@@ -1060,6 +1087,61 @@ class TestUsageErrors:
         code, doc = run_cli(capsys, *argv)
         assert code == 1
         assert doc["error"] == ("missing-command" if not argv else "invalid-usage")
+
+
+class TestProcess:
+    """``python -m readweight.cli`` as a process, the way its console script
+    runs: the exit code, and exactly one JSON line on stdout with nothing on
+    stderr, once the process has ended."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+
+    def run(self, cwd, *argv):
+        # Block-buffered stdout, as a piped console script has it, so an unflushed line is lost.
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(self.SRC)
+        return subprocess.run(
+            [sys.executable, "-m", "readweight.cli", *argv],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    @pytest.mark.parametrize(
+        "argv, code, key",
+        [
+            (["--version"], 0, "version"),
+            (["ndt-params", "--stats", "{stats}", "--out", "params.json"], 0, "solved"),
+            (["ndt-params", "--stats", "{stats}", "--bogus", "1"], 1, "error"),
+            (["fit-stats", "--log", "empty.csv"], 2, "error"),
+        ],
+        ids=["version", "ndt-params", "unknown-flag", "empty-log"],
+    )
+    def test_one_json_line_and_exit_code(self, inputs, tmp_path, argv, code, key):
+        (tmp_path / "empty.csv").write_text("", encoding="utf-8")
+        done = self.run(tmp_path, *(arg.format(**inputs) for arg in argv))
+        lines = done.stdout.splitlines()
+        assert (done.returncode, len(lines), done.stderr) == (code, 1, ""), done
+        assert key in json.loads(lines[0])
+        assert (tmp_path / "params.json").exists() == (argv[0] == "ndt-params" and code == 0)
+
+    def test_help_exits_zero(self, tmp_path):
+        done = self.run(tmp_path, "-h")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("usage: readweight")
+
+    def test_failed_flush_exits_non_zero(self, monkeypatch):
+        """``run`` ends the process itself, so a final flush that fails must
+        set a non-zero status."""
+
+        class ReaderGone(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError("reader gone")
+
+        ended = []
+        monkeypatch.setattr(sys, "argv", ["readweight", "--version"])
+        monkeypatch.setattr(sys, "stdout", ReaderGone())
+        monkeypatch.setattr(cli_module.os, "_exit", ended.append)
+        cli_module.run()
+        assert ended == [120]
 
 
 # Hostile values for any option: non-finite, negative, zero, empty, and lists
