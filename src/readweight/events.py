@@ -14,7 +14,8 @@ row, whose ids are int32 codes into sorted vocabularies (``IdCoder`` makes
 every code).  ``read_log`` reads the file in blocks of whole lines, splits
 each block into columns, codes its ids through one dict for the whole file
 and checks every line with masks, so its peak memory is the columns plus one
-block; ``parse_event`` runs only on the line it reports.
+32K-char block (``BLOCK_CHARS``) and that block's per-field strings;
+``parse_event`` runs only on the line it reports.
 Rows leave a table one span of 2^16 at a time (``spans``); every writer
 joins one span's ``log_columns`` at a time into lines (``text_rows``).
 """
@@ -35,8 +36,9 @@ LOG_COLUMNS = ("user_id", "item_id", "timestamp", "clicked", "dwell_time_s")
 LOG_HEADER = ",".join(LOG_COLUMNS)
 TIMESTAMP_LIMIT = 2**63
 # Characters a reader takes from the file at a time; each read is cut after
-# its last newline, so a block holds whole lines.
-BLOCK_CHARS = 1 << 18
+# its last newline, so a block holds whole lines.  A block's scan holds about
+# 18 B of per-field str objects per character, so 2^15 keeps it near 0.6 MB.
+BLOCK_CHARS = 1 << 15
 
 
 class LogFormatError(ValueError):

@@ -9,10 +9,10 @@ a per-instance-weighted binary cross entropy:
     L_w = -sum_pos w log P' - sum_neg w log(1 - P')
     L   = L_v + L_w
 
-Parameters are float64 arrays holding float32 values (drawn as float32;
-``train`` rounds its result), and a checkpoint stores raw float32 tensors,
-so save/load is bit-exact.  All arithmetic runs in float64, which keeps
-finite-difference gradient checks meaningful.
+Parameters are float64 arrays holding float32 values (each drawn as float32
+and upcast as it is drawn; ``train`` rounds its result), and a checkpoint
+stores raw float32 tensors, so save/load is bit-exact.  All arithmetic runs
+in float64, which keeps finite-difference gradient checks meaningful.
 
 ``backward`` runs the shared bottom once, then one tower at a time, holding
 x0, hb and that tower's post-ReLU activations and probability: 193 float64
@@ -20,7 +20,9 @@ x0, hb and that tower's post-ReLU activations and probability: 193 float64
 output, which is positive exactly where its input is (NaN in neither), so
 the gradients keep their bits.  It returns each embedding table's gradient row-sparse, as
 the batch's distinct rows and their gradient rows, so its cost follows the
-batch, not the vocabulary.  ``score_batch`` runs the forward pass over
+batch, not the vocabulary; the caller finds those rows once
+(``PackedBatch.distinct``), and ``train`` catches the same rows up in Adam
+before the pass.  ``score_batch`` runs the forward pass over
 SCORE_CHUNK_ROWS rows at a time, keeping only ``hb`` and the layer being
 computed, so scoring holds part of one chunk's activations whatever the
 batch size.
@@ -30,6 +32,7 @@ config JSON (dims, slots with vocabularies, seed), u32 tensor count, then
 per tensor, in ``param_shapes`` order (a record off it is rejected): u32
 name length + name, u32 rank, u32 dims, row-major little-endian float32
 data.  The config's ``dense_dim`` key is always 0; another value is rejected.
+A non-finite weight is neither written nor read.
 """
 
 from __future__ import annotations
@@ -88,12 +91,22 @@ class PackedBatch:
     def take(self, rows: np.ndarray | slice) -> "PackedBatch":
         return PackedBatch(self.idx[rows], self.y[rows], self.w[rows])
 
+    def distinct(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per slot, the distinct token indices, ascending, and each row's
+        position among them (``np.unique`` with ``return_inverse``)."""
+        return [np.unique(column, return_inverse=True) for column in self.idx.T]
+
 
 def _dense_relu(x: np.ndarray, params: dict[str, np.ndarray], layer: str) -> np.ndarray:
     """``max(x @ W + b, 0)`` of ``layer``; the bias and the ReLU apply in place."""
     h = x @ params[f"{layer}.W"]
     h += params[f"{layer}.b"]
     return np.maximum(h, 0.0, out=h)
+
+
+def _check_finite(name: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"tensor {name} holds a non-finite value")
 
 
 def _record_head(name: str, shape: tuple[int, ...]) -> bytes:
@@ -137,7 +150,7 @@ class MtlNetwork:
             # then sits off the rectifier kink instead of exactly on it.
             fan_in, fan_out = shapes[name[:-1] + "W"] if name.endswith(".b") else shape
             s = np.sqrt(6.0 / (fan_in + fan_out))
-            params[name] = rng.uniform(-s, s, size=shape).astype(np.float32)
+            params[name] = rng.uniform(-s, s, size=shape).astype(np.float32).astype(np.float64)
         return params
 
     def _bottom(self, batch: PackedBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -173,15 +186,17 @@ class MtlNetwork:
             np.add(p, pw, out=scores[start : start + SCORE_CHUNK_ROWS])
         return scores
 
-    def backward(self, batch: PackedBatch) -> tuple[tuple[float, float, float], dict]:
+    def backward(
+        self, batch: PackedBatch, *, distinct: list[tuple[np.ndarray, np.ndarray]]
+    ) -> tuple[tuple[float, float, float], dict]:
         """Analytic gradient of L over every parameter.
 
-        Returns ((L_v, L_w, L), grads), the losses summed over the batch
-        with probabilities clamped.  Dense parameters get a float64
-        array of their own shape.  An embedding table gets a row-sparse pair
-        ``(rows, values)``: the distinct rows the batch reads, ascending, and
-        their ``(len(rows), embedding_dim)`` gradient; every other row's
-        gradient is zero.  The shared-bottom and embedding gradients
+        ``distinct`` is ``batch.distinct()``.  Returns ((L_v, L_w, L), grads),
+        the losses summed over the batch with probabilities clamped.  Dense
+        parameters get a float64 array of their own shape.  An embedding table
+        gets a row-sparse pair ``(rows, values)``: the slot's distinct rows from
+        ``distinct`` and their ``(len(rows), embedding_dim)`` gradient; every
+        other row's gradient is zero.  The shared-bottom and embedding gradients
         accumulate both towers' contributions.
         """
         x0, hb = self._bottom(batch)
@@ -217,8 +232,7 @@ class MtlNetwork:
         grads["bottom.b"] = dzb.sum(axis=0)
         dx0 = dzb @ p["bottom.W"].T
         d_emb = self.config.embedding_dim
-        for col, slot in enumerate(self.config.slots):
-            rows, inverse = np.unique(batch.idx[:, col], return_inverse=True)
+        for col, (slot, (rows, inverse)) in enumerate(zip(self.config.slots, distinct)):
             values = np.zeros((rows.size, d_emb))
             np.add.at(values, inverse, dx0[:, col * d_emb : (col + 1) * d_emb])
             grads[f"emb.{slot.name}"] = (rows, values)
@@ -240,7 +254,10 @@ class MtlNetwork:
             doc.update(extra)
         return doc
 
+    @np.errstate(over="ignore")
     def to_bytes(self, extra_config: dict | None = None) -> bytes:
+        """The checkpoint's bytes; a weight that is not finite as float32
+        (an overflowing cast included) raises ValueError naming its tensor."""
         config_blob = json.dumps(self.config_doc(extra_config), sort_keys=True).encode("utf-8")
         shapes = self.param_shapes(self.config)
         parts = [
@@ -251,8 +268,10 @@ class MtlNetwork:
             struct.pack("<I", len(shapes)),
         ]
         for name, shape in shapes.items():
+            values = np.ascontiguousarray(self.params[name], dtype="<f4")
+            _check_finite(name, values)
             parts.append(_record_head(name, shape))
-            parts.append(np.ascontiguousarray(self.params[name], dtype="<f4").tobytes())
+            parts.append(values.tobytes())
         return b"".join(parts)
 
     @classmethod
@@ -291,8 +310,7 @@ class MtlNetwork:
                 offset += len(head)
                 count = int(np.prod(shape))
                 params[name] = np.frombuffer(data, dtype="<f4", count=count, offset=offset).reshape(shape)
-                if not np.isfinite(params[name]).all():
-                    raise ValueError(f"tensor {name} holds a non-finite value")
+                _check_finite(name, params[name])
                 offset += 4 * count
             if offset != len(data):
                 raise ValueError(f"truncated or corrupt checkpoint: {len(data) - offset} trailing bytes")

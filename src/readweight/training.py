@@ -16,7 +16,8 @@ weight is rounded to its float32 value in place, and that network is what
 ``train`` returns and a checkpoint stores.  The MLP takes the textbook dense
 step.  An embedding table is stepped only on the rows a batch reads: each
 row records the last step that updated it, and before a batch's forward pass
-its rows are brought up to date in closed form.  A row with no gradient for
+its rows, the distinct rows ``backward`` takes from ``PackedBatch.distinct``,
+are brought up to date in closed form.  A row with no gradient for
 k steps follows dense Adam exactly (m <- B1^k m, v <- B2^k v, and the
 parameter moves by m / sqrt(v) times a sum of per-step factors), except that
 EPS is left out of those skipped steps.  Every row is caught up once more
@@ -284,10 +285,9 @@ def train(cfg: TrainConfig, batch: PackedBatch, space: FeatureSpace) -> TrainRes
         epoch_lw = 0.0
         for start in range(0, n, cfg.batch_size):
             step = batch.take(order[start : start + cfg.batch_size])
-            optimizer.catch_up(
-                net.params, {name: np.unique(step.idx[:, col]) for col, name in enumerate(tables)}
-            )
-            (l_v, l_w, l_total), grads = net.backward(step)
+            distinct = step.distinct()
+            optimizer.catch_up(net.params, {name: rows for name, (rows, _) in zip(tables, distinct)})
+            (l_v, l_w, l_total), grads = net.backward(step, distinct=distinct)
             if not math.isfinite(l_total):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch offset {start}: "

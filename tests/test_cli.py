@@ -510,10 +510,10 @@ class TestErrors:
         assert not checkpoint.exists()
 
     def test_checkpoint_with_a_non_finite_weight_is_runtime_failure(self, inputs, capsys, tmp_path):
-        net, config = MtlNetwork.load(inputs["checkpoint"])
-        net.params["tower_w.3.b"][0] = math.nan
+        # tower_w.3.b, one float32, is the checkpoint's last record.
+        blob = Path(inputs["checkpoint"]).read_bytes()
         ckpt = tmp_path / "model.ckpt"
-        ckpt.write_bytes(net.to_bytes(config))
+        ckpt.write_bytes(blob[:-4] + struct.pack("<f", math.nan))
         code, doc = run_cli(capsys, "eval", "--labeled", inputs["labeled"], "--checkpoint", str(ckpt))
         assert (code, doc["error"]) == (2, "runtime-failure")
         assert "tower_w.3.b" in doc["detail"] and "non-finite" in doc["detail"]
@@ -1087,6 +1087,18 @@ class TestUsageErrors:
         code, doc = run_cli(capsys, *argv)
         assert code == 1
         assert doc["error"] == ("missing-command" if not argv else "invalid-usage")
+
+
+def test_train_does_not_import_numpy_ma(inputs, tmp_path):
+    """``train``'s distinct-row pass is ``np.unique`` with ``return_inverse``;
+    the plain call imports ``numpy.ma``, about 0.6 MB and 9 ms."""
+    argv = ["train", "--labeled", inputs["labeled"], "--ndt-params", inputs["params"],
+            "--checkpoint", str(tmp_path / "model.ckpt"), "--epochs", "1"]
+    code = f"import sys; from readweight.cli import main; main({argv!r}); print('numpy.ma' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(TestProcess.SRC)},
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, ""), done
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 class TestProcess:

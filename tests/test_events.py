@@ -448,9 +448,8 @@ class TestBlockReads:
         assert log.kind.dtype == log.source.dtype == np.int8
 
 
-def test_read_log_transient_memory_is_one_block(tmp_path):
-    """A 4x longer log needs no more than 1.5x the working memory: a read's
-    peak is its columns plus one block, not a copy of the whole text."""
+def read_log_transients(tmp_path) -> dict[int, int]:
+    """``read_log``'s traced transient on random logs of 20k and 80k rows."""
     rng = np.random.default_rng(3)
     transient = {}
     for n in (20_000, 80_000):
@@ -461,7 +460,24 @@ def test_read_log_transient_memory_is_one_block(tmp_path):
         path = tmp_path / f"{n}.csv"
         path.write_text("".join(f"u{u},i{i},{1_700_000_000 + t},{int(c)},{d!r}\n" for u, i, t, c, d in rows))
         transient[n] = traced_transient(lambda: read_log(path))
+    return transient
+
+
+def test_read_log_transient_memory_is_one_block(tmp_path, monkeypatch):
+    """A 4x longer log needs no more than 1.5x the working memory: a read's
+    peak is its columns plus one block, not a copy of the whole text.  At
+    2^18 chars the block outweighs the end-of-read column copy."""
+    monkeypatch.setattr(events_module, "BLOCK_CHARS", 1 << 18)
+    transient = read_log_transients(tmp_path)
     assert transient[80_000] <= 1.5 * transient[20_000], transient
+
+
+def test_read_log_transient_memory_at_the_default_block(tmp_path):
+    """At the default block a read holds about 1 MB at 20k rows, and each
+    added row costs what the end-of-read column copy does (about 34 B)."""
+    transient = read_log_transients(tmp_path)
+    assert transient[20_000] <= 1_500_000, transient
+    assert transient[80_000] - transient[20_000] <= 40 * 60_000, transient
 
 
 # Ids that sort and compare in every way a coded table must keep apart:

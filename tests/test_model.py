@@ -36,7 +36,7 @@ def tiny_batch():
 
 def loss(net: MtlNetwork, batch: PackedBatch) -> tuple[float, float, float]:
     """(L_v, L_w, L) as training reads them, from ``backward``."""
-    return net.backward(batch)[0]
+    return net.backward(batch, distinct=batch.distinct())[0]
 
 
 def forward_one(net: MtlNetwork, slots) -> tuple[float, float]:
@@ -63,7 +63,7 @@ def fd_gradient_check(net: MtlNetwork, batch, h=1e-4, tol=1e-4) -> float:
     from inflating the ratio beyond finite-difference noise.  Row-sparse
     embedding gradients are scattered into a dense array first.
     """
-    _, grads = net.backward(batch)
+    _, grads = net.backward(batch, distinct=batch.distinct())
     worst = 0.0
     for name, param in net.params.items():
         flat = param.reshape(-1)
@@ -183,8 +183,9 @@ class TestActivationMemory:
         net = self.NET
         n = 512
         batch = batch_of(random_batch(rng, net, n).idx, rng.integers(0, 2, n), rng.uniform(0, 3, n))
-        net.backward(batch)
-        per_row = traced_transient(lambda: net.backward(batch)) / n
+        distinct = batch.distinct()
+        net.backward(batch, distinct=distinct)
+        per_row = traced_transient(lambda: net.backward(batch, distinct=distinct)) / n
         assert per_row < 3800, per_row
 
     def test_score_chunk_transient_per_row(self, rng):
@@ -238,7 +239,7 @@ class TestBackward:
     def test_output_bias_gradient_single_positive(self):
         net = zero_net()
         batch = batch_of([(0, 0)], [1], [1.0])
-        _, grads = net.backward(batch)
+        _, grads = net.backward(batch, distinct=batch.distinct())
         assert grads["tower_v.3.b"][0] == pytest.approx(-0.5, abs=1e-12)
 
     def test_gradcheck_mixed_batch(self):
@@ -270,7 +271,7 @@ class TestBackward:
         )
         net = MtlNetwork(config)
         batch = batch_of([(7, 3), (2, 3), (7, 9)], [1, 0, 1], [0.5, 1.0, 2.0])
-        _, grads = net.backward(batch)
+        _, grads = net.backward(batch, distinct=batch.distinct())
         users, user_values = grads["emb.user_id"]
         items, item_values = grads["emb.item_id"]
         assert users.tolist() == [2, 7]
@@ -281,7 +282,7 @@ class TestBackward:
     def test_zero_weight_batch_leaves_tower_w_still(self):
         net = MtlNetwork(TINY_CONFIG)
         batch = batch_of([(0, 1), (1, 0)], [0, 0], [0.0, 0.0])
-        _, grads = net.backward(batch)
+        _, grads = net.backward(batch, distinct=batch.distinct())
         for name, grad in grads.items():
             if name.startswith("tower_w"):
                 assert not grad.any(), name
@@ -337,6 +338,16 @@ class TestCheckpoint:
         assert len(swapped) == len(blob)
         with pytest.raises(ValueError, match="shapes"):
             MtlNetwork.from_bytes(swapped)
+
+    def test_non_finite_weight_is_not_written(self, tmp_path):
+        net = MtlNetwork(TINY_CONFIG)
+        net.params["tower_w.3.b"][0] = np.nan
+        with pytest.raises(ValueError, match="tower_w.3.b holds a non-finite value"):
+            net.to_bytes()
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match="tower_w.3.b"):
+            net.save(str(path))
+        assert list(tmp_path.iterdir()) == []
 
     def test_trailing_bytes_raise_value_error(self):
         blob = MtlNetwork(TINY_CONFIG).to_bytes()

@@ -199,6 +199,22 @@ class TestTrain:
                 assert np.array_equal(value, value.astype(np.float32)), name
         assert all(np.array_equal(trained.params[k], loaded.params[k]) for k in trained.params)
 
+    def test_one_distinct_row_pass_per_slot_per_batch(self, monkeypatch):
+        """The catch-up and ``backward`` take a batch's rows from one
+        ``np.unique`` per slot."""
+        cfg = TrainConfig(epochs=3, batch_size=7, seed=3)
+        batch, space = build_instances(toy_rows(10), PARAMS, cfg)
+        calls = []
+        unique = np.unique
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted)
+        train(cfg, batch, space)
+        assert len(calls) == len(space.slots()) * math.ceil(len(batch) / cfg.batch_size) * cfg.epochs
+
     def test_shuffle_is_pure_function_of_seed_epoch(self):
         a = epoch_order(7, 3, 1000)
         b = epoch_order(7, 3, 1000)
