@@ -339,9 +339,10 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="shapes"):
             MtlNetwork.from_bytes(swapped)
 
-    def test_non_finite_weight_is_not_written(self, tmp_path):
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e300], ids=["nan", "-inf", "past-float32"])
+    def test_non_finite_weight_is_not_written(self, tmp_path, value):
         net = MtlNetwork(TINY_CONFIG)
-        net.params["tower_w.3.b"][0] = np.nan
+        net.params["tower_w.3.b"][0] = value
         with pytest.raises(ValueError, match="tower_w.3.b holds a non-finite value"):
             net.to_bytes()
         path = tmp_path / "model.ckpt"
