@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 from . import FORMAT_VERSIONS, __version__
 from ._fileio import atomic_write_text
 from .dwell_stats import DwellStats, InsufficientDataError, fit_log_normal, histogram_csv, histogram_lnT
-from .events import HEADER_MODES, BadLineBudgetExceeded, LogFormatError, read_log, write_log
+from .events import BadLineBudgetExceeded, LogFormatError, read_log, write_log
 from .evaluation import EvalReport, migration_csv, migration_report
 from .labeling import LabeledLog, LabelingConfig, composition_report, label_log, read_labeled_log
 from .model import MtlNetwork
@@ -530,7 +530,7 @@ _HANDLERS = {
 
 # Each command's long options, each with the one parser its flag text and
 # config-file text go through.
-_LOG_FLAGS = {"header": _choice(HEADER_MODES), "bad-line-budget": _int_from(0)}
+_LOG_FLAGS = {"bad-line-budget": _int_from(0)}
 MAX_BINS = 10_000
 _COMMAND_FLAGS: dict[str, dict[str, Callable]] = {
     "simulate": {

@@ -5,9 +5,8 @@ The on-disk format is flat delimited text, one impression per line:
     user_id,item_id,timestamp,clicked,dwell_time_s
 
 `clicked` is 0 or 1; `dwell_time_s` is decimal seconds with a `.` separator
-and must be 0 whenever `clicked` is 0.  A header line is tolerated when the
-caller asks for it (or in "auto" mode, where a first line that is exactly
-``LOG_HEADER`` once stripped is skipped).
+and must be 0 whenever `clicked` is 0.  A line that is exactly ``LOG_HEADER``
+once stripped is skipped wherever it appears, like a blank line.
 
 In memory a log is one ``EventTable``: parallel columns, not one object per
 row, whose ids are int32 codes into sorted vocabularies (``IdCoder`` makes
@@ -198,21 +197,6 @@ class ScanCounts:
     skipped: int = 0
 
 
-_HEADER_RULES: dict[str, Callable[[str], bool]] = {
-    "auto": lambda line: line.strip() == LOG_HEADER,
-    "present": lambda line: True,
-    "absent": lambda line: False,
-}
-HEADER_MODES = tuple(_HEADER_RULES)
-
-
-def _header_rule(header: str) -> Callable[[str], bool]:
-    """Whether a first line is skipped, under one of the header modes."""
-    if header not in _HEADER_RULES:
-        raise ValueError(f"unknown header mode {header!r}")
-    return _HEADER_RULES[header]
-
-
 def _parse_column(texts: list[str], parse: Callable[[str], object], dtype, bad: np.ndarray) -> np.ndarray:
     """``parse`` of each text, as a ``dtype`` array.  A text that ``parse``
     rejects, or whose value ``dtype`` cannot hold, reads as 0 and is marked
@@ -256,7 +240,8 @@ def _blocks(path: str | os.PathLike[str]) -> Iterator[str]:
 class LogScan:
     """A log's text split once into rows, with every line checked.
 
-    ``lines[i]`` is line ``offset`` + i + 1 of the file.  ``rows`` holds
+    ``lines[i]`` is line ``offset`` + i + 1 of the file, blank if it is the
+    format's header once stripped.  ``rows`` holds
     the index in ``lines`` of each line of ``width`` comma-separated
     fields, ``fields`` their fields (row-major), ``events`` the columns of
     their first five fields, their ids coded but not finished by the
@@ -273,19 +258,17 @@ class LogScan:
     offset: int
 
     @classmethod
-    def of(
-        cls, text: str, width: int, is_header: Callable[[str], bool], offset: int, coder: IdCoder
-    ) -> "LogScan":
-        """Scan ``text``, which starts at line ``offset`` + 1 of its file; a
-        first line that ``is_header`` accepts and blank lines are neither
-        rows nor misshapen.  Numbers go through the same ``int``/``float``
-        calls as ``parse_event``, so the values are the same bit for bit.
+    def of(cls, text: str, width: int, header: str, offset: int, coder: IdCoder) -> "LogScan":
+        """Scan ``text``, which starts at line ``offset`` + 1 of its file, with
+        ``header`` as the format's header.  Numbers go through the same
+        ``int``/``float`` calls as ``parse_event``, so the values are the same
+        bit for bit.
         """
         lines = text.split("\n")
-        if is_header(lines[0]):
+        if header in text:
             # Blanked before the field split: a header row would fail every
             # number column's batch conversion.
-            lines[0] = ""
+            lines = ["" if line.strip() == header else line for line in lines]
         commas = np.fromiter(map(str.count, lines, repeat(",")), dtype=np.int64, count=len(lines))
         shaped = commas == width - 1
         rows = np.flatnonzero(shaped)
@@ -306,14 +289,12 @@ class LogScan:
         return cls(lines, rows, fields, events, bad, misshapen, offset)
 
     @classmethod
-    def blocks(
-        cls, path: str | os.PathLike[str], width: int, is_header: Callable[[str], bool], coder: IdCoder
-    ) -> Iterator["LogScan"]:
+    def blocks(cls, path: str | os.PathLike[str], width: int, header: str, coder: IdCoder) -> Iterator["LogScan"]:
         """The scans of ``path``'s blocks of whole lines, in file order, all
-        coded by ``coder``.  Only line 1 of the file goes to ``is_header``."""
+        coded by ``coder`` and all with ``header`` as the format's header."""
         offset = 0
         for text in _blocks(path):
-            yield cls.of(text, width, is_header if offset == 0 else _HEADER_RULES["absent"], offset, coder)
+            yield cls.of(text, width, header, offset, coder)
             offset += text.count("\n") + 1
 
     def bad_lines(self, bad: np.ndarray) -> list[int]:
@@ -331,22 +312,15 @@ class LogScan:
         raise RuntimeError(f"line {line_number}: the column checks reject a line {parse.__name__} accepts")
 
 
-def read_log(
-    path: str | os.PathLike[str],
-    *,
-    header: str = "auto",
-    bad_line_budget: int = 0,
-) -> tuple[EventTable, ScanCounts]:
+def read_log(path: str | os.PathLike[str], *, bad_line_budget: int = 0) -> tuple[EventTable, ScanCounts]:
     """Read a whole log as columns, one block of lines at a time; returns
     (table, counts).
 
-    ``header`` is one of "auto" (skip a first line that is exactly
-    ``LOG_HEADER`` once stripped), "present" (always skip one line), or
-    "absent".  Blank lines are skipped.  Up to ``bad_line_budget`` lines
-    that ``parse_event`` rejects are counted and skipped; the next one
-    raises BadLineBudgetExceeded, wrapping ``parse_event``'s error for it.
+    Blank lines and lines that are exactly ``LOG_HEADER`` once stripped are
+    skipped wherever they appear.  Up to ``bad_line_budget`` lines that
+    ``parse_event`` rejects are counted and skipped; the next one raises
+    BadLineBudgetExceeded, wrapping ``parse_event``'s error for it.
     """
-    is_header = _header_rule(header)
     if bad_line_budget < 0:
         raise ValueError(f"bad_line_budget must be >= 0, got {bad_line_budget}")
     counts = ScanCounts()
@@ -364,7 +338,7 @@ def read_log(
         return scan.events.take(np.flatnonzero(~scan.bad)) if at_fault else scan.events
 
     # ``map`` holds no block's scan past its call, so one is alive at a time.
-    table = coder.table(list(map(good_rows, LogScan.blocks(path, len(LOG_COLUMNS), is_header, coder))))
+    table = coder.table(list(map(good_rows, LogScan.blocks(path, len(LOG_COLUMNS), LOG_HEADER, coder))))
     counts.total = len(table)
     return table, counts
 

@@ -243,10 +243,6 @@ def _codes(table: dict[str, int], texts: list[str]) -> np.ndarray:
     return np.fromiter(map(table.get, texts, repeat(-1)), dtype=np.int8, count=len(texts))
 
 
-def _is_header(line: str) -> bool:
-    return line.strip() == LABELED_HEADER
-
-
 def read_labeled_log(path: str | os.PathLike[str]) -> LabeledLog:
     """Read a labeled log as columns.
 
@@ -258,7 +254,7 @@ def read_labeled_log(path: str | os.PathLike[str]) -> LabeledLog:
     """
     coder = IdCoder()
     # ``map`` holds no block's scan past its call, so one is alive at a time.
-    logs = list(map(_labeled_rows, LogScan.blocks(path, _WIDTH, _is_header, coder)))
+    logs = list(map(_labeled_rows, LogScan.blocks(path, _WIDTH, LABELED_HEADER, coder)))
     return LabeledLog(
         coder.table([log.events for log in logs]),
         concat_arrays([log.kind for log in logs], np.int8),
@@ -267,16 +263,11 @@ def read_labeled_log(path: str | os.PathLike[str]) -> LabeledLog:
 
 
 def _labeled_rows(scan: LogScan) -> LabeledLog:
-    """The labeled rows of one block; raises for its first bad line."""
+    """The labeled rows of one block, all of them; raises for its first bad line."""
     kind = _codes(_KIND_CODE, scan.fields[_LABEL_AT::_WIDTH])
     source = _codes(_SOURCE_CODE, scan.fields[_SOURCE_AT::_WIDTH])
-    skip = scan.bad | (kind < 0) | (source < 0) | ((kind == _VALID_READ) != (source > 0))
-    skip |= (kind == _NOT_CLICKED) == scan.events.clicked
-    # A header after line 1 fails the event checks, and is skipped.
-    bad = skip.copy()
-    bad[[i for i in np.flatnonzero(skip).tolist() if _is_header(scan.lines[scan.rows[i]])]] = False
-    at_fault = scan.bad_lines(bad)
-    if len(at_fault):
+    bad = scan.bad | (kind < 0) | (source < 0) | ((kind == _VALID_READ) != (source > 0))
+    bad |= (kind == _NOT_CLICKED) == scan.events.clicked
+    if at_fault := scan.bad_lines(bad):
         raise scan.error(at_fault[0], parse_labeled)
-    log = LabeledLog(scan.events, kind, source)
-    return log.take(np.flatnonzero(~skip)) if skip.any() else log
+    return LabeledLog(scan.events, kind, source)

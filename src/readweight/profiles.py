@@ -196,8 +196,9 @@ class ProfileStore:
             if (np.add.reduceat(entries["g"], starts) != counts[sketchy]).any():
                 raise ValueError("GK gaps do not sum to the record count")
             tokens = [t.decode("utf-8") for t in _runs(token_bytes, token_lens.tolist())]
-            if any(a >= b for a, b in zip(tokens[n_items:], tokens[n_items + 1 :])):
-                raise ValueError("user ids out of order")
+            for what, ids in (("item", tokens[:n_items]), ("user", tokens[n_items:])):
+                if any(a >= b for a, b in zip(ids, ids[1:])):
+                    raise ValueError(f"{what} ids out of order")
         except (ValueError, OverflowError) as err:
             raise ValueError(f"truncated or corrupt profile store: {err}") from None
 

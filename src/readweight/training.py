@@ -335,6 +335,9 @@ def space_from_checkpoint(doc: dict) -> FeatureSpace:
         raise ValueError(f"checkpoint lacks its vocabularies: {err}") from err
     if space.slots() != slots:
         raise ValueError(f"checkpoint vocabularies do not fit its slots: {space.slots()} against {slots}")
+    for vocab in (space.user_vocab, space.item_vocab):
+        if not all(isinstance(token, str) for token in vocab) or any(a >= b for a, b in zip(vocab, vocab[1:])):
+            raise ValueError("checkpoint vocabularies are not sorted, distinct string ids")
     return space
 
 

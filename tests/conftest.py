@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from readweight.events import (
+    LOG_HEADER,
     BadLineBudgetExceeded,
     EventTable,
     IdCoder,
     InteractionEvent,
     LogFormatError,
     ScanCounts,
-    _header_rule,
     parse_event,
 )
 from readweight.dwell_stats import DwellStats, InsufficientDataError
@@ -239,27 +239,23 @@ def edge_table(n: int, rng) -> EventTable:
 def iter_log(
     path: str | os.PathLike[str],
     *,
-    header: str = "auto",
     bad_line_budget: int = 0,
     counts: ScanCounts | None = None,
 ) -> Iterator[InteractionEvent]:
     """Stream events from a log file in file order, one line at a time.
 
-    ``header`` is one of "auto" (skip a first line that is exactly
-    ``LOG_HEADER`` once stripped), "present" (always skip one line), or
-    "absent".  Blank lines are skipped.  Up to ``bad_line_budget`` malformed
+    Blank lines and lines that are exactly ``LOG_HEADER`` once stripped are
+    skipped wherever they appear.  Up to ``bad_line_budget`` malformed
     lines are counted and skipped; the next one raises
     BadLineBudgetExceeded.  ``counts`` (if given) ends up holding the number
     of parsed and skipped lines.
     """
-    is_header = _header_rule(header)
     if counts is None:
         counts = ScanCounts()
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
-            if line_number == 1 and is_header(line):
-                continue
-            if not line.strip():
+            stripped = line.strip()
+            if not stripped or stripped == LOG_HEADER:
                 continue
             try:
                 event = parse_event(line, line_number)

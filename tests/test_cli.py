@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import zlib
 from dataclasses import asdict
 from pathlib import Path
 
@@ -221,7 +222,7 @@ class TestHappyPath:
         pair = generate_migration_pair(SimConfig(n_users=120, n_items=40, click_bias=-0.5, seed=9))
         assert base.read_text() == "".join(serialize_event(e) + "\n" for e in pair.baseline)
 
-    def test_migrate_report_honours_header_and_bad_line_budget(self, capsys, tmp_path):
+    def test_migrate_report_skips_headers_and_honours_bad_line_budget(self, capsys, tmp_path):
         plain = tmp_path / "plain.csv"
         assert run_cli(
             capsys, "simulate", "--mode", "organic", "--out", str(plain),
@@ -229,18 +230,22 @@ class TestHappyPath:
         )[0] == 0
         lines = plain.read_text().splitlines()
         log = tmp_path / "headered.csv"
-        log.write_text("\n".join([LOG_HEADER, *lines[:10], "not,a,valid,line", *lines[10:]]) + "\n")
+        body = [*lines[:10], "not,a,valid,line", LOG_HEADER, *lines[10:]]
+        log.write_text("\n".join([LOG_HEADER, *body]) + "\n")
         cells = tmp_path / "cells.csv"
         argv = ["migrate-report", "--baseline", str(log), "--treatment", str(log), "--out", str(cells)]
 
-        code, doc = run_cli(capsys, *argv, "--header", "present", "--bad-line-budget", "1")
+        code, doc = run_cli(capsys, *argv, "--bad-line-budget", "1")
         assert code == 0
         assert doc["n_cells"] == 70
-        code, doc = run_cli(capsys, *argv, "--header", "present")
+        code, doc = run_cli(capsys, *argv)
         assert (code, doc["error"]) == (2, "bad-line-budget-exceeded")
-        # Read as data, the header is a second bad line.
-        code, doc = run_cli(capsys, *argv, "--header", "absent", "--bad-line-budget", "1")
+        # A header that names other columns is a second bad line.
+        log.write_text("\n".join(["user,item,ts,clicked,dwell", *body]) + "\n")
+        code, doc = run_cli(capsys, *argv, "--bad-line-budget", "1")
         assert (code, doc["error"]) == (2, "bad-line-budget-exceeded")
+        code, doc = run_cli(capsys, *argv, "--bad-line-budget", "2")
+        assert (code, doc["n_cells"]) == (0, 70)
 
     def test_train_defaults_come_from_train_config(self, workspace, capsys, tmp_path):
         ckpt = tmp_path / "model.ckpt"
@@ -646,6 +651,44 @@ class TestErrors:
         assert (code, doc["error"]) == (2, "runtime-failure")
         assert "do not fit its slots" in doc["detail"]
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda vocab: [vocab[0], *vocab[:-1]], lambda vocab: list(range(len(vocab))), lambda vocab: vocab[::-1]],
+        ids=["repeated", "ints", "reversed"],
+    )
+    def test_vocabulary_not_sorted_distinct_ids_is_runtime_failure(self, inputs, capsys, tmp_path, corrupt):
+        """``train`` writes each vocabulary as sorted, distinct str ids, and
+        the slots fit any list of the right length, so the reader checks it."""
+        data = Path(inputs["checkpoint"]).read_bytes()
+        (length,) = struct.unpack_from("<I", data, 8)
+        config = json.loads(data[12 : 12 + length])
+        config["item_vocab"] = corrupt(config["item_vocab"])
+        blob = json.dumps(config).encode()
+        ckpt, out = tmp_path / "model.ckpt", tmp_path / "eval.json"
+        ckpt.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + length :])
+        code, doc = run_cli(capsys, "eval", "--labeled", inputs["labeled"], "--checkpoint", str(ckpt), "--out", str(out))
+        assert (code, doc["error"]) == (2, "runtime-failure")
+        assert "not sorted, distinct string ids" in doc["detail"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("order", ["reversed", "repeated"])
+    def test_profile_store_item_ids_out_of_order_is_runtime_failure(self, inputs, capsys, tmp_path, order):
+        """Behind a matching checksum, item ids that do not strictly ascend
+        fail the load: ``label`` writes nothing."""
+        first, second = sorted(ProfileStore.load(inputs["profiles"]).items)[:2]
+        swapped = second + (first if order == "reversed" else second)
+        body = Path(inputs["profiles"]).read_bytes()[:-4].replace((first + second).encode(), swapped.encode(), 1)
+        store, out = tmp_path / "profiles.bin", tmp_path / "out"
+        store.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        out.mkdir()
+        code, doc = run_cli(
+            capsys, "label", "--log", inputs["log"], "--stats", inputs["stats"], "--profiles", str(store),
+            "--out", str(out / "labeled.csv"), "--report", str(out / "composition.json"),
+        )
+        assert (code, doc["error"]) == (2, "runtime-failure")
+        assert "item ids out of order" in doc["detail"]
+        assert list(out.iterdir()) == []
+
     def test_embedding_table_shorter_than_its_slot_is_runtime_failure(self, inputs, capsys, tmp_path):
         """An embedding table one row short of its slot's cardinality fails
         when the checkpoint loads, not in the gather."""
@@ -963,7 +1006,6 @@ class TestUsageErrors:
             ("simulate", "mode", "bogus"),
             ("simulate", "classes", "a:b"),
             ("simulate", "latent-dim", "wide"),
-            ("fit-stats", "header", "bogus"),
             ("fit-stats", "bad-line-budget", "1.5"),
             ("fit-stats", "bad-line-budget", "-1"),
             ("stats-report", "bins", "x"),
@@ -976,7 +1018,6 @@ class TestUsageErrors:
             ("build-profiles", "eps", "2"),
             ("label", "light-max-clicks", "many"),
             ("label", "noise-floor", "3s"),
-            ("label", "header", "bogus"),
             ("ndt-params", "precision", "fine"),
             ("train", "objective", "nope"),
             ("train", "neg-mode", "both"),
@@ -1000,7 +1041,6 @@ class TestUsageErrors:
             ("migrate-report", "boundaries", "1,x"),
             ("migrate-report", "boundaries", "3,2,1"),
             ("migrate-report", "boundaries", "1,1"),
-            ("migrate-report", "header", "bogus"),
             ("eval", "base-auc", "1.5"),
             ("simulate", "classes", "x,y:1:3:1"),
             ("simulate", "classes", "a:0.5:3:1;a:0.5:4:1"),
@@ -1054,7 +1094,7 @@ class TestUsageErrors:
         assert (code, doc["error"]) == (1, "invalid-config")
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("key", ["noise_floor", "bogus-key", "t3-exclude-self", "min-records-t3"])
+    @pytest.mark.parametrize("key", ["noise_floor", "bogus-key", "t3-exclude-self", "min-records-t3", "header"])
     def test_unknown_config_key(self, capsys, tmp_path, inputs, out, key):
         """A key no command declares fails and names its line; a key that
         only another command declares (``epochs``) is a shared default."""
@@ -1069,6 +1109,19 @@ class TestUsageErrors:
     def test_removed_label_flags_are_unknown(self, capsys, inputs, out, flag, value):
         code, doc = run_cli(capsys, *self.argv("label", inputs, out), f"--{flag}", value)
         assert (code, doc["error"]) == (1, "invalid-usage")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["fit-stats", "stats-report", "build-profiles", "label", "migrate-report"])
+    def test_removed_header_flag_is_unknown(self, capsys, tmp_path, inputs, out, command):
+        """Header lines are skipped by rule, so no log command takes
+        ``--header``, from a flag or from a config file."""
+        code, doc = run_cli(capsys, *self.argv(command, inputs, out), "--header", "auto")
+        assert (code, doc["error"]) == (1, "invalid-usage")
+        assert list(out.iterdir()) == []
+        config = tmp_path / "stale.cfg"
+        config.write_text("header = auto\n", encoding="utf-8")
+        code, doc = run_cli(capsys, *self.argv(command, inputs, out), "--config", str(config))
+        assert (code, doc["error"]) == (1, "invalid-config")
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", list(VALID_ARGV))

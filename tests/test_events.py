@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from readweight import events as events_module
 from readweight.events import (
-    HEADER_MODES,
     LOG_HEADER,
     BadLineBudgetExceeded,
     EventTable,
@@ -160,13 +159,16 @@ class TestScanLog:
         assert list(events) == []
         assert counts.total == 0
 
-    def test_header_modes(self, tmp_path):
+    def test_header_lines_are_skipped_wherever_they_appear(self, tmp_path):
+        """A header line is skipped like a blank line, at line 1 or later;
+        the reader has no option for it."""
         log = tmp_path / "log.csv"
-        body = serialize_event(make_event())
-        self._write(log, ["user_id,item_id,timestamp,clicked,dwell_time_s", body])
-        assert len(read_log(log, header="auto")[0]) == 1
-        assert len(read_log(log, header="present")[0]) == 1
-        with pytest.raises(BadLineBudgetExceeded):
+        body = [serialize_event(make_event(item_id=f"i{k}")) for k in range(3)]
+        self._write(log, [LOG_HEADER, body[0], " " + LOG_HEADER + "\t", body[1], LOG_HEADER, body[2]])
+        events, counts = read_log(log)
+        assert [e.item_id for e in events] == ["i0", "i1", "i2"]
+        assert (counts.total, counts.skipped) == (3, 0)
+        with pytest.raises(TypeError):
             read_log(log, header="absent")
 
     def test_auto_header_skips_only_the_exact_header(self, tmp_path):
@@ -233,6 +235,7 @@ EVENT_CORRUPTIONS = {
     "padded header": lambda rows: " " + LOG_HEADER + "\t\n" + "\n".join(rows) + "\n",
     "header mid-file": lambda rows: "\n".join([rows[0], LOG_HEADER, *rows[1:]]) + "\n",
     "header twice": lambda rows: "\n".join([LOG_HEADER, LOG_HEADER, *rows]) + "\n",
+    "foreign header": lambda rows: "user,item,ts,clicked,dwell\n" + "\n".join(rows) + "\n",
     "user_id-prefixed first row": lambda rows: "\n".join(["user_id7" + rows[0], *rows[1:]]) + "\n",
     "crlf": lambda rows: LOG_HEADER + "\r\n" + "\r\n".join(rows) + "\r\n",
     "bare cr line ends": lambda rows: "\r".join(rows) + "\r",
@@ -278,26 +281,25 @@ class TestColumnarEventReader:
         for trial in range(6):
             text = EVENT_CORRUPTIONS[corruption](random_log_lines(rng, int(rng.integers(3, 30))))
             path.write_text(text, encoding="utf-8", newline="")
-            for header in HEADER_MODES:
-                for budget in (0, 1, 2):
-                    counts = ScanCounts()
-                    parsed.clear()
-                    try:
-                        expected = list(iter_log(path, header=header, bad_line_budget=budget, counts=counts))
-                    except LogFormatError as err:
-                        with pytest.raises(type(err)) as raised:
-                            read_log(path, header=header, bad_line_budget=budget)
-                        assert str(raised.value) == str(err) and str(err).startswith("line ")
-                        # Only the line at fault goes through parse_event.
-                        assert len(parsed) == 1, (header, budget)
-                        continue
-                    table, got = read_log(path, header=header, bad_line_budget=budget)
-                    assert parsed == [], (header, budget)
-                    assert_same_events(table, event_table(expected))
-                    assert (got.total, got.skipped) == (counts.total, counts.skipped)
-                    assert list(table) == expected
-                    if corruption == "two bad lines" and budget == 2:
-                        assert got.skipped == 2
+            for budget in (0, 1, 2):
+                counts = ScanCounts()
+                parsed.clear()
+                try:
+                    expected = list(iter_log(path, bad_line_budget=budget, counts=counts))
+                except LogFormatError as err:
+                    with pytest.raises(type(err)) as raised:
+                        read_log(path, bad_line_budget=budget)
+                    assert str(raised.value) == str(err) and str(err).startswith("line ")
+                    # Only the line at fault goes through parse_event.
+                    assert len(parsed) == 1, budget
+                    continue
+                table, got = read_log(path, bad_line_budget=budget)
+                assert parsed == [], budget
+                assert_same_events(table, event_table(expected))
+                assert (got.total, got.skipped) == (counts.total, counts.skipped)
+                assert list(table) == expected
+                if corruption == "two bad lines" and budget == 2:
+                    assert got.skipped == 2
 
     def test_columns_and_dtypes(self, tmp_path, rng):
         lines = random_log_lines(rng, 40)
@@ -314,12 +316,6 @@ class TestColumnarEventReader:
         assert [serialize_event(e) for e in table.take(order)] == [lines[i] for i in order]
         assert len(table.take(order[:0])) == 0
 
-    def test_unknown_header_mode(self, tmp_path):
-        path = tmp_path / "log.csv"
-        path.write_text("u1,i1,1700000000,1,12.0\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="unknown header mode"):
-            read_log(path, header="sometimes")
-
 
 # Lines for logs that cross block boundaries.  The long row is longer than
 # any of the small blocks below; every kind of line both readers must handle
@@ -327,7 +323,7 @@ class TestColumnarEventReader:
 _LONG_ID = "u" * 60
 EVENT_LINES = [
     "u1,i1,1700000000,1,12.5", "u22,i7,1700000123,0,0.0", "uu,i3,1700000999,1,300.0",
-    f"{_LONG_ID},i2,1700000001,1,7.25", "", " \t",
+    f"{_LONG_ID},i2,1700000001,1,7.25", "", " \t", LOG_HEADER, " " + LOG_HEADER + "\t",
     "garbage", "u1,i1,1700000000,1", "u1,i1,1700000000,1,2.0,extra",
     "u1,i1,0,1,3.0", "u1,i1,1700000000,2,0.0", "u1,i1,1700000000,1,nan",
     ",i1,1700000000,0,0.0", "u1,i1,1700000000,0,3.0",
@@ -381,12 +377,11 @@ class TestBlockReads:
     @given(
         text=log_texts(EVENT_LINES, LOG_HEADER),
         block=st.integers(1, 40),
-        header=st.sampled_from(HEADER_MODES),
         budget=st.integers(0, 3),
     )
-    def test_read_log(self, text, block, header, budget):
+    def test_read_log(self, text, block, budget):
         def read(path):
-            table, counts = read_log(path, header=header, bad_line_budget=budget)
+            table, counts = read_log(path, bad_line_budget=budget)
             return event_columns(table), (counts.total, counts.skipped)
 
         with tempfile.TemporaryDirectory() as root:
@@ -396,7 +391,7 @@ class TestBlockReads:
             assert small == read_in_blocks(read, path, 1 << 30)
             counts = ScanCounts()
             try:
-                oracle = list(iter_log(path, header=header, bad_line_budget=budget, counts=counts))
+                oracle = list(iter_log(path, bad_line_budget=budget, counts=counts))
             except LogFormatError as err:
                 assert small == (type(err), str(err), err.line_number)
             else:
@@ -438,10 +433,9 @@ class TestBlockReads:
     def test_zero_byte_file_reads_as_empty_columns(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_bytes(b"")
-        for header in HEADER_MODES:
-            table, counts = read_log(path, header=header)
-            assert (len(table), counts.total, counts.skipped) == (0, 0, 0)
-            assert_same_events(table, event_table([]))
+        table, counts = read_log(path)
+        assert (len(table), counts.total, counts.skipped) == (0, 0, 0)
+        assert_same_events(table, event_table([]))
         log = read_labeled_log(path)
         assert len(log) == 0
         assert_same_events(log.events, event_table([]))

@@ -258,6 +258,17 @@ class TestStore:
             with pytest.raises(ValueError, match="user ids out of order"):
                 ProfileStore.from_bytes(sealed(body[:at] + tokens + body[at + 6 :]))
 
+    def test_item_ids_out_of_order_raise_value_error(self):
+        """A repeated item id would leave fewer items than the header counts,
+        and ids out of order would load in the wrong order; either way the
+        store would not save back to its own bytes."""
+        events = [make_event("u0", f"i{k}", 1_700_000_000 + k, True, 10.0 + k) for k in range(3)]
+        body = build_profiles(event_table(events)).to_bytes()[:-4]
+        at = body.index(b"i0i1i2")
+        for tokens in (b"i1i1i2", b"i2i1i0"):
+            with pytest.raises(ValueError, match="item ids out of order"):
+                ProfileStore.from_bytes(sealed(body[:at] + tokens + body[at + 6 :]))
+
     def test_corrupt_gk_entries_raise_value_error(self):
         def bump_g(entries):
             value, g, delta = entries[3]
