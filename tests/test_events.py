@@ -168,8 +168,19 @@ class TestScanLog:
         events, counts = read_log(log)
         assert [e.item_id for e in events] == ["i0", "i1", "i2"]
         assert (counts.total, counts.skipped) == (3, 0)
-        with pytest.raises(TypeError):
-            read_log(log, header="absent")
+
+    def test_header_modes(self, tmp_path):
+        """The one header rule gives what the old auto and present modes
+        gave on a headed log, and no mode can be chosen any more."""
+        log = tmp_path / "log.csv"
+        body = serialize_event(make_event())
+        self._write(log, ["user_id,item_id,timestamp,clicked,dwell_time_s", body])
+        events, counts = read_log(log)
+        assert list(events) == [make_event()]
+        assert (counts.total, counts.skipped) == (1, 0)
+        for mode in ("auto", "present", "absent"):
+            with pytest.raises(TypeError):
+                read_log(log, header=mode)
 
     def test_auto_header_skips_only_the_exact_header(self, tmp_path):
         log = tmp_path / "log.csv"
@@ -315,6 +326,13 @@ class TestColumnarEventReader:
         order = rng.permutation(40)
         assert [serialize_event(e) for e in table.take(order)] == [lines[i] for i in order]
         assert len(table.take(order[:0])) == 0
+
+    def test_unknown_header_mode(self, tmp_path):
+        """``read_log`` takes no header mode: any ``header=`` is a TypeError."""
+        path = tmp_path / "log.csv"
+        path.write_text("u1,i1,1700000000,1,12.0\n", encoding="utf-8")
+        with pytest.raises(TypeError, match="header"):
+            read_log(path, header="sometimes")
 
 
 # Lines for logs that cross block boundaries.  The long row is longer than
