@@ -633,7 +633,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as err:
         print(json.dumps({"error": err.reason, "detail": err.detail}, sort_keys=True))
         return err.exit_code
-    except (OSError, ValueError, MemoryError) as err:
+    except (OSError, ValueError, MemoryError, OverflowError) as err:
         print(json.dumps({"error": "runtime-failure", "detail": str(err)}, sort_keys=True))
         return 2
     print(json.dumps(summary, sort_keys=True))

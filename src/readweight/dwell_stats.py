@@ -45,7 +45,10 @@ class DwellStats:
 
     @classmethod
     def from_moments(cls, mu: float, sigma: float, n: int) -> "DwellStats":
-        return cls(mu=mu, sigma=sigma, n=n, x_l=math.exp(mu - sigma), x_h=math.exp(mu + sigma))
+        try:
+            return cls(mu=mu, sigma=sigma, n=n, x_l=math.exp(mu - sigma), x_h=math.exp(mu + sigma))
+        except OverflowError:
+            raise ValueError(f"dwell thresholds exp({mu!r} +- {sigma!r}) overflow float64") from None
 
 
 def _log_dwell(table: EventTable) -> np.ndarray:

@@ -71,69 +71,59 @@ LABELED_COLUMNS = (*LOG_COLUMNS, "label", "source")
 LABELED_HEADER = ",".join(LABELED_COLUMNS)
 _WIDTH, _LABEL_AT, _SOURCE_AT = len(LABELED_COLUMNS), LABELED_COLUMNS.index("label"), LABELED_COLUMNS.index("source")
 
-# Column codes: ``kind`` indexes LABEL_KINDS, ``source`` indexes
-# LABEL_SOURCES (0 is "no source").
-LABEL_KINDS = tuple(LabelKind)
-LABEL_SOURCES = (None, *ValidReadSource)
-_KIND_CODE = {kind.value: code for code, kind in enumerate(LABEL_KINDS)}
-_SOURCE_CODE = {"": 0, **{source.value: code for code, source in enumerate(LABEL_SOURCES) if source}}
-_KIND_TEXT, _SOURCE_TEXT = np.array(list(_KIND_CODE), object), np.array(list(_SOURCE_CODE), object)
-_NOT_CLICKED = _KIND_CODE[LabelKind.NOT_CLICKED.value]
-_VALID_READ = _KIND_CODE[LabelKind.VALID_READ.value]
-# The six labels a row can carry, built once, by their (kind, source) codes.
-_LABELS = {(k, s): ValidReadLabel(kind, source) for k, kind in enumerate(LABEL_KINDS)
-           for s, source in enumerate(LABEL_SOURCES) if (kind is LabelKind.VALID_READ) == (source is not None)}
+# The six labels a row can carry, built once; a row's ``label`` code is its
+# label's index.  The valid reads come last, so a code is one from T1 up.
+LABELS = (*(ValidReadLabel(kind, None) for kind in LabelKind if kind is not LabelKind.VALID_READ),
+          *(ValidReadLabel(LabelKind.VALID_READ, source) for source in ValidReadSource))
+NOT_CLICKED, NOISE_CLICK, INVALID_CLICK, T1, T2, T3 = range(len(LABELS))
+# Each code by its label's (kind, source) text, "" for no source.  Kinds and
+# sources are str enums, so a label's own fields look its code up too.
+_CODE = {(label.kind.value, label.source.value if label.source else ""): code for code, label in enumerate(LABELS)}
+_TEXT = np.array([",".join(pair) for pair in _CODE], object)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class LabeledLog:
     """A labeled log as parallel columns, row i across all of them.
 
-    ``events`` holds the event columns; ``kind`` and ``source`` are int8
-    codes into LABEL_KINDS and LABEL_SOURCES.  Iterating yields the rows as
-    (InteractionEvent, ValidReadLabel) pairs a span at a time, each label one
-    of the six built once; a row whose codes no label has raises ValueError.
+    ``events`` holds the event columns; ``label`` is int8 codes into LABELS.
+    Iterating yields the rows as (InteractionEvent, ValidReadLabel) pairs a
+    span at a time, each label one of LABELS; a code outside LABELS raises
+    ValueError.
     """
 
     events: EventTable
-    kind: np.ndarray
-    source: np.ndarray
+    label: np.ndarray
 
     def __len__(self) -> int:
         return len(self.events)
 
     def __iter__(self) -> Iterator[tuple[InteractionEvent, ValidReadLabel]]:
-        known = np.logical_or.reduce([(self.kind == kind) & (self.source == source) for kind, source in _LABELS])
-        if not known.all():
-            raise ValueError(f"row {int(np.argmin(known))}'s kind and source codes are no label's")
-        labels = (map(_LABELS.__getitem__, zip(self.kind[span].tolist(), self.source[span].tolist()))
-                  for span in spans(len(self)))
+        unknown = (self.label < 0) | (self.label >= len(LABELS))
+        if unknown.any():
+            raise ValueError(f"row {int(np.argmax(unknown))}'s label code is no label's")
+        labels = (map(LABELS.__getitem__, self.label[span].tolist()) for span in spans(len(self)))
         return zip(self.events, chain.from_iterable(labels))
 
     @property
     def valid_read(self) -> np.ndarray:
-        return self.kind == _VALID_READ
+        return self.label >= T1
 
     def take(self, rows: np.ndarray) -> "LabeledLog":
         """The rows at the indices ``rows``, in that order."""
-        return LabeledLog(self.events.take(rows), self.kind[rows], self.source[rows])
+        return LabeledLog(self.events.take(rows), self.label[rows])
 
     @classmethod
     def from_labels(cls, events: EventTable, labels: list[ValidReadLabel]) -> "LabeledLog":
         """``events`` with one label per row, in row order."""
-        # Kinds and sources are str enums, so they look up their own codes.
-        return cls(
-            events,
-            np.fromiter((_KIND_CODE[l.kind] for l in labels), dtype=np.int8, count=len(labels)),
-            np.fromiter((_SOURCE_CODE[l.source or ""] for l in labels), dtype=np.int8, count=len(labels)),
-        )
+        codes = (_CODE[label.kind, label.source or ""] for label in labels)
+        return cls(events, np.fromiter(codes, dtype=np.int8, count=len(labels)))
 
     def to_text(self) -> str:
         """The log as labeled-log text: the header, then each row's event
         line plus ``,label,source``, formatted from the columns span by span."""
-        return text_rows(len(self), lambda span: [
-            *log_columns(self.events, span), _KIND_TEXT[self.kind[span]], _SOURCE_TEXT[self.source[span]],
-        ], LABELED_HEADER + "\n")
+        return text_rows(len(self), lambda span: [*log_columns(self.events, span), _TEXT[self.label[span]]],
+                         LABELED_HEADER + "\n")
 
 
 def label_log(
@@ -163,15 +153,13 @@ def label_log(
     # NaN fails every comparison, so an item without a P10 never passes T3.
     profiles = map(store.items.get, tokens)
     p10 = np.array([p.p10() if p is not None and p.n_records else np.nan for p in profiles])
-    source = np.zeros(len(events), np.int8)
-    source[t1] = _SOURCE_CODE[ValidReadSource.T1]
-    source[rest[light]] = _SOURCE_CODE[ValidReadSource.T2]
-    source[rest[~light][heavy.dwell_time_s > p10[item]]] = _SOURCE_CODE[ValidReadSource.T3]
-    kind = np.full(len(events), _NOT_CLICKED, np.int8)
-    kind[clicked] = _KIND_CODE[LabelKind.INVALID_CLICK]
-    kind[noise] = _KIND_CODE[LabelKind.NOISE_CLICK]
-    kind[source > 0] = _VALID_READ
-    return LabeledLog(events, kind, source)
+    label = np.full(len(events), NOT_CLICKED, np.int8)
+    label[clicked] = INVALID_CLICK
+    label[noise] = NOISE_CLICK
+    label[t1] = T1
+    label[rest[light]] = T2
+    label[rest[~light][heavy.dwell_time_s > p10[item]]] = T3
+    return LabeledLog(events, label)
 
 
 def _week_clicks(store: ProfileStore, table: EventTable) -> np.ndarray:
@@ -199,9 +187,9 @@ def composition_report(log: LabeledLog) -> dict:
     Fractions are over valid reads only and sum to 1 when any exist; with
     zero valid reads the fraction map is empty but counts remain.
     """
-    counts = dict(zip(_KIND_CODE, np.bincount(log.kind, minlength=len(LABEL_KINDS)).tolist()))
-    sources = np.bincount(log.source, minlength=len(LABEL_SOURCES)).tolist()
-    source_counts = dict(zip(list(_SOURCE_CODE)[1:], sources[1:]))
+    n = np.bincount(log.label, minlength=len(LABELS)).tolist()
+    counts = dict(zip((kind.value for kind in LabelKind), [*n[:T1], sum(n[T1:])]))
+    source_counts = {label.source.value: count for label, count in zip(LABELS[T1:], n[T1:])}
     n_valid = counts[LabelKind.VALID_READ.value]
     fractions = (
         {name: count / n_valid for name, count in source_counts.items()} if n_valid else {}
@@ -239,10 +227,6 @@ def parse_labeled(line: str, line_number: int | None = None) -> tuple[Interactio
     return event, label
 
 
-def _codes(table: dict[str, int], texts: list[str]) -> np.ndarray:
-    return np.fromiter(map(table.get, texts, repeat(-1)), dtype=np.int8, count=len(texts))
-
-
 def read_labeled_log(path: str | os.PathLike[str]) -> LabeledLog:
     """Read a labeled log as columns.
 
@@ -257,17 +241,15 @@ def read_labeled_log(path: str | os.PathLike[str]) -> LabeledLog:
     logs = list(map(_labeled_rows, LogScan.blocks(path, _WIDTH, LABELED_HEADER, coder)))
     return LabeledLog(
         coder.table([log.events for log in logs]),
-        concat_arrays([log.kind for log in logs], np.int8),
-        concat_arrays([log.source for log in logs], np.int8),
+        concat_arrays([log.label for log in logs], np.int8),
     )
 
 
 def _labeled_rows(scan: LogScan) -> LabeledLog:
     """The labeled rows of one block, all of them; raises for its first bad line."""
-    kind = _codes(_KIND_CODE, scan.fields[_LABEL_AT::_WIDTH])
-    source = _codes(_SOURCE_CODE, scan.fields[_SOURCE_AT::_WIDTH])
-    bad = scan.bad | (kind < 0) | (source < 0) | ((kind == _VALID_READ) != (source > 0))
-    bad |= (kind == _NOT_CLICKED) == scan.events.clicked
+    texts = zip(scan.fields[_LABEL_AT::_WIDTH], scan.fields[_SOURCE_AT::_WIDTH])
+    label = np.fromiter(map(_CODE.get, texts, repeat(-1)), dtype=np.int8, count=len(scan.rows))
+    bad = scan.bad | (label < 0) | ((label == NOT_CLICKED) == scan.events.clicked)
     if at_fault := scan.bad_lines(bad):
         raise scan.error(at_fault[0], parse_labeled)
-    return LabeledLog(scan.events, kind, source)
+    return LabeledLog(scan.events, label)

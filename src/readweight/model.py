@@ -315,7 +315,7 @@ class MtlNetwork:
             if offset != len(data):
                 raise ValueError(f"truncated or corrupt checkpoint: {len(data) - offset} trailing bytes")
             return cls(config, params), doc
-        except (struct.error, IndexError, KeyError, TypeError) as err:
+        except (struct.error, IndexError, KeyError, TypeError, OverflowError) as err:
             raise ValueError(f"truncated or corrupt checkpoint: {err}") from None
 
     def save(self, path: str, extra_config: dict | None = None) -> None:

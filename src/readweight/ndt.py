@@ -88,8 +88,8 @@ class NdtParams:
     def from_doc(cls, doc) -> "NdtParams":
         try:
             return cls(**{field.name: float(doc[field.name]) for field in fields(cls)})
-        except (KeyError, TypeError) as err:
-            raise ValueError(f"NDT params JSON lacks a numeric field: {err}") from err
+        except (KeyError, TypeError, OverflowError) as err:
+            raise ValueError(f"NDT params JSON needs a float64 number in each field: {err}") from err
 
 
 def paper_default_params(precision: float = DEFAULT_PRECISION) -> NdtParams:

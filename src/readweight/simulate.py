@@ -80,6 +80,8 @@ class SimConfig:
             raise ValueError("need at least one user and one item")
         if len(self.activeness_mix) != len(self.impressions_per_level):
             raise ValueError("activeness mix and impression counts must align")
+        if max(self.impressions_per_level, default=0) >= 2**63:
+            raise ValueError("impression counts must fit int64")
         if abs(sum(self.activeness_mix) - 1.0) > 1e-9:
             raise ValueError("activeness mix must sum to 1")
         if abs(sum(c.prob for c in self.item_classes) - 1.0) > 1e-9:

@@ -21,9 +21,9 @@ from readweight.events import (
 )
 from readweight.dwell_stats import DwellStats, InsufficientDataError
 from readweight.labeling import (
-    LABEL_KINDS,
-    LABEL_SOURCES,
     LABELED_HEADER,
+    LABELS,
+    T2,
     LabeledLog,
     LabelKind,
     LabelingConfig,
@@ -69,14 +69,11 @@ def event_table(events: Iterable[InteractionEvent]) -> EventTable:
 
 
 def labeled_of(pairs: Iterable[tuple[InteractionEvent, ValidReadLabel]]) -> LabeledLog:
-    """Columns of (event, label) pairs, each label's codes its kind's and
-    its source's places in LABEL_KINDS and LABEL_SOURCES."""
+    """Columns of (event, label) pairs, each label's code its place in LABELS."""
     pairs = list(pairs)
-    n = len(pairs)
     return LabeledLog(
         event_table(event for event, _ in pairs),
-        np.fromiter((LABEL_KINDS.index(label.kind) for _, label in pairs), dtype=np.int8, count=n),
-        np.fromiter((LABEL_SOURCES.index(label.source) for _, label in pairs), dtype=np.int8, count=n),
+        np.fromiter((LABELS.index(label) for _, label in pairs), dtype=np.int8, count=len(pairs)),
     )
 
 
@@ -194,8 +191,9 @@ def log_text(table: EventTable, *extra: list[str]) -> str:
 
 def labeled_text(log: LabeledLog) -> str:
     """A labeled log's text: the header, then each row's ``LOG_LINE`` plus its kind and source."""
-    kinds = [LABEL_KINDS[k].value for k in log.kind.tolist()]
-    sources = [LABEL_SOURCES[s].value if s else "" for s in log.source.tolist()]
+    labels = [LABELS[code] for code in log.label.tolist()]
+    kinds = [label.kind.value for label in labels]
+    sources = [label.source.value if label.source else "" for label in labels]
     return LABELED_HEADER + "\n" + log_text(log.events, kinds, sources)
 
 
@@ -400,20 +398,17 @@ def week_clicks(
     capped at ``most``, read off its labels: with the floor at 0, a click
     that fails T1 is T2 exactly while the light-user bound is above it."""
     table = event_table(events)
-    t2 = LABEL_SOURCES.index(ValidReadSource.T2)
     heavy = [
-        label_log(table, stats, store, LabelingConfig(noise_floor_s=0.0, light_user_max_clicks=bound)).source != t2
+        label_log(table, stats, store, LabelingConfig(noise_floor_s=0.0, light_user_max_clicks=bound)).label != T2
         for bound in range(1, most + 1)
     ]
     return np.sum(heavy, axis=0).tolist()
 
 
 def assert_same_columns(a: LabeledLog, b: LabeledLog) -> None:
-    """Equal events, and equal kind and source codes on every row."""
+    """Equal events, and equal label codes on every row."""
     assert_same_events(a.events, b.events)
-    for name in ("kind", "source"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert a.label.dtype == b.label.dtype and np.array_equal(a.label, b.label)
 
 
 # The per-user activeness path: one weekly count per user, then one level per

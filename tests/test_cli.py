@@ -780,6 +780,57 @@ class TestErrors:
         assert not (tmp_path / foreign[1]).exists()
 
 
+class TestOverflow:
+    """A number the program cannot hold as float64 or int64 is one JSON
+    line: a runtime failure in an input file or a computed value, or a bad
+    flag where the flag alone is at fault.  Nothing is written."""
+
+    def test_dwell_thresholds_past_float64_in_fit_stats(self, capsys, tmp_path):
+        log = tmp_path / "huge.csv"
+        rows = [f"u{k},i1,{1_700_000_000 + k},1,1e308" for k in range(99)] + ["u99,i1,1700000099,1,1e-304"]
+        log.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code, doc = run_cli(capsys, "fit-stats", "--log", str(log), "--out", str(tmp_path / "stats.json"))
+        assert (code, doc["error"]) == (2, "runtime-failure")
+        assert "overflow" in doc["detail"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["huge.csv"]
+
+    def test_ndt_params_field_past_float64_in_train(self, inputs, capsys, tmp_path):
+        doc = json.loads(Path(inputs["params"]).read_text(encoding="utf-8"))
+        doc["paper_default"]["tau"] = int("1" * 401)
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(doc), encoding="utf-8")
+        code, doc = run_cli(capsys, "train", "--labeled", inputs["labeled"], "--ndt-params", str(params),
+                            "--checkpoint", str(tmp_path / "model.ckpt"), "--epochs", "1")
+        assert (code, doc["error"]) == (2, "runtime-failure")
+        assert "NDT params" in doc["detail"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["params.json"]
+
+    def test_checkpoint_seed_past_int64_in_eval(self, inputs, capsys, tmp_path):
+        data = Path(inputs["checkpoint"]).read_bytes()
+        (length,) = struct.unpack_from("<I", data, 8)
+        config = json.loads(data[12 : 12 + length])
+        blob = json.dumps({**config, "seed": 0}).replace('"seed": 0', '"seed": 1e999').encode()
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + length :])
+        code, doc = run_cli(capsys, "eval", "--labeled", inputs["labeled"], "--checkpoint", str(ckpt),
+                            "--out", str(tmp_path / "eval.json"))
+        assert (code, doc["error"]) == (2, "runtime-failure")
+        assert "corrupt checkpoint" in doc["detail"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["model.ckpt"]
+
+    def test_user_count_past_int64_in_simulate(self, capsys, tmp_path):
+        code, doc = run_cli(capsys, "simulate", "--users", "1" + "0" * 23, "--out", str(tmp_path / "log.csv"))
+        assert (code, doc["error"]) == (2, "runtime-failure")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_impression_count_past_int64_is_a_bad_flag(self, capsys, tmp_path):
+        counts = ",".join(["1"] * 6 + ["1" + "0" * 23])
+        code, doc = run_cli(capsys, "simulate", "--impressions-per-level", counts, "--out", str(tmp_path / "log.csv"))
+        assert (code, doc["error"]) == (1, "invalid-flag:impressions-per-level")
+        assert "int64" in doc["detail"]
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSimulatorGoldenBytes:
     """sha256 of small simulator outputs, pinned across versions: the log,
     sidecar, planted stats and migration pair must keep their bytes, and so
@@ -939,6 +990,29 @@ def test_trained_bits_match_golden_sha256(capsys, tmp_path, inputs):
         "model.ckpt": "ca9c5ad22e0a32ef2e413feed56a3ea645cf72ede3b903249772e3e8b0befee0",
         "eval.json": "05dbcfe8f73742ab01e7349f2c54f8c0e68190db8438cf94200041359a7b5752",
     }
+
+
+def test_trained_bits_do_not_depend_on_blas_threads(inputs, tmp_path):
+    """``train`` and ``eval`` in fresh processes whose BLAS runs 1 and 2
+    threads write the same checkpoint and eval.json bytes.  The thread
+    counts are set in the environment, before numpy loads."""
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(TestProcess.SRC)}
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
+        for argv in (
+            ["train", "--labeled", inputs["labeled"], "--ndt-params", inputs["params"],
+             "--checkpoint", str(out / "model.ckpt"), "--epochs", "1"],
+            ["eval", "--labeled", inputs["labeled"], "--checkpoint", str(out / "model.ckpt"),
+             "--out", str(out / "eval.json")],
+        ):
+            done = subprocess.run([sys.executable, "-m", "readweight.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert (done.returncode, done.stderr) == (0, ""), done
+        written.append([(out / name).read_bytes() for name in ("model.ckpt", "eval.json")])
+    assert written[0] == written[1]
 
 
 def test_label_writes_the_same_bytes_from_yielded_pairs(capsys, tmp_path, inputs, monkeypatch):

@@ -419,7 +419,7 @@ class TestBlockReads:
     @given(text=log_texts(LABELED_LINES, LABELED_HEADER), block=st.integers(1, 40))
     def test_read_labeled_log(self, text, block):
         def labeled_columns(log):
-            return event_columns(log.events), log.kind.tolist(), log.source.tolist(), log.kind.dtype
+            return event_columns(log.events), log.label.tolist(), log.label.dtype
 
         def read(path):
             return labeled_columns(read_labeled_log(path))
@@ -457,7 +457,7 @@ class TestBlockReads:
         log = read_labeled_log(path)
         assert len(log) == 0
         assert_same_events(log.events, event_table([]))
-        assert log.kind.dtype == log.source.dtype == np.int8
+        assert log.label.dtype == np.int8
 
 
 def read_log_transients(tmp_path) -> dict[int, int]:

@@ -14,9 +14,9 @@ from readweight import labeling as labeling_module
 from readweight.dwell_stats import DwellStats, fit_log_normal
 from readweight.events import InteractionEvent, LogFormatError
 from readweight.labeling import (
-    LABEL_KINDS,
-    LABEL_SOURCES,
     LABELED_HEADER,
+    LABELS,
+    T3,
     LabeledLog,
     LabelKind,
     LabelingConfig,
@@ -200,7 +200,6 @@ class TestDecisionEdges:
 
 
 TOP = 2**63 - 1  # the largest timestamp the log reader accepts
-T3_CODE = LABEL_SOURCES.index(ValidReadSource.T3)
 
 
 class TestTrailingWeekExtremes:
@@ -286,12 +285,12 @@ class TestLabelLogMatchesPerRowOracle:
         )
         labeled = label_log(strangers, stats, store)
         assert_same_columns(labeled, label_rows(strangers, stats, store))
-        assert not (labeled.source == T3_CODE).any()
+        assert not (labeled.label == T3).any()
 
     def test_empty_log(self):
         store = build_profiles(event_table([make_event()]))
         labeled = label_log(event_table([]), STATS15, store)
-        assert len(labeled) == 0 and labeled.kind.dtype == labeled.source.dtype == np.int8
+        assert len(labeled) == 0 and labeled.label.dtype == np.int8
 
     def test_one_p10_query_per_item(self, monkeypatch):
         """T3 looks up each distinct item's P10 once, not once per row."""
@@ -307,7 +306,7 @@ class TestLabelLogMatchesPerRowOracle:
 
         monkeypatch.setattr(QuantileEstimator, "query", counting_query)
         labeled = label_log(events, stats, store)
-        assert (labeled.source == T3_CODE).sum() > len(queries) > 0
+        assert (labeled.label == T3).sum() > len(queries) > 0
         assert max(queries.values()) == 1
         assert len(queries) <= len(np.unique(events.item))
 
@@ -319,27 +318,22 @@ class TestLabelType:
         with pytest.raises(ValueError):
             ValidReadLabel(LabelKind.VALID_READ, None)
 
-    def test_iteration_hands_out_one_label_per_code_pair(self):
-        """Each of the six (kind, source) code pairs a label has yields a
-        label equal to the one built for the row, the same object on every
-        row; any other pair, out-of-range codes included, raises ValueError."""
+    def test_iteration_hands_out_one_label_per_code(self):
+        """Each code in LABELS yields that label, the same object on every
+        row; any other code, the int8 extremes included, raises ValueError,
+        on whichever row it sits."""
         table = event_table([make_event(), make_event("u2")])
-        valid = 0
-        for kind in range(-1, len(LABEL_KINDS) + 1):
-            for source in range(-1, len(LABEL_SOURCES) + 1):
-                log = LabeledLog(table, np.full(2, kind, np.int8), np.full(2, source, np.int8))
-                try:
-                    expected = ValidReadLabel(LABEL_KINDS[kind], LABEL_SOURCES[source]) if kind >= 0 and source >= 0 else None
-                except (IndexError, ValueError):
-                    expected = None
-                if expected is None:
-                    with pytest.raises(ValueError):
-                        list(log)
-                    continue
+        for code in (-128, *range(-1, len(LABELS) + 1), 127):
+            log = LabeledLog(table, np.full(2, code, np.int8))
+            if 0 <= code < len(LABELS):
                 [(_, a), (_, b)] = log
-                assert a == expected and a is b
-                valid += 1
-        assert valid == 6
+                assert a is b is LABELS[code]
+                assert log.valid_read.tolist() == [a.kind is LabelKind.VALID_READ] * 2
+                continue
+            with pytest.raises(ValueError):
+                list(log)
+            with pytest.raises(ValueError):
+                list(LabeledLog(table, np.array([0, code], np.int8)))
 
     def test_floor_comes_from_the_config(self):
         # The label holds no floor of its own: label_log applies cfg's.
@@ -644,13 +638,34 @@ class TestColumnarReader:
         """Each row's text and label, on both sides of each span's end,
         over ids and dwell times that are hard to render."""
         rng = np.random.default_rng(n)
-        codes = [(k, s) for k in range(len(LABEL_KINDS)) for s in range(len(LABEL_SOURCES))
-                 if (LABEL_KINDS[k] is LabelKind.VALID_READ) == (s > 0)]
-        kind, source = np.array(codes, np.int8)[rng.integers(len(codes), size=n)].T
-        log = LabeledLog(edge_table(n, rng), kind, source)
+        label = rng.integers(len(LABELS), size=n).astype(np.int8)
+        log = LabeledLog(edge_table(n, rng), label)
         assert log.to_text() == labeled_text(log)
-        labels = [(LABEL_KINDS.index(l.kind), LABEL_SOURCES.index(l.source)) for _, l in log]
-        assert labels == list(zip(kind.tolist(), source.tolist()))
+        assert [LABELS.index(l) for _, l in log] == label.tolist()
+
+    def test_only_the_six_label_texts_read(self, tmp_path):
+        """Over every kind text and source text, each plus an unknown one,
+        with clicked set to match the kind: the six labels' pairs read as
+        their codes, and every other pair fails with ``parse_labeled``'s
+        error for its line."""
+        good = "u1,i1,1700000000,0,0.0,NotClicked,"
+        path = tmp_path / "labeled.csv"
+        read = set()
+        for kind in (*(k.value for k in LabelKind), "Bogus"):
+            for source in ("", *(s.value for s in ValidReadSource), "T4"):
+                clicked = "0,0.0" if kind == LabelKind.NOT_CLICKED.value else "1,9.0"
+                row = f"u1,i1,1700000000,{clicked},{kind},{source}"
+                path.write_text("\n".join([LABELED_HEADER, good, row, good]) + "\n", encoding="utf-8")
+                try:
+                    _, label = parse_labeled(row, 3)
+                except LogFormatError as err:
+                    with pytest.raises(LogFormatError) as raised:
+                        read_labeled_log(path)
+                    assert str(raised.value) == str(err)
+                    continue
+                assert read_labeled_log(path).label.tolist() == [0, LABELS.index(label), 0]
+                read.add(label)
+        assert read == set(LABELS)
 
     @pytest.mark.parametrize(
         "row, message",
